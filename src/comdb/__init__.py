@@ -15,7 +15,6 @@ from .algebra import (
     common_lesser_collections,
     deproject,
     deproject_values,
-    enumerate_up_paths,
     infer,
     intersect_deprojections,
     make_product,
@@ -57,7 +56,6 @@ __all__ = [
     "common_lesser_collections",
     "deproject",
     "deproject_values",
-    "enumerate_up_paths",
     "infer",
     "intersect_deprojections",
     "make_product",

@@ -7,9 +7,17 @@ collection built from several factor collections and a membership predicate.
 
 Projection moves up the partial order and deduplicates; de-projection moves
 down and fans out.  NULL references contribute nothing in either direction.
-The star forms take the union over every simple dimension path between the
-two collections, and infer routes a constraint through common lesser
-collections when the source and target are incomparable.
+
+The star forms answer the union over every dimension path between two
+collections, and infer routes a constraint through common lesser
+collections when the source and target are incomparable.  Both are decided
+in one place, the router (route_star_project, route_star_deproject,
+route_infer), which keeps for each leg the sub-DAG of dimensions lying on
+some path between its ends.  The runner (run_route) visits that sub-DAG in
+topological order, pushes the set along each dimension once and unites
+where dimensions meet.  Image and preimage distribute over union, so this
+equals the union over paths at a cost of one pass per dimension, however
+many paths there are.
 """
 
 from __future__ import annotations
@@ -284,108 +292,232 @@ def intersect_deprojections(esets: Sequence[ElementSet]) -> ElementSet:
     return ElementSet(first.domain, members)
 
 
-# --- path enumeration and star operations -----------------------------------
+# --- routing and running star and inference steps ------------------------------
 
 
-def enumerate_up_paths(schema: Schema, lower: str, upper: str) -> list[DimensionPath]:
-    """All simple dimension paths from lower up to upper, in name order.
+@dataclass(frozen=True)
+class Leg:
+    """One star motion between two domains, as a sub-DAG of the schema.
 
-    The schema is a DAG, so every upward walk is simple; branches that can
-    no longer reach the upper collection are pruned early.
+    edges are the dimensions lying on some path between the ends, in the
+    order the runner visits them: topological in the direction of travel.
+    When one end is a product, factors holds one pseudo-dimension from the
+    product to each factor collection that lies on such a path.  paths
+    counts the distinct paths the sub-DAG holds.
     """
-    if lower == upper:
-        return []
-    paths: list[DimensionPath] = []
-    prefix: list[Dimension] = []
 
-    def walk(at: str) -> None:
-        for d in schema.dimensions_from(at):
-            prefix.append(d)
-            if d.destination == upper:
-                paths.append(DimensionPath(tuple(prefix)))
-            elif upper in schema.above(d.destination):
-                walk(d.destination)
-            prefix.pop()
-
-    walk(lower)
-    paths.sort(key=lambda p: tuple(d.name for d in p.segments))
-    return paths
+    down: bool
+    source: Domain
+    target: Domain
+    factors: tuple[Dimension, ...]
+    edges: tuple[Dimension, ...]
+    paths: int
 
 
-def product_up_paths(schema: Schema, product: ProductCollection, upper: str) -> list[DimensionPath]:
-    """Paths from a product up to a collection: one pseudo-dimension per factor."""
-    paths: list[DimensionPath] = []
-    for alias, cname in product.factors:
-        pseudo = Dimension(alias, product.label, cname)
-        if cname == upper:
-            paths.append(DimensionPath((pseudo,)))
+@dataclass(frozen=True)
+class Route:
+    """How a star or inference step moves a set: the union over its ways.
+
+    A way is (via, down leg, up leg); via names the common lesser domain
+    an inference passes through (None when it needs none), and either leg
+    may be None.  No ways and no warning leaves the set where it is; a
+    warning means nothing connects the ends, and the answer is the whole
+    target.
+    """
+
+    target: Domain
+    ways: tuple[tuple[Domain | None, Leg | None, Leg | None], ...]
+    warning: str | None = None
+
+
+def _leg(schema: Schema, lower: Domain, upper: str, down: bool) -> Leg | None:
+    """Every dimension on a path from lower up to upper; None when there is no path.
+
+    lower may be a product, whose factors start the paths.  A concept is on
+    a path when it is at or above a start and at or below upper, so the
+    edges are found in one pass over those concepts, never path by path.
+    """
+    if isinstance(lower, ProductCollection):
+        factors = tuple(Dimension(alias, lower.label, cname) for alias, cname in lower.factors
+                        if cname == upper or upper in schema.above(cname))
+        starts = [d.destination for d in factors]
+    else:
+        factors = ()
+        starts = [lower] if lower == upper or upper in schema.above(lower) else []
+    if not starts:
+        return None
+    nodes = {upper}
+    for s in starts:
+        nodes.add(s)
+        nodes.update(c for c in schema.above(s) if upper in schema.above(c))
+    # a lesser concept has strictly more concepts above it: a topological order
+    edges = sorted((d for n in nodes for d in schema.dimensions_from(n) if d.destination in nodes),
+                   key=lambda d: (-len(schema.above(d.source)), d.source, d.name))
+    count = dict.fromkeys(nodes, 0)
+    for s in starts:
+        count[s] += 1
+    for d in edges:
+        count[d.destination] += count[d.source]
+    if down:
+        edges.sort(key=lambda d: (-len(schema.below(d.destination)), d.destination,
+                                  d.source, d.name))
+        return Leg(True, upper, lower, factors, tuple(edges), count[upper])
+    return Leg(False, lower, upper, factors, tuple(edges), count[upper])
+
+
+def route_star_project(schema: Schema, source: Domain, target: str) -> Route:
+    """The route of '*->': up from a collection or product to a greater collection."""
+    if isinstance(source, PrimitiveDomain):
+        raise PathNotComposable("cannot project a set of primitive values")
+    leg = _leg(schema, source, target, down=False)
+    if leg is None:
+        if isinstance(source, ProductCollection):
+            raise NoPath(f"no factor of product '{source.name}' reaches '{target}'")
+        raise NoPath(
+            f"no upward path from '{source}' to '{target}'; "
+            "'<-*->' routes through common lesser collections"
+        )
+    return Route(target, ((None, None, leg),))
+
+
+def route_star_deproject(schema: Schema, source: Domain, target: Domain) -> Route:
+    """The route of '<-*': down from a collection to a lesser collection or product."""
+    if not isinstance(source, str):
+        if source is target:
+            return Route(target, ())
+        raise NoPath(f"cannot de-project from '{domain_name(source)}'")
+    leg = _leg(schema, target, source, down=True)
+    if leg is None:
+        if isinstance(target, ProductCollection):
+            raise NoPath(f"no factor of product '{target.name}' reaches '{source}'")
+        raise NoPath(
+            f"no downward path from '{source}' to '{target}'; "
+            "'<-*->' routes through common lesser collections"
+        )
+    return Route(target, ((None, leg, None),))
+
+
+def route_infer(schema: Schema, source: Domain, target: Domain, via=None) -> Route:
+    """The route of '<-*->' between any two domains.
+
+    Comparable ends take one star leg.  Incomparable ones go down to each
+    maximal common lesser collection and up again, or through `via` alone
+    when it is given, which must lie at or below both ends.  With no
+    connection at all the route carries the independence warning.
+    """
+    if isinstance(source, PrimitiveDomain):
+        raise PathNotComposable("cannot infer from a set of primitive values")
+    if target == source:
+        return Route(target, ())
+    if via is not None:
+        ends = []
+        for end, down in ((source, True), (target, False)):
+            leg = _leg(schema, via, end, down) if isinstance(end, str) else None
+            if leg is None and via is not end:
+                which = "source" if down else "target"
+                raise ViaNotCommonLesser(
+                    f"'{domain_name(via)}' is not at or below {which} '{domain_name(end)}'"
+                )
+            ends.append(leg)
+        return Route(target, ((via, *ends),))
+    if isinstance(target, ProductCollection):
+        if not isinstance(source, str):
+            raise NoPath("cannot infer between two different products")
+        leg = _leg(schema, target, source, down=True)
+        ways = ((None, leg, None),) if leg else ()
+    elif isinstance(source, ProductCollection):
+        leg = _leg(schema, source, target, down=False)
+        ways = ((None, None, leg),) if leg else ()
+    elif target in schema.above(source):
+        ways = ((None, None, _leg(schema, source, target, down=False)),)
+    elif target in schema.below(source):
+        ways = ((None, _leg(schema, target, source, down=True), None),)
+    else:
+        ways = tuple(
+            (c, _leg(schema, c, source, down=True), _leg(schema, c, target, down=False))
+            for c in common_lesser_collections(schema, source, target)
+        )
+    return Route(target, ways, None if ways else INDEPENDENT_WARNING)
+
+
+def _run_leg(db, members, leg: Leg):
+    """Push a set along every edge of a leg in order, uniting where edges meet.
+
+    Image and preimage distribute over union, so this equals the union over
+    every path of the leg, at a cost of one pass per edge.
+    """
+    colls = db.collections
+    if leg.down:
+        at = {leg.source: members}
+        for d in leg.edges:
+            cur = at.get(d.destination)
+            if cur:
+                rmap = colls[d.destination].reverse[d]
+                nxt = at.setdefault(d.source, set())
+                for i in cur:
+                    nxt.update(rmap.get(i, ()))
+        if not leg.factors:
+            return at.get(leg.target, ())
+        out: set = set()
+        for f in leg.factors:
+            keep = at.get(f.destination)
+            if keep:
+                out.update(iter_members(db, leg.target, restrict={f.name: keep}))
+        return out
+    at = {}
+    if leg.factors:
+        for f in leg.factors:
+            idx = leg.source.alias_index[f.name]
+            at.setdefault(f.destination, set()).update(m[idx] for m in members)
+    else:
+        at[leg.source] = members
+    for d in leg.edges:
+        cur = at.get(d.source)
+        if not cur:
+            continue
+        coll = colls[d.source]
+        nxt = at.setdefault(d.destination, set())
+        if len(cur) == len(coll):
+            # the whole collection (the store is insert-only): its image is
+            # every element referenced along d, which the reverse index keys
+            nxt.update(colls[d.destination].reverse[d].keys())
         else:
-            for p in enumerate_up_paths(schema, cname, upper):
-                paths.append(DimensionPath((pseudo,) + p.segments))
-    paths.sort(key=lambda p: tuple(d.name for d in p.segments))
-    return paths
+            nxt.update(map(coll.forward[d.name].__getitem__, cur))
+            nxt.discard(None)
+    return at.get(leg.target, ())
+
+
+def run_route(db, eset: ElementSet, route: Route) -> ElementSet:
+    """Move a set along a route planned for its domain; no routing happens here."""
+    target = route.target
+    if route.warning is not None:
+        if isinstance(target, ProductCollection):
+            return product_members(db, target)
+        return full_set(db, target)
+    if not route.ways:
+        return eset
+    got = []
+    for _, down, up in route.ways:
+        members = eset.members
+        for leg in (down, up):
+            if leg is not None:
+                members = _run_leg(db, members, leg)
+        got.append(members)
+    return ElementSet(target, frozenset().union(*got))
 
 
 def star_project(db, eset: ElementSet, target: str) -> ElementSet:
-    """Project along every path up to target and take the union."""
-    domain = eset.domain
-    if isinstance(domain, PrimitiveDomain):
-        raise PathNotComposable("cannot project a set of primitive values")
-    if isinstance(domain, ProductCollection):
-        paths = product_up_paths(db.schema, domain, target)
-        if not paths:
-            raise NoPath(f"no factor of product '{domain.name}' reaches '{target}'")
-    else:
-        if domain == target:
-            return eset
-        paths = enumerate_up_paths(db.schema, domain, target)
-        if not paths:
-            raise NoPath(
-                f"no upward path from '{domain}' to '{target}'; "
-                "'<-*->' routes through common lesser collections"
-            )
-    members: set = set()
-    for p in paths:
-        members |= project(db, eset, p).members
-    return ElementSet(target, frozenset(members))
+    """The union of the projections along every path up to target."""
+    return run_route(db, eset, route_star_project(db.schema, eset.domain, target))
 
 
 def star_deproject(db, eset: ElementSet, target) -> ElementSet:
-    """De-project along every path down to target and take the union.
+    """The union of the de-projections along every path down to target.
 
     target may be a collection name or a ProductCollection; a product is
     below a collection whenever one of its factors is at or below it.
     """
-    domain = eset.domain
-    if not isinstance(domain, str):
-        if domain is target:
-            return eset
-        raise NoPath(f"cannot de-project from '{domain_name(domain)}'")
-    if isinstance(target, ProductCollection):
-        allowed: dict[str, frozenset] = {}
-        for alias, cname in target.factors:
-            if cname == domain:
-                allowed[alias] = eset.members
-            elif domain in db.schema.above(cname):
-                allowed[alias] = star_deproject(db, eset, cname).members
-        if not allowed:
-            raise NoPath(f"no factor of product '{target.name}' reaches '{domain}'")
-        members: set = set()
-        for alias, keep in allowed.items():
-            members.update(iter_members(db, target, restrict={alias: keep}))
-        return ElementSet(target, frozenset(members))
-    if target == domain:
-        return eset
-    paths = enumerate_up_paths(db.schema, target, domain)
-    if not paths:
-        raise NoPath(
-            f"no downward path from '{domain}' to '{target}'; "
-            "'<-*->' routes through common lesser collections"
-        )
-    out: set = set()
-    for p in paths:
-        out |= deproject(db, eset, p).members
-    return ElementSet(target, frozenset(out))
+    return run_route(db, eset, route_star_deproject(db.schema, eset.domain, target))
 
 
 # --- inference --------------------------------------------------------------
@@ -397,73 +529,19 @@ def common_lesser_collections(schema: Schema, a: str, b: str) -> list[str]:
     return sorted(c for c in common if not (schema.above(c) & common))
 
 
-def _reaches(db, lesser, greater: str) -> bool:
-    if isinstance(lesser, ProductCollection):
-        return any(c == greater or greater in db.schema.above(c) for _, c in lesser.factors)
-    return lesser == greater or greater in db.schema.above(lesser)
-
-
 def infer(db, eset: ElementSet, target, via=None,
           warnings: list | None = None) -> ElementSet:
     """Propagate a constraint from its source to an arbitrary target.
 
-    Comparable collections use the star operations directly.  Incomparable
-    ones route through the maximal common lesser collections (union over
-    routes), or through `via` when given, which must lie below both ends.
-    With no connection at all the whole target is returned and a warning is
-    recorded.
+    The route is route_infer's: comparable collections take one star leg,
+    incomparable ones the union over their maximal common lesser
+    collections, or `via` alone.  With no connection at all the whole
+    target is returned and a warning is recorded.
     """
-    domain = eset.domain
-    if isinstance(domain, PrimitiveDomain):
-        raise PathNotComposable("cannot infer from a set of primitive values")
-
-    if (isinstance(target, ProductCollection) and target is domain) or target == domain:
-        return eset
-
-    if via is not None:
-        below_source = _reaches(db, via, domain) if isinstance(domain, str) else via is domain
-        if not below_source:
-            raise ViaNotCommonLesser(
-                f"'{domain_name(via)}' is not at or below source '{domain_name(domain)}'"
-            )
-        below_target = _reaches(db, via, target) if isinstance(target, str) else via is target
-        if not below_target:
-            raise ViaNotCommonLesser(
-                f"'{domain_name(via)}' is not at or below target '{domain_name(target)}'"
-            )
-        down = star_deproject(db, eset, via)
-        return star_project(db, down, target) if isinstance(target, str) else down
-
-    if isinstance(target, ProductCollection):
-        if _reaches(db, target, domain):
-            return star_deproject(db, eset, target)
-        if warnings is not None:
-            warnings.append(INDEPENDENT_WARNING)
-        return product_members(db, target)
-
-    if isinstance(domain, ProductCollection):
-        if _reaches(db, domain, target):
-            return star_project(db, eset, target)
-        if warnings is not None:
-            warnings.append(INDEPENDENT_WARNING)
-        return full_set(db, target)
-
-    schema = db.schema
-    if target in schema.above(domain):
-        return star_project(db, eset, target)
-    if target in schema.below(domain):
-        return star_deproject(db, eset, target)
-
-    routes = common_lesser_collections(schema, domain, target)
-    if not routes:
-        if warnings is not None:
-            warnings.append(INDEPENDENT_WARNING)
-        return full_set(db, target)
-    members: set = set()
-    for lesser in routes:
-        down = star_deproject(db, eset, lesser)
-        members |= star_project(db, down, target).members
-    return ElementSet(target, frozenset(members))
+    route = route_infer(db.schema, eset.domain, target, via)
+    if route.warning is not None and warnings is not None:
+        warnings.append(route.warning)
+    return run_route(db, eset, route)
 
 
 # --- values and aggregates ---------------------------------------------------

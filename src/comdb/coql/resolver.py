@@ -1,9 +1,10 @@
 """Name resolution and planning: a parsed query becomes an executable plan.
 
 Resolution binds collection, dimension and field names against a schema,
-compiles predicates into evaluable closures, enumerates the dimension paths
-each star or inference step will use, and records any warnings (such as the
-full-target fallback for unconnected collections) before anything runs.
+compiles predicates into evaluable closures, stores on each star or
+inference step the route the algebra's router chose for it, and records any
+warnings (such as the full-target fallback for unconnected collections)
+before anything runs.
 """
 
 from __future__ import annotations
@@ -15,15 +16,17 @@ from decimal import Decimal
 from typing import Mapping
 
 from ..algebra import (
-    INDEPENDENT_WARNING,
     FieldPath,
+    Leg,
     PrimitiveDomain,
     ProductCollection,
-    common_lesser_collections,
+    Route,
     deproject,
-    enumerate_up_paths,
+    domain_name,
     make_product,
-    product_up_paths,
+    route_infer,
+    route_star_deproject,
+    route_star_project,
     sum_values,
     ElementSet,
 )
@@ -439,32 +442,10 @@ class PlanDeprojectValues:
 
 
 @dataclass(frozen=True)
-class PlanStarProject:
-    target: str
-    paths: tuple[DimensionPath, ...]
-    text: str
+class PlanRoute:
+    """A star or inference step ('*->', '<-*', '<-*->'): the route it runs."""
 
-
-@dataclass(frozen=True)
-class PlanStarDeproject:
-    target: object                      # collection name or ProductCollection
-    paths: tuple[DimensionPath, ...]
-    text: str
-
-
-@dataclass(frozen=True)
-class InferRoute:
-    via: str | None
-    down_paths: tuple[DimensionPath, ...]
-    up_paths: tuple[DimensionPath, ...]
-
-
-@dataclass(frozen=True)
-class PlanInfer:
-    target: object                      # collection name or ProductCollection
-    via: object | None
-    routes: tuple[InferRoute, ...]
-    warning: str | None
+    route: Route
     text: str
 
 
@@ -570,18 +551,43 @@ def _require_collection_domain(domain, step_pos, what: str) -> str:
     return domain
 
 
+def _two_up_paths(schema: Schema, lower: str, upper: str) -> list[DimensionPath]:
+    """The first two paths from lower up to upper, in name order.
+
+    Only branches that still reach upper are walked, so this stops after
+    two paths however many there are.
+    """
+    paths: list[DimensionPath] = []
+    prefix: list[Dimension] = []
+
+    def walk(at: str) -> None:
+        for d in schema.dimensions_from(at):
+            if len(paths) == 2:
+                return
+            prefix.append(d)
+            if d.destination == upper:
+                paths.append(DimensionPath(tuple(prefix)))
+            elif upper in schema.above(d.destination):
+                walk(d.destination)
+            prefix.pop()
+
+    walk(lower)
+    return paths
+
+
 def _unique_up_path(schema: Schema, lower: str, upper: str, pos) -> DimensionPath:
-    paths = enumerate_up_paths(schema, lower, upper)
+    paths = _two_up_paths(schema, lower, upper)
     if not paths:
         raise NoPath(
             f"no path between '{lower}' and '{upper}'; "
             "'<-*->' routes through common lesser collections"
         )
     if len(paths) > 1:
-        listing = "; ".join(p.dotted() for p in paths)
+        listing = " and ".join(p.dotted() for p in paths)
         _raise(
             AmbiguousPath,
-            f"multiple paths between '{lower}' and '{upper}': {listing}; name the dimensions",
+            f"multiple paths between '{lower}' and '{upper}', such as {listing}; "
+            "name the dimensions",
             pos,
         )
     return paths[0]
@@ -790,20 +796,7 @@ def _resolve_star_project(step: ast.StarProjectStep, domain, schema: Schema,
     target, post = _resolve_step_target(step.target, schema, products)
     if isinstance(target, ProductCollection):
         _raise(ResolveError, "'*->' cannot arrive at a product; use '<-*'", step.pos)
-    if isinstance(domain, ProductCollection):
-        paths = product_up_paths(schema, domain, target)
-        if not paths:
-            raise NoPath(f"no factor of product '{domain.name}' reaches '{target}'")
-    elif domain == target:
-        paths = []
-    else:
-        paths = enumerate_up_paths(schema, domain, target)
-        if not paths:
-            raise NoPath(
-                f"no upward path from '{domain}' to '{target}'; "
-                "'<-*->' routes through common lesser collections"
-            )
-    out.append(PlanStarProject(target, tuple(paths), f"*-> ({target})"))
+    out.append(PlanRoute(route_star_project(schema, domain, target), f"*-> ({target})"))
     if post is not None:
         out.append(PlanFilter(post, print_predicate(step.target.predicate)))
     return target
@@ -813,22 +806,8 @@ def _resolve_star_deproject(step: ast.StarDeprojectStep, domain, schema: Schema,
                             products: Mapping, out: list):
     cur = _require_collection_domain(domain, step.pos, "'<-*'")
     target, post = _resolve_step_target(step.target, schema, products)
-    if isinstance(target, ProductCollection):
-        paths = product_up_paths(schema, target, cur)
-        if not paths:
-            raise NoPath(f"no factor of product '{target.name}' reaches '{cur}'")
-        out.append(PlanStarDeproject(target, tuple(paths), f"<-* ({target.name})"))
-        return target
-    if target == cur:
-        paths = []
-    else:
-        paths = enumerate_up_paths(schema, target, cur)
-        if not paths:
-            raise NoPath(
-                f"no downward path from '{cur}' to '{target}'; "
-                "'<-*->' routes through common lesser collections"
-            )
-    out.append(PlanStarDeproject(target, tuple(paths), f"<-* ({target})"))
+    route = route_star_deproject(schema, cur, target)
+    out.append(PlanRoute(route, f"<-* ({domain_name(target)})"))
     if post is not None:
         out.append(PlanFilter(post, print_predicate(step.target.predicate)))
     return target
@@ -839,49 +818,10 @@ def _resolve_infer(step: ast.InferStep, domain, schema: Schema, products: Mappin
     if isinstance(domain, PrimitiveDomain):
         _raise(ResolveError, f"the chain already ended at primitive values '{domain}'", step.pos)
     target, post = _resolve_step_target(step.target, schema, products)
-
-    routes: tuple[InferRoute, ...] = ()
-    warning = None
-    if isinstance(target, ProductCollection):
-        src = domain if isinstance(domain, str) else None
-        if src is None:
-            if target is not domain:
-                raise NoPath("cannot infer between two different products")
-        else:
-            paths = product_up_paths(schema, target, src)
-            if paths:
-                routes = (InferRoute(None, tuple(paths), ()),)
-            else:
-                warning = INDEPENDENT_WARNING
-    elif isinstance(domain, ProductCollection):
-        paths = product_up_paths(schema, domain, target)
-        if paths:
-            routes = (InferRoute(None, (), tuple(paths)),)
-        else:
-            warning = INDEPENDENT_WARNING
-    elif target == domain:
-        routes = ()
-    elif target in schema.above(domain):
-        routes = (InferRoute(None, (), tuple(enumerate_up_paths(schema, domain, target))),)
-    elif target in schema.below(domain):
-        routes = (InferRoute(None, tuple(enumerate_up_paths(schema, target, domain)), ()),)
-    else:
-        commons = common_lesser_collections(schema, domain, target)
-        if commons:
-            routes = tuple(
-                InferRoute(
-                    via,
-                    tuple(enumerate_up_paths(schema, via, domain)),
-                    tuple(enumerate_up_paths(schema, via, target)),
-                )
-                for via in commons
-            )
-        else:
-            warning = INDEPENDENT_WARNING
-    if warning is not None:
-        warnings.append(warning)
-    name = target.name if isinstance(target, ProductCollection) else target
-    out.append(PlanInfer(target, None, routes, warning, f"<-*-> ({name})"))
+    route = route_infer(schema, domain, target)
+    if route.warning is not None:
+        warnings.append(route.warning)
+    out.append(PlanRoute(route, f"<-*-> ({domain_name(target)})"))
     if post is not None:
         out.append(PlanFilter(post, print_predicate(step.target.predicate)))
     return target
@@ -945,6 +885,34 @@ def _down_lines(path: DimensionPath) -> list[str]:
     return [f"<- {seg.name} <- ({seg.source})" for seg in reversed(path.segments)]
 
 
+def _hops(leg: Leg) -> list[tuple[str, str]]:
+    """(where the hop starts, the hop) for each edge of a leg, in running order."""
+    if leg.down:
+        return [(d.destination, f"<- {d.name} <- ({d.source})") for d in leg.edges + leg.factors]
+    return [(d.source, f"-> {d.name} -> ({d.destination})") for d in leg.factors + leg.edges]
+
+
+def _explain_route(step: PlanRoute) -> list[str]:
+    """Hop by hop when every leg is one path; else the sub-DAG's edges in order."""
+    route = step.route
+    if route.warning is not None:
+        return [step.text]
+    legs = [leg for way in route.ways for leg in way[1:] if leg is not None]
+    if len(route.ways) <= 1 and all(leg.paths == 1 for leg in legs):
+        return [hop for leg in legs for _, hop in _hops(leg)]
+    if len(route.ways) == 1 and route.ways[0][0] is None:
+        (leg,) = legs
+        lines = [f"{step.text} over {leg.paths} paths:"]
+        return lines + [f"  ({domain_name(start)}) {hop}" for start, hop in _hops(leg)]
+    lines = [f"{step.text} over {len(route.ways)} routes:"]
+    for via, down, up in route.ways:
+        lines.append(f"via {domain_name(via)}:" if via is not None else "direct:")
+        for label, leg in (("down", down), ("up", up)):
+            if leg is not None:
+                lines.extend(f"  {label}: ({domain_name(start)}) {hop}" for start, hop in _hops(leg))
+    return lines
+
+
 def _explain_step(step) -> list[str]:
     if isinstance(step, PlanFilter):
         return [f"| {step.text}"]
@@ -960,46 +928,8 @@ def _explain_step(step) -> list[str]:
         if step.tail is not None:
             lines.extend(_down_lines(step.tail))
         return lines
-    if isinstance(step, PlanStarProject):
-        if not step.paths:
-            return []
-        if len(step.paths) == 1:
-            return _up_lines(step.paths[0])
-        lines = [f"*-> ({step.target}) over {len(step.paths)} paths:"]
-        lines.extend(f"  path: {p.dotted()}" for p in step.paths)
-        return lines
-    if isinstance(step, PlanStarDeproject):
-        name = step.target.name if isinstance(step.target, ProductCollection) else step.target
-        if not step.paths:
-            return []
-        if len(step.paths) == 1:
-            return _down_lines(step.paths[0])
-        lines = [f"<-* ({name}) over {len(step.paths)} paths:"]
-        lines.extend(f"  path: {p.dotted()}" for p in step.paths)
-        return lines
-    if isinstance(step, PlanInfer):
-        name = step.target.name if isinstance(step.target, ProductCollection) else step.target
-        if step.warning is not None:
-            return [f"<-*-> ({name})"]
-        if not step.routes:
-            return []
-        if len(step.routes) == 1:
-            r = step.routes[0]
-            if len(r.down_paths) <= 1 and len(r.up_paths) <= 1:
-                lines = []
-                for p in r.down_paths:
-                    lines.extend(_down_lines(p))
-                for p in r.up_paths:
-                    lines.extend(_up_lines(p))
-                return lines
-        lines = [f"<-*-> ({name}) over {len(step.routes)} routes:"]
-        for r in step.routes:
-            lines.append(f"via {r.via}:" if r.via is not None else "direct:")
-            for p in r.down_paths:
-                lines.append(f"  down: {p.dotted()}")
-            for p in r.up_paths:
-                lines.append(f"  up: {p.dotted()}")
-        return lines
+    if isinstance(step, PlanRoute):
+        return _explain_route(step)
     raise TypeError(f"not a plan step: {step!r}")
 
 

@@ -27,11 +27,9 @@ from .coql.resolver import (
     PlanDeproject,
     PlanDeprojectValues,
     PlanFilter,
-    PlanInfer,
     PlanProject,
     PlanProjectField,
-    PlanStarDeproject,
-    PlanStarProject,
+    PlanRoute,
     ProductAnchor,
     QueryPlan,
     evaluate,
@@ -313,7 +311,6 @@ def _filter_collection(db, eset: ElementSet, predicate) -> ElementSet:
 
 def execute(db, plan: QueryPlan) -> "ResultSet":
     """Run a resolved plan against a database or snapshot."""
-    warnings = list(plan.warnings)
     anchor = plan.anchor
     if isinstance(anchor, CollectionAnchor):
         eset = algebra.full_set(db, anchor.collection)
@@ -339,16 +336,12 @@ def execute(db, plan: QueryPlan) -> "ResultSet":
             eset = algebra.deproject_values(db, step.owner, step.field.name, eset.members)
             if step.tail is not None:
                 eset = algebra.deproject(db, eset, step.tail)
-        elif isinstance(step, PlanStarProject):
-            eset = algebra.star_project(db, eset, step.target)
-        elif isinstance(step, PlanStarDeproject):
-            eset = algebra.star_deproject(db, eset, step.target)
-        elif isinstance(step, PlanInfer):
-            eset = algebra.infer(db, eset, step.target, via=step.via, warnings=warnings)
+        elif isinstance(step, PlanRoute):
+            eset = algebra.run_route(db, eset, step.route)
         else:
             raise TypeError(f"not a plan step: {step!r}")
 
-    return build_result(db, eset, tuple(dict.fromkeys(warnings)))
+    return build_result(db, eset, tuple(dict.fromkeys(plan.warnings)))
 
 
 def execute_statement(db: Database, text: str):

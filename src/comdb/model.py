@@ -297,16 +297,6 @@ def _check_acyclic(concepts: dict[str, Concept], dims: list[Dimension]) -> None:
         raise CyclicSchema(f"dimension cycle through concepts: {', '.join(stuck)}")
 
 
-def greater_concepts(schema: Schema, concept: str) -> set[tuple[Dimension, Concept]]:
-    """Immediately greater concepts of `concept`, paired with the dimension used."""
-    return {(d, schema.concept(d.destination)) for d in schema.dimensions_from(concept)}
-
-
-def lesser_concepts(schema: Schema, concept: str) -> set[tuple[Dimension, Concept]]:
-    """Immediately lesser concepts of `concept`, paired with the dimension used."""
-    return {(d, schema.concept(d.source)) for d in schema.dimensions_into(concept)}
-
-
 # --- elements and collections ---------------------------------------------
 
 

@@ -164,6 +164,51 @@ def o_infer(db, reach, source: str, members, target: str):
 # --- random schemas and instances ---------------------------------------------
 
 
+def ladder_db(rungs: int, paths_apart: bool = False,
+              rng: random.Random | None = None, size: int = 6) -> engine.Database:
+    """A diamond ladder: N0 < L0, R0 < N1 < ... < N{rungs}, plus N0.s into S.
+
+    Each rung doubles the dimension paths from N0 up to N{rungs}, and S meets
+    N{rungs} only at N0, so '<-*->' between them needs the whole ladder.
+    With paths_apart, element k of every concept exists for each of the
+    2^rungs paths, and N0's element k holds only the references along path
+    k (bit i of k picks r at rung i), so every path links a different
+    bottom element to a different top element.  Otherwise each concept gets
+    `size` elements with references drawn from rng, about one in ten NULL.
+    """
+    parts = [f"CONCEPT N{rungs} IDENTITY id INT;", "CONCEPT S IDENTITY id INT;"]
+    for i in range(rungs - 1, -1, -1):
+        for side in "LR":
+            parts.append(f"CONCEPT {side}{i} IDENTITY id INT ENTITY n N{i + 1};")
+        extra = ", s S" if i == 0 else ""
+        parts.append(f"CONCEPT N{i} IDENTITY id INT ENTITY l L{i}, r R{i}{extra};")
+    db = engine.Database()
+    engine.load_schema(db, "\n".join(parts))
+    n = 2 ** rungs if paths_apart else size
+
+    def pick():
+        k = rng.randrange(n)
+        return None if rng.random() < 0.1 else k
+
+    for k in range(n):
+        db.insert(f"N{rungs}", k)
+        db.insert("S", k)
+    for i in range(rungs - 1, -1, -1):
+        for k in range(n):
+            for side in "LR":
+                db.insert(f"{side}{i}", k, {"n": k if paths_apart else pick()})
+        for k in range(n):
+            if paths_apart:
+                entity = {"r" if (k >> i) & 1 else "l": k, "s": k}
+            else:
+                entity = {"l": pick(), "r": pick(), "s": pick()}
+            if i > 0:
+                del entity["s"]
+            db.insert(f"N{i}", k, entity)
+    return db
+
+
+
 def random_schema_text(rng: random.Random, max_concepts: int = 6,
                        max_dims: int = 4, nullable_refs: bool = True) -> str:
     """A random DAG schema: concept Ci may only reference Cj with j > i."""

@@ -1,9 +1,12 @@
 """Projection, de-projection, star forms, products, and inference routing."""
 
+import itertools
+import random
 from decimal import Decimal
 
 import pytest
 
+import oracle
 from comdb import algebra, model
 from comdb.algebra import ElementSet, INDEPENDENT_WARNING
 from comdb.errors import NonNumericPath, NoPath, PathNotComposable, ViaNotCommonLesser
@@ -107,22 +110,36 @@ def test_intersect_deprojections(colors_db):
     assert members(both) == {(2,), (3,)}
 
 
-# --- path enumeration --------------------------------------------------------
+# --- routing -----------------------------------------------------------------
 
 
-def test_enumerate_up_paths_orders_parallel_dims(parallel_db):
-    db = parallel_db
-    paths = algebra.enumerate_up_paths(db.schema, "Reviews", "Grades")
-    assert [p.dotted() for p in paths] == ["first", "second"]
-    assert algebra.enumerate_up_paths(db.schema, "Grades", "Grades") == []
+def test_route_keeps_parallel_dimensions_apart(parallel_db):
+    schema = parallel_db.schema
+    ((_, _, leg),) = algebra.route_star_project(schema, "Reviews", "Grades").ways
+    assert [d.name for d in leg.edges] == ["first", "second"]
+    assert leg.paths == 2
+    ((_, _, stay),) = algebra.route_star_project(schema, "Grades", "Grades").ways
+    assert stay.edges == () and stay.paths == 1
 
 
-def test_enumerate_up_paths_multi_hop(royalties_db):
-    db = royalties_db
-    paths = algebra.enumerate_up_paths(db.schema, "WriterBooks", "Publishers")
-    assert [p.dotted() for p in paths] == ["book.publisher"]
-    none = algebra.enumerate_up_paths(db.schema, "Books", "Writers")
-    assert none == []
+def test_route_holds_the_dimensions_on_some_path(royalties_db):
+    schema = royalties_db.schema
+    ((_, _, leg),) = algebra.route_star_project(schema, "WriterBooks", "Publishers").ways
+    assert [str(d) for d in leg.edges] == ["WriterBooks.book", "Books.publisher"]
+    assert leg.paths == 1
+    with pytest.raises(NoPath):
+        algebra.route_star_project(schema, "Books", "Writers")
+
+
+def test_product_route_starts_at_every_factor_reaching_the_target(market_db):
+    schema = market_db.schema
+    deals = algebra.make_product("Deals", [("wb", "WriterBooks"), ("s", "Sellers")])
+    ((_, _, to_books),) = algebra.route_star_project(schema, deals, "Books").ways
+    assert [str(d) for d in to_books.factors] == ["Deals.wb", "Deals.s"]
+    assert sorted(str(d) for d in to_books.edges) == ["Sellers.book", "WriterBooks.book"]
+    assert to_books.paths == 2
+    ((_, _, to_shops),) = algebra.route_star_project(schema, deals, "Shops").ways
+    assert [str(d) for d in to_shops.factors] == ["Deals.s"]
 
 
 # --- star forms --------------------------------------------------------------
@@ -143,6 +160,77 @@ def test_star_deproject_unions_parallel_paths(parallel_db):
     b = collection_set(db, "Grades", "b")
     down = algebra.star_deproject(db, b, "Reviews")
     assert members(down) == {(1,), (2,)}
+
+
+def _ladder_paths(rungs: int) -> list[list[str]]:
+    """The dimension names of every path from N0 up an oracle.ladder_db."""
+    return [[name for side in sides for name in (side, "n")]
+            for sides in itertools.product("lr", repeat=rungs)]
+
+
+def test_star_forms_use_every_path_of_a_ladder():
+    # each path links its own bottom and top element, so a route that
+    # skipped any edge or path would change all three answers
+    rungs = 3
+    db = oracle.ladder_db(rungs, paths_apart=True)
+    top = f"N{rungs}"
+    bottoms = frozenset(db.collections["N0"].elements)
+    tops = frozenset(db.collections[top].elements)
+    ups, downs, sides = [], [], []
+    for names in _ladder_paths(rungs):
+        ups.append(oracle.o_project(db, "N0", bottoms, names)[1])
+        downs.append(oracle.o_deproject(db, top, tops, names, "N0"))
+        sides.append(oracle.o_project(db, "N0", downs[-1], ["s"])[1])
+    for per_path in (ups, downs, sides):
+        assert all(len(got) == 1 for got in per_path)
+        assert len(frozenset().union(*per_path)) == 2 ** rungs
+    for text, per_path in ((f"(N0) *-> ({top})", ups), (f"({top}) <-* (N0)", downs),
+                           (f"({top}) <-*-> (S)", sides)):
+        assert frozenset(db.query(text).identities) == frozenset().union(*per_path)
+
+
+def test_twenty_rung_ladder_routes_in_linear_size_and_matches_the_oracle():
+    rungs = 20
+    rng = random.Random(2020)
+    db = oracle.ladder_db(rungs, rng=rng)
+    reach = oracle.reach_closure(db)
+    top = f"N{rungs}"
+    for text in (f"(N0) *-> ({top})", f"({top}) <-* (N0)", f"({top}) <-*-> (S)"):
+        (step,) = db.plan(text).steps
+        legs = [leg for way in step.route.ways for leg in way[1:] if leg is not None]
+        assert max(leg.paths for leg in legs) == 2 ** rungs
+        assert sum(len(leg.edges) for leg in legs) <= 4 * rungs + 1
+    reached = 0
+    for _ in range(20):
+        low = oracle.random_members(rng, db, "N0")
+        high = oracle.random_members(rng, db, top)
+        up = algebra.star_project(db, ElementSet("N0", low), top)
+        assert up.members == oracle.o_star_project(db, reach, "N0", low, top)
+        down = algebra.star_deproject(db, ElementSet(top, high), "N0")
+        assert down.members == oracle.o_star_deproject(db, reach, top, high, "N0")
+        side = algebra.infer(db, ElementSet(top, high), "S")
+        assert side.members == oracle.o_infer(db, reach, top, high, "S")[0]
+        reached += len(up) + len(down) + len(side)
+    assert reached
+
+
+def test_star_project_of_whole_collections_matches_the_oracle():
+    # a whole collection's image along a dimension is read off the reverse
+    # index, which never holds NULL; these references are often NULL
+    rng = random.Random(808)
+    checked = 0
+    for _ in range(150):
+        db = oracle.random_db(rng, nullable_refs=True)
+        reach = oracle.reach_closure(db)
+        rel = oracle.concept_below(db)
+        for src in db.schema.concepts:
+            everyone = algebra.full_set(db, src)
+            for target in sorted(rel["above"][src]):
+                got = algebra.star_project(db, everyone, target)
+                want = oracle.o_star_project(db, reach, src, everyone.members, target)
+                assert got.members == want
+                checked += 1
+    assert checked >= 300
 
 
 def test_star_project_requires_a_path(market_db):
@@ -173,15 +261,6 @@ def test_product_members_and_restrict(market_db):
 
     only_wb1 = set(algebra.iter_members(db, deals, {"wb": frozenset({(1,)})}))
     assert only_wb1 == {((1,), (10,))}
-
-
-def test_product_up_paths_cover_every_factor(market_db):
-    db = market_db
-    deals = algebra.make_product("Deals", [("wb", "WriterBooks"), ("s", "Sellers")])
-    to_books = algebra.product_up_paths(db.schema, deals, "Books")
-    assert sorted(p.dotted() for p in to_books) == ["s.book", "wb.book"]
-    to_shops = algebra.product_up_paths(db.schema, deals, "Shops")
-    assert [p.dotted() for p in to_shops] == ["s.shop"]
 
 
 def test_star_project_from_product(market_db):

@@ -1,9 +1,11 @@
 """Lexing, parsing, printing, and name resolution for the query language."""
 
+import random
 from decimal import Decimal
 
 import pytest
 
+import oracle
 from comdb.coql import ast
 from comdb.coql.lexer import LexError, split_statements, tokenize
 from comdb.coql.parser import parse_query, parse_schema, parse_statement
@@ -315,8 +317,19 @@ def test_wrong_arrival_collection_is_reported(colors_db):
 def test_omitted_dimension_must_be_unique(parallel_db):
     with pytest.raises(AmbiguousPath):
         parallel_db.plan("(Grades) <- (Reviews)")
-    with pytest.raises(AmbiguousPath):
+    with pytest.raises(AmbiguousPath) as exc:
         parallel_db.plan("(Reviews) -> (Grades)")
+    assert "such as first and second;" in str(exc.value)
+
+
+def test_ambiguous_path_names_two_of_many():
+    # 2^20 paths lead from N0 up to N20; the error stops at the second
+    db = oracle.ladder_db(20, rng=random.Random(0), size=1)
+    for text in ("(N0) -> (N20)", "(N20) <- (N0)"):
+        with pytest.raises(AmbiguousPath) as exc:
+            db.plan(text)
+        assert " and " in str(exc.value)
+        assert len(str(exc.value)) < 300
 
 
 def test_bare_name_prefers_dimension_then_collection(colors_db):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import oracle
 from comdb import algebra, engine, model
 from comdb.errors import FileError, HeaderMismatch, UnknownCollection
 
@@ -308,3 +309,49 @@ def test_explain_is_exposed_on_the_database(colors_db):
     assert "(X | name == 'red')" in text
     assert "<- x <- (Z)" in text
     assert "-> y -> (Y)" in text
+
+
+def test_explain_lists_the_edges_of_a_multi_path_step(parallel_db):
+    assert parallel_db.explain("(Reviews) *-> (Grades)").splitlines() == [
+        "(Reviews)",
+        "*-> (Grades) over 2 paths:",
+        "  (Reviews) -> first -> (Grades)",
+        "  (Reviews) -> second -> (Grades)",
+    ]
+    assert parallel_db.explain("(Grades | g == 'b') <-* (Reviews)").splitlines() == [
+        "(Grades | g == 'b')",
+        "<-* (Reviews) over 2 paths:",
+        "  (Grades) <- first <- (Reviews)",
+        "  (Grades) <- second <- (Reviews)",
+    ]
+
+
+def test_explain_lists_a_ladder_edge_by_edge():
+    db = oracle.ladder_db(2, paths_apart=True)
+    assert db.explain("(N0) *-> (N2)").splitlines() == [
+        "(N0)",
+        "*-> (N2) over 4 paths:",
+        "  (N0) -> l -> (L0)",
+        "  (N0) -> r -> (R0)",
+        "  (L0) -> n -> (N1)",
+        "  (R0) -> n -> (N1)",
+        "  (N1) -> l -> (L1)",
+        "  (N1) -> r -> (R1)",
+        "  (L1) -> n -> (N2)",
+        "  (R1) -> n -> (N2)",
+    ]
+
+
+def test_explain_lists_each_inference_route(royalties_db):
+    text = royalties_db.explain("(Writers | age < 30) <-*-> (Publishers)")
+    assert text.splitlines() == [
+        "(Writers | age < 30)",
+        "<-*-> (Publishers) over 2 routes:",
+        "via Royalties:",
+        "  down: (Writers) <- writer <- (Royalties)",
+        "  up: (Royalties) -> publisher -> (Publishers)",
+        "via WriterBooks:",
+        "  down: (Writers) <- writer <- (WriterBooks)",
+        "  up: (WriterBooks) -> book -> (Books)",
+        "  up: (Books) -> publisher -> (Publishers)",
+    ]
