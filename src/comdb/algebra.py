@@ -10,14 +10,16 @@ down and fans out.  NULL references contribute nothing in either direction.
 
 The star forms answer the union over every dimension path between two
 collections, and infer routes a constraint through common lesser
-collections when the source and target are incomparable.  Both are decided
-in one place, the router (route_star_project, route_star_deproject,
-route_infer), which keeps for each leg the sub-DAG of dimensions lying on
-some path between its ends.  The runner (run_route) visits that sub-DAG in
-topological order, pushes the set along each dimension once and unites
-where dimensions meet.  Image and preimage distribute over union, so this
-equals the union over paths at a cost of one pass per dimension, however
-many paths there are.
+collections when the source and target are incomparable.  Every motion is
+decided in one place, the router (route_path, route_star_project,
+route_star_deproject, route_infer), which keeps for each leg the sub-DAG of
+dimensions lying on some path between its ends.  Projection and
+de-projection along one named path are legs holding that one path.  The
+runner (run_route) visits a leg's sub-DAG in topological order, pushes the
+set along each dimension once and unites where dimensions meet.  Image and
+preimage distribute over union, so this equals the union over paths at a
+cost of one pass per dimension, however many paths there are.
+value_along is the one walk of a single element up a path.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import (
     PathNotComposable,
     ViaNotCommonLesser,
 )
-from .model import Collection, Dimension, DimensionPath, Element, FieldSpec, Identity, Schema
+from .model import Dimension, DimensionPath, FieldSpec, Identity, Schema
 
 INDEPENDENT_WARNING = "independent collections: full target returned"
 
@@ -172,41 +174,9 @@ def product_members(db, product: ProductCollection) -> ElementSet:
 # --- projection -------------------------------------------------------------
 
 
-def _walk_up(db, collection: str, idents: Iterable[Identity],
-             segments: Sequence[Dimension]) -> tuple[str, set]:
-    """Follow forward maps along segments; drops elements that hit NULL."""
-    cur = collection
-    current = set(idents)
-    for seg in segments:
-        fmap = db.collections[cur].forward.get(seg.name)
-        if fmap is None or seg.source != cur:
-            raise PathNotComposable(f"'{seg}' does not start at collection '{cur}'")
-        current = {fmap[i] for i in current}
-        current.discard(None)
-        cur = seg.destination
-    return cur, current
-
-
 def project(db, eset: ElementSet, path: DimensionPath) -> ElementSet:
     """Move a set up along one dimension path, deduplicating as it goes."""
-    domain = eset.domain
-    if isinstance(domain, PrimitiveDomain):
-        raise PathNotComposable("cannot project a set of primitive values")
-    segments = path.segments
-    if isinstance(domain, ProductCollection):
-        first = segments[0]
-        if first.source != domain.label or first.name not in domain.alias_index:
-            raise PathNotComposable(f"'{first}' does not start at product '{domain.name}'")
-        idx = domain.alias_index[first.name]
-        start = domain.collection_of(first.name)
-        if first.destination != start:
-            raise PathNotComposable(f"'{first}' does not start at product '{domain.name}'")
-        cur, idents = _walk_up(db, start, {m[idx] for m in eset.members}, segments[1:])
-    else:
-        if path.source != domain:
-            raise PathNotComposable(f"path '{path}' does not start at collection '{domain}'")
-        cur, idents = _walk_up(db, domain, eset.members, segments)
-    return ElementSet(cur, frozenset(idents))
+    return run_route(db, eset, route_path(db.schema, eset.domain, path, down=False))
 
 
 def project_values(db, eset: ElementSet, dims: Sequence[Dimension],
@@ -235,23 +205,7 @@ def project_values(db, eset: ElementSet, dims: Sequence[Dimension],
 
 def deproject(db, eset: ElementSet, path: DimensionPath) -> ElementSet:
     """Move a set down along one dimension path; NULL references never match."""
-    domain = eset.domain
-    if not isinstance(domain, str):
-        raise PathNotComposable(f"cannot de-project from '{domain_name(domain)}' along '{path}'")
-    if path.destination != domain:
-        raise PathNotComposable(f"path '{path}' does not arrive at collection '{domain}'")
-    idents = set(eset.members)
-    cur = domain
-    for seg in reversed(path.segments):
-        rmap = db.collections[cur].reverse.get(seg)
-        if rmap is None:
-            raise PathNotComposable(f"'{seg}' is not a dimension arriving at '{cur}'")
-        nxt: set = set()
-        for i in idents:
-            nxt.update(rmap.get(i, ()))
-        idents = nxt
-        cur = seg.source
-    return ElementSet(cur, frozenset(idents))
+    return run_route(db, eset, route_path(db.schema, eset.domain, path, down=True))
 
 
 def deproject_values(db, collection: str, field_name: str, values: Iterable) -> ElementSet:
@@ -297,7 +251,7 @@ def intersect_deprojections(esets: Sequence[ElementSet]) -> ElementSet:
 
 @dataclass(frozen=True)
 class Leg:
-    """One star motion between two domains, as a sub-DAG of the schema.
+    """One motion between two domains, as a sub-DAG of the schema.
 
     edges are the dimensions lying on some path between the ends, in the
     order the runner visits them: topological in the direction of travel.
@@ -316,7 +270,7 @@ class Leg:
 
 @dataclass(frozen=True)
 class Route:
-    """How a star or inference step moves a set: the union over its ways.
+    """How a step moves a set: the union over its ways.
 
     A way is (via, down leg, up leg); via names the common lesser domain
     an inference passes through (None when it needs none), and either leg
@@ -363,6 +317,47 @@ def _leg(schema: Schema, lower: Domain, upper: str, down: bool) -> Leg | None:
                                   d.source, d.name))
         return Leg(True, upper, lower, factors, tuple(edges), count[upper])
     return Leg(False, lower, upper, factors, tuple(edges), count[upper])
+
+
+def _in_schema(schema: Schema, d: Dimension) -> bool:
+    return schema.has(d.source) and schema.dimension(d.source, d.name) == d
+
+
+def route_path(schema: Schema, domain: Domain, path: DimensionPath, down: bool) -> Route:
+    """The route of '->' (up from where path starts) or '<-' (down from where it ends).
+
+    One leg holding one path.  Up from a product, the path's first segment
+    is the pseudo-dimension from the product to one of its factors.
+    """
+    segments = path.segments
+    if down:
+        if not isinstance(domain, str):
+            raise PathNotComposable(
+                f"cannot de-project from '{domain_name(domain)}' along '{path}'")
+        if path.destination != domain:
+            raise PathNotComposable(f"path '{path}' does not arrive at collection '{domain}'")
+        for seg in segments:
+            if not _in_schema(schema, seg):
+                raise PathNotComposable(
+                    f"'{seg}' is not a dimension arriving at '{seg.destination}'")
+        leg = Leg(True, domain, path.source, (), segments[::-1], 1)
+        return Route(path.source, ((None, leg, None),))
+    if isinstance(domain, PrimitiveDomain):
+        raise PathNotComposable("cannot project a set of primitive values")
+    factors: tuple[Dimension, ...] = ()
+    if isinstance(domain, ProductCollection):
+        first = segments[0]
+        if (first.source != domain.label or first.name not in domain.alias_index
+                or first.destination != domain.collection_of(first.name)):
+            raise PathNotComposable(f"'{first}' does not start at product '{domain.name}'")
+        factors, segments = (first,), segments[1:]
+    elif path.source != domain:
+        raise PathNotComposable(f"path '{path}' does not start at collection '{domain}'")
+    for seg in segments:
+        if not _in_schema(schema, seg):
+            raise PathNotComposable(f"'{seg}' does not start at collection '{seg.source}'")
+    leg = Leg(False, domain, path.destination, factors, segments, 1)
+    return Route(path.destination, ((None, None, leg),))
 
 
 def route_star_project(schema: Schema, source: Domain, target: str) -> Route:
@@ -568,10 +563,6 @@ def value_along(db, collection: str, ident: Identity,
     if idx is not None:
         return cur[idx]
     return coll.elements[cur].entity.get(field_name)
-
-
-def count(eset: ElementSet) -> int:
-    return len(eset.members)
 
 
 def sum_values(db, eset: ElementSet, path: FieldPath):

@@ -1,8 +1,8 @@
 """Name resolution and planning: a parsed query becomes an executable plan.
 
 Resolution binds collection, dimension and field names against a schema,
-compiles predicates into evaluable closures, stores on each star or
-inference step the route the algebra's router chose for it, and records any
+compiles predicates into evaluable closures, stores on each motion step
+the route the algebra's router chose for it, and records any
 warnings (such as the full-target fallback for unconnected collections)
 before anything runs.
 """
@@ -21,13 +21,14 @@ from ..algebra import (
     PrimitiveDomain,
     ProductCollection,
     Route,
-    deproject,
     domain_name,
     make_product,
     route_infer,
+    route_path,
     route_star_deproject,
     route_star_project,
     sum_values,
+    value_along,
     ElementSet,
 )
 from ..errors import (
@@ -39,7 +40,7 @@ from ..errors import (
     UnknownCollection,
     UnknownDimension,
 )
-from ..model import Dimension, DimensionPath, FieldSpec, Schema
+from ..model import Dimension, DimensionPath, FieldSpec, Schema, lessers_of
 from . import ast
 from .printer import print_literal, print_predicate, print_query, print_set_expr
 
@@ -72,6 +73,8 @@ class ConstTerm:
 class PathValue:
     """A value read off the subject element: hops, then one field.
 
+    alias names the factor to start from when the subject is a product
+    member ({alias: Element}); it is None when the subject is one element.
     field None means the identity of the endpoint element.  value_type is
     the primitive type name, or None when the endpoint is a reference
     (ref_to then names the destination concept).
@@ -120,37 +123,14 @@ class CompiledNot:
     item: object
 
 
-def _subject_element(db, pv: PathValue, subject):
-    if isinstance(subject, Mapping):
-        return subject[pv.alias]
-    return subject
-
-
 def _term_value(db, term, subject):
     if isinstance(term, ConstTerm):
         return term.value
     if isinstance(term, PathValue):
-        el = _subject_element(db, term, subject)
-        cur_coll = el.collection
-        cur = el.identity
-        for seg in term.dims:
-            ref = db.collections[cur_coll].forward[seg.name][cur]
-            if ref is None:
-                return None
-            cur = ref
-            cur_coll = seg.destination
-        if term.field is None:
-            return cur
-        coll = db.collections[cur_coll]
-        idx = coll.concept.identity_index(term.field)
-        if idx is not None:
-            return cur[idx]
-        return coll.elements[cur].entity.get(term.field)
+        el = subject if term.alias is None else subject[term.alias]
+        return value_along(db, el.collection, el.identity, term.dims, term.field)
     if isinstance(term, AggValue):
-        el = subject
-        base = ElementSet(el.collection, frozenset((el.identity,)))
-        down = deproject(db, base, DimensionPath((term.dim,)))
-        members = down.members
+        members = lessers_of(db, term.dim, subject.identity)
         if term.inner is not None:
             coll = db.collections[term.collection]
             members = frozenset(
@@ -409,41 +389,26 @@ class PlanFilter:
 
 
 @dataclass(frozen=True)
-class PlanProject:
-    path: DimensionPath
-    target: str
-    text: str
-
-
-@dataclass(frozen=True)
 class PlanProjectField:
-    dims: tuple[Dimension, ...]
+    """The last hop of a projection: read one primitive field."""
+
     field: FieldSpec
     domain: PrimitiveDomain
     text: str
 
 
 @dataclass(frozen=True)
-class PlanDeproject:
-    path: DimensionPath
-    target: str
-    text: str
-
-
-@dataclass(frozen=True)
 class PlanDeprojectValues:
-    """First hop of a constant-anchored chain: values into their owner, then down."""
+    """First hop of a constant-anchored chain: the owners of the values."""
 
     owner: str
     field: FieldSpec
-    tail: DimensionPath | None
-    target: str
     text: str
 
 
 @dataclass(frozen=True)
 class PlanRoute:
-    """A star or inference step ('*->', '<-*', '<-*->'): the route it runs."""
+    """A motion ('->', '<-', '*->', '<-*', '<-*->'): the route it runs."""
 
     route: Route
     text: str
@@ -593,6 +558,11 @@ def _unique_up_path(schema: Schema, lower: str, upper: str, pos) -> DimensionPat
     return paths[0]
 
 
+def _path_route(schema: Schema, domain, segs, down: bool, text: str) -> PlanRoute:
+    """A '->' or '<-' step along the dimensions segs, given in path order."""
+    return PlanRoute(route_path(schema, domain, DimensionPath(tuple(segs)), down), text)
+
+
 def _resolve_project(step: ast.ProjectStep, domain, schema: Schema, products: Mapping, out: list):
     if isinstance(domain, PrimitiveDomain):
         _raise(ResolveError, f"the chain already ended at primitive values '{domain}'", step.pos)
@@ -611,7 +581,7 @@ def _resolve_project(step: ast.ProjectStep, domain, schema: Schema, products: Ma
         segs.append(Dimension(first, domain.label, domain.collection_of(first)))
         cur = domain.collection_of(first)
         if not dims and step.target is None:
-            out.append(PlanProject(DimensionPath(tuple(segs)), cur, f"-> {first} -> ({cur})"))
+            out.append(_path_route(schema, domain, segs, False, f"-> {first} -> ({cur})"))
             return cur
 
     if not dims and step.target is not None and not segs:
@@ -619,7 +589,7 @@ def _resolve_project(step: ast.ProjectStep, domain, schema: Schema, products: Ma
         if isinstance(target, ProductCollection):
             _raise(ResolveError, "use '<-*' to reach a product collection", step.pos)
         path = _unique_up_path(schema, cur, target, step.pos)
-        out.append(PlanProject(path, target, f"-> ({target})"))
+        out.append(_path_route(schema, cur, path.segments, False, f"-> ({target})"))
         if post is not None:
             out.append(PlanFilter(post, print_predicate(step.target.predicate)))
         return target
@@ -632,7 +602,7 @@ def _resolve_project(step: ast.ProjectStep, domain, schema: Schema, products: Ma
             if len(step.dims) == 1 and step.target is None and name in schema.concepts:
                 # bare '-> Coll' reads as '-> (Coll)' when no dimension matches
                 path = _unique_up_path(schema, cur, name, step.pos)
-                out.append(PlanProject(path, name, f"-> ({name})"))
+                out.append(_path_route(schema, cur, path.segments, False, f"-> ({name})"))
                 return name
             _raise(UnknownDimension, f"no dimension or field '{name}' on '{cur}'", step.pos)
         if f.is_primitive:
@@ -642,8 +612,11 @@ def _resolve_project(step: ast.ProjectStep, domain, schema: Schema, products: Ma
                     f"'{cur}.{name}' is primitive and ends the chain",
                     step.pos,
                 )
+            if segs:
+                out.append(_path_route(schema, domain, segs, False,
+                                       "-> " + " -> ".join(step.dims[:-1])))
             dom = PrimitiveDomain(cur, name, f.type)
-            out.append(PlanProjectField(tuple(segs), f, dom, f"-> {name}"))
+            out.append(PlanProjectField(f, dom, f"-> {name}"))
             return dom
         segs.append(schema.dimension(cur, name))
         cur = f.type
@@ -655,13 +628,12 @@ def _resolve_project(step: ast.ProjectStep, domain, schema: Schema, products: Ma
         if target != cur:
             dotted = ".".join(step.dims)
             _raise(ResolveError, f"'{dotted}' arrives at '{cur}', not '{target}'", step.pos)
-        out.append(PlanProject(DimensionPath(tuple(segs)), cur,
+        out.append(_path_route(schema, domain, segs, False,
                                "-> " + " -> ".join(step.dims) + f" -> ({cur})"))
         if post is not None:
             out.append(PlanFilter(post, print_predicate(step.target.predicate)))
         return cur
-    out.append(PlanProject(DimensionPath(tuple(segs)), cur,
-                           "-> " + " -> ".join(step.dims)))
+    out.append(_path_route(schema, domain, segs, False, "-> " + " -> ".join(step.dims)))
     return cur
 
 
@@ -674,7 +646,7 @@ def _resolve_deproject(step: ast.DeprojectStep, domain, schema: Schema,
         if isinstance(target, ProductCollection):
             _raise(ResolveError, "use '<-*' to reach a product collection", step.pos)
         path = _unique_up_path(schema, target, cur, step.pos)
-        out.append(PlanDeproject(path, target, f"<- ({target})"))
+        out.append(_path_route(schema, cur, path.segments, True, f"<- ({target})"))
         if post is not None:
             out.append(PlanFilter(post, print_predicate(step.target.predicate)))
         return target
@@ -695,8 +667,8 @@ def _resolve_deproject(step: ast.DeprojectStep, domain, schema: Schema,
             dotted = " <- ".join(step.dims)
             _raise(ResolveError, f"'{dotted} <- ({target})' arrives at '{walk}', not '{cur}'",
                    step.pos)
-        out.append(PlanDeproject(DimensionPath(tuple(segs)), target,
-                                 "<- " + " <- ".join(step.dims) + f" <- ({target})"))
+        out.append(_path_route(schema, cur, segs, True,
+                               "<- " + " <- ".join(step.dims) + f" <- ({target})"))
         if post is not None:
             out.append(PlanFilter(post, print_predicate(step.target.predicate)))
         return target
@@ -718,8 +690,7 @@ def _resolve_deproject(step: ast.DeprojectStep, domain, schema: Schema,
             )
         segs_down.append(cands[0])
         walk = cands[0].source
-    path = DimensionPath(tuple(reversed(segs_down)))
-    out.append(PlanDeproject(path, walk, "<- " + " <- ".join(step.dims)))
+    out.append(_path_route(schema, cur, segs_down[::-1], True, "<- " + " <- ".join(step.dims)))
     return walk
 
 
@@ -748,7 +719,6 @@ def _resolve_literal_anchor(lits, first: ast.DeprojectStep, schema: Schema, out:
             segs.append(d)
             walk = d.destination
         owner = walk
-        tail = DimensionPath(tuple(segs)) if segs else None
     else:
         if rest:
             _raise(ResolveError, "finish the de-projection with a collection in parentheses",
@@ -768,7 +738,7 @@ def _resolve_literal_anchor(lits, first: ast.DeprojectStep, schema: Schema, out:
             )
         owner = owners[0]
         target = owner
-        tail = None
+        segs = []
 
     fld = schema.concept(owner).field(field_name)
     if fld is None or not fld.is_primitive:
@@ -780,10 +750,10 @@ def _resolve_literal_anchor(lits, first: ast.DeprojectStep, schema: Schema, out:
         values.append(_coerce_literal(lit.value, fld.type, lit.pos))
     domain = PrimitiveDomain(owner, field_name, fld.type)
     anchor = LiteralAnchor(domain, tuple(values), ", ".join(print_literal(l) for l in lits))
-    text = "<- " + " <- ".join(first.dims)
-    if first.target is not None:
-        text += f" <- ({target})"
-    out.append(PlanDeprojectValues(owner, fld, tail, target, text))
+    out.append(PlanDeprojectValues(owner, fld, f"<- {field_name} <- ({owner})"))
+    if segs:
+        out.append(_path_route(schema, owner, segs, True,
+                               "<- " + " <- ".join(rest) + f" <- ({target})"))
     if post is not None:
         out.append(PlanFilter(post, print_predicate(first.target.predicate)))
     return anchor, target
@@ -877,14 +847,6 @@ def resolve_product(pd: ast.ProductDef, schema: Schema,
 # --- explain --------------------------------------------------------------------
 
 
-def _up_lines(path: DimensionPath) -> list[str]:
-    return [f"-> {seg.name} -> ({seg.destination})" for seg in path.segments]
-
-
-def _down_lines(path: DimensionPath) -> list[str]:
-    return [f"<- {seg.name} <- ({seg.source})" for seg in reversed(path.segments)]
-
-
 def _hops(leg: Leg) -> list[tuple[str, str]]:
     """(where the hop starts, the hop) for each edge of a leg, in running order."""
     if leg.down:
@@ -916,18 +878,8 @@ def _explain_route(step: PlanRoute) -> list[str]:
 def _explain_step(step) -> list[str]:
     if isinstance(step, PlanFilter):
         return [f"| {step.text}"]
-    if isinstance(step, PlanProject):
-        return _up_lines(step.path)
-    if isinstance(step, PlanProjectField):
-        lines = _up_lines(DimensionPath(step.dims)) if step.dims else []
-        return lines + [f"-> {step.field.name}"]
-    if isinstance(step, PlanDeproject):
-        return _down_lines(step.path)
-    if isinstance(step, PlanDeprojectValues):
-        lines = [f"<- {step.field.name} <- ({step.owner})"]
-        if step.tail is not None:
-            lines.extend(_down_lines(step.tail))
-        return lines
+    if isinstance(step, (PlanProjectField, PlanDeprojectValues)):
+        return [step.text]
     if isinstance(step, PlanRoute):
         return _explain_route(step)
     raise TypeError(f"not a plan step: {step!r}")

@@ -2,9 +2,10 @@
 
 A Database owns one schema, one collection per concept, and a registry of
 named product collections.  Mutation is insert-only and bumps a version
-counter; queries read a consistent state as long as no insert interleaves
-(single writer, many readers).  Query results come back as ResultSet values
-holding raw python values; the render_* functions turn them into text.
+counter.  Nothing is locked or pinned: a query reads the live storage, so
+an insert made while a query runs can leave its answer inconsistent.
+Query results come back as ResultSet values holding raw python values;
+the render_* functions turn them into text.
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ from .coql import parser as coql_parser
 from .coql.resolver import (
     CollectionAnchor,
     LiteralAnchor,
-    PlanDeproject,
     PlanDeprojectValues,
     PlanFilter,
-    PlanProject,
     PlanProjectField,
     PlanRoute,
     ProductAnchor,
@@ -41,6 +40,7 @@ from .errors import (
     DataError,
     FileError,
     HeaderMismatch,
+    ResolveError,
     SchemaError,
     TypeMismatch,
     UnknownCollection,
@@ -66,16 +66,6 @@ class IngestReport:
             self.rejected = []
 
 
-class Snapshot:
-    """A read-only view pinned to a version; shares storage with the database."""
-
-    def __init__(self, db: "Database"):
-        self.schema = db.schema
-        self.collections = db.collections
-        self.products = dict(db.products)
-        self.version = db.version
-
-
 class Database:
     def __init__(self, schema: model.Schema | None = None):
         self.schema: model.Schema | None = None
@@ -99,12 +89,12 @@ class Database:
         return el
 
     def register_product(self, product: ProductCollection) -> None:
+        """Name a product for queries; a later product of the same name replaces it."""
+        if self.schema is not None and self.schema.has(product.name):
+            raise ResolveError(f"'{product.name}' is already a collection")
         self.products[product.name] = product
 
     # --- reading ---
-
-    def snapshot(self) -> Snapshot:
-        return Snapshot(self)
 
     def query(self, text: str) -> "ResultSet":
         plan = self.plan(text)
@@ -310,7 +300,7 @@ def _filter_collection(db, eset: ElementSet, predicate) -> ElementSet:
 
 
 def execute(db, plan: QueryPlan) -> "ResultSet":
-    """Run a resolved plan against a database or snapshot."""
+    """Run a resolved plan against a database."""
     anchor = plan.anchor
     if isinstance(anchor, CollectionAnchor):
         eset = algebra.full_set(db, anchor.collection)
@@ -326,16 +316,10 @@ def execute(db, plan: QueryPlan) -> "ResultSet":
     for step in plan.steps:
         if isinstance(step, PlanFilter):
             eset = _filter_collection(db, eset, step.predicate)
-        elif isinstance(step, PlanProject):
-            eset = algebra.project(db, eset, step.path)
         elif isinstance(step, PlanProjectField):
-            eset = algebra.project_values(db, eset, step.dims, step.field)
-        elif isinstance(step, PlanDeproject):
-            eset = algebra.deproject(db, eset, step.path)
+            eset = algebra.project_values(db, eset, (), step.field)
         elif isinstance(step, PlanDeprojectValues):
             eset = algebra.deproject_values(db, step.owner, step.field.name, eset.members)
-            if step.tail is not None:
-                eset = algebra.deproject(db, eset, step.tail)
         elif isinstance(step, PlanRoute):
             eset = algebra.run_route(db, eset, step.route)
         else:

@@ -436,68 +436,9 @@ def insert_element(db, collection: str, identity, entity_values: Mapping | None 
     return el
 
 
-def greater_of(db, element: Element, path) -> Element | None:
-    """Follow a dimension or path upward; None as soon as a reference is NULL."""
-    segments = path.segments if isinstance(path, DimensionPath) else (path,)
-    cur = element
-    for seg in segments:
-        if seg.source != cur.collection or seg.name not in cur.entity:
-            raise PathNotComposable(f"'{seg}' does not apply to an element of '{cur.collection}'")
-        ref = cur.entity[seg.name]
-        if ref is None:
-            return None
-        cur = db.collections[seg.destination].elements[ref]
-    return cur
-
-
-def lessers_of(db, element: Element, dimension: Dimension) -> set[Element]:
-    """All elements referencing `element` along one dimension."""
-    if dimension.destination != element.collection:
-        raise PathNotComposable(
-            f"'{dimension}' does not arrive at collection '{element.collection}'"
-        )
-    rmap = db.collections[element.collection].reverse.get(dimension)
+def lessers_of(db, dimension: Dimension, identity: Identity) -> frozenset:
+    """The identities of the elements referencing `identity` along one dimension."""
+    rmap = db.collections[dimension.destination].reverse.get(dimension)
     if rmap is None:
         raise PathNotComposable(f"'{dimension}' is not a dimension of this schema")
-    src = db.collections[dimension.source]
-    return {src.elements[i] for i in rmap.get(element.identity, ())}
-
-
-def less_than(db, a: Element, b: Element) -> bool:
-    """True iff b is reachable from a by following one or more references."""
-    target = (b.collection, b.identity)
-    seen: set = set()
-    stack = [(a.collection, a.identity)]
-    while stack:
-        cname, ident = stack.pop()
-        coll = db.collections[cname]
-        el = coll.elements[ident]
-        for f in coll.concept.reference_fields:
-            ref = el.entity[f.name]
-            if ref is None:
-                continue
-            key = (f.type, ref)
-            if key == target:
-                return True
-            if key not in seen:
-                seen.add(key)
-                stack.append(key)
-    return False
-
-
-def leq(db, a: Element, b: Element) -> bool:
-    """Reflexive variant of less_than."""
-    if a.collection == b.collection and a.identity == b.identity:
-        return True
-    return less_than(db, a, b)
-
-
-def element_field_value(db, element: Element, name: str):
-    """Read an identity or entity field by name."""
-    concept = db.collections[element.collection].concept
-    idx = concept.identity_index(name)
-    if idx is not None:
-        return element.identity[idx]
-    if name in element.entity:
-        return element.entity[name]
-    raise PathNotComposable(f"no field '{name}' on concept '{element.collection}'")
+    return frozenset(rmap.get(identity, ()))

@@ -81,6 +81,76 @@ def test_empty_set_stays_empty(colors_db):
     assert members(algebra.deproject(db, up_empty, p)) == set()
 
 
+def test_project_rejects_a_set_of_primitive_values(catalog_db):
+    db = catalog_db
+    values = algebra.deproject_values(db, "Addresses", "country", ["DE"])
+    country = db.schema.concept("Addresses").field("country")
+    countries = algebra.project_values(db, values, (), country)
+    with pytest.raises(PathNotComposable, match="cannot project a set of primitive values"):
+        algebra.project(db, countries, db.schema.path("Books", "publisher"))
+
+
+def test_project_path_must_start_at_the_set(catalog_db):
+    db = catalog_db
+    books = algebra.full_set(db, "Books")
+    with pytest.raises(PathNotComposable,
+                       match="path 'Publishers.address' does not start at collection 'Books'"):
+        algebra.project(db, books, db.schema.path("Publishers", "address"))
+
+
+def test_project_from_a_product_starts_at_a_factor_alias(market_db):
+    db = market_db
+    deals = algebra.make_product("Deals", [("wb", "WriterBooks"), ("s", "Sellers")])
+    everyone = algebra.product_members(db, deals)
+    # a hop that starts at a collection, not at the product
+    with pytest.raises(PathNotComposable,
+                       match="'WriterBooks.book' does not start at product 'Deals'"):
+        algebra.project(db, everyone, db.schema.path("WriterBooks", "book"))
+    # an unknown alias, and a known alias that arrives at the wrong factor
+    for hop in (model.Dimension("x", "Deals", "WriterBooks"),
+                model.Dimension("wb", "Deals", "Sellers")):
+        with pytest.raises(PathNotComposable, match=f"'{hop}' does not start at product 'Deals'"):
+            algebra.project(db, everyone, model.DimensionPath((hop,)))
+
+
+def test_project_rejects_a_dimension_outside_the_schema(catalog_db):
+    db = catalog_db
+    books = algebra.full_set(db, "Books")
+    bogus = model.Dimension("editor", "Books", "Publishers")
+    with pytest.raises(PathNotComposable,
+                       match="'Books.editor' does not start at collection 'Books'"):
+        algebra.project(db, books, model.DimensionPath((bogus,)))
+
+
+def test_deproject_starts_from_a_collection(catalog_db, market_db):
+    values = algebra.deproject_values(catalog_db, "Addresses", "country", ["DE"])
+    countries = algebra.project_values(catalog_db, values, (),
+                                       catalog_db.schema.concept("Addresses").field("country"))
+    with pytest.raises(PathNotComposable, match="cannot de-project from 'Addresses.country'"):
+        algebra.deproject(catalog_db, countries, catalog_db.schema.path("Publishers", "address"))
+    deals = algebra.make_product("Deals", [("wb", "WriterBooks"), ("s", "Sellers")])
+    everyone = algebra.product_members(market_db, deals)
+    with pytest.raises(PathNotComposable, match="cannot de-project from 'Deals'"):
+        algebra.deproject(market_db, everyone, market_db.schema.path("WriterBooks", "book"))
+
+
+def test_deproject_path_must_arrive_at_the_set(catalog_db):
+    db = catalog_db
+    books = algebra.full_set(db, "Books")
+    with pytest.raises(PathNotComposable,
+                       match="path 'Books.publisher' does not arrive at collection 'Books'"):
+        algebra.deproject(db, books, db.schema.path("Books", "publisher"))
+
+
+def test_deproject_rejects_a_dimension_outside_the_schema(catalog_db):
+    db = catalog_db
+    publishers = algebra.full_set(db, "Publishers")
+    bogus = model.Dimension("editor", "Books", "Publishers")
+    with pytest.raises(PathNotComposable,
+                       match="'Books.editor' is not a dimension arriving at 'Publishers'"):
+        algebra.deproject(db, publishers, model.DimensionPath((bogus,)))
+
+
 def test_project_values_reaches_a_field(catalog_db):
     db = catalog_db
     src = collection_set(db, "Books", "b1")
@@ -390,7 +460,6 @@ def test_value_along_walks_then_reads(catalog_db):
 def test_count_and_sum(catalog_db):
     db = catalog_db
     books = algebra.full_set(db, "Books")
-    assert algebra.count(books) == 5
     fld = db.schema.concept("Books").field("price")
     total = algebra.sum_values(db, books, algebra.FieldPath("Books", (), fld))
     assert total == Decimal("65.49")

@@ -1,4 +1,4 @@
-"""Ingest, identity encoding, snapshots, execution, and rendering."""
+"""Ingest, identity encoding, versioning, execution, and rendering."""
 
 import datetime
 import json
@@ -9,7 +9,7 @@ import pytest
 
 import oracle
 from comdb import algebra, engine, model
-from comdb.errors import FileError, HeaderMismatch, UnknownCollection
+from comdb.errors import FileError, HeaderMismatch, ResolveError, UnknownCollection
 
 SCHEMA = """
 CONCEPT Addresses IDENTITY id INT ENTITY country CHAR(2) NOT NULL;
@@ -179,7 +179,7 @@ def test_load_data_dir_reports_and_unmatched(tmp_path):
         engine.load_data_dir(db, tmp_path / "missing")
 
 
-# --- versioning and snapshots ---------------------------------------------------
+# --- versioning -------------------------------------------------------------------
 
 
 def test_insert_bumps_version_once_per_mutation():
@@ -197,20 +197,6 @@ def test_bulk_load_bumps_version_once_per_file(tmp_path):
     assert db.version == 1
 
 
-def test_snapshot_pins_version_and_products(market_db):
-    db = market_db
-    snap = db.snapshot()
-    v = snap.version
-    kind, pc = engine.execute_statement(db, "Deals = (WriterBooks wb, Sellers s | wb.book == s.book)")
-    db.register_product(pc)
-    db.insert("Shops", "s3")
-    assert snap.version == v
-    assert "Deals" not in snap.products
-    # storage is shared, algebra keeps working against the snapshot
-    shops = algebra.full_set(snap, "Shops")
-    assert len(shops) == 3
-
-
 # --- statement execution ----------------------------------------------------------
 
 
@@ -224,6 +210,14 @@ def test_execute_statement_routes_products_and_queries(market_db):
     assert kind2 == "result"
     assert rs.kind == "product" and rs.columns == ("wb", "s")
     assert rs.identities == [((1,), (10,)), ((2,), (20,))]
+
+
+def test_register_product_rejects_a_collection_name(market_db):
+    clash = algebra.make_product("Shops", [("wb", "WriterBooks"), ("s", "Sellers")])
+    with pytest.raises(ResolveError, match="'Shops' is already a collection"):
+        market_db.register_product(clash)
+    assert "Shops" not in market_db.products
+    assert market_db.query("(Shops)").kind == "collection"
 
 
 def test_identical_warnings_are_deduplicated(market_db):
@@ -309,6 +303,32 @@ def test_explain_is_exposed_on_the_database(colors_db):
     assert "(X | name == 'red')" in text
     assert "<- x <- (Z)" in text
     assert "-> y -> (Y)" in text
+
+
+@pytest.mark.parametrize("fixture, text, lines, identities", [
+    ("catalog_db", "(Books | isbn == 'b1') -> publisher -> address -> country",
+     ["(Books | isbn == 'b1')", "-> publisher -> (Publishers)", "-> address -> (Addresses)",
+      "-> country"],
+     ["DE"]),
+    ("catalog_db", "(Books) -> (Addresses)",
+     ["(Books)", "-> publisher -> (Publishers)", "-> address -> (Addresses)"],
+     [(1,), (2,), (3,)]),
+    ("catalog_db", "(Addresses) <- address <- publisher",
+     ["(Addresses)", "<- address <- (Publishers)", "<- publisher <- (Books)"],
+     [("b1",), ("b2",), ("b3",), ("b5",)]),
+    ("catalog_db", "'DE' <- country <- address <- publisher <- (Books | price < 20)",
+     ["'DE'", "<- country <- (Addresses)", "<- address <- (Publishers)", "<- publisher <- (Books)",
+      "| price < 20"],
+     [("b1",), ("b5",)]),
+    ("market_db", "(WriterBooks wb, Sellers s | wb.book == s.book) -> wb -> book",
+     ["(WriterBooks wb, Sellers s | wb.book == s.book)", "-> wb -> (WriterBooks)",
+      "-> book -> (Books)"],
+     [("b1",), ("b2",)]),
+])
+def test_single_path_steps_explain_hop_by_hop(request, fixture, text, lines, identities):
+    db = request.getfixturevalue(fixture)
+    assert db.explain(text).splitlines() == lines
+    assert db.query(text).identities == identities
 
 
 def test_explain_lists_the_edges_of_a_multi_path_step(parallel_db):

@@ -272,50 +272,15 @@ def test_char_width_is_declarative_only():
     assert db.collections["A"].elements[(2,)].entity["code"] == "abcd"
 
 
-# --- element order ---------------------------------------------------------
-
-
-def test_element_order_on_colors(colors_db):
-    db = colors_db
-    z1 = db.collections["Z"].elements[(1,)]
-    red = db.collections["X"].elements[("red",)]
-    low = db.collections["Y"].elements[("low",)]
-    high = db.collections["Y"].elements[("high",)]
-    assert model.less_than(db, z1, red)
-    assert model.less_than(db, z1, low)
-    assert not model.less_than(db, z1, high)
-    assert not model.less_than(db, red, z1)
-    # strict order is irreflexive, leq is reflexive
-    assert not model.less_than(db, z1, z1)
-    assert model.leq(db, z1, z1)
-
-
-def test_greater_of_follows_one_dimension(colors_db):
-    db = colors_db
-    z1 = db.collections["Z"].elements[(1,)]
-    p = db.schema.path("Z", "x")
-    up = model.greater_of(db, z1, p)
-    assert up is db.collections["X"].elements[("red",)]
-
-
-def test_greater_of_null_hop_gives_none(catalog_db):
-    db = catalog_db
-    b4 = db.collections["Books"].elements[("b4",)]
-    p = db.schema.path("Books", "publisher")
-    assert model.greater_of(db, b4, p) is None
+# --- lesser elements -------------------------------------------------------
 
 
 def test_lessers_of_uses_reverse_index(colors_db):
     db = colors_db
-    high = db.collections["Y"].elements[("high",)]
     dim = db.schema.dimension("Z", "y")
-    below = model.lessers_of(db, high, dim)
-    assert {e.identity for e in below} == {(3,), (4,)}
-
-
-def test_element_field_value_reads_identity_and_entity(catalog_db):
-    db = catalog_db
-    b1 = db.collections["Books"].elements[("b1",)]
-    assert model.element_field_value(db, b1, "isbn") == "b1"
-    assert model.element_field_value(db, b1, "title") == "Alpha"
-    assert model.element_field_value(db, b1, "publisher") == ("Springer",)
+    below = model.lessers_of(db, dim, ("high",))
+    assert below == {(3,), (4,)}
+    # a copy, never the index itself; no lesser elements gives an empty set
+    assert below is not db.collections["Y"].reverse[dim][("high",)]
+    assert isinstance(below, frozenset)
+    assert model.lessers_of(db, dim, ("nowhere",)) == frozenset()
