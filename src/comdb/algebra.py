@@ -141,30 +141,30 @@ def make_product(name: str, factors: Sequence[tuple[str, str]],
 
 def iter_members(db, product: ProductCollection,
                  restrict: Mapping[str, frozenset] | None = None) -> Iterator[tuple]:
-    """Enumerate product members in factor-identity order, predicate applied.
+    """Enumerate product members, predicate applied, in no particular order.
 
     restrict optionally narrows individual factors to given identity sets
     before the cross product is formed, which keeps de-projections into
-    large products from enumerating everything.
+    large products from enumerating everything; a restricted factor
+    iterates its restriction, keeping only identities that exist.
     """
     axes = []
+    elements = []
     for alias, cname in product.factors:
-        idents = sorted(db.collections[cname].elements.keys())
+        els = db.collections[cname].elements
         if restrict is not None and alias in restrict:
-            allowed = restrict[alias]
-            idents = [i for i in idents if i in allowed]
-        axes.append(idents)
+            axes.append([i for i in restrict[alias] if i in els])
+        else:
+            axes.append(els.keys())
+        elements.append(els)
+    predicate = product.predicate
+    if predicate is None:
+        yield from itertools.product(*axes)
+        return
     aliases = [a for a, _ in product.factors]
-    cnames = [c for _, c in product.factors]
     for combo in itertools.product(*axes):
-        if product.predicate is not None:
-            subject = {
-                aliases[i]: db.collections[cnames[i]].elements[combo[i]]
-                for i in range(len(combo))
-            }
-            if not product.predicate(db, subject):
-                continue
-        yield combo
+        if predicate(db, {a: e[i] for a, e, i in zip(aliases, elements, combo)}):
+            yield combo
 
 
 def product_members(db, product: ProductCollection) -> ElementSet:

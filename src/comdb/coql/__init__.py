@@ -3,7 +3,7 @@
 from .lexer import LexError, Token, split_statements, tokenize
 from .parser import parse_query, parse_schema, parse_statement
 from .printer import print_predicate, print_query, print_set_expr
-from .resolver import QueryPlan, evaluate, explain, resolve, resolve_product
+from .resolver import QueryPlan, explain, resolve, resolve_product
 
 __all__ = [
     "LexError",
@@ -17,7 +17,6 @@ __all__ = [
     "print_query",
     "print_set_expr",
     "QueryPlan",
-    "evaluate",
     "explain",
     "resolve",
     "resolve_product",

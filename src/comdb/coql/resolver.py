@@ -13,7 +13,7 @@ import datetime
 import operator
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Mapping
+from typing import Callable, Mapping
 
 from ..algebra import (
     FieldPath,
@@ -51,7 +51,7 @@ def _raise(cls, msg: str, pos: tuple[int, int]):
     raise cls(msg)
 
 
-# --- compiled predicate terms -------------------------------------------------
+# --- predicate compilation ----------------------------------------------------
 
 _OPS = {
     "==": operator.eq,
@@ -64,26 +64,15 @@ _OPS = {
 
 
 @dataclass(frozen=True)
-class ConstTerm:
-    value: object
-    text: str
-
-
-@dataclass(frozen=True)
 class PathValue:
-    """A value read off the subject element: hops, then one field.
+    """A path term: a reader (db, subject) -> value, and what the path reads.
 
-    alias names the factor to start from when the subject is a product
-    member ({alias: Element}); it is None when the subject is one element.
-    field None means the identity of the endpoint element.  value_type is
-    the primitive type name, or None when the endpoint is a reference
-    (ref_to then names the destination concept).
+    value_type is the primitive type name, or None when the endpoint is a
+    reference (ref_to then names the destination concept); a literal
+    compared with the path is typed against them.
     """
 
-    alias: str | None
-    source: str
-    dims: tuple[Dimension, ...]
-    field: str | None
+    read: Callable
     value_type: str | None
     ref_to: str | None
     text: str
@@ -93,76 +82,8 @@ class PathValue:
 class AggValue:
     """COUNT or SUM over the one-hop de-projection of the subject element."""
 
+    read: Callable
     func: str
-    dim: Dimension
-    collection: str
-    inner: object | None
-    sum_path: FieldPath | None
-    text: str
-
-
-@dataclass(frozen=True)
-class CompiledComparison:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class CompiledAnd:
-    items: tuple
-
-
-@dataclass(frozen=True)
-class CompiledOr:
-    items: tuple
-
-
-@dataclass(frozen=True)
-class CompiledNot:
-    item: object
-
-
-def _term_value(db, term, subject):
-    if isinstance(term, ConstTerm):
-        return term.value
-    if isinstance(term, PathValue):
-        el = subject if term.alias is None else subject[term.alias]
-        return value_along(db, el.collection, el.identity, term.dims, term.field)
-    if isinstance(term, AggValue):
-        members = lessers_of(db, term.dim, subject.identity)
-        if term.inner is not None:
-            coll = db.collections[term.collection]
-            members = frozenset(
-                i for i in members if evaluate(db, term.inner, coll.elements[i])
-            )
-        if term.func == "COUNT":
-            return len(members)
-        return sum_values(db, ElementSet(term.collection, members), term.sum_path)
-    raise TypeError(f"not a compiled term: {term!r}")
-
-
-def evaluate(db, node, subject) -> bool:
-    """Two-valued predicate evaluation; any comparison touching NULL is false."""
-    if isinstance(node, CompiledComparison):
-        left = _term_value(db, node.left, subject)
-        right = _term_value(db, node.right, subject)
-        if left is None or right is None:
-            return False
-        try:
-            return bool(_OPS[node.op](left, right))
-        except TypeError:
-            return False
-    if isinstance(node, CompiledAnd):
-        return all(evaluate(db, item, subject) for item in node.items)
-    if isinstance(node, CompiledOr):
-        return any(evaluate(db, item, subject) for item in node.items)
-    if isinstance(node, CompiledNot):
-        return not evaluate(db, node.item, subject)
-    raise TypeError(f"not a compiled predicate: {node!r}")
-
-
-# --- predicate compilation ----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -173,6 +94,27 @@ class _Ctx:
     concept: str | None = None           # element subject
     alias: str | None = None             # its optional alias
     aliases: Mapping[str, str] | None = None  # product subject: alias -> concept
+
+
+def _field_path(schema: Schema, start: str, parts, pos):
+    """Walk a dotted field path from start.
+
+    Returns the dimensions the inner parts name, the concept the last part
+    belongs to, and the field it names (None when parts is empty).
+    """
+    dims: list[Dimension] = []
+    cur = start
+    for k, part in enumerate(parts):
+        f = schema.concept(cur).field(part)
+        if f is None:
+            _raise(ResolveError, f"no field '{part}' on concept '{cur}'", pos)
+        if k == len(parts) - 1:
+            return tuple(dims), cur, f
+        if f.is_primitive:
+            _raise(ResolveError, f"'{cur}.{part}' is primitive; only the last path part may be", pos)
+        dims.append(schema.dimension(cur, part))
+        cur = f.type
+    return (), cur, None
 
 
 def _compile_path(ctx: _Ctx, node: ast.PathTerm) -> PathValue:
@@ -190,34 +132,25 @@ def _compile_path(ctx: _Ctx, node: ast.PathTerm) -> PathValue:
         if parts and ctx.alias is not None and parts[0] == ctx.alias:
             parts.pop(0)
 
-    dims: list[Dimension] = []
-    cur = start
-    field_name = None
-    value_type: str | None = None
-    ref_to: str | None = None
-    for k, part in enumerate(parts):
-        concept = ctx.schema.concept(cur)
-        f = concept.field(part)
-        if f is None:
-            _raise(ResolveError, f"no field '{part}' on concept '{cur}'", node.pos)
-        if k == len(parts) - 1:
-            field_name = part
-            if f.is_primitive:
-                value_type = f.type
-            else:
-                ref_to = f.type
-        else:
-            if f.is_primitive:
-                _raise(
-                    ResolveError,
-                    f"'{cur}.{part}' is primitive; only the last path part may be",
-                    node.pos,
-                )
-            dims.append(ctx.schema.dimension(cur, part))
-            cur = f.type
-    if field_name is None:
-        ref_to = start
-    return PathValue(alias, start, tuple(dims), field_name, value_type, ref_to, text)
+    dims, _, f = _field_path(ctx.schema, start, parts, node.pos)
+    name = None if f is None else f.name
+    idx = ctx.schema.concept(start).identity_index(name)
+    # a field of the subject itself is read in place; value_along walks the rest
+    if dims or name is None:
+        def at(db, el):
+            return value_along(db, start, el.identity, dims, name)
+    elif idx is not None:
+        def at(db, el):
+            return el.identity[idx]
+    else:
+        def at(db, el):
+            return el.entity.get(name)
+    read = at if alias is None else (lambda db, subject: at(db, subject[alias]))
+    if f is None:
+        return PathValue(read, None, start, text)
+    if f.is_primitive:
+        return PathValue(read, f.type, None, text)
+    return PathValue(read, None, f.type, text)
 
 
 def _coerce_literal(value, value_type: str, pos) -> object:
@@ -240,34 +173,31 @@ def _coerce_literal(value, value_type: str, pos) -> object:
     return value
 
 
-def _type_literal_against(term, lit: ast.Literal, schema: Schema) -> ConstTerm:
+def _type_literal_against(term, lit: ast.Literal, schema: Schema):
+    """The value a literal compared with term stands for (term None: another literal)."""
     value = lit.value
     if isinstance(term, AggValue):
         if value is not None and not isinstance(value, (int, Decimal)):
             _raise(ResolveError, f"{term.func} compares against numbers, found {value!r}", lit.pos)
-        return ConstTerm(value, print_literal(lit))
-    if isinstance(term, PathValue):
+    elif isinstance(term, PathValue):
         if term.value_type is not None:
-            return ConstTerm(_coerce_literal(value, term.value_type, lit.pos), print_literal(lit))
-        if term.ref_to is not None and value is not None:
+            return _coerce_literal(value, term.value_type, lit.pos)
+        if value is not None:
             # literal against a reference endpoint: wrap into an identity
             # tuple when the destination identity has a single field
             concept = schema.concept(term.ref_to)
             if len(concept.identity_fields) == 1:
-                f = concept.identity_fields[0]
-                return ConstTerm((_coerce_literal(value, f.type, lit.pos),), print_literal(lit))
+                return (_coerce_literal(value, concept.identity_fields[0].type, lit.pos),)
             _raise(
                 ResolveError,
                 f"cannot compare '{term.text}' with a constant: "
                 f"'{term.ref_to}' has a composite identity",
                 lit.pos,
             )
-    return ConstTerm(value, print_literal(lit))
+    return value
 
 
 def _compile_term(ctx: _Ctx, node):
-    if isinstance(node, ast.Literal):
-        return ConstTerm(node.value, print_literal(node))
     if isinstance(node, ast.PathTerm):
         return _compile_path(ctx, node)
     if isinstance(node, ast.AggTerm):
@@ -298,65 +228,81 @@ def _compile_agg(ctx: _Ctx, node: ast.AggTerm) -> AggValue:
                 "SUM needs a numeric field path, like SUM(dim <- (Coll).field); "
                 "COUNT counts elements without one"
             )
-        sum_path = _resolve_field_path(ctx.schema, node.collection, node.path, node.pos)
-        if sum_path.field.type not in ("integer", "decimal"):
-            raise NonNumericPath(
-                f"cannot sum over '{sum_path.field.name}' of type {sum_path.field.type}"
-            )
+        dims, owner, f = _field_path(ctx.schema, node.collection, node.path, node.pos)
+        if f is None:
+            _raise(ResolveError, "empty field path", node.pos)
+        if not f.is_primitive:
+            _raise(ResolveError, f"'{owner}.{f.name}' is not a primitive field", node.pos)
+        if f.type not in ("integer", "decimal"):
+            raise NonNumericPath(f"cannot sum over '{f.name}' of type {f.type}")
+        sum_path = FieldPath(node.collection, dims, f)
     elif node.path is not None:
         _raise(ResolveError, "COUNT takes no field path", node.pos)
-    text = f"{node.func}({node.dim} <- ({node.collection}))"
-    return AggValue(node.func, dim, node.collection, inner, sum_path, text)
+    collection = node.collection
+
+    def read(db, el):
+        members = lessers_of(db, dim, el.identity)
+        if inner is not None:
+            elements = db.collections[collection].elements
+            members = [i for i in members if inner(db, elements[i])]
+        if sum_path is None:
+            return len(members)
+        return sum_values(db, ElementSet(collection, frozenset(members)), sum_path)
+
+    return AggValue(read, node.func)
 
 
-def _resolve_field_path(schema: Schema, source: str, parts, pos) -> FieldPath:
-    dims: list[Dimension] = []
-    cur = source
-    for k, part in enumerate(parts):
-        concept = schema.concept(cur)
-        f = concept.field(part)
-        if f is None:
-            _raise(ResolveError, f"no field '{part}' on concept '{cur}'", pos)
-        if k == len(parts) - 1:
-            if not f.is_primitive:
-                _raise(ResolveError, f"'{cur}.{part}' is not a primitive field", pos)
-            return FieldPath(source, tuple(dims), f)
-        if f.is_primitive:
-            _raise(ResolveError, f"'{cur}.{part}' is primitive; only the last path part may be", pos)
-        dims.append(schema.dimension(cur, part))
-        cur = f.type
-    _raise(ResolveError, "empty field path", pos)
+def _reader(term, other, node, schema: Schema) -> Callable:
+    """A compiled term's reader; a literal reads as its value typed against other."""
+    if term is not None:
+        return term.read
+    value = _type_literal_against(other, node, schema)
+    return lambda db, subject: value
 
 
-def compile_predicate(ctx: _Ctx, node):
+def compile_predicate(ctx: _Ctx, node) -> Callable:
+    """Compile a predicate into one closure (db, subject) -> bool.
+
+    The subject is an Element, or {alias: Element} for a product member.
+    A comparison touching NULL is false, and so is one that raises
+    TypeError; NOT applies after that.
+    """
     if isinstance(node, ast.Comparison):
-        left = node.left
-        right = node.right
+        op = _OPS[node.op]
         # compile paths first so literals can be typed against them
-        cl = _compile_term(ctx, left) if not isinstance(left, ast.Literal) else None
-        cr = _compile_term(ctx, right) if not isinstance(right, ast.Literal) else None
-        if cl is None and cr is None:
-            cl = ConstTerm(left.value, print_literal(left))
-            cr = ConstTerm(right.value, print_literal(right))
-        elif cl is None:
-            cl = _type_literal_against(cr, left, ctx.schema)
-        elif cr is None:
-            cr = _type_literal_against(cl, right, ctx.schema)
-        return CompiledComparison(node.op, cl, cr)
-    if isinstance(node, ast.And):
-        return CompiledAnd(tuple(compile_predicate(ctx, i) for i in node.items))
-    if isinstance(node, ast.Or):
-        return CompiledOr(tuple(compile_predicate(ctx, i) for i in node.items))
+        cl = None if isinstance(node.left, ast.Literal) else _compile_term(ctx, node.left)
+        cr = None if isinstance(node.right, ast.Literal) else _compile_term(ctx, node.right)
+        left = _reader(cl, cr, node.left, ctx.schema)
+        right = _reader(cr, cl, node.right, ctx.schema)
+
+        def holds(db, subject):
+            a = left(db, subject)
+            if a is None:
+                return False
+            b = right(db, subject)
+            if b is None:
+                return False
+            try:
+                return bool(op(a, b))
+            except TypeError:
+                return False
+
+        return holds
     if isinstance(node, ast.Not):
-        return CompiledNot(compile_predicate(ctx, node.item))
+        item = compile_predicate(ctx, node.item)
+        return lambda db, subject: not item(db, subject)
+    if isinstance(node, (ast.And, ast.Or)):
+        items = tuple(compile_predicate(ctx, i) for i in node.items)
+        stop = isinstance(node, ast.Or)  # the first item giving this decides
+
+        def decided(db, subject):
+            for p in items:
+                if p(db, subject) is stop:
+                    return stop
+            return not stop
+
+        return decided
     raise TypeError(f"not a predicate: {node!r}")
-
-
-def _predicate_callable(compiled):
-    def run(db, subject):
-        return evaluate(db, compiled, subject)
-
-    return run
 
 
 # --- plans ---------------------------------------------------------------------
@@ -393,7 +339,6 @@ class PlanProjectField:
     """The last hop of a projection: read one primitive field."""
 
     field: FieldSpec
-    domain: PrimitiveDomain
     text: str
 
 
@@ -444,8 +389,7 @@ def _product_from_set_expr(se: ast.SetExpr, schema: Schema) -> ProductCollection
     predicate = None
     if se.predicate is not None:
         aliases = {a: c for a, c in factors}
-        compiled = compile_predicate(_Ctx(schema, aliases=aliases), se.predicate)
-        predicate = _predicate_callable(compiled)
+        predicate = compile_predicate(_Ctx(schema, aliases=aliases), se.predicate)
     text = print_set_expr(se)
     return make_product(text, factors, predicate, text)
 
@@ -453,8 +397,7 @@ def _product_from_set_expr(se: ast.SetExpr, schema: Schema) -> ProductCollection
 def _narrow_product(base: ProductCollection, se: ast.SetExpr, schema: Schema) -> ProductCollection:
     """A registered product with an extra predicate on top."""
     aliases = {a: c for a, c in base.factors}
-    compiled = compile_predicate(_Ctx(schema, aliases=aliases), se.predicate)
-    extra = _predicate_callable(compiled)
+    extra = compile_predicate(_Ctx(schema, aliases=aliases), se.predicate)
     inner = base.predicate
 
     def both(db, subject):
@@ -615,9 +558,8 @@ def _resolve_project(step: ast.ProjectStep, domain, schema: Schema, products: Ma
             if segs:
                 out.append(_path_route(schema, domain, segs, False,
                                        "-> " + " -> ".join(step.dims[:-1])))
-            dom = PrimitiveDomain(cur, name, f.type)
-            out.append(PlanProjectField(f, dom, f"-> {name}"))
-            return dom
+            out.append(PlanProjectField(f, f"-> {name}"))
+            return PrimitiveDomain(cur, name, f.type)
         segs.append(schema.dimension(cur, name))
         cur = f.type
 
@@ -635,6 +577,22 @@ def _resolve_project(step: ast.ProjectStep, domain, schema: Schema, products: Ma
         return cur
     out.append(_path_route(schema, domain, segs, False, "-> " + " -> ".join(step.dims)))
     return cur
+
+
+def _down_path(schema: Schema, target: str, names, pos) -> tuple[list[Dimension], str]:
+    """Walk '<- a <- b <- (target)' up from target.
+
+    Returns the dimensions in path order and the collection they arrive at.
+    """
+    segs: list[Dimension] = []
+    walk = target
+    for name in reversed(names):
+        d = schema.dimension(walk, name)
+        if d is None:
+            _raise(UnknownDimension, f"no dimension '{name}' on '{walk}'", pos)
+        segs.append(d)
+        walk = d.destination
+    return segs, walk
 
 
 def _resolve_deproject(step: ast.DeprojectStep, domain, schema: Schema,
@@ -655,14 +613,7 @@ def _resolve_deproject(step: ast.DeprojectStep, domain, schema: Schema,
         target, post = _resolve_step_target(step.target, schema, products)
         if isinstance(target, ProductCollection):
             _raise(ResolveError, "use '<-*' to reach a product collection", step.pos)
-        segs: list[Dimension] = []
-        walk = target
-        for name in reversed(step.dims):
-            d = schema.dimension(walk, name)
-            if d is None:
-                _raise(UnknownDimension, f"no dimension '{name}' on '{walk}'", step.pos)
-            segs.append(d)
-            walk = d.destination
+        segs, walk = _down_path(schema, target, step.dims, step.pos)
         if walk != cur:
             dotted = " <- ".join(step.dims)
             _raise(ResolveError, f"'{dotted} <- ({target})' arrives at '{walk}', not '{cur}'",
@@ -710,15 +661,7 @@ def _resolve_literal_anchor(lits, first: ast.DeprojectStep, schema: Schema, out:
         if first.target.predicate is not None:
             post = compile_predicate(_anchor_ctx(schema, target, one.alias),
                                      first.target.predicate)
-        segs: list[Dimension] = []
-        walk = target
-        for name in reversed(rest):
-            d = schema.dimension(walk, name)
-            if d is None:
-                _raise(UnknownDimension, f"no dimension '{name}' on '{walk}'", first.pos)
-            segs.append(d)
-            walk = d.destination
-        owner = walk
+        segs, owner = _down_path(schema, target, rest, first.pos)
     else:
         if rest:
             _raise(ResolveError, "finish the de-projection with a collection in parentheses",

@@ -31,7 +31,6 @@ from .coql.resolver import (
     PlanRoute,
     ProductAnchor,
     QueryPlan,
-    evaluate,
     explain,
     resolve,
     resolve_product,
@@ -152,13 +151,16 @@ def encode_scalar(v) -> str:
 def encode_identity(ident: tuple) -> str:
     """Single-field identities print bare; composite ones as '(v1,v2)'.
 
-    Parentheses inside components are doubled; a comma inside a component
-    has no escape and cannot round-trip through this encoding.
+    Inside the parentheses the components form one CSV record (RFC 4180):
+    a component holding a comma, a double quote or a line break is quoted,
+    with its quotes doubled.  Parentheses inside components are doubled.
     """
     if len(ident) == 1:
         return encode_scalar(ident[0])
-    parts = [encode_scalar(v).replace("(", "((").replace(")", "))") for v in ident]
-    return "(" + ",".join(parts) + ")"
+    buf = io.StringIO()
+    csv.writer(buf).writerow(encode_scalar(v).replace("(", "((").replace(")", "))")
+                             for v in ident)
+    return "(" + buf.getvalue()[:-2] + ")"  # without the record's \r\n
 
 
 def decode_identity(concept: model.Concept, text: str) -> tuple:
@@ -169,7 +171,10 @@ def decode_identity(concept: model.Concept, text: str) -> tuple:
         raise TypeMismatch(
             f"reference to '{concept.name}' must look like (v1,v2), got '{text}'"
         )
-    raw = text[1:-1].split(",")
+    records = list(csv.reader(io.StringIO(text[1:-1], newline="")))
+    if len(records) > 1:
+        raise TypeMismatch(f"reference to '{concept.name}' has a line break outside quotes")
+    raw = records[0] if records else []
     if len(raw) != len(fields):
         raise TypeMismatch(
             f"reference to '{concept.name}' needs {len(fields)} components, got {len(raw)}"
@@ -186,7 +191,8 @@ def load_csv(db: Database, collection: str, path, strict: bool = False) -> Inges
 
     The header must name exactly the concept's fields, in any order.  Empty
     cells and the literal NULL read as NULL.  Bad rows are reported and
-    skipped, or abort the load under strict.
+    skipped, or abort the load under strict.  A load that raises leaves the
+    collection as it was: the rows it inserted are removed again.
     """
     if db.schema is None:
         raise SchemaError("no schema loaded")
@@ -211,39 +217,45 @@ def load_csv(db: Database, collection: str, path, strict: bool = False) -> Inges
                 f"{path}: header {sorted(header)} does not match the fields of "
                 f"'{collection}' {sorted(expected)}"
             )
-        for row in reader:
-            line = reader.line_num
-            if not row:
-                continue
-            if len(row) != len(header):
-                msg = f"row has {len(row)} values, expected {len(header)}"
-                if strict:
-                    raise FileError(f"{path}:{line}: {msg}")
-                report.rejected.append((line, msg))
-                continue
-            cells = {h: (None if v in ("", "NULL") else v) for h, v in zip(header, row)}
-            try:
-                ident = []
-                for f in concept.identity_fields:
-                    v = cells[f.name]
-                    if v is None:
-                        raise TypeMismatch(f"identity field {f.name} is empty")
-                    ident.append(_parse_scalar(v, f.type, f"{collection}.{f.name}"))
-                entity = {}
-                for f in concept.entity_fields:
-                    v = cells[f.name]
-                    if v is None:
-                        continue
-                    if f.is_primitive:
-                        entity[f.name] = _parse_scalar(v, f.type, f"{collection}.{f.name}")
-                    else:
-                        entity[f.name] = decode_identity(db.schema.concept(f.type), v)
-                model.insert_element(db, collection, tuple(ident), entity)
-                report.inserted += 1
-            except DataError as e:
-                if strict:
-                    raise FileError(f"{path}:{line}: {e}") from None
-                report.rejected.append((line, str(e)))
+        inserted = []  # rolled back when the load raises
+        try:
+            for row in reader:
+                line = reader.line_num
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    msg = f"row has {len(row)} values, expected {len(header)}"
+                    if strict:
+                        raise FileError(f"{path}:{line}: {msg}")
+                    report.rejected.append((line, msg))
+                    continue
+                cells = {h: (None if v in ("", "NULL") else v) for h, v in zip(header, row)}
+                try:
+                    ident = []
+                    for f in concept.identity_fields:
+                        v = cells[f.name]
+                        if v is None:
+                            raise TypeMismatch(f"identity field {f.name} is empty")
+                        ident.append(_parse_scalar(v, f.type, f"{collection}.{f.name}"))
+                    entity = {}
+                    for f in concept.entity_fields:
+                        v = cells[f.name]
+                        if v is None:
+                            continue
+                        if f.is_primitive:
+                            entity[f.name] = _parse_scalar(v, f.type, f"{collection}.{f.name}")
+                        else:
+                            entity[f.name] = decode_identity(db.schema.concept(f.type), v)
+                    inserted.append(model.insert_element(db, collection, tuple(ident), entity))
+                    report.inserted += 1
+                except DataError as e:
+                    if strict:
+                        raise FileError(f"{path}:{line}: {e}") from None
+                    report.rejected.append((line, str(e)))
+        except BaseException:
+            for el in reversed(inserted):
+                model.remove_element(db, collection, el.identity)
+            raise
     if report.inserted:
         db.version += 1
     return report
@@ -292,11 +304,8 @@ def load_data_dir(db: Database, directory, strict: bool = False):
 
 
 def _filter_collection(db, eset: ElementSet, predicate) -> ElementSet:
-    coll = db.collections[eset.domain]
-    members = frozenset(
-        i for i in eset.members if evaluate(db, predicate, coll.elements[i])
-    )
-    return ElementSet(eset.domain, members)
+    elements = db.collections[eset.domain].elements
+    return ElementSet(eset.domain, frozenset(i for i in eset.members if predicate(db, elements[i])))
 
 
 def execute(db, plan: QueryPlan) -> "ResultSet":

@@ -315,7 +315,7 @@ class Collection:
 
     forward maps each owned dimension name to {identity: referenced identity
     or None}; reverse maps each dimension arriving here to {greater identity:
-    set of lesser identities}.
+    list of lesser identities}, each lesser listed once.
     """
 
     name: str
@@ -415,10 +415,12 @@ def insert_element(db, collection: str, identity, entity_values: Mapping | None 
         else:
             dest_concept = db.schema.concept(f.type)
             ref = make_identity(dest_concept, raw)
-            if ref not in db.collections[f.type].elements:
+            dest = db.collections[f.type].elements.get(ref)
+            if dest is None:
                 raise DanglingReference(
                     f"{concept.name}.{f.name} references missing element {ref!r} of '{f.type}'"
                 )
+            ref = dest.identity  # share the stored tuple, not a copy per reference
             entity[f.name] = ref
             refs.append((f, ref))
     if entity_values:
@@ -432,13 +434,37 @@ def insert_element(db, collection: str, identity, entity_values: Mapping | None 
     for f, ref in refs:
         dim = db.schema.dimension(concept.name, f.name)
         rmap = db.collections[f.type].reverse[dim]
-        rmap.setdefault(ref, set()).add(ident)
+        rmap.setdefault(ref, []).append(ident)
     return el
 
 
-def lessers_of(db, dimension: Dimension, identity: Identity) -> frozenset:
-    """The identities of the elements referencing `identity` along one dimension."""
+def remove_element(db, collection: str, identity: Identity) -> None:
+    """Undo insert_element: drop the element, its forward entries and its
+    reverse-index entries.
+
+    A reverse key whose list becomes empty is dropped too, so the keys of a
+    reverse index stay exactly the elements referenced along it.  The
+    caller makes sure no element references the one removed.
+    """
+    coll = db.collections[collection]
+    el = coll.elements.pop(identity)
+    for f in coll.concept.reference_fields:
+        del coll.forward[f.name][identity]
+        ref = el.entity[f.name]
+        if ref is not None:
+            rmap = db.collections[f.type].reverse[db.schema.dimension(collection, f.name)]
+            lessers = rmap[ref]
+            lessers.remove(identity)
+            if not lessers:
+                del rmap[ref]
+
+
+def lessers_of(db, dimension: Dimension, identity: Identity) -> tuple:
+    """The identities of the elements referencing `identity` along one dimension.
+
+    A copy of the reverse index's entry, each lesser once, in no order.
+    """
     rmap = db.collections[dimension.destination].reverse.get(dimension)
     if rmap is None:
         raise PathNotComposable(f"'{dimension}' is not a dimension of this schema")
-    return frozenset(rmap.get(identity, ()))
+    return tuple(rmap.get(identity, ()))

@@ -6,15 +6,21 @@ references, transitively).  Star operations and inference are answered by
 scanning those closures, never by enumerating dimension paths, so a defect
 in the engine's path machinery cannot hide in the oracle.
 
+Predicates are checked the same way: o_holds evaluates the parsed syntax
+tree on one element, reading values by following the references the
+elements hold, never through the resolver or the forward maps.
+
 Also holds the seeded random schema/instance generator used by the
 randomized comparison tests.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 
 from comdb import engine, model
+from comdb.coql import ast
 
 Key = tuple  # (collection name, identity)
 
@@ -159,6 +165,69 @@ def o_infer(db, reach, source: str, members, target: str):
         down = o_star_deproject(db, reach, source, members, via)
         out |= o_star_project(db, reach, via, down, target)
     return frozenset(out), False
+
+
+# --- predicates ------------------------------------------------------------------
+
+_CMP = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def o_holds(db, el, pred) -> bool:
+    """Evaluate a parsed predicate on one element.
+
+    Two-valued: a comparison touching NULL, or one Python cannot make, is
+    false, and NOT applies after that.  A literal compared with a reference
+    stands for the single-field identity it names.
+    """
+    if isinstance(pred, ast.Not):
+        return not o_holds(db, el, pred.item)
+    if isinstance(pred, ast.And):
+        return all(o_holds(db, el, p) for p in pred.items)
+    if isinstance(pred, ast.Or):
+        return any(o_holds(db, el, p) for p in pred.items)
+    a, a_ref = _o_term(db, el, pred.left)
+    b, b_ref = _o_term(db, el, pred.right)
+    if isinstance(pred.left, ast.Literal) and b_ref and a is not None:
+        a = (a,)
+    if isinstance(pred.right, ast.Literal) and a_ref and b is not None:
+        b = (b,)
+    if a is None or b is None:
+        return False
+    try:
+        return bool(_CMP[pred.op](a, b))
+    except TypeError:
+        return False
+
+
+def _o_term(db, el, term):
+    """(value, whether the value is a reference) of one side of a comparison."""
+    if isinstance(term, ast.Literal):
+        return term.value, False
+    if isinstance(term, ast.AggTerm):
+        lessers = [m for m in db.collections[term.collection].elements.values()
+                   if m.entity[term.dim] == el.identity
+                   and (term.predicate is None or o_holds(db, m, term.predicate))]
+        if term.func == "COUNT":
+            return len(lessers), False
+        values = (_o_path(db, m, term.path)[0] for m in lessers)
+        return sum(v for v in values if v is not None), False
+    return _o_path(db, el, term.parts)
+
+
+def _o_path(db, el, parts):
+    concept = db.schema.concept(el.collection)
+    at = el  # the element reached so far; None (and value None) after a NULL hop
+    value = None
+    for part in parts:
+        f = concept.field(part)
+        idx = concept.identity_index(part)
+        if at is not None:
+            value = at.identity[idx] if idx is not None else at.entity[part]
+        if not f.is_primitive:
+            concept = db.schema.concept(f.type)
+            at = None if value is None else db.collections[f.type].elements[value]
+    return value, not f.is_primitive
 
 
 # --- random schemas and instances ---------------------------------------------

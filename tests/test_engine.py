@@ -1,7 +1,9 @@
 """Ingest, identity encoding, versioning, execution, and rendering."""
 
+import csv
 import datetime
 import json
+import random
 from decimal import Decimal
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 
 import oracle
 from comdb import algebra, engine, model
+from comdb.coql.parser import parse_query
 from comdb.errors import FileError, HeaderMismatch, ResolveError, UnknownCollection
 
 SCHEMA = """
@@ -69,6 +72,34 @@ def test_composite_decode_rejects_bad_shapes():
         engine.decode_identity(slots, "(2021-05-03)")  # wrong arity
 
 
+def test_composite_identity_round_trips_any_text(tmp_path):
+    db = fresh("CONCEPT K IDENTITY s CHAR(8), n INT, t CHAR(8), d DATE, x DECIMAL;")
+    k = db.schema.concept("K")
+    rng = random.Random(31)
+
+    def text():
+        return "".join(rng.choice(',()"a \n\r') for _ in range(rng.randint(0, 5)))
+
+    for _ in range(500):
+        ident = (text(), rng.randint(-10**6, 10**6), text(),
+                 datetime.date.fromordinal(rng.randint(700_000, 740_000)),
+                 Decimal(rng.randint(-10**5, 10**5)).scaleb(-2))
+        assert engine.decode_identity(k, engine.encode_identity(ident)) == ident
+    assert engine.encode_identity(("x,y", "z")) == '("x,y",z)'
+    assert engine.decode_identity(k, '(,0,"(,)""",2021-05-03,1.5)') == (
+        "", 0, '(,)"', datetime.date(2021, 5, 3), Decimal("1.5"))
+
+    # and through a data file, where the encoded identity is one CSV cell
+    db = fresh(COMPOSITE)
+    slot = (datetime.date(2021, 5, 3), 'r,1 "(a)"')
+    db.insert("Slots", slot)
+    f = tmp_path / "Talks.csv"
+    with f.open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([("id", "slot"), (1, engine.encode_identity(slot))])
+    assert engine.load_csv(db, "Talks", f, strict=True).inserted == 1
+    assert db.collections["Talks"].elements[(1,)].entity["slot"] == slot
+
+
 # --- CSV ingest ---------------------------------------------------------------
 
 
@@ -120,6 +151,27 @@ def test_load_csv_strict_aborts_on_first_bad_row(tmp_path):
     with pytest.raises(FileError) as exc:
         engine.load_csv(db, "Addresses", f, strict=True)
     assert ":3:" in str(exc.value)
+
+
+def test_load_csv_strict_failure_rolls_back_the_file(tmp_path):
+    db = fresh("CONCEPT A IDENTITY id INT; CONCEPT P IDENTITY id INT ENTITY a A;")
+    for i in (1, 2):
+        db.insert("A", i)
+    db.insert("P", 0, {"a": 1})
+    version = db.version
+    f = write(tmp_path / "P.csv", "id,a\n1,2\n2,2\n3,9\n")
+    with pytest.raises(FileError) as exc:
+        engine.load_csv(db, "P", f, strict=True)
+    assert ":4:" in str(exc.value)
+    assert db.version == version
+    assert [r["id"] for r in db.query("(P)").rows] == [0]
+    assert db.query("(A) <-* (P)").identities == [(0,)]
+    # the whole-collection image reads the reverse index's keys
+    assert db.query("(P) *-> (A)").identities == [(1,)]
+    assert db.query("(P) -> a").identities == [(1,)]
+    write(tmp_path / "P.csv", "id,a\n1,2\n2,2\n")
+    assert engine.load_csv(db, "P", f, strict=True).inserted == 2
+    assert db.query("(P) *-> (A)").identities == [(1,), (2,)]
 
 
 def test_load_csv_header_must_match_fields(tmp_path):
@@ -228,6 +280,66 @@ def test_identical_warnings_are_deduplicated(market_db):
 def test_results_are_sorted_by_identity(catalog_db):
     rs = catalog_db.query("(Books)")
     assert [i[0] for i in rs.identities] == ["b1", "b2", "b3", "b4", "b5"]
+
+
+def _random_path(rng, db, concept: str, hops: int = 0) -> str:
+    """id, v or a reference of concept, or a dotted path through a reference."""
+    c = db.schema.concept(concept)
+    refs = c.reference_fields
+    if refs and hops < 2 and rng.random() < 0.35:
+        f = rng.choice(refs)
+        return f"{f.name}.{_random_path(rng, db, f.type, hops + 1)}"
+    return rng.choice(["id"] + [f.name for f in c.entity_fields])
+
+
+def _random_term(rng, db, concept: str, depth: int) -> str:
+    r = rng.random()
+    if r < 0.3:
+        return "NULL" if rng.random() < 0.15 else str(rng.randint(0, 52))
+    into = db.schema.dimensions_into(concept)
+    if r < 0.45 and into and depth < 2:
+        d = rng.choice(into)
+        inner = ""
+        if rng.random() < 0.5:
+            inner = f" | {_random_predicate(rng, db, d.source, depth + 1)}"
+        if db.schema.concept(d.source).field("v") and rng.random() < 0.5:
+            return f"SUM({d.name} <- ({d.source}{inner}).v)"
+        return f"COUNT({d.name} <- ({d.source}{inner}))"
+    return _random_path(rng, db, concept)
+
+
+def _random_predicate(rng, db, concept: str, depth: int = 0) -> str:
+    r = rng.random()
+    if depth < 3 and r < 0.15:
+        return f"NOT ({_random_predicate(rng, db, concept, depth + 1)})"
+    if depth < 3 and r < 0.35:
+        items = [_random_predicate(rng, db, concept, depth + 1)
+                 for _ in range(rng.randint(2, 3))]
+        return "(" + rng.choice([" AND ", " OR "]).join(items) + ")"
+    op = rng.choice(["==", "!=", "<", "<=", ">", ">="])
+    return (f"{_random_term(rng, db, concept, depth)} {op} "
+            f"{_random_term(rng, db, concept, depth)}")
+
+
+def test_filter_predicates_match_the_oracle():
+    """(C | p) selects exactly the elements o_holds accepts, on random data."""
+    rng = random.Random(4711)
+    seen = dict.fromkeys(("COUNT(", "SUM(", "NULL", "NOT", " AND ", " OR ", "."), 0)
+    partial = 0
+    for _ in range(80):
+        db = oracle.random_db(rng, max_elements=80)
+        for _ in range(10):
+            concept = rng.choice(list(db.schema.concepts))
+            query = f"({concept} | {_random_predicate(rng, db, concept)})"
+            pred = parse_query(query).anchor.predicate
+            elements = db.collections[concept].elements
+            want = sorted(i for i, el in elements.items() if oracle.o_holds(db, el, pred))
+            assert db.query(query).identities == want, query
+            partial += 0 < len(want) < len(elements)
+            for k in seen:
+                seen[k] += k in query
+    assert min(seen.values()) >= 20, seen
+    assert partial >= 200
 
 
 # --- rendering ---------------------------------------------------------------------
