@@ -184,19 +184,16 @@ def project_values(db, eset: ElementSet, dims: Sequence[Dimension],
     """Project and finish by reading one primitive field; NULLs contribute nothing."""
     if dims:
         eset = project(db, eset, DimensionPath(tuple(dims)))
-    cname = eset.domain
-    coll = db.collections[cname]
+    coll = db.collections[eset.domain]
     concept = coll.concept
-    idx = concept.identity_index(fld.name)
-    values = set()
-    if idx is not None:
-        for ident in eset.members:
-            values.add(ident[idx])
+    k = concept.position(fld.name)
+    arity = len(concept.identity_fields)
+    if k < arity:
+        values = {ident[k] for ident in eset.members}
     else:
-        for ident in eset.members:
-            v = coll.elements[ident].entity.get(fld.name)
-            if v is not None:
-                values.add(v)
+        elements = coll.elements
+        values = {elements[ident].values[k - arity] for ident in eset.members}
+        values.discard(None)
     return ElementSet(PrimitiveDomain(concept.name, fld.name, fld.type), frozenset(values))
 
 
@@ -216,18 +213,22 @@ def deproject_values(db, collection: str, field_name: str, values: Iterable) -> 
     """
     coll = db.collections[collection]
     concept = coll.concept
+    fld = concept.field(field_name)
+    if fld is None or not fld.is_primitive:
+        raise PathNotComposable(f"'{concept.name}.{field_name}' is not a primitive field")
     wanted = {v for v in values if v is not None}
-    idx = concept.identity_index(field_name)
-    if idx is not None:
-        members = frozenset(i for i in coll.elements if i[idx] in wanted)
+    k = concept.position(field_name)
+    arity = len(concept.identity_fields)
+    elements = coll.elements
+    if arity == 1 and k == 0:
+        # the whole identity: look each value up, keeping the stored tuple
+        found = (elements.get((v,)) for v in wanted)
+        members = frozenset(el.identity for el in found if el is not None)
+    elif k < arity:
+        members = frozenset(i for i in elements if i[k] in wanted)
     else:
-        fld = concept.field(field_name)
-        if fld is None or not fld.is_primitive:
-            raise PathNotComposable(f"'{concept.name}.{field_name}' is not a primitive field")
-        members = frozenset(
-            i for i, el in coll.elements.items()
-            if el.entity.get(field_name) is not None and el.entity[field_name] in wanted
-        )
+        k -= arity
+        members = frozenset(i for i, el in elements.items() if el.values[k] in wanted)
     return ElementSet(collection, members)
 
 
@@ -543,26 +544,24 @@ def infer(db, eset: ElementSet, target, via=None,
 
 
 def value_along(db, collection: str, ident: Identity,
-                dims: Sequence[Dimension], field_name: str | None):
+                dims: Sequence[Dimension], position: int | None):
     """Follow dimensions from one element, then read a field; NULL propagates.
 
-    With field_name None the value is the identity of the endpoint element.
+    position is the field's Concept.position in the concept the dimensions
+    arrive at; with position None the value is the identity of the
+    endpoint element.
     """
-    cur_coll = collection
-    cur = ident
+    colls = db.collections
     for seg in dims:
-        r = db.collections[cur_coll].forward[seg.name][cur]
-        if r is None:
+        ident = colls[collection].forward[seg.name][ident]
+        if ident is None:
             return None
-        cur = r
-        cur_coll = seg.destination
-    if field_name is None:
-        return cur
-    coll = db.collections[cur_coll]
-    idx = coll.concept.identity_index(field_name)
-    if idx is not None:
-        return cur[idx]
-    return coll.elements[cur].entity.get(field_name)
+        collection = seg.destination
+    if position is None:
+        return ident
+    if position < len(ident):
+        return ident[position]
+    return colls[collection].elements[ident].values[position - len(ident)]
 
 
 def sum_values(db, eset: ElementSet, path: FieldPath):
@@ -576,9 +575,18 @@ def sum_values(db, eset: ElementSet, path: FieldPath):
             f"sum path starts at '{path.source}' but the set is over "
             f"'{domain_name(eset.domain)}'"
         )
-    total = Decimal(0) if path.field.type == "decimal" else 0
-    for ident in eset.members:
-        v = value_along(db, eset.domain, ident, path.dims, path.field.name)
-        if v is not None:
-            total += v
-    return total
+    owner = path.dims[-1].destination if path.dims else path.source
+    concept = db.schema.concept(owner)
+    k = concept.position(path.field.name)
+    arity = len(concept.identity_fields)
+    if path.dims:
+        values = (value_along(db, path.source, i, path.dims, k) for i in eset.members)
+    elif k < arity:
+        values = (i[k] for i in eset.members)
+    else:
+        # a field of the set's own elements is read in place
+        k -= arity
+        elements = db.collections[owner].elements
+        values = (elements[i].values[k] for i in eset.members)
+    # filter drops each NULL, and the zeros it drops too add nothing
+    return sum(filter(None, values), Decimal(0) if path.field.type == "decimal" else 0)

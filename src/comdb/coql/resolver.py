@@ -132,19 +132,22 @@ def _compile_path(ctx: _Ctx, node: ast.PathTerm) -> PathValue:
         if parts and ctx.alias is not None and parts[0] == ctx.alias:
             parts.pop(0)
 
-    dims, _, f = _field_path(ctx.schema, start, parts, node.pos)
-    name = None if f is None else f.name
-    idx = ctx.schema.concept(start).identity_index(name)
+    dims, owner, f = _field_path(ctx.schema, start, parts, node.pos)
+    concept = ctx.schema.concept(owner)
+    k = None if f is None else concept.position(f.name)
+    arity = len(concept.identity_fields)
     # a field of the subject itself is read in place; value_along walks the rest
-    if dims or name is None:
+    if dims or k is None:
         def at(db, el):
-            return value_along(db, start, el.identity, dims, name)
-    elif idx is not None:
+            return value_along(db, start, el.identity, dims, k)
+    elif k < arity:
         def at(db, el):
-            return el.identity[idx]
+            return el.identity[k]
     else:
+        k -= arity
+
         def at(db, el):
-            return el.entity.get(name)
+            return el.values[k]
     read = at if alias is None else (lambda db, subject: at(db, subject[alias]))
     if f is None:
         return PathValue(read, None, start, text)
@@ -310,9 +313,17 @@ def compile_predicate(ctx: _Ctx, node) -> Callable:
 
 @dataclass(frozen=True)
 class CollectionAnchor:
+    """(C | p): every element of C that p holds for.
+
+    seeks are the plans of the de-projections equal to the `path ==
+    constant` conjuncts of p; when there are any, the predicate runs only
+    on the elements they all reach.
+    """
+
     collection: str
     predicate: object | None
     text: str
+    seeks: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -406,14 +417,53 @@ def _narrow_product(base: ProductCollection, se: ast.SetExpr, schema: Schema) ->
     return ProductCollection(base.name, base.factors, both, print_set_expr(se))
 
 
+def _conjuncts(node) -> list:
+    """The items of a predicate's top-level AND, nested ANDs flattened."""
+    if isinstance(node, ast.And):
+        return [c for item in node.items for c in _conjuncts(item)]
+    return [node]
+
+
+def _seek(schema: Schema, one: ast.Factor, node) -> QueryPlan | None:
+    """The plan of the de-projection equal to `path == constant`, or None.
+
+    (C | p.f == v) holds the elements of v <- f <- p... <- (C).  A path
+    ending at a reference, or the bare alias, compares a single-field
+    identity, so its constant de-projects through that identity field.
+    """
+    if not isinstance(node, ast.Comparison) or node.op != "==":
+        return None
+    path, lit = node.left, node.right
+    if isinstance(path, ast.Literal):
+        path, lit = lit, path
+    if not isinstance(path, ast.PathTerm) or not isinstance(lit, ast.Literal) or lit.value is None:
+        return None
+    parts = list(path.parts)
+    if parts and parts[0] == one.alias:
+        parts.pop(0)
+    dims, owner, f = _field_path(schema, one.collection, parts, path.pos)
+    names = [d.name for d in dims]
+    if f is None or not f.is_primitive:
+        if f is not None:
+            names.append(f.name)
+            owner = f.type
+        f = schema.concept(owner).identity_fields[0]
+    target = ast.SetExpr((ast.Factor(one.collection),))
+    return resolve(ast.Query((lit,), (ast.DeprojectStep((f.name, *reversed(names)), target),)),
+                   schema)
+
+
 def _resolve_set_anchor(se: ast.SetExpr, schema: Schema, products: Mapping):
     one = _single_factor(se)
     if one is not None and one.collection in schema.concepts:
         pred = None
+        seeks = ()
         if se.predicate is not None:
             ctx = _anchor_ctx(schema, one.collection, one.alias)
             pred = compile_predicate(ctx, se.predicate)
-        return CollectionAnchor(one.collection, pred, print_set_expr(se)), one.collection
+            seeks = tuple(filter(None, (_seek(schema, one, c) for c in _conjuncts(se.predicate))))
+        anchor = CollectionAnchor(one.collection, pred, print_set_expr(se), seeks)
+        return anchor, one.collection
     if one is not None and one.collection in products:
         if one.alias is not None:
             _raise(ResolveError, "a product collection cannot take an alias", one.pos)

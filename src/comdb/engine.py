@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import datetime
 import io
+import itertools
 import json
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -287,16 +288,29 @@ def load_order(schema: model.Schema) -> list[str]:
 def load_data_dir(db: Database, directory, strict: bool = False):
     """Load every <Collection>.csv in a directory, greater collections first.
 
-    Returns (reports, unmatched file names).
+    Returns (reports, unmatched file names).  A load that raises leaves the
+    database as it was: the files loaded before the failing one are removed
+    again, in reverse load order.
     """
     directory = Path(directory)
     if not directory.is_dir():
         raise FileError(f"not a directory: {directory}")
     files = {p.stem: p for p in sorted(directory.glob("*.csv"))}
     reports = []
-    for name in load_order(db.schema):
-        if name in files:
-            reports.append(load_csv(db, name, files.pop(name), strict=strict))
+    version = db.version
+    try:
+        for name in load_order(db.schema):
+            if name in files:
+                reports.append(load_csv(db, name, files.pop(name), strict=strict))
+    except BaseException:
+        # the store is insert-only and keeps insertion order, so a file's
+        # rows are the last ones of its collection
+        for report in reversed(reports):
+            elements = db.collections[report.collection].elements
+            for ident in list(itertools.islice(reversed(elements), report.inserted)):
+                model.remove_element(db, report.collection, ident)
+        db.version = version
+        raise
     return reports, sorted(files)
 
 
@@ -308,11 +322,14 @@ def _filter_collection(db, eset: ElementSet, predicate) -> ElementSet:
     return ElementSet(eset.domain, frozenset(i for i in eset.members if predicate(db, elements[i])))
 
 
-def execute(db, plan: QueryPlan) -> "ResultSet":
-    """Run a resolved plan against a database."""
-    anchor = plan.anchor
+def _run(db, anchor, steps) -> ElementSet:
+    """The set an anchor stands for, moved through the steps in order."""
     if isinstance(anchor, CollectionAnchor):
-        eset = algebra.full_set(db, anchor.collection)
+        if anchor.seeks:
+            eset = algebra.intersect_deprojections(
+                [_run(db, seek.anchor, seek.steps) for seek in anchor.seeks])
+        else:
+            eset = algebra.full_set(db, anchor.collection)
         if anchor.predicate is not None:
             eset = _filter_collection(db, eset, anchor.predicate)
     elif isinstance(anchor, ProductAnchor):
@@ -322,7 +339,7 @@ def execute(db, plan: QueryPlan) -> "ResultSet":
     else:
         raise TypeError(f"not an anchor: {anchor!r}")
 
-    for step in plan.steps:
+    for step in steps:
         if isinstance(step, PlanFilter):
             eset = _filter_collection(db, eset, step.predicate)
         elif isinstance(step, PlanProjectField):
@@ -333,7 +350,16 @@ def execute(db, plan: QueryPlan) -> "ResultSet":
             eset = algebra.run_route(db, eset, step.route)
         else:
             raise TypeError(f"not a plan step: {step!r}")
+    return eset
 
+
+def execute(db, plan: QueryPlan) -> "ResultSet":
+    """Run a resolved plan against a database.
+
+    A collection anchor with seeks starts from the intersection of what
+    they reach, and its predicate still decides which of those belong.
+    """
+    eset = _run(db, plan.anchor, plan.steps)
     return build_result(db, eset, tuple(dict.fromkeys(plan.warnings)))
 
 
@@ -379,16 +405,10 @@ def build_result(db, eset: ElementSet, warnings: tuple[str, ...] = ()) -> Result
         aliases = tuple(a for a, _ in domain.factors)
         rows = [dict(zip(aliases, m)) for m in members]
         return ResultSet("product", domain.name, aliases, rows, members, eset, warnings)
-    coll = db.collections[domain]
-    concept = coll.concept
-    columns = tuple(f.name for f in concept.fields)
+    elements = db.collections[domain].elements
+    columns = tuple(f.name for f in db.schema.concept(domain).fields)
     identities = sorted(eset.members)
-    rows = []
-    for ident in identities:
-        el = coll.elements[ident]
-        row = dict(zip((f.name for f in concept.identity_fields), ident))
-        row.update(el.entity)
-        rows.append(row)
+    rows = [dict(zip(columns, ident + elements[ident].values)) for ident in identities]
     return ResultSet("collection", domain, columns, rows, identities, eset, warnings)
 
 

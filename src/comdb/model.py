@@ -65,6 +65,7 @@ class Concept:
     def __post_init__(self):
         object.__setattr__(self, "identity_fields", tuple(self.identity_fields))
         object.__setattr__(self, "entity_fields", tuple(self.entity_fields))
+        object.__setattr__(self, "_positions", {f.name: k for k, f in enumerate(self.fields)})
 
     @property
     def fields(self) -> tuple[FieldSpec, ...]:
@@ -75,16 +76,16 @@ class Concept:
         return tuple(f for f in self.entity_fields if not f.is_primitive)
 
     def field(self, name: str) -> FieldSpec | None:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        return None
+        k = self._positions.get(name)
+        return None if k is None else self.fields[k]
 
-    def identity_index(self, name: str) -> int | None:
-        for i, f in enumerate(self.identity_fields):
-            if f.name == name:
-                return i
-        return None
+    def position(self, name: str) -> int | None:
+        """Where a field is read: its index k in `fields`, identity fields first.
+
+        With n identity fields, k < n reads identity[k] and any other k
+        reads an element's values[k - n].
+        """
+        return self._positions.get(name)
 
 
 @dataclass(frozen=True)
@@ -302,11 +303,22 @@ def _check_acyclic(concepts: dict[str, Concept], dims: list[Dimension]) -> None:
 
 @dataclass(eq=False, slots=True)
 class Element:
-    """One element: identity tuple plus entity values (references as identities)."""
+    """One element: identity tuple plus entity values (references as identities).
+
+    values holds the entity values in the order of the concept's
+    entity_fields; names is the collection's tuple of their names, shared
+    by every element of it.
+    """
 
     collection: str
     identity: Identity
-    entity: dict
+    values: tuple
+    names: tuple
+
+    @property
+    def entity(self) -> dict:
+        """The entity values by field name, as a new dict."""
+        return dict(zip(self.names, self.values))
 
 
 @dataclass(eq=False)
@@ -315,7 +327,8 @@ class Collection:
 
     forward maps each owned dimension name to {identity: referenced identity
     or None}; reverse maps each dimension arriving here to {greater identity:
-    list of lesser identities}, each lesser listed once.
+    list of lesser identities}, each lesser listed once.  names are the
+    concept's entity field names, the keys of every element's values.
     """
 
     name: str
@@ -323,6 +336,7 @@ class Collection:
     elements: dict = field(default_factory=dict)
     forward: dict = field(default_factory=dict)
     reverse: dict = field(default_factory=dict)
+    names: tuple = ()
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -332,7 +346,7 @@ def create_collections(schema: Schema) -> dict[str, Collection]:
     """One collection per concept, carrying the same name, with empty indexes."""
     colls: dict[str, Collection] = {}
     for name, c in schema.concepts.items():
-        coll = Collection(name, c)
+        coll = Collection(name, c, names=tuple(f.name for f in c.entity_fields))
         coll.forward = {f.name: {} for f in c.reference_fields}
         colls[name] = coll
     for d in schema.dimensions:
@@ -349,15 +363,18 @@ def coerce_primitive(value, ftype: str, where: str):
         if isinstance(value, int) and not isinstance(value, bool):
             return value
     elif ftype == "decimal":
-        if isinstance(value, Decimal):
-            return value
         if isinstance(value, int) and not isinstance(value, bool):
             return Decimal(value)
         if isinstance(value, str):
             try:
-                return Decimal(value)
+                value = Decimal(value)
             except InvalidOperation:
                 raise TypeMismatch(f"{where}: '{value}' is not a decimal") from None
+        if isinstance(value, Decimal):
+            # a stored value must equal itself and hash, as NaN and sNaN do not
+            if not value.is_finite():
+                raise TypeMismatch(f"{where}: '{value}' is not a finite decimal")
+            return value
     elif ftype == "date":
         if isinstance(value, datetime.date) and not isinstance(value, datetime.datetime):
             return value
@@ -401,17 +418,19 @@ def insert_element(db, collection: str, identity, entity_values: Mapping | None 
     if ident in coll.elements:
         raise DuplicateIdentity(f"element {ident!r} already exists in '{collection}'")
 
-    entity_values = dict(entity_values or {})
-    entity: dict = {}
-    refs: list[tuple[FieldSpec, Identity]] = []
+    entity_values = entity_values or {}
+    values = []
+    refs: list[tuple[FieldSpec, Identity | None]] = []
     for f in concept.entity_fields:
-        raw = entity_values.pop(f.name, None)
+        raw = entity_values.get(f.name)
         if raw is None:
             if not f.nullable:
                 raise NullViolation(f"field {concept.name}.{f.name} cannot be NULL")
-            entity[f.name] = None
+            values.append(None)
+            if not f.is_primitive:
+                refs.append((f, None))
         elif f.is_primitive:
-            entity[f.name] = coerce_primitive(raw, f.type, f"{concept.name}.{f.name}")
+            values.append(coerce_primitive(raw, f.type, f"{concept.name}.{f.name}"))
         else:
             dest_concept = db.schema.concept(f.type)
             ref = make_identity(dest_concept, raw)
@@ -421,20 +440,20 @@ def insert_element(db, collection: str, identity, entity_values: Mapping | None 
                     f"{concept.name}.{f.name} references missing element {ref!r} of '{f.type}'"
                 )
             ref = dest.identity  # share the stored tuple, not a copy per reference
-            entity[f.name] = ref
+            values.append(ref)
             refs.append((f, ref))
-    if entity_values:
-        extra = ", ".join(sorted(entity_values))
-        raise TypeMismatch(f"unknown entity field(s) for '{collection}': {extra}")
+    extra = entity_values.keys() - coll.names
+    if extra:
+        raise TypeMismatch(
+            f"unknown entity field(s) for '{collection}': {', '.join(sorted(extra))}")
 
-    el = Element(collection, ident, entity)
+    el = Element(collection, ident, tuple(values), coll.names)
     coll.elements[ident] = el
-    for f in concept.reference_fields:
-        coll.forward[f.name][ident] = entity[f.name]
     for f, ref in refs:
-        dim = db.schema.dimension(concept.name, f.name)
-        rmap = db.collections[f.type].reverse[dim]
-        rmap.setdefault(ref, []).append(ident)
+        coll.forward[f.name][ident] = ref
+        if ref is not None:
+            rmap = db.collections[f.type].reverse[db.schema.dimension(concept.name, f.name)]
+            rmap.setdefault(ref, []).append(ident)
     return el
 
 
@@ -448,9 +467,10 @@ def remove_element(db, collection: str, identity: Identity) -> None:
     """
     coll = db.collections[collection]
     el = coll.elements.pop(identity)
-    for f in coll.concept.reference_fields:
+    for f, ref in zip(coll.concept.entity_fields, el.values):
+        if f.is_primitive:
+            continue
         del coll.forward[f.name][identity]
-        ref = el.entity[f.name]
         if ref is not None:
             rmap = db.collections[f.type].reverse[db.schema.dimension(collection, f.name)]
             lessers = rmap[ref]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import operator
 import random
+from decimal import Decimal
 
 from comdb import engine, model
 from comdb.coql import ast
@@ -173,21 +174,22 @@ _CMP = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
         "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def o_holds(db, el, pred) -> bool:
+def o_holds(db, el, pred, alias: str | None = None) -> bool:
     """Evaluate a parsed predicate on one element.
 
     Two-valued: a comparison touching NULL, or one Python cannot make, is
     false, and NOT applies after that.  A literal compared with a reference
-    stands for the single-field identity it names.
+    stands for the single-field identity it names.  A path may start with
+    the element's alias; the bare alias is the element's identity.
     """
     if isinstance(pred, ast.Not):
-        return not o_holds(db, el, pred.item)
+        return not o_holds(db, el, pred.item, alias)
     if isinstance(pred, ast.And):
-        return all(o_holds(db, el, p) for p in pred.items)
+        return all(o_holds(db, el, p, alias) for p in pred.items)
     if isinstance(pred, ast.Or):
-        return any(o_holds(db, el, p) for p in pred.items)
-    a, a_ref = _o_term(db, el, pred.left)
-    b, b_ref = _o_term(db, el, pred.right)
+        return any(o_holds(db, el, p, alias) for p in pred.items)
+    a, a_ref = _o_term(db, el, pred.left, alias)
+    b, b_ref = _o_term(db, el, pred.right, alias)
     if isinstance(pred.left, ast.Literal) and b_ref and a is not None:
         a = (a,)
     if isinstance(pred.right, ast.Literal) and a_ref and b is not None:
@@ -200,7 +202,7 @@ def o_holds(db, el, pred) -> bool:
         return False
 
 
-def _o_term(db, el, term):
+def _o_term(db, el, term, alias=None):
     """(value, whether the value is a reference) of one side of a comparison."""
     if isinstance(term, ast.Literal):
         return term.value, False
@@ -210,24 +212,29 @@ def _o_term(db, el, term):
                    and (term.predicate is None or o_holds(db, m, term.predicate))]
         if term.func == "COUNT":
             return len(lessers), False
-        values = (_o_path(db, m, term.path)[0] for m in lessers)
+        values = (o_path(db, m, term.path)[0] for m in lessers)
         return sum(v for v in values if v is not None), False
-    return _o_path(db, el, term.parts)
+    parts = term.parts
+    if alias is not None and parts[0] == alias:
+        parts = parts[1:]
+    return o_path(db, el, parts)
 
 
-def _o_path(db, el, parts):
+def o_path(db, el, parts):
+    """(value, whether it is a reference) of a field path read off el."""
     concept = db.schema.concept(el.collection)
     at = el  # the element reached so far; None (and value None) after a NULL hop
-    value = None
+    value, ref = el.identity, True
     for part in parts:
         f = concept.field(part)
-        idx = concept.identity_index(part)
+        keys = [k.name for k in concept.identity_fields]
         if at is not None:
-            value = at.identity[idx] if idx is not None else at.entity[part]
-        if not f.is_primitive:
+            value = at.identity[keys.index(part)] if part in keys else at.entity[part]
+        ref = not f.is_primitive
+        if ref:
             concept = db.schema.concept(f.type)
             at = None if value is None else db.collections[f.type].elements[value]
-    return value, not f.is_primitive
+    return value, ref
 
 
 # --- random schemas and instances ---------------------------------------------
@@ -279,8 +286,12 @@ def ladder_db(rungs: int, paths_apart: bool = False,
 
 
 def random_schema_text(rng: random.Random, max_concepts: int = 6,
-                       max_dims: int = 4, nullable_refs: bool = True) -> str:
-    """A random DAG schema: concept Ci may only reference Cj with j > i."""
+                       max_dims: int = 4, nullable_refs: bool = True,
+                       value_type: str = "INT") -> str:
+    """A random DAG schema: concept Ci may only reference Cj with j > i.
+
+    Some concepts get a field v of value_type (INT or DECIMAL).
+    """
     n = rng.randint(2, max_concepts)
     parts = []
     for i in range(n):
@@ -292,16 +303,23 @@ def random_schema_text(rng: random.Random, max_concepts: int = 6,
             null = " NOT NULL" if (not nullable_refs or rng.random() < 0.5) else ""
             fields.append(f"d{d} C{dest}{null}")
         if rng.random() < 0.5:
-            fields.append("v INT")
+            fields.append(f"v {value_type}")
         entity = f" ENTITY {', '.join(fields)}" if fields else ""
         parts.append(f"CONCEPT C{i} IDENTITY id INT{entity};")
     return "\n".join(parts)
 
 
 def random_db(rng: random.Random, max_concepts: int = 6, max_dims: int = 4,
-              max_elements: int = 200, nullable_refs: bool = True) -> engine.Database:
+              max_elements: int = 200, nullable_refs: bool = True,
+              value_type: str = "INT") -> engine.Database:
+    """A random_schema_text instance; a DECIMAL v holds halves of 0..50.
+
+    value_type draws nothing from rng, so a seed gives the same shapes
+    and references with INT and DECIMAL values.
+    """
     db = engine.Database()
-    engine.load_schema(db, random_schema_text(rng, max_concepts, max_dims, nullable_refs))
+    engine.load_schema(db, random_schema_text(rng, max_concepts, max_dims, nullable_refs,
+                                              value_type))
     names = list(db.schema.concepts)
     budget = rng.randint(len(names), max_elements)
     sizes = {c: 1 for c in names}  # non-empty so NOT NULL refs always resolve
@@ -319,7 +337,8 @@ def random_db(rng: random.Random, max_concepts: int = 6, max_dims: int = 4,
                         continue
                     entity[f.name] = rng.choice(pool)
                 elif rng.random() < 0.8:
-                    entity[f.name] = rng.randint(0, 50)
+                    v = rng.randint(0, 50)
+                    entity[f.name] = v if f.type == "integer" else Decimal(v) / 2
             db.insert(cname, i, entity)
     return db
 

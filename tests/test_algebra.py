@@ -450,10 +450,14 @@ def test_value_along_walks_then_reads(catalog_db):
         db.schema.dimension("Books", "publisher"),
         db.schema.dimension("Publishers", "address"),
     )
-    v = algebra.value_along(db, "Books", ("b1",), dims, "country")
+    country = db.schema.concept("Addresses").position("country")
+    v = algebra.value_along(db, "Books", ("b1",), dims, country)
     assert v == "DE"
+    assert algebra.value_along(db, "Books", ("b1",), dims, None) == (1,)
     # a NULL hop yields no value at all
-    v4 = algebra.value_along(db, "Books", ("b4",), (dims[0],), "name")
+    name = db.schema.concept("Publishers").position("name")
+    assert algebra.value_along(db, "Books", ("b1",), (dims[0],), name) == "Springer"
+    v4 = algebra.value_along(db, "Books", ("b4",), (dims[0],), name)
     assert v4 is None
 
 

@@ -1,6 +1,7 @@
 """Ingest, identity encoding, versioning, execution, and rendering."""
 
 import csv
+import dataclasses
 import datetime
 import json
 import random
@@ -12,7 +13,7 @@ import pytest
 import oracle
 from comdb import algebra, engine, model
 from comdb.coql.parser import parse_query
-from comdb.errors import FileError, HeaderMismatch, ResolveError, UnknownCollection
+from comdb.errors import FileError, HeaderMismatch, ResolveError, TypeMismatch, UnknownCollection
 
 SCHEMA = """
 CONCEPT Addresses IDENTITY id INT ENTITY country CHAR(2) NOT NULL;
@@ -172,6 +173,41 @@ def test_load_csv_strict_failure_rolls_back_the_file(tmp_path):
     write(tmp_path / "P.csv", "id,a\n1,2\n2,2\n")
     assert engine.load_csv(db, "P", f, strict=True).inserted == 2
     assert db.query("(P) *-> (A)").identities == [(1,), (2,)]
+
+
+def test_failed_load_data_dir_rolls_back_every_file(tmp_path):
+    db = fresh("CONCEPT A IDENTITY id INT; CONCEPT P IDENTITY id INT ENTITY a A NOT NULL;")
+    db.insert("A", 0)
+    db.insert("P", 0, {"a": 0})
+    version = db.version
+    write(tmp_path / "A.csv", "id\n1\n2\n")
+    write(tmp_path / "P.csv", "id,a\n1,1\n2,9\n")
+    with pytest.raises(FileError) as exc:
+        engine.load_data_dir(db, tmp_path, strict=True)
+    assert "P.csv:3" in str(exc.value)
+    assert db.version == version
+    assert db.query("(A)").identities == [(0,)]
+    assert db.query("(P)").identities == [(0,)]
+    assert db.query("(P) *-> (A)").identities == [(0,)]
+    write(tmp_path / "P.csv", "id,a\n1,1\n2,2\n")
+    reports, _ = engine.load_data_dir(db, tmp_path, strict=True)
+    assert [r.inserted for r in reports] == [2, 2]
+    assert db.query("(A) <-* (P)").identities == [(0,), (1,), (2,)]
+
+
+@pytest.mark.parametrize("cell", ["NaN", "sNaN", "-nan", "Infinity", "-Inf"])
+def test_decimal_rejects_non_finite_values(tmp_path, cell):
+    db = fresh("CONCEPT A IDENTITY id INT ENTITY amount DECIMAL(8,2);")
+    f = write(tmp_path / "A.csv", f"id,amount\n1,2.5\n2,{cell}\n")
+    with pytest.raises(FileError, match="not a finite decimal"):
+        engine.load_csv(db, "A", f, strict=True)
+    report = engine.load_csv(db, "A", f)
+    assert report.inserted == 1 and "not a finite decimal" in report.rejected[0][1]
+    for value in (cell, Decimal(cell)):
+        with pytest.raises(TypeMismatch, match="not a finite decimal"):
+            db.insert("A", 3, {"amount": value})
+    assert db.query("(A | amount < 5)").identities == [(1,)]
+    assert db.query("(A) -> amount").identities == [Decimal("2.5")]
 
 
 def test_load_csv_header_must_match_fields(tmp_path):
@@ -340,6 +376,114 @@ def test_filter_predicates_match_the_oracle():
                 seen[k] += k in query
     assert min(seen.values()) >= 20, seen
     assert partial >= 200
+
+
+def _literal(value) -> str:
+    """COQL text of a stored value; a reference reads as its single-field identity."""
+    return str(value[0] if isinstance(value, tuple) else value)
+
+
+def _random_equality(rng, db, el, alias: str | None):
+    """`path == constant` on el's concept, the constant mostly the value el has.
+
+    Returns the comparison's text and the kind of path it compares.
+    """
+    concept = el.collection
+    c = db.schema.concept(concept)
+    if alias is not None and rng.random() < 0.2:
+        path = alias
+    else:
+        path = _random_path(rng, db, concept)
+    parts = [p for p in path.split(".") if p != alias]
+    value, _ = oracle.o_path(db, el, parts)
+    if value is None or rng.random() < 0.15:
+        text = str(rng.randint(0, 52))
+    else:
+        text = _literal(value)
+    if alias is not None and parts and rng.random() < 0.5:
+        path = f"{alias}.{path}"
+    if not parts:
+        kind = "alias"
+    elif "." in path.removeprefix(f"{alias}."):
+        kind = "dotted"
+    elif parts[0] == "id":
+        kind = "identity"
+    elif c.field(parts[0]).is_primitive:
+        kind = "entity"
+    else:
+        kind = "reference"
+    if isinstance(value, Decimal) and "." not in text:
+        kind += "+decimal-int"
+    pair = (path, text) if rng.random() < 0.7 else (text, path)
+    return f"{pair[0]} == {pair[1]}", kind
+
+
+def test_equality_seeks_match_the_oracle():
+    """(C | path == constant AND ...) answers as the oracle does, and its seeks
+    alone reach exactly the elements the equalities hold for."""
+    rng = random.Random(2718)
+    seen: dict = {}
+    found = 0
+    for n in range(80):
+        db = oracle.random_db(rng, max_elements=80, value_type="DECIMAL" if n % 2 else "INT")
+        for _ in range(10):
+            concept = rng.choice(list(db.schema.concepts))
+            alias = "a" if rng.random() < 0.4 else None
+            el = rng.choice(list(db.collections[concept].elements.values()))
+            equalities = []
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                text, kind = _random_equality(rng, db, el, alias)
+                equalities.append(text)
+                seen[kind] = seen.get(kind, 0) + 1
+            seen["two or more"] = seen.get("two or more", 0) + (len(equalities) > 1)
+            rest = [f"NOT ({_random_predicate(rng, db, concept)})"] if rng.random() < 0.6 else []
+            head = f"({concept} a | " if alias else f"({concept} | "
+            query = head + " AND ".join(equalities + rest) + ")"
+            elements = db.collections[concept].elements
+
+            def oracle_says(q):
+                pred = parse_query(q).anchor.predicate
+                return sorted(i for i, el in elements.items()
+                              if oracle.o_holds(db, el, pred, alias))
+
+            plan = db.plan(query)
+            assert len(plan.anchor.seeks) == len(equalities), query
+            want = oracle_says(query)
+            assert engine.execute(db, plan).identities == want, query
+            seeks_alone = dataclasses.replace(plan.anchor, predicate=None)
+            got = engine.execute(db, dataclasses.replace(plan, anchor=seeks_alone)).identities
+            assert got == oracle_says(head + " AND ".join(equalities) + ")"), query
+            found += bool(want)
+    for kind in ("identity", "entity", "dotted", "reference", "alias", "two or more"):
+        assert seen.get(kind, 0) >= 20, seen
+    assert sum(v for k, v in seen.items() if k.endswith("+decimal-int")) >= 20, seen
+    assert found >= 300
+
+
+@pytest.mark.parametrize("query, seeks", [
+    ("(Books | isbn == 'b1')", ["'b1' <- isbn <- (Books)"]),
+    ("(Books | 'Springer' == publisher)", ["'Springer' <- name <- publisher <- (Books)"]),
+    ("(Books | publisher.address.country == 'DE' AND (price > 5 AND isbn == 'b1'))",
+     ["'DE' <- country <- address <- publisher <- (Books)", "'b1' <- isbn <- (Books)"]),
+    ("(Books b | b == 'b2')", ["'b2' <- isbn <- (Books)"]),
+    ("(Books b | b.price = 8)", ["8 <- price <- (Books)"]),
+    ("(Books | isbn != 'b1')", []),
+    ("(Books | price < 8)", []),
+    ("(Books | isbn == 'b1' OR isbn == 'b2')", []),
+    ("(Books | NOT (isbn == 'b1'))", []),
+    ("(Books | publisher == NULL)", []),
+    ("(Books | title == isbn)", []),
+    ("(Publishers | COUNT(publisher <- (Books)) == 2)", []),
+])
+def test_only_equalities_with_a_constant_seek(catalog_db, query, seeks):
+    plan = catalog_db.plan(query)
+    assert [s.text for s in plan.anchor.seeks] == seeks
+    assert catalog_db.explain(query) == plan.anchor.text  # seeks are not listed
+    anchor = parse_query(query).anchor
+    elements = catalog_db.collections[anchor.factors[0].collection].elements
+    want = sorted(i for i, el in elements.items()
+                  if oracle.o_holds(catalog_db, el, anchor.predicate, anchor.factors[0].alias))
+    assert catalog_db.query(query).identities == want
 
 
 # --- rendering ---------------------------------------------------------------------
