@@ -575,10 +575,9 @@ def sum_values(db, eset: ElementSet, path: FieldPath):
             f"sum path starts at '{path.source}' but the set is over "
             f"'{domain_name(eset.domain)}'"
         )
-    owner = path.dims[-1].destination if path.dims else path.source
-    concept = db.schema.concept(owner)
-    k = concept.position(path.field.name)
-    arity = len(concept.identity_fields)
+    coll = db.collections[path.dims[-1].destination if path.dims else path.source]
+    k = coll.concept.position(path.field.name)
+    arity = len(coll.concept.identity_fields)
     if path.dims:
         values = (value_along(db, path.source, i, path.dims, k) for i in eset.members)
     elif k < arity:
@@ -586,7 +585,7 @@ def sum_values(db, eset: ElementSet, path: FieldPath):
     else:
         # a field of the set's own elements is read in place
         k -= arity
-        elements = db.collections[owner].elements
+        elements = coll.elements
         values = (elements[i].values[k] for i in eset.members)
     # filter drops each NULL, and the zeros it drops too add nothing
     return sum(filter(None, values), Decimal(0) if path.field.type == "decimal" else 0)
