@@ -44,7 +44,7 @@ def _say(msg: str) -> None:
 def _load_database(args) -> engine.Database:
     try:
         text = Path(args.schema).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ComdbError(f"cannot read schema file: {e}") from None
     db = engine.Database()
     summary = engine.load_schema(db, text)
@@ -88,7 +88,7 @@ def run_query(db: engine.Database, text: str, fmt: str) -> int:
 def run_script(db: engine.Database, path: str, fmt: str) -> int:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         _say(f"error: cannot read script: {e}")
         return 3
     for stmt in split_statements(text):

@@ -40,7 +40,7 @@ from ..errors import (
     UnknownCollection,
     UnknownDimension,
 )
-from ..model import Dimension, DimensionPath, FieldSpec, Schema, lessers_of
+from ..model import Dimension, DimensionPath, FieldSpec, Schema
 from . import ast
 from .printer import print_literal, print_predicate, print_query, print_set_expr
 
@@ -244,13 +244,14 @@ def _compile_agg(ctx: _Ctx, node: ast.AggTerm) -> AggValue:
     collection = node.collection
 
     def read(db, el):
-        members = lessers_of(db, dim, el.identity)
+        # the reverse index's entry, read in place: it lists each lesser once
+        members = db.collections[subject].reverse[dim].get(el.identity, ())
         if inner is not None:
             elements = db.collections[collection].elements
             members = [i for i in members if inner(db, elements[i])]
         if sum_path is None:
             return len(members)
-        return sum_values(db, ElementSet(collection, frozenset(members)), sum_path)
+        return sum_values(db, ElementSet(collection, members), sum_path)
 
     return AggValue(read, node.func)
 

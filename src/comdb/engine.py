@@ -13,10 +13,9 @@ from __future__ import annotations
 import csv
 import datetime
 import io
-import itertools
 import json
-from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from dataclasses import dataclass, field
+from decimal import Decimal
 from pathlib import Path
 
 from . import algebra, model
@@ -37,7 +36,6 @@ from .coql.resolver import (
     resolve_product,
 )
 from .errors import (
-    DataError,
     FileError,
     HeaderMismatch,
     ResolveError,
@@ -59,11 +57,7 @@ class IngestReport:
     collection: str
     path: str
     inserted: int = 0
-    rejected: list = None  # (line number, message) pairs
-
-    def __post_init__(self):
-        if self.rejected is None:
-            self.rejected = []
+    rejected: list = field(default_factory=list)  # (line number, message) pairs
 
 
 class Database:
@@ -124,23 +118,55 @@ def load_schema(db: Database, text: str) -> SchemaSummary:
 # --- CSV ingest -----------------------------------------------------------------
 
 
+CHUNK_ROWS = 4096  # CSV rows read, typed and checked at a time
+
+# the one converter per primitive type for CSV text, and what a bad cell is not
+_CONVERTERS = {"string": str, "integer": int, "decimal": Decimal,
+               "date": datetime.date.fromisoformat}
+_TYPE_NAMES = {"integer": "an integer", "decimal": "a decimal", "date": "an ISO date"}
+
+
 def _parse_scalar(text: str, ftype: str, where: str):
-    if ftype == "string":
-        return text
-    if ftype == "integer":
-        try:
-            return int(text)
-        except ValueError:
-            raise TypeMismatch(f"{where}: '{text}' is not an integer") from None
-    if ftype == "decimal":
-        try:
-            return Decimal(text)
-        except InvalidOperation:
-            raise TypeMismatch(f"{where}: '{text}' is not a decimal") from None
     try:
-        return datetime.date.fromisoformat(text)
-    except ValueError:
-        raise TypeMismatch(f"{where}: '{text}' is not an ISO date") from None
+        return _CONVERTERS[ftype](text)
+    except (ValueError, ArithmeticError):  # decimal.InvalidOperation is an ArithmeticError
+        raise TypeMismatch(f"{where}: '{text}' is not {_TYPE_NAMES[ftype]}") from None
+
+
+def _typed_column(cells, ftype: str, where: str, errors: dict, empty=None) -> list:
+    """A column of CSV cells through its type's converter; NULL and bad cells read None.
+
+    A bad cell's TypeMismatch, or empty for a NULL cell, goes to errors
+    unless the row has an error already.
+    """
+    if ftype == "string":
+        if "" not in cells and "NULL" not in cells:
+            return list(cells)
+    else:
+        try:  # only str accepts an empty or NULL cell
+            return list(map(_CONVERTERS[ftype], cells))
+        except (ValueError, ArithmeticError):
+            pass
+    out = []
+    for i, text in enumerate(cells):
+        value = None
+        if text not in ("", "NULL"):
+            try:
+                value = _parse_scalar(text, ftype, where)
+            except TypeMismatch as e:
+                errors.setdefault(i, e)
+        elif empty is not None:
+            errors.setdefault(i, empty)
+        out.append(value)
+    return out
+
+
+def _nonfinite(values, where: str) -> dict:
+    """The rows of a DECIMAL column holding NaN, sNaN or an infinity, with their errors."""
+    if all(map(Decimal.is_finite, filter(None, values))):
+        return {}
+    return {i: TypeMismatch(f"{where}: '{v}' is not a finite decimal")
+            for i, v in enumerate(values) if v is not None and not v.is_finite()}
 
 
 def encode_scalar(v) -> str:
@@ -192,9 +218,23 @@ def load_csv(db: Database, collection: str, path, strict: bool = False) -> Inges
 
     The header must name exactly the concept's fields, in any order.  Empty
     cells and the literal NULL read as NULL.  Bad rows are reported and
-    skipped, or abort the load under strict.  A load that raises leaves the
-    collection as it was: the rows it inserted are removed again.
+    skipped, or abort the load under strict.  The file is read and checked
+    before anything is stored, so a load that raises stores nothing.
     """
+    return _load(db, [(collection, path)], strict)[0]
+
+
+def _load(db: Database, files, strict: bool) -> list[IngestReport]:
+    """Stage (collection, path) files in order, then store them all at once."""
+    staged: dict = {}
+    reports = [_stage_csv(db, name, path, strict, staged) for name, path in files]
+    model.commit(staged)
+    db.version += sum(1 for r in reports if r.inserted)
+    return reports
+
+
+def _stage_csv(db: Database, collection: str, path, strict: bool, staged: dict) -> IngestReport:
+    """Read, type and check one CSV file into a batch in staged, CHUNK_ROWS rows at a time."""
     if db.schema is None:
         raise SchemaError("no schema loaded")
     coll = db.collections.get(collection)
@@ -209,109 +249,148 @@ def load_csv(db: Database, collection: str, path, strict: bool = False) -> Inges
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise HeaderMismatch(f"{path}: empty file, expected a header row") from None
-        expected = {f.name for f in concept.fields}
-        if len(set(header)) != len(header) or set(header) != expected:
-            raise HeaderMismatch(
-                f"{path}: header {sorted(header)} does not match the fields of "
-                f"'{collection}' {sorted(expected)}"
-            )
-        inserted = []  # rolled back when the load raises
-        try:
+            header = next(reader, None)
+            if header is None:
+                raise HeaderMismatch(f"{path}: empty file, expected a header row")
+            expected = {f.name for f in concept.fields}
+            if len(set(header)) != len(header) or set(header) != expected:
+                raise HeaderMismatch(
+                    f"{path}: header {sorted(header)} does not match the fields of "
+                    f"'{collection}' {sorted(expected)}"
+                )
+            batch = model.Batch(coll, staged)
+            width = len(header)
+            rows, lines, errors = [], [], {}
             for row in reader:
-                line = reader.line_num
                 if not row:
-                    continue
-                if len(row) != len(header):
-                    msg = f"row has {len(row)} values, expected {len(header)}"
-                    if strict:
-                        raise FileError(f"{path}:{line}: {msg}")
-                    report.rejected.append((line, msg))
-                    continue
-                cells = {h: (None if v in ("", "NULL") else v) for h, v in zip(header, row)}
-                try:
-                    ident = []
-                    for f in concept.identity_fields:
-                        v = cells[f.name]
-                        if v is None:
-                            raise TypeMismatch(f"identity field {f.name} is empty")
-                        ident.append(_parse_scalar(v, f.type, f"{collection}.{f.name}"))
-                    entity = {}
-                    for f in concept.entity_fields:
-                        v = cells[f.name]
-                        if v is None:
-                            continue
-                        if f.is_primitive:
-                            entity[f.name] = _parse_scalar(v, f.type, f"{collection}.{f.name}")
-                        else:
-                            entity[f.name] = decode_identity(db.schema.concept(f.type), v)
-                    inserted.append(model.insert_element(db, collection, tuple(ident), entity))
-                    report.inserted += 1
-                except DataError as e:
-                    if strict:
-                        raise FileError(f"{path}:{line}: {e}") from None
-                    report.rejected.append((line, str(e)))
-        except BaseException:
-            for el in reversed(inserted):
-                model.remove_element(db, collection, el.identity)
-            raise
-    if report.inserted:
-        db.version += 1
+                    continue  # csv.reader reads a blank line as []
+                if len(row) != width:
+                    errors[len(rows)] = TypeMismatch(
+                        f"row has {len(row)} values, expected {width}")
+                    row = [""] * width
+                rows.append(row)
+                lines.append(reader.line_num)
+                if len(rows) == CHUNK_ROWS:
+                    _check_chunk(db, batch, header, rows, lines, errors, report, strict)
+                    rows, lines, errors = [], [], {}
+            if rows:
+                _check_chunk(db, batch, header, rows, lines, errors, report, strict)
+        except UnicodeDecodeError:
+            raise _utf8_error(path) from None
+        except csv.Error as e:
+            raise FileError(f"{path}:{reader.line_num}: {e}") from None
     return report
 
 
+def _check_chunk(db, batch: model.Batch, header, rows, lines, errors, report, strict) -> None:
+    """Type rows column by column, stage the good ones and report the bad ones.
+
+    errors holds the rows already known to be bad.  Any other row's first
+    error comes from, in this order: its identity cells, its entity cells,
+    a non-finite DECIMAL in its identity; model.Batch.add checks the rest,
+    taking a non-finite DECIMAL elsewhere in field order.
+    """
+    concept = batch.coll.concept
+    cells = dict(zip(header, zip(*rows)))
+    keys = [_typed_column(cells[f.name], f.type, f"{concept.name}.{f.name}", errors,
+                          TypeMismatch(f"identity field {f.name} is empty"))
+            for f in concept.identity_fields]
+    columns, late = [], {}
+    for j, f in enumerate(concept.entity_fields):
+        if f.is_primitive:
+            where = f"{concept.name}.{f.name}"
+            values = _typed_column(cells[f.name], f.type, where, errors)
+            bad = _nonfinite(values, where) if f.type == "decimal" else {}
+        else:
+            values, bad = _typed_references(db.schema.concepts[f.type], cells[f.name], errors)
+        columns.append(values)
+        for i, e in bad.items():
+            late.setdefault(i, (j, e))
+    for f, values in zip(concept.identity_fields, keys):
+        if f.type == "decimal":
+            for i, e in _nonfinite(values, f"{concept.name}.{f.name}").items():
+                errors.setdefault(i, e)
+    entities = map(list, zip(*columns)) if columns else ([] for _ in rows)
+    rejected = []
+    for i, (ident, values) in enumerate(zip(zip(*keys), entities)):
+        e = errors.get(i)
+        if e is None:
+            e = batch.add(ident, values, late.get(i))
+        if e is not None:
+            rejected.append((i, e))
+    report.inserted += len(rows) - len(rejected)
+    if strict and rejected:
+        i, e = rejected[0]
+        raise FileError(f"{report.path}:{lines[i]}: {e}")
+    report.rejected.extend((lines[i], str(e)) for i, e in rejected)
+
+
+def _typed_references(dest: model.Concept, cells, errors: dict) -> tuple[list, dict]:
+    """A reference column as identities of dest, and the rows whose identity is not finite."""
+    fields = dest.identity_fields
+    if len(fields) == 1:
+        where = f"{dest.name}.{fields[0].name}"
+        values = _typed_column(cells, fields[0].type, where, errors)
+        bad = _nonfinite(values, where) if fields[0].type == "decimal" else {}
+        if None not in values:
+            return list(zip(values)), bad
+        return [None if v is None else (v,) for v in values], bad
+    idents, bad = [], {}
+    for i, text in enumerate(cells):
+        ident = None
+        if text not in ("", "NULL"):
+            try:
+                ident = decode_identity(dest, text)
+            except TypeMismatch as e:
+                errors.setdefault(i, e)
+            else:
+                try:  # today's check of a typed identity: finite DECIMALs
+                    model.make_identity(dest, ident)
+                except TypeMismatch as e:
+                    bad[i] = e
+        idents.append(ident)
+    return idents, bad
+
+
+def _utf8_error(path) -> FileError:
+    """Where a file first stops being UTF-8, as path:line: message."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+        return FileError(f"{path}: not UTF-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        return FileError(f"{path}:{line}: byte {data[e.start]:#04x} is not UTF-8 ({e.reason})")
+
+
 def load_order(schema: model.Schema) -> list[str]:
-    """Collections ordered so references always point at already loaded data."""
-    remaining = {c: 0 for c in schema.concepts}
-    dependents: dict[str, list[str]] = {c: [] for c in schema.concepts}
-    for d in schema.dimensions:
-        remaining[d.source] += 1
-        dependents[d.destination].append(d.source)
-    ready = sorted((c for c, k in remaining.items() if k == 0), reverse=True)
+    """Collections ordered so references always point at already loaded data.
+
+    Of the collections whose greater ones are all loaded, the first by name
+    goes next.
+    """
     order: list[str] = []
-    while ready:
-        c = ready.pop()
-        order.append(c)
-        changed = False
-        for s in dependents[c]:
-            remaining[s] -= 1
-            if remaining[s] == 0:
-                ready.append(s)
-                changed = True
-        if changed:
-            ready.sort(reverse=True)
+    while len(order) < len(schema.concepts):
+        loaded = set(order)
+        order.append(min(c for c in schema.concepts
+                         if c not in loaded and schema.above(c) <= loaded))
     return order
 
 
 def load_data_dir(db: Database, directory, strict: bool = False):
     """Load every <Collection>.csv in a directory, greater collections first.
 
-    Returns (reports, unmatched file names).  A load that raises leaves the
-    database as it was: the files loaded before the failing one are removed
-    again, in reverse load order.
+    Returns (reports, unmatched file names).  Every file is read and checked,
+    its references resolved against the store plus the files staged before
+    it, and only then are all of them stored, so a load that raises stores
+    nothing.
     """
     directory = Path(directory)
     if not directory.is_dir():
         raise FileError(f"not a directory: {directory}")
     files = {p.stem: p for p in sorted(directory.glob("*.csv"))}
-    reports = []
-    version = db.version
-    try:
-        for name in load_order(db.schema):
-            if name in files:
-                reports.append(load_csv(db, name, files.pop(name), strict=strict))
-    except BaseException:
-        # the store is insert-only and keeps insertion order, so a file's
-        # rows are the last ones of its collection
-        for report in reversed(reports):
-            elements = db.collections[report.collection].elements
-            for ident in list(itertools.islice(reversed(elements), report.inserted)):
-                model.remove_element(db, report.collection, ident)
-        db.version = version
-        raise
-    return reports, sorted(files)
+    order = [(name, files.pop(name)) for name in load_order(db.schema) if name in files]
+    return _load(db, order, strict), sorted(files)
 
 
 # --- execution --------------------------------------------------------------------

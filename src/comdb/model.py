@@ -10,6 +10,11 @@ type constraint keeps every reference inside its destination collection.
 Identities are plain tuples of primitive values.  They double as the
 by-value references stored in entity fields, so two elements are related
 exactly when one holds the identity of the other (directly or transitively).
+
+Rows reach the store in two steps: a Batch checks them (NOT NULL,
+references, duplicate identities) and holds the good ones, and commit
+writes elements, forward entries and reverse lists.  A batch that is
+never committed leaves nothing behind; insert_element is a batch of one.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from typing import Iterable, Mapping
 from .errors import (
     CyclicSchema,
     DanglingReference,
+    DataError,
     DuplicateConcept,
     DuplicateField,
     DuplicateIdentity,
@@ -329,6 +335,10 @@ class Collection:
     or None}; reverse maps each dimension arriving here to {greater identity:
     list of lesser identities}, each lesser listed once.  names are the
     concept's entity field names, the keys of every element's values.
+
+    checks lists (position, field, referenced elements or None) for each
+    entity field that is NOT NULL or a reference, and refs (position,
+    forward map, destination's reverse index) for each reference field.
     """
 
     name: str
@@ -337,6 +347,8 @@ class Collection:
     forward: dict = field(default_factory=dict)
     reverse: dict = field(default_factory=dict)
     names: tuple = ()
+    checks: tuple = ()
+    refs: tuple = ()
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -351,6 +363,13 @@ def create_collections(schema: Schema) -> dict[str, Collection]:
         colls[name] = coll
     for d in schema.dimensions:
         colls[d.destination].reverse[d] = {}
+    for coll in colls.values():
+        fields = coll.concept.entity_fields
+        coll.checks = tuple((j, f, None if f.is_primitive else colls[f.type].elements)
+                            for j, f in enumerate(fields) if not (f.nullable and f.is_primitive))
+        coll.refs = tuple(
+            (k, coll.forward[f.name], colls[f.type].reverse[schema.dimension(coll.name, f.name)])
+            for k, f in enumerate(fields) if not f.is_primitive)
     return colls
 
 
@@ -408,83 +427,108 @@ def insert_element(db, collection: str, identity, entity_values: Mapping | None 
 
     Entity values may omit nullable fields.  Reference values may be given
     as identity tuples or as a bare value when the destination identity has
-    a single field.
+    a single field.  The row is checked and stored as a batch of one, so a
+    row that raises leaves nothing behind.
     """
     coll = db.collections.get(collection)
     if coll is None:
         raise UnknownCollection(f"unknown collection '{collection}'")
     concept = coll.concept
     ident = make_identity(concept, identity)
-    if ident in coll.elements:
-        raise DuplicateIdentity(f"element {ident!r} already exists in '{collection}'")
-
     entity_values = entity_values or {}
-    values = []
-    refs: list[tuple[FieldSpec, Identity | None]] = []
-    for f in concept.entity_fields:
+    values, late = [], None
+    for j, f in enumerate(concept.entity_fields):
         raw = entity_values.get(f.name)
-        if raw is None:
-            if not f.nullable:
-                raise NullViolation(f"field {concept.name}.{f.name} cannot be NULL")
-            values.append(None)
-            if not f.is_primitive:
-                refs.append((f, None))
-        elif f.is_primitive:
-            values.append(coerce_primitive(raw, f.type, f"{concept.name}.{f.name}"))
-        else:
-            dest_concept = db.schema.concept(f.type)
-            ref = make_identity(dest_concept, raw)
-            dest = db.collections[f.type].elements.get(ref)
-            if dest is None:
-                raise DanglingReference(
-                    f"{concept.name}.{f.name} references missing element {ref!r} of '{f.type}'"
-                )
-            ref = dest.identity  # share the stored tuple, not a copy per reference
-            values.append(ref)
-            refs.append((f, ref))
+        if raw is not None:
+            try:
+                if f.is_primitive:
+                    raw = coerce_primitive(raw, f.type, f"{concept.name}.{f.name}")
+                else:
+                    raw = make_identity(db.schema.concepts[f.type], raw)
+            except DataError as e:
+                late = late or (j, e)
+                raw = None
+        values.append(raw)
+    staged: dict = {}
+    error = Batch(coll, staged).add(ident, values, late)
+    if error is not None:
+        raise error
     extra = entity_values.keys() - coll.names
     if extra:
         raise TypeMismatch(
             f"unknown entity field(s) for '{collection}': {', '.join(sorted(extra))}")
-
-    el = Element(collection, ident, tuple(values), coll.names)
-    coll.elements[ident] = el
-    for f, ref in refs:
-        coll.forward[f.name][ident] = ref
-        if ref is not None:
-            rmap = db.collections[f.type].reverse[db.schema.dimension(concept.name, f.name)]
-            rmap.setdefault(ref, []).append(ident)
-    return el
+    commit(staged)
+    return coll.elements[ident]
 
 
-def remove_element(db, collection: str, identity: Identity) -> None:
-    """Undo insert_element: drop the element, its forward entries and its
-    reverse-index entries.
+class Batch:
+    """Checked rows of one collection, held back from the store until commit.
 
-    A reverse key whose list becomes empty is dropped too, so the keys of a
-    reverse index stay exactly the elements referenced along it.  The
-    caller makes sure no element references the one removed.
+    A new batch registers itself in staged.  Each reference field resolves
+    through one dict over the store plus the batch staged for its
+    destination, so a greater collection's batch is staged first.
     """
-    coll = db.collections[collection]
-    el = coll.elements.pop(identity)
-    for f, ref in zip(coll.concept.entity_fields, el.values):
-        if f.is_primitive:
-            continue
-        del coll.forward[f.name][identity]
-        if ref is not None:
-            rmap = db.collections[f.type].reverse[db.schema.dimension(collection, f.name)]
-            lessers = rmap[ref]
-            lessers.remove(identity)
-            if not lessers:
-                del rmap[ref]
+
+    def __init__(self, coll: Collection, staged: dict):
+        self.coll = coll
+        self.elements: dict = {}  # identity -> Element, in row order
+        self.checks = coll.checks
+        if staged:
+            self.checks = tuple((j, f, _lookup(store, staged.get(f.type)))
+                                for j, f, store in coll.checks)
+        staged[coll.name] = self
+
+    def add(self, ident: Identity, values: list, late=None) -> DataError | None:
+        """Stage one typed row, or return its first error.
+
+        values are the entity values in field order, references as identity
+        tuples, which become the stored ones.  late is (field index, error)
+        for the first value that passed typing but not the field's type.
+        The first error wins, in this order: a duplicate of the store or of
+        a row staged before; then field by field late, NULL in a NOT NULL
+        field, a dangling reference.  A row that failed typing is never
+        added, so it claims no identity.
+        """
+        coll = self.coll
+        if ident in coll.elements or ident in self.elements:
+            return DuplicateIdentity(f"element {ident!r} already exists in '{coll.name}'")
+        for j, f, lookup in self.checks:
+            if late is not None and late[0] <= j:
+                return late[1]
+            v = values[j]
+            if v is None:
+                if not f.nullable:
+                    return NullViolation(f"field {coll.name}.{f.name} cannot be NULL")
+            elif lookup is not None:
+                el = lookup.get(v)
+                if el is None:
+                    return DanglingReference(f"{coll.name}.{f.name} references missing "
+                                             f"element {v!r} of '{f.type}'")
+                values[j] = el.identity  # share the stored tuple, not a copy
+        if late is not None:
+            return late[1]
+        self.elements[ident] = Element(coll.name, ident, tuple(values), coll.names)
+        return None
 
 
-def lessers_of(db, dimension: Dimension, identity: Identity) -> tuple:
-    """The identities of the elements referencing `identity` along one dimension.
+def _lookup(store, batch):
+    """One dict over a store's elements and a staged batch's."""
+    if batch is None or not batch.elements:
+        return store
+    return {**store, **batch.elements} if store else batch.elements
 
-    A copy of the reverse index's entry, each lesser once, in no order.
-    """
-    rmap = db.collections[dimension.destination].reverse.get(dimension)
-    if rmap is None:
-        raise PathNotComposable(f"'{dimension}' is not a dimension of this schema")
-    return tuple(rmap.get(identity, ()))
+
+def commit(staged: dict) -> None:
+    """Store staged batches: elements, forward entries and reverse lists."""
+    for batch in staged.values():
+        coll, elements = batch.coll, batch.elements
+        coll.elements.update(elements)
+        for k, forward, reverse in coll.refs:
+            for ident, el in elements.items():
+                ref = forward[ident] = el.values[k]
+                if ref is not None:
+                    lessers = reverse.get(ref)
+                    if lessers is None:
+                        reverse[ref] = [ident]
+                    else:
+                        lessers.append(ident)

@@ -16,12 +16,17 @@ randomized comparison tests.
 
 from __future__ import annotations
 
+import csv
+import datetime
+import io
 import operator
 import random
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 
 from comdb import engine, model
 from comdb.coql import ast
+from comdb.errors import (DanglingReference, DataError, DuplicateIdentity, FileError,
+                          HeaderMismatch, NullViolation, TypeMismatch)
 
 Key = tuple  # (collection name, identity)
 
@@ -285,12 +290,20 @@ def ladder_db(rungs: int, paths_apart: bool = False,
 
 
 
+RICH_IDENTITIES = ("id INT", "id DECIMAL", "id INT, k CHAR(6)", "id INT, d DATE",
+                   "id INT, x DECIMAL")
+RICH_VALUES = ("INT", "DECIMAL", "DATE", "CHAR(8)")
+
+
 def random_schema_text(rng: random.Random, max_concepts: int = 6,
                        max_dims: int = 4, nullable_refs: bool = True,
-                       value_type: str = "INT") -> str:
+                       value_type: str = "INT", rich: bool = False) -> str:
     """A random DAG schema: concept Ci may only reference Cj with j > i.
 
-    Some concepts get a field v of value_type (INT or DECIMAL).
+    Some concepts get a field v of value_type (INT or DECIMAL).  With rich,
+    an identity may be DECIMAL or composite (RICH_IDENTITIES), and a concept
+    may get fields w0, w1 of RICH_VALUES types, some NOT NULL; without it,
+    rng is drawn from exactly as before rich existed.
     """
     n = rng.randint(2, max_concepts)
     parts = []
@@ -304,22 +317,39 @@ def random_schema_text(rng: random.Random, max_concepts: int = 6,
             fields.append(f"d{d} C{dest}{null}")
         if rng.random() < 0.5:
             fields.append(f"v {value_type}")
+        identity = "id INT"
+        if rich:
+            identity = rng.choice(RICH_IDENTITIES)
+            for w, t in enumerate(rng.sample(RICH_VALUES, rng.randint(0, 2))):
+                fields.append(f"w{w} {t}{' NOT NULL' if rng.random() < 0.3 else ''}")
         entity = f" ENTITY {', '.join(fields)}" if fields else ""
-        parts.append(f"CONCEPT C{i} IDENTITY id INT{entity};")
+        parts.append(f"CONCEPT C{i} IDENTITY {identity}{entity};")
     return "\n".join(parts)
+
+
+def rich_value(ftype: str, v: int):
+    """A value of a primitive type made from an int; distinct ints give distinct values."""
+    if ftype == "integer":
+        return v
+    if ftype == "decimal":
+        return Decimal(v) / 4
+    if ftype == "date":
+        return datetime.date.fromordinal(730_000 + v)
+    return f"s{v},\n\"(" if v % 7 == 3 else f"s{v}"  # now and then a comma, break and quote
 
 
 def random_db(rng: random.Random, max_concepts: int = 6, max_dims: int = 4,
               max_elements: int = 200, nullable_refs: bool = True,
-              value_type: str = "INT") -> engine.Database:
+              value_type: str = "INT", rich: bool = False) -> engine.Database:
     """A random_schema_text instance; a DECIMAL v holds halves of 0..50.
 
     value_type draws nothing from rng, so a seed gives the same shapes
-    and references with INT and DECIMAL values.
+    and references with INT and DECIMAL values.  With rich, element k's
+    identity is rich_value(type, k) in each identity field.
     """
     db = engine.Database()
     engine.load_schema(db, random_schema_text(rng, max_concepts, max_dims, nullable_refs,
-                                              value_type))
+                                              value_type, rich))
     names = list(db.schema.concepts)
     budget = rng.randint(len(names), max_elements)
     sizes = {c: 1 for c in names}  # non-empty so NOT NULL refs always resolve
@@ -336,10 +366,14 @@ def random_db(rng: random.Random, max_concepts: int = 6, max_dims: int = 4,
                     if f.nullable and rng.random() < 0.25:
                         continue
                     entity[f.name] = rng.choice(pool)
-                elif rng.random() < 0.8:
+                elif not f.nullable or rng.random() < 0.8:
                     v = rng.randint(0, 50)
-                    entity[f.name] = v if f.type == "integer" else Decimal(v) / 2
-            db.insert(cname, i, entity)
+                    entity[f.name] = rich_value(f.type, v) if rich else (
+                        v if f.type == "integer" else Decimal(v) / 2)
+            ident = i
+            if rich:
+                ident = tuple(rich_value(f.type, i) for f in concept.identity_fields)
+            db.insert(cname, ident, entity)
     return db
 
 
@@ -349,3 +383,163 @@ def random_members(rng: random.Random, db, collection: str) -> frozenset:
         return frozenset()
     k = rng.randint(0, len(pool))
     return frozenset(rng.sample(pool, k))
+
+
+# --- the row-at-a-time loader ---------------------------------------------------------
+#
+# CSV ingest as it was before loads were staged: each row is parsed and
+# inserted as it is read.  The staged loader must agree with it on every
+# file: rows inserted, rejected lines and messages, a strict load's error,
+# and the elements, forward maps and reverse indexes stored.  It keeps no
+# rollback: after a failed strict load only the error text is compared.
+
+
+def o_parse_scalar(text: str, ftype: str, where: str):
+    if ftype == "string":
+        return text
+    if ftype == "integer":
+        try:
+            return int(text)
+        except ValueError:
+            raise TypeMismatch(f"{where}: '{text}' is not an integer") from None
+    if ftype == "decimal":
+        try:
+            return Decimal(text)
+        except InvalidOperation:
+            raise TypeMismatch(f"{where}: '{text}' is not a decimal") from None
+    try:
+        return datetime.date.fromisoformat(text)
+    except ValueError:
+        raise TypeMismatch(f"{where}: '{text}' is not an ISO date") from None
+
+
+def o_insert(db, collection: str, identity, entity_values) -> None:
+    """Check one row and write it straight into the store."""
+    coll = db.collections[collection]
+    concept = coll.concept
+    ident = model.make_identity(concept, identity)
+    if ident in coll.elements:
+        raise DuplicateIdentity(f"element {ident!r} already exists in '{collection}'")
+    values = []
+    refs = []
+    for f in concept.entity_fields:
+        raw = entity_values.get(f.name)
+        if raw is None:
+            if not f.nullable:
+                raise NullViolation(f"field {concept.name}.{f.name} cannot be NULL")
+            values.append(None)
+            if not f.is_primitive:
+                refs.append((f, None))
+        elif f.is_primitive:
+            values.append(model.coerce_primitive(raw, f.type, f"{concept.name}.{f.name}"))
+        else:
+            ref = model.make_identity(db.schema.concept(f.type), raw)
+            dest = db.collections[f.type].elements.get(ref)
+            if dest is None:
+                raise DanglingReference(
+                    f"{concept.name}.{f.name} references missing element {ref!r} of '{f.type}'"
+                )
+            values.append(dest.identity)
+            refs.append((f, dest.identity))
+    coll.elements[ident] = model.Element(collection, ident, tuple(values), coll.names)
+    for f, ref in refs:
+        coll.forward[f.name][ident] = ref
+        if ref is not None:
+            rmap = db.collections[f.type].reverse[db.schema.dimension(concept.name, f.name)]
+            rmap.setdefault(ref, []).append(ident)
+
+
+def o_decode_identity(concept, text: str) -> tuple:
+    fields = concept.identity_fields
+    if len(fields) == 1:
+        return (o_parse_scalar(text, fields[0].type, f"{concept.name}.{fields[0].name}"),)
+    if not (text.startswith("(") and text.endswith(")")):
+        raise TypeMismatch(
+            f"reference to '{concept.name}' must look like (v1,v2), got '{text}'"
+        )
+    records = list(csv.reader(io.StringIO(text[1:-1], newline="")))
+    if len(records) > 1:
+        raise TypeMismatch(f"reference to '{concept.name}' has a line break outside quotes")
+    raw = records[0] if records else []
+    if len(raw) != len(fields):
+        raise TypeMismatch(
+            f"reference to '{concept.name}' needs {len(fields)} components, got {len(raw)}"
+        )
+    return tuple(o_parse_scalar(comp.replace("((", "(").replace("))", ")"), f.type,
+                                f"{concept.name}.{f.name}")
+                 for f, comp in zip(fields, raw))
+
+
+def o_load_csv(db, collection: str, path, strict: bool = False) -> engine.IngestReport:
+    coll = db.collections[collection]
+    concept = coll.concept
+    report = engine.IngestReport(collection, str(path))
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise HeaderMismatch(f"{path}: empty file, expected a header row") from None
+        expected = {f.name for f in concept.fields}
+        if len(set(header)) != len(header) or set(header) != expected:
+            raise HeaderMismatch(
+                f"{path}: header {sorted(header)} does not match the fields of "
+                f"'{collection}' {sorted(expected)}"
+            )
+        for row in reader:
+            line = reader.line_num
+            if not row:
+                continue
+            if len(row) != len(header):
+                msg = f"row has {len(row)} values, expected {len(header)}"
+                if strict:
+                    raise FileError(f"{path}:{line}: {msg}")
+                report.rejected.append((line, msg))
+                continue
+            cells = {h: (None if v in ("", "NULL") else v) for h, v in zip(header, row)}
+            try:
+                ident = []
+                for f in concept.identity_fields:
+                    v = cells[f.name]
+                    if v is None:
+                        raise TypeMismatch(f"identity field {f.name} is empty")
+                    ident.append(o_parse_scalar(v, f.type, f"{collection}.{f.name}"))
+                entity = {}
+                for f in concept.entity_fields:
+                    v = cells[f.name]
+                    if v is None:
+                        continue
+                    if f.is_primitive:
+                        entity[f.name] = o_parse_scalar(v, f.type, f"{collection}.{f.name}")
+                    else:
+                        entity[f.name] = o_decode_identity(db.schema.concept(f.type), v)
+                o_insert(db, collection, tuple(ident), entity)
+                report.inserted += 1
+            except DataError as e:
+                if strict:
+                    raise FileError(f"{path}:{line}: {e}") from None
+                report.rejected.append((line, str(e)))
+    if report.inserted:
+        db.version += 1
+    return report
+
+
+def o_load_data_dir(db, directory, strict: bool = False):
+    files = {p.stem: p for p in sorted(directory.glob("*.csv"))}
+    reports = []
+    for name in engine.load_order(db.schema):
+        if name in files:
+            reports.append(o_load_csv(db, name, files.pop(name), strict=strict))
+    return reports, sorted(files)
+
+
+def stored(db) -> dict:
+    """Everything a load writes, per collection: elements, forward maps and
+    reverse indexes, each reverse list as a set plus its length."""
+    return {
+        name: ({i: el.values for i, el in coll.elements.items()},
+               coll.forward,
+               {d: {k: (frozenset(v), len(v)) for k, v in rmap.items()}
+                for d, rmap in coll.reverse.items()})
+        for name, coll in db.collections.items()
+    }

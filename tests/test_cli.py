@@ -105,6 +105,43 @@ def test_strict_load_failure_exits_3(capsys, tmp_path):
     assert "nope" in err
 
 
+def one_file_db(tmp_path, data: bytes):
+    schema = tmp_path / "s.ddl"
+    schema.write_text("CONCEPT A IDENTITY id INT ENTITY note CHAR(8);\n", encoding="utf-8")
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "A.csv").write_bytes(data)
+    return ("--schema", str(schema), "--data", str(tmp_path / "data"), "--query", "(A)")
+
+
+def test_csv_byte_that_is_not_utf8_exits_3(capsys, tmp_path):
+    code, out, err = run(capsys, *one_file_db(tmp_path, b"id,note\n1,ok\n2,\xe9t\xe9\n"))
+    assert code == 3 and out == ""
+    assert "error:" in err and "A.csv:3: byte 0xe9 is not UTF-8" in err
+
+
+def test_csv_cell_past_the_field_limit_exits_3(capsys, tmp_path):
+    big = b"id,note\n1," + b"x" * 200_000 + b"\n"
+    code, out, err = run(capsys, *one_file_db(tmp_path, big))
+    assert code == 3 and out == ""
+    assert "error:" in err and "A.csv:2: field larger than field limit" in err
+
+
+def test_schema_that_is_not_utf8_exits_3(capsys, tmp_path):
+    schema = tmp_path / "s.ddl"
+    schema.write_bytes(b"CONCEPT \xc3 IDENTITY id INT;\n")
+    code, out, err = run(capsys, "--schema", str(schema), "--query", "(A)")
+    assert code == 3 and out == ""
+    assert "error: cannot read" in err
+
+
+def test_script_that_is_not_utf8_exits_3(capsys, tmp_path):
+    script = tmp_path / "q.coql"
+    script.write_bytes(b"(Books);\n(\xff);\n")
+    code, out, err = run(capsys, *base_args("--script", str(script)))
+    assert code == 3 and out == ""
+    assert "error: cannot read" in err
+
+
 def test_mode_is_required(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--schema", str(SCHEMA)])

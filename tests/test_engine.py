@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import datetime
+import io
 import json
 import random
 from decimal import Decimal
@@ -208,6 +209,25 @@ def test_decimal_rejects_non_finite_values(tmp_path, cell):
             db.insert("A", 3, {"amount": value})
     assert db.query("(A | amount < 5)").identities == [(1,)]
     assert db.query("(A) -> amount").identities == [Decimal("2.5")]
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_load_csv_reports_a_byte_that_is_not_utf8(tmp_path, strict):
+    db = fresh()
+    f = tmp_path / "Addresses.csv"
+    f.write_bytes(b"id,country\n1,DE\n2,\xff\n3,FR\n")
+    with pytest.raises(FileError, match=r"Addresses.csv:3: byte 0xff is not UTF-8"):
+        engine.load_csv(db, "Addresses", f, strict=strict)
+    assert len(db.collections["Addresses"]) == 0 and db.version == 0
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_load_csv_reports_a_cell_past_the_field_limit(tmp_path, strict):
+    db = fresh()
+    f = write(tmp_path / "Addresses.csv", "id,country\n1,DE\n2,US\n3," + "x" * 131_073 + "\n")
+    with pytest.raises(FileError, match=r"Addresses.csv:4: field larger than field limit"):
+        engine.load_csv(db, "Addresses", f, strict=strict)
+    assert len(db.collections["Addresses"]) == 0 and db.version == 0
 
 
 def test_load_csv_header_must_match_fields(tmp_path):
@@ -631,3 +651,135 @@ def test_explain_lists_each_inference_route(royalties_db):
         "  up: (WriterBooks) -> book -> (Books)",
         "  up: (Books) -> publisher -> (Publishers)",
     ]
+
+
+# --- staged ingest against the row-at-a-time loader ---------------------------------
+
+
+BAD_CELLS = {
+    "integer": ("x1", "1.5", " ", "9" * 5000),
+    "decimal": ("NaN", "sNaN", "-nan", "Infinity", "-Inf", "1e", "abc"),
+    "date": ("2021-02-30", "03.05.2021", "x"),
+    "string": (),
+}
+
+
+def random_cell(rng: random.Random, db, f, file_identities: dict) -> str:
+    """A cell for field f: mostly valid, else NULL, badly typed or dangling."""
+    r = rng.random()
+    if r < 0.08:
+        return rng.choice(("", "NULL"))
+    if f.is_primitive:
+        if r < 0.16 and BAD_CELLS[f.type]:
+            return rng.choice(BAD_CELLS[f.type])
+        return engine.encode_scalar(oracle.rich_value(f.type, rng.randrange(60)))
+    dest = db.schema.concepts[f.type]
+    if r < 0.14:  # dangling, or a malformed composite
+        ident = tuple(oracle.rich_value(g.type, 500 + rng.randrange(9))
+                      for g in dest.identity_fields)
+        text = engine.encode_identity(ident)
+        if len(ident) > 1 and rng.random() < 0.5:
+            text = rng.choice((text[1:-1], text[:-1] + ",1)", "(1)", "()"))
+        return text
+    if r < 0.18:  # a non-finite component
+        text = engine.encode_identity(tuple(oracle.rich_value(g.type, 1)
+                                            for g in dest.identity_fields))
+        return text.replace("0.25", rng.choice(("NaN", "sNaN", "Inf")))
+    pool = list(db.collections[f.type].elements) + file_identities.get(f.type, [])
+    return engine.encode_identity(rng.choice(pool))
+
+
+def random_csv(rng: random.Random, db, name: str, path: Path, file_identities: dict) -> None:
+    """A CSV file for one collection: fresh rows and duplicates of the store and
+    of earlier rows, with bad cells, short and long rows, blank lines, quoted
+    line breaks and now and then a BOM."""
+    concept = db.schema.concepts[name]
+    header = [f.name for f in concept.fields]
+    rng.shuffle(header)
+    stored_ids = list(db.collections[name].elements)
+    mine = file_identities.setdefault(name, [])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for _ in range(rng.randint(0, 30)):
+        r = rng.random()
+        if r < 0.15 and stored_ids:
+            ident = rng.choice(stored_ids)
+        elif r < 0.3 and mine:
+            ident = rng.choice(mine)
+        else:
+            ident = tuple(oracle.rich_value(f.type, 100 + rng.randrange(40))
+                          for f in concept.identity_fields)
+        mine.append(ident)
+        cells = dict(zip((f.name for f in concept.identity_fields),
+                         map(engine.encode_scalar, ident)))
+        for f in concept.identity_fields:
+            if rng.random() < 0.05:
+                cells[f.name] = rng.choice(("", "NULL", *BAD_CELLS[f.type]))
+        for f in concept.entity_fields:
+            cells[f.name] = random_cell(rng, db, f, file_identities)
+        row = [cells[h] for h in header]
+        if rng.random() < 0.05:
+            row = row[:-1] if rng.random() < 0.5 else row + ["extra"]
+        writer.writerow(row)
+        if rng.random() < 0.05:
+            buf.write(rng.choice(("\r\n", "\n")))
+    bom = "\ufeff" if rng.random() < 0.3 else ""
+    path.write_bytes((bom + buf.getvalue()).encode("utf-8"))
+
+
+SMALL_RICH = dict(max_concepts=4, max_dims=2, max_elements=12, rich=True)
+
+
+def load_both(seed: int, load, oracle_load, *args):
+    """Run the staged loader and the row-at-a-time one on two copies of a
+    seeded database; compare what they report, raise and store."""
+    new = oracle.random_db(random.Random(seed), **SMALL_RICH)
+    old = oracle.random_db(random.Random(seed), **SMALL_RICH)
+    before, version = oracle.stored(new), new.version
+    try:
+        want = oracle_load(old, *args)
+    except FileError as e:
+        with pytest.raises(FileError) as got:
+            load(new, *args)
+        assert str(got.value) == str(e), seed
+        assert oracle.stored(new) == before and new.version == version, seed
+        return str(e)
+    got = load(new, *args)
+    assert oracle.stored(new) == oracle.stored(old), seed
+    assert new.version == old.version, seed
+    return got, want
+
+
+def test_staged_load_matches_the_row_at_a_time_loader(tmp_path):
+    messages = []
+    for seed in range(120):
+        rng = random.Random(seed)
+        shape = oracle.random_db(random.Random(seed), **SMALL_RICH)
+        data = tmp_path / f"s{seed}"
+        data.mkdir()
+        names = [n for n in engine.load_order(shape.schema) if rng.random() < 0.7]
+        file_identities: dict = {}
+        for name in names:
+            random_csv(rng, shape, name, data / f"{name}.csv", file_identities)
+        for strict in (False, True):
+            if names:  # the last file alone, its references checked against the store
+                out = load_both(seed, engine.load_csv, oracle.o_load_csv,
+                                names[-1], data / f"{names[-1]}.csv", strict)
+                if isinstance(out, tuple):
+                    got, want = out
+                    assert (got.inserted, got.rejected) == (want.inserted, want.rejected), seed
+                    messages += [m for _, m in got.rejected]
+                else:
+                    messages.append(out)
+            out = load_both(seed, engine.load_data_dir, oracle.o_load_data_dir, data, strict)
+            if isinstance(out, tuple):
+                (got, got_unmatched), (want, want_unmatched) = out
+                assert got_unmatched == want_unmatched
+                assert [(r.collection, r.inserted, r.rejected) for r in got] == [
+                    (r.collection, r.inserted, r.rejected) for r in want], seed
+    # every kind of bad row turned up
+    for kind in ("is not an integer", "is not a decimal", "not a finite decimal",
+                 "is not an ISO date", "is empty", "cannot be NULL", "references missing",
+                 "already exists", "values, expected", "components", "must look like"):
+        assert any(kind in m for m in messages), kind

@@ -270,17 +270,3 @@ def test_char_width_is_declarative_only():
     db.insert("A", 1, {"code": "abc"})
     db.insert("A", 2, {"code": "abcd"})
     assert db.collections["A"].elements[(2,)].entity["code"] == "abcd"
-
-
-# --- lesser elements -------------------------------------------------------
-
-
-def test_lessers_of_uses_reverse_index(colors_db):
-    db = colors_db
-    dim = db.schema.dimension("Z", "y")
-    below = model.lessers_of(db, dim, ("high",))
-    assert sorted(below) == [(3,), (4,)]
-    # a copy, never the index itself; no lesser elements gives an empty tuple
-    assert below is not db.collections["Y"].reverse[dim][("high",)]
-    assert isinstance(below, tuple)
-    assert model.lessers_of(db, dim, ("nowhere",)) == ()
