@@ -25,6 +25,7 @@ value_along is the one walk of a single element up a path.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -34,11 +35,15 @@ from .errors import (
     NonNumericPath,
     NoPath,
     PathNotComposable,
+    ProductTooLarge,
     ViaNotCommonLesser,
 )
 from .model import Dimension, DimensionPath, FieldSpec, Identity, Schema
 
 INDEPENDENT_WARNING = "independent collections: full target returned"
+
+# The most combinations iter_members may enumerate: seconds at 1-2.5 us each.
+MAX_PRODUCT_PAIRS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -146,7 +151,9 @@ def iter_members(db, product: ProductCollection,
     restrict optionally narrows individual factors to given identity sets
     before the cross product is formed, which keeps de-projections into
     large products from enumerating everything; a restricted factor
-    iterates its restriction, keeping only identities that exist.
+    iterates its restriction, keeping only identities that exist.  Raises
+    ProductTooLarge, before enumerating, when the factors' sizes multiply
+    to more than MAX_PRODUCT_PAIRS.
     """
     axes = []
     elements = []
@@ -157,6 +164,12 @@ def iter_members(db, product: ProductCollection,
         else:
             axes.append(els.keys())
         elements.append(els)
+    pairs = math.prod(map(len, axes))
+    if pairs > MAX_PRODUCT_PAIRS:
+        factors = " x ".join(f"{c} {a} ({len(axis):,})"
+                             for (a, c), axis in zip(product.factors, axes))
+        raise ProductTooLarge(f"product '{product.name}' of {factors} would examine "
+                              f"{pairs:,} pairs, more than the {MAX_PRODUCT_PAIRS:,} allowed")
     predicate = product.predicate
     if predicate is None:
         yield from itertools.product(*axes)

@@ -4,8 +4,11 @@ A Database owns one schema, one collection per concept, and a registry of
 named product collections.  Mutation is insert-only and bumps a version
 counter.  Nothing is locked or pinned: a query reads the live storage, so
 an insert made while a query runs can leave its answer inconsistent.
-Query results come back as ResultSet values holding raw python values;
-the render_* functions turn them into text.
+Query results come back as ResultSet values held column-wise: the sorted
+member identities and, for a collection, each member's stored values
+tuple; rows are built as dicts only when read.  build_result picks one
+encoder per column from the schema, and the render_* functions map each
+column through it.
 """
 
 from __future__ import annotations
@@ -14,9 +17,14 @@ import csv
 import datetime
 import io
 import json
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from decimal import Decimal
+from functools import partial
+from itertools import repeat
 from pathlib import Path
+from typing import Callable
 
 from . import algebra, model
 from .algebra import ElementSet, PrimitiveDomain, ProductCollection
@@ -457,60 +465,148 @@ def execute_statement(db: Database, text: str):
 
 # --- results and rendering ---------------------------------------------------------
 
+# the text of a primitive value, by field type
+_TEXT = {"integer": str, "string": str, "decimal": str, "date": datetime.date.isoformat}
+_FIRST = operator.itemgetter(0)
+
+
+def _encoder(schema: model.Schema, ftype: str):
+    """The encoder of a column holding values of a primitive type or references to a concept.
+
+    It maps a column of non-NULL cells to their texts.
+    """
+    text = _TEXT.get(ftype)
+    if text is not None:
+        return partial(map, text)
+    fields = schema.concepts[ftype].identity_fields
+    if len(fields) > 1:
+        return partial(map, encode_identity)
+    text = _TEXT[fields[0].type]
+    return lambda column: map(text, map(_FIRST, column))
+
+
+def _json_encoder(schema: model.Schema, ftype: str):
+    """As _encoder, but INT and CHAR values stay a JSON number and a JSON string."""
+    return iter if ftype in ("integer", "string") else _encoder(schema, ftype)
+
+
+class _Rows(Sequence):
+    """A result's rows as {column: value} dicts, each built when it is read."""
+
+    def __init__(self, rs: "ResultSet"):
+        self._rs = rs
+
+    def __len__(self) -> int:
+        return len(self._rs.identities)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        rs = self._rs
+        cells = rs.identities[k]
+        if rs.kind == "collection":
+            cells = cells + rs.values[k]
+        elif rs.kind == "primitive":
+            cells = (cells,)
+        return dict(zip(rs.columns, cells))
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
 
 @dataclass
 class ResultSet:
+    """The answer to a query, held column-wise.
+
+    identities are the sorted members: identity tuples of a collection,
+    primitive values, or tuples of factor identities of a product.  A
+    collection result also holds each member's stored values tuple.
+    build_result picks one encoder per column; rows builds its dicts only
+    when read.
+    """
+
     kind: str                  # collection | primitive | product
     tag: str                   # name of the domain the members live in
     columns: tuple[str, ...]
-    rows: list[dict]
     identities: list
     members: ElementSet
     warnings: tuple[str, ...] = ()
+    values: list | None = None  # collection: the stored values tuple of each member
+    # per column, as _encoder and _json_encoder; of the identities, None for a product
+    encoders: tuple = field(default=(), compare=False)
+    json_encoders: tuple = field(default=(), compare=False)
+    identity_encoder: Callable | None = field(default=None, compare=False)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.identities)
+
+    @property
+    def rows(self) -> Sequence[dict]:
+        return _Rows(self)
 
 
 def build_result(db, eset: ElementSet, warnings: tuple[str, ...] = ()) -> ResultSet:
     domain = eset.domain
-    if isinstance(domain, PrimitiveDomain):
-        values = sorted(eset.members)
-        rows = [{domain.field: v} for v in values]
-        return ResultSet("primitive", str(domain), (domain.field,), rows, values,
-                         eset, warnings)
-    if isinstance(domain, ProductCollection):
-        members = sorted(eset.members)
-        aliases = tuple(a for a, _ in domain.factors)
-        rows = [dict(zip(aliases, m)) for m in members]
-        return ResultSet("product", domain.name, aliases, rows, members, eset, warnings)
-    elements = db.collections[domain].elements
-    columns = tuple(f.name for f in db.schema.concept(domain).fields)
+    schema = db.schema
     identities = sorted(eset.members)
-    rows = [dict(zip(columns, ident + elements[ident].values)) for ident in identities]
-    return ResultSet("collection", domain, columns, rows, identities, eset, warnings)
+    if isinstance(domain, PrimitiveDomain):
+        encoder = _encoder(schema, domain.type)
+        return ResultSet("primitive", str(domain), (domain.field,), identities, eset, warnings,
+                         None, (encoder,), (_json_encoder(schema, domain.type),), encoder)
+    if isinstance(domain, ProductCollection):
+        aliases = tuple(a for a, _ in domain.factors)
+        encoders = tuple(_encoder(schema, c) for _, c in domain.factors)
+        return ResultSet("product", domain.name, aliases, identities, eset, warnings,
+                         None, encoders, encoders)
+    coll = db.collections[domain]
+    fields = coll.concept.fields
+    elements = coll.elements
+    return ResultSet("collection", domain, tuple(f.name for f in fields), identities, eset,
+                     warnings, [elements[i].values for i in identities],
+                     tuple(_encoder(schema, f.type) for f in fields),
+                     tuple(_json_encoder(schema, f.type) for f in fields),
+                     _encoder(schema, domain))
 
 
-def _cell(v, null: str) -> str:
-    if v is None:
-        return null
-    if isinstance(v, tuple):
-        return encode_identity(v)
-    return encode_scalar(v)
+def _columns(rs: ResultSet) -> list:
+    """The result's cells column by column, in the order of rs.columns.
+
+    One itemgetter pass per column: zip(*rows) would make an iterator per row.
+    """
+    if rs.kind == "primitive":
+        return [rs.identities]
+    if not rs.identities:
+        return [()] * len(rs.columns)
+    arity = len(rs.identities[0])
+    columns = [list(map(operator.itemgetter(k), rs.identities)) for k in range(arity)]
+    if rs.values is not None:
+        columns += (list(map(operator.itemgetter(k), rs.values))
+                    for k in range(len(rs.columns) - arity))
+    return columns
+
+
+def _encode(column, encoder, null) -> list:
+    """A column through its encoder, NULL cells reading null."""
+    if not any(map(operator.is_, column, repeat(None))):  # `in` would call __eq__
+        return list(encoder(column))
+    cells = iter(encoder([v for v in column if v is not None]))
+    return [null if v is None else next(cells) for v in column]
+
+
+def _texts(rs: ResultSet, null: str) -> list[list[str]]:
+    return [_encode(c, e, null) for c, e in zip(_columns(rs), rs.encoders)]
 
 
 def render_table(rs: ResultSet) -> str:
-    header = list(rs.columns)
-    body = [[_cell(row[c], "NULL") for c in rs.columns] for row in rs.rows]
-    widths = [len(h) for h in header]
-    for line in body:
-        for k, cell in enumerate(line):
-            widths[k] = max(widths[k], len(cell))
-    def fmt(cells):
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-    lines = [fmt(header), fmt("-" * w for w in widths)]
-    lines.extend(fmt(line) for line in body)
-    n = len(rs.rows)
+    padded = []
+    for name, cells in zip(rs.columns, _texts(rs, "NULL")):
+        w = max(len(name), max(map(len, cells), default=0))
+        padded.append([name.ljust(w), "-" * w, *map(str.ljust, cells, repeat(w))])
+    lines = list(map(str.rstrip, map("  ".join, zip(*padded))))
+    n = len(rs)
     lines.append(f"({n} row{'' if n == 1 else 's'})")
     return "\n".join(lines)
 
@@ -519,29 +615,21 @@ def render_csv(rs: ResultSet) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(rs.columns)
-    for row in rs.rows:
-        w.writerow([_cell(row[c], "") for c in rs.columns])
+    w.writerows(zip(*_texts(rs, "")))
     return buf.getvalue().rstrip("\n")
 
 
-def _json_value(v):
-    if v is None or isinstance(v, (str, int)):
-        return v
-    if isinstance(v, tuple):
-        return encode_identity(v)
-    return encode_scalar(v)  # Decimal and date render as strings
-
-
 def render_json(rs: ResultSet) -> str:
+    """One JSON object per row, plus the member's text under "_identity"."""
+    cells = [_encode(c, e, None) for c, e in zip(_columns(rs), rs.json_encoders)]
+    if rs.identity_encoder is None:  # a product: every cell is a factor identity's text
+        keys = ("(" + ",".join(row) + ")" for row in zip(*cells))
+    else:
+        keys = rs.identity_encoder(rs.identities)
     lines = []
-    for row, ident in zip(rs.rows, rs.identities):
-        obj = {c: _json_value(row[c]) for c in rs.columns}
-        if rs.kind == "collection":
-            obj["_identity"] = encode_identity(ident)
-        elif rs.kind == "product":
-            obj["_identity"] = "(" + ",".join(encode_identity(i) for i in ident) + ")"
-        else:
-            obj["_identity"] = encode_scalar(ident)
+    for row, key in zip(zip(*cells), keys):
+        obj = dict(zip(rs.columns, row))
+        obj["_identity"] = key
         lines.append(json.dumps(obj, ensure_ascii=False))
     return "\n".join(lines)
 

@@ -90,6 +90,12 @@ class NonNumericPath(PathError):
     pass
 
 
+# query execution
+
+class ProductTooLarge(ComdbError):
+    """A product would enumerate more factor combinations than comdb allows."""
+
+
 # query and DDL text
 
 class QueryError(ComdbError):

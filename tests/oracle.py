@@ -11,7 +11,8 @@ tree on one element, reading values by following the references the
 elements hold, never through the resolver or the forward maps.
 
 Also holds the seeded random schema/instance generator used by the
-randomized comparison tests.
+randomized comparison tests, and the earlier row-at-a-time loader and
+renderers that the staged loader and the column-wise renderers must match.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from __future__ import annotations
 import csv
 import datetime
 import io
+import json
 import operator
 import random
 from decimal import Decimal, InvalidOperation
 
-from comdb import engine, model
+from comdb import algebra, engine, model
 from comdb.coql import ast
 from comdb.errors import (DanglingReference, DataError, DuplicateIdentity, FileError,
                           HeaderMismatch, NullViolation, TypeMismatch)
@@ -543,3 +545,80 @@ def stored(db) -> dict:
                 for d, rmap in coll.reverse.items()})
         for name, coll in db.collections.items()
     }
+
+
+# --- the row-at-a-time renderers ------------------------------------------------------
+#
+# Rendering as it was before results were held column-wise: every row is a
+# dict, and every cell picks its encoding from its python type.  The
+# column-wise renderers must print the same text, byte for byte.
+
+
+def _o_cell(v, null: str) -> str:
+    if v is None:
+        return null
+    if isinstance(v, tuple):
+        return engine.encode_identity(v)
+    return engine.encode_scalar(v)
+
+
+def o_render_table(rs) -> str:
+    header = list(rs.columns)
+    body = [[_o_cell(row[c], "NULL") for c in rs.columns] for row in rs.rows]
+    widths = [len(h) for h in header]
+    for line in body:
+        for k, cell in enumerate(line):
+            widths[k] = max(widths[k], len(cell))
+
+    def fmt(cells):
+        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
+    lines = [fmt(header), fmt("-" * w for w in widths)]
+    lines.extend(fmt(line) for line in body)
+    n = len(rs.rows)
+    lines.append(f"({n} row{'' if n == 1 else 's'})")
+    return "\n".join(lines)
+
+
+def o_render_csv(rs) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(rs.columns)
+    for row in rs.rows:
+        w.writerow([_o_cell(row[c], "") for c in rs.columns])
+    return buf.getvalue().rstrip("\n")
+
+
+def _o_json_value(v):
+    if v is None or isinstance(v, (str, int)):
+        return v
+    if isinstance(v, tuple):
+        return engine.encode_identity(v)
+    return engine.encode_scalar(v)  # Decimal and date render as strings
+
+
+def o_render_json(rs) -> str:
+    lines = []
+    for row, ident in zip(rs.rows, rs.identities):
+        obj = {c: _o_json_value(row[c]) for c in rs.columns}
+        if rs.kind == "collection":
+            obj["_identity"] = engine.encode_identity(ident)
+        elif rs.kind == "product":
+            obj["_identity"] = "(" + ",".join(engine.encode_identity(i) for i in ident) + ")"
+        else:
+            obj["_identity"] = engine.encode_scalar(ident)
+        lines.append(json.dumps(obj, ensure_ascii=False))
+    return "\n".join(lines)
+
+
+def o_rows(db, eset) -> list[dict]:
+    """A result's rows built eagerly, as build_result built them."""
+    domain = eset.domain
+    members = sorted(eset.members)
+    if isinstance(domain, str):
+        concept = db.schema.concept(domain)
+        names = [f.name for f in concept.fields]
+        elements = db.collections[domain].elements
+        return [dict(zip(names, ident + elements[ident].values)) for ident in members]
+    if isinstance(domain, algebra.ProductCollection):
+        return [dict(zip((a for a, _ in domain.factors), m)) for m in members]
+    return [{domain.field: v} for v in members]

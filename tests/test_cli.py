@@ -72,6 +72,20 @@ def test_unknown_collection_exits_2(capsys):
     assert "Nope" in err
 
 
+def test_product_past_the_pair_bound_exits_2(capsys, tmp_path):
+    schema = tmp_path / "s.ddl"
+    schema.write_text("CONCEPT A IDENTITY id INT;\n", encoding="utf-8")
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "A.csv").write_text("id\n" + "".join(f"{i}\n" for i in range(127)),
+                                encoding="utf-8")
+    code, out, err = run(capsys, "--schema", str(schema), "--data", str(data),
+                         "--query", "(A a, A b, A c)")
+    assert code == 2 and out == ""
+    assert ("error: product '(A a, A b, A c)' of A a (127) x A b (127) x A c (127) "
+            "would examine 2,048,383 pairs, more than the 2,000,000 allowed") in err
+
+
 def test_unreadable_schema_exits_3(capsys, tmp_path):
     code, out, err = run(
         capsys, "--schema", str(tmp_path / "none.ddl"), "--query", "(X)"

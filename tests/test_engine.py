@@ -1,9 +1,12 @@
 """Ingest, identity encoding, versioning, execution, and rendering."""
 
+import collections
 import csv
 import dataclasses
 import datetime
+import gc
 import io
+import itertools
 import json
 import random
 from decimal import Decimal
@@ -14,7 +17,8 @@ import pytest
 import oracle
 from comdb import algebra, engine, model
 from comdb.coql.parser import parse_query
-from comdb.errors import FileError, HeaderMismatch, ResolveError, TypeMismatch, UnknownCollection
+from comdb.errors import (FileError, HeaderMismatch, ProductTooLarge, ResolveError,
+                          TypeMismatch, UnknownCollection)
 
 SCHEMA = """
 CONCEPT Addresses IDENTITY id INT ENTITY country CHAR(2) NOT NULL;
@@ -320,6 +324,39 @@ def test_execute_statement_routes_products_and_queries(market_db):
     assert rs.identities == [((1,), (10,)), ((2,), (20,))]
 
 
+PAIRS = """
+CONCEPT A IDENTITY id INT;
+CONCEPT B IDENTITY id INT;
+CONCEPT C IDENTITY id INT;
+"""
+
+
+def test_a_product_past_the_pair_bound_raises_before_enumerating(monkeypatch):
+    db = fresh(PAIRS)
+    for i in range(4):
+        db.insert("A", i)
+    for i in range(3):
+        db.insert("B", i)
+        db.insert("C", i)
+    engine.execute_statement(db, "P = (A a, B b)")
+    monkeypatch.setattr(algebra, "MAX_PRODUCT_PAIRS", 11)
+    with pytest.raises(ProductTooLarge, match=r"^product '\(A a, B b\)' of A a \(4\) x "
+                       r"B b \(3\) would examine 12 pairs, more than the 11 allowed$"):
+        db.query("(A a, B b)")
+    calls = []
+    db.register_product(algebra.make_product(
+        "Q", [("a", "A"), ("b", "B")], lambda db, subject: calls.append(subject) or True))
+    for query in ("(P)", "(Q)", "(A a, B b | a.id == b.id)",
+                  "(C) <-*-> (P)"):  # independent: the whole product would be the answer
+        with pytest.raises(ProductTooLarge, match="12 pairs"):
+            db.query(query)
+    assert calls == []  # no pair was examined
+    # a restricted factor counts its restriction: 2 x 3 pairs
+    assert len(db.query("(A | id < 2) <-* (P)")) == 6
+    monkeypatch.setattr(algebra, "MAX_PRODUCT_PAIRS", 12)
+    assert len(db.query("(A a, B b)")) == 12
+
+
 def test_register_product_rejects_a_collection_name(market_db):
     clash = algebra.make_product("Shops", [("wb", "WriterBooks"), ("s", "Sellers")])
     with pytest.raises(ResolveError, match="'Shops' is already a collection"):
@@ -552,6 +589,107 @@ def test_render_dispatch_rejects_unknown_format(catalog_db):
     assert engine.render(rs, "csv") == engine.render_csv(rs)
     with pytest.raises(ValueError):
         engine.render(rs, "yaml")
+
+
+# CHAR values that quoting, padding and NULL handling must keep apart
+TRICKY = ("a,b", 'say "hi"', "(x)", "x))(", "pad  ", "NULL", "", " ", "l1\nl2 ", "é,(")
+
+
+def tricky_db(rng: random.Random) -> engine.Database:
+    """A random_db(rich=True) database plus, in each collection, elements
+    whose CHAR values, identity ones included, are the TRICKY texts."""
+    db = oracle.random_db(rng, max_elements=60, rich=True)
+    for name, coll in sorted(db.collections.items()):
+        concept = coll.concept
+        pools = {f.name: list(db.collections[f.type].elements)
+                 for f in concept.entity_fields if not f.is_primitive}
+        for k, text in enumerate(TRICKY):
+            ident = tuple(text if f.type == "string" else oracle.rich_value(f.type, 900 + k)
+                          for f in concept.identity_fields)
+            entity = {}
+            for j, f in enumerate(concept.entity_fields):
+                if f.nullable and rng.random() < 0.3:
+                    continue
+                if not f.is_primitive:
+                    entity[f.name] = rng.choice(pools[f.name])
+                elif f.type == "string":
+                    entity[f.name] = TRICKY[(k + j) % len(TRICKY)]
+                else:
+                    entity[f.name] = oracle.rich_value(f.type, rng.randrange(60))
+            db.insert(name, ident, entity)
+    return db
+
+
+def random_results(rng: random.Random, db):
+    """(ResultSet, ElementSet) pairs: random subsets of every collection, of
+    every primitive field's values, and of products of two collections."""
+    names = sorted(db.collections)
+    for name in names:
+        eset = algebra.ElementSet(name, oracle.random_members(rng, db, name))
+        yield engine.build_result(db, eset), eset
+        for f in db.schema.concepts[name].fields:
+            if f.is_primitive:
+                values = algebra.project_values(db, algebra.full_set(db, name), (), f)
+                eset = algebra.ElementSet(values.domain, frozenset(
+                    v for v in values.members if rng.random() < 0.6))
+                yield engine.build_result(db, eset), eset
+    for _ in range(3):
+        a, b = rng.choice(names), rng.choice(names)
+        product = algebra.make_product("P", [("a", a), ("b", b)])
+        pairs = itertools.product(oracle.random_members(rng, db, a),
+                                  oracle.random_members(rng, db, b))
+        eset = algebra.ElementSet(product, frozenset(p for p in pairs if rng.random() < 0.2))
+        yield engine.build_result(db, eset), eset
+
+
+def test_renderers_match_the_row_at_a_time_renderers():
+    """Table, CSV and JSON text equal the oracle's, byte for byte, on random typed results."""
+    seen = collections.Counter()
+    for seed in range(40):
+        rng = random.Random(seed)
+        db = tricky_db(rng)
+        for rs, eset in random_results(rng, db):
+            assert engine.render_table(rs) == oracle.o_render_table(rs), (seed, rs.tag)
+            assert engine.render_csv(rs) == oracle.o_render_csv(rs), (seed, rs.tag)
+            assert engine.render_json(rs) == oracle.o_render_json(rs), (seed, rs.tag)
+            seen[rs.kind] += 1
+            seen["empty"] += not rs.identities
+            for row in oracle.o_rows(db, eset):
+                for v in row.values():
+                    seen["null" if v is None else "composite" if isinstance(v, tuple) and
+                         len(v) > 1 else type(v).__name__] += 1
+                    if v in TRICKY:
+                        seen[v] += 1
+    for case in ("collection", "primitive", "product", "empty", "null", "composite",
+                 "date", "Decimal", "int", *TRICKY):
+        assert seen[case] >= 5, (case, seen)
+
+
+def test_rows_are_built_when_read_and_slice_into_plain_lists():
+    for seed in range(12):
+        rng = random.Random(seed)
+        db = tricky_db(rng)
+        for rs, eset in random_results(rng, db):
+            want = oracle.o_rows(db, eset)
+            rows = rs.rows
+            assert rs.identities == sorted(eset.members)
+            assert len(rows) == len(rs) == len(want)
+            assert rows == want and want == rows and list(rows) == want
+            n = len(want)
+            if n:
+                assert rows[0] == want[0] and rows[-1] == want[-1] and rows[-n] == want[0]
+            with pytest.raises(IndexError):
+                rows[n]
+            with pytest.raises(IndexError):
+                rows[-n - 1]
+            if rs.kind == "collection":
+                arity = len(db.collections[rs.tag].concept.identity_fields)
+                assert [tuple(r.values())[:arity] for r in rows] == rs.identities
+            head = rs.rows[:1]
+            assert type(head) is list and head == want[:1]
+            assert all(type(row) is dict for row in head)
+            held = gc.get_referents(head) + [x for row in head for x in gc.get_referents(row)]
+            assert not any(x is rs or x is rs.values or x is rs.identities for x in held)
 
 
 # --- outlines -----------------------------------------------------------------------
