@@ -1,9 +1,14 @@
 """Set operations over collections: projection, de-projection, inference.
 
-All operations take and return ElementSet values: an immutable set of
-identities tagged with the domain they belong to.  A domain is a collection
-name, a primitive domain (the values of one primitive field) or a product
-collection built from several factor collections and a membership predicate.
+All public operations take and return ElementSet values: an immutable set
+of identities tagged with the domain they belong to.  A domain is a
+collection name, a primitive domain (the values of one primitive field) or
+a product collection built from several factor collections and a
+membership predicate.  Inside, a set over a collection is a set of its int
+rows (model.Collection): the public operations convert identities to rows
+on the way in and back on the way out, and the engine runs whole plans on
+rows.  Primitive values and product members, tuples of factor identities,
+are never converted.
 
 Projection moves up the partial order and deduplicates; de-projection moves
 down and fans out.  NULL references contribute nothing in either direction.
@@ -15,17 +20,19 @@ decided in one place, the router (route_path, route_star_project,
 route_star_deproject, route_infer), which keeps for each leg the sub-DAG of
 dimensions lying on some path between its ends.  Projection and
 de-projection along one named path are legs holding that one path.  The
-runner (run_route) visits a leg's sub-DAG in topological order, pushes the
-set along each dimension once and unites where dimensions meet.  Image and
-preimage distribute over union, so this equals the union over paths at a
-cost of one pass per dimension, however many paths there are.
-value_along is the one walk of a single element up a path.
+runner (_run_route, on rows; run_route converts around it) visits a leg's
+sub-DAG in topological order, pushes the set along each dimension once and
+unites where dimensions meet.  Image and preimage distribute over union, so
+this equals the union over paths at a cost of one pass per dimension,
+however many paths there are.  _value_at is the one walk of a single
+element up a path; value_along is its identity-keyed form.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from itertools import chain, compress
 from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -155,15 +162,13 @@ def iter_members(db, product: ProductCollection,
     ProductTooLarge, before enumerating, when the factors' sizes multiply
     to more than MAX_PRODUCT_PAIRS.
     """
-    axes = []
-    elements = []
+    axes = []  # each factor's Elements
     for alias, cname in product.factors:
-        els = db.collections[cname].elements
+        coll = db.collections[cname]
         if restrict is not None and alias in restrict:
-            axes.append([i for i in restrict[alias] if i in els])
+            axes.append([el for el in map(coll.elements.get, restrict[alias]) if el is not None])
         else:
-            axes.append(els.keys())
-        elements.append(els)
+            axes.append(coll.rows)
     pairs = math.prod(map(len, axes))
     if pairs > MAX_PRODUCT_PAIRS:
         factors = " x ".join(f"{c} {a} ({len(axis):,})"
@@ -172,12 +177,12 @@ def iter_members(db, product: ProductCollection,
                               f"{pairs:,} pairs, more than the {MAX_PRODUCT_PAIRS:,} allowed")
     predicate = product.predicate
     if predicate is None:
-        yield from itertools.product(*axes)
+        yield from itertools.product(*([el.identity for el in axis] for axis in axes))
         return
     aliases = [a for a, _ in product.factors]
     for combo in itertools.product(*axes):
-        if predicate(db, {a: e[i] for a, e, i in zip(aliases, elements, combo)}):
-            yield combo
+        if predicate(db, dict(zip(aliases, combo))):
+            yield tuple(el.identity for el in combo)
 
 
 def product_members(db, product: ProductCollection) -> ElementSet:
@@ -198,16 +203,21 @@ def project_values(db, eset: ElementSet, dims: Sequence[Dimension],
     if dims:
         eset = project(db, eset, DimensionPath(tuple(dims)))
     coll = db.collections[eset.domain]
-    concept = coll.concept
-    k = concept.position(fld.name)
-    arity = len(concept.identity_fields)
+    return ElementSet(PrimitiveDomain(coll.name, fld.name, fld.type),
+                      frozenset(_field_values(coll, coll.rows_of(eset.members), fld)))
+
+
+def _field_values(coll, rows, fld: FieldSpec) -> set:
+    """The values one primitive field takes over some rows of a collection, without NULL."""
+    k = coll.concept.position(fld.name)
+    arity = len(coll.concept.identity_fields)
+    elements = map(coll.rows.__getitem__, rows)
     if k < arity:
-        values = {ident[k] for ident in eset.members}
-    else:
-        elements = coll.elements
-        values = {elements[ident].values[k - arity] for ident in eset.members}
-        values.discard(None)
-    return ElementSet(PrimitiveDomain(concept.name, fld.name, fld.type), frozenset(values))
+        return {el.identity[k] for el in elements}
+    k -= arity
+    values = {el.values[k] for el in elements}
+    values.discard(None)
+    return values
 
 
 # --- de-projection ----------------------------------------------------------
@@ -225,6 +235,11 @@ def deproject_values(db, collection: str, field_name: str, values: Iterable) -> 
     NULL field never matches.
     """
     coll = db.collections[collection]
+    return ElementSet(collection, coll.identities_of(_owner_rows(coll, field_name, values)))
+
+
+def _owner_rows(coll, field_name: str, values: Iterable) -> set:
+    """The rows of a collection whose primitive field takes one of the values."""
     concept = coll.concept
     fld = concept.field(field_name)
     if fld is None or not fld.is_primitive:
@@ -232,17 +247,13 @@ def deproject_values(db, collection: str, field_name: str, values: Iterable) -> 
     wanted = {v for v in values if v is not None}
     k = concept.position(field_name)
     arity = len(concept.identity_fields)
-    elements = coll.elements
     if arity == 1 and k == 0:
-        # the whole identity: look each value up, keeping the stored tuple
-        found = (elements.get((v,)) for v in wanted)
-        members = frozenset(el.identity for el in found if el is not None)
-    elif k < arity:
-        members = frozenset(i for i in elements if i[k] in wanted)
-    else:
-        k -= arity
-        members = frozenset(i for i, el in elements.items() if el.values[k] in wanted)
-    return ElementSet(collection, members)
+        # the whole identity: look each value up
+        return coll.rows_of((v,) for v in wanted)
+    if k < arity:
+        return {el.row for el in coll.rows if el.identity[k] in wanted}
+    k -= arity
+    return {el.row for el in coll.rows if el.values[k] in wanted}
 
 
 def intersect_deprojections(esets: Sequence[ElementSet]) -> ElementSet:
@@ -452,6 +463,7 @@ def route_infer(schema: Schema, source: Domain, target: Domain, via=None) -> Rou
 def _run_leg(db, members, leg: Leg):
     """Push a set along every edge of a leg in order, uniting where edges meet.
 
+    Members are rows, or tuples of factor identities at a product end.
     Image and preimage distribute over union, so this equals the union over
     every path of the leg, at a cost of one pass per edge.
     """
@@ -461,58 +473,78 @@ def _run_leg(db, members, leg: Leg):
         for d in leg.edges:
             cur = at.get(d.destination)
             if cur:
-                rmap = colls[d.destination].reverse[d]
-                nxt = at.setdefault(d.source, set())
-                for i in cur:
-                    nxt.update(rmap.get(i, ()))
+                lessers = colls[d.destination].reverse[d]
+                at.setdefault(d.source, set()).update(
+                    chain.from_iterable(map(lessers.__getitem__, cur)))
         if not leg.factors:
             return at.get(leg.target, ())
         out: set = set()
         for f in leg.factors:
             keep = at.get(f.destination)
             if keep:
-                out.update(iter_members(db, leg.target, restrict={f.name: keep}))
+                restrict = {f.name: colls[f.destination].identities_of(keep)}
+                out.update(iter_members(db, leg.target, restrict=restrict))
         return out
     at = {}
     if leg.factors:
         for f in leg.factors:
             idx = leg.source.alias_index[f.name]
-            at.setdefault(f.destination, set()).update(m[idx] for m in members)
+            elements = colls[f.destination].elements
+            at.setdefault(f.destination, set()).update(elements[m[idx]].row for m in members)
     else:
         at[leg.source] = members
     for d in leg.edges:
         cur = at.get(d.source)
         if not cur:
             continue
-        coll = colls[d.source]
         nxt = at.setdefault(d.destination, set())
-        if len(cur) == len(coll):
-            # the whole collection (the store is insert-only): its image is
-            # every element referenced along d, which the reverse index keys
-            nxt.update(colls[d.destination].reverse[d].keys())
+        if len(cur) == len(colls[d.source]):
+            # the whole collection: its image is every row referenced along
+            # d, which is every row whose reverse list is not empty
+            lessers = colls[d.destination].reverse[d]
+            nxt.update(compress(range(len(lessers)), lessers))
         else:
-            nxt.update(map(coll.forward[d.name].__getitem__, cur))
-            nxt.discard(None)
+            nxt.update(map(colls[d.source].forward[d.name].__getitem__, cur))
+            nxt.discard(-1)
     return at.get(leg.target, ())
+
+
+def _run_route(db, members, route: Route):
+    """Move members along a route: rows of a collection, else values or product members.
+
+    The one runner; run_route and the engine both call it.
+    """
+    target = route.target
+    if route.warning is not None:
+        if isinstance(target, ProductCollection):
+            return product_members(db, target).members
+        return range(len(db.collections[target]))
+    if not route.ways:
+        return members
+    got = []
+    for _, down, up in route.ways:
+        moved = members
+        for leg in (down, up):
+            if leg is not None:
+                moved = _run_leg(db, moved, leg)
+        got.append(moved)
+    return got[0] if len(got) == 1 else set().union(*got)
+
+
+def _to_rows(db, domain: Domain, members):
+    """Members of a domain as the runner holds them: rows for a collection."""
+    return db.collections[domain].rows_of(members) if isinstance(domain, str) else members
 
 
 def run_route(db, eset: ElementSet, route: Route) -> ElementSet:
     """Move a set along a route planned for its domain; no routing happens here."""
-    target = route.target
-    if route.warning is not None:
-        if isinstance(target, ProductCollection):
-            return product_members(db, target)
-        return full_set(db, target)
-    if not route.ways:
+    if not route.ways and route.warning is None:
         return eset
-    got = []
-    for _, down, up in route.ways:
-        members = eset.members
-        for leg in (down, up):
-            if leg is not None:
-                members = _run_leg(db, members, leg)
-        got.append(members)
-    return ElementSet(target, frozenset().union(*got))
+    target = route.target
+    moved = _run_route(db, _to_rows(db, eset.domain, eset.members), route)
+    if isinstance(target, str):
+        moved = db.collections[target].identities_of(moved)
+    return ElementSet(target, frozenset(moved))
 
 
 def star_project(db, eset: ElementSet, target: str) -> ElementSet:
@@ -564,17 +596,24 @@ def value_along(db, collection: str, ident: Identity,
     arrive at; with position None the value is the identity of the
     endpoint element.
     """
+    return _value_at(db, collection, db.collections[collection].elements[ident].row,
+                     dims, position)
+
+
+def _value_at(db, collection: str, row: int, dims: Sequence[Dimension], position: int | None):
+    """value_along from an element's row: the one walk along forward lists."""
     colls = db.collections
     for seg in dims:
-        ident = colls[collection].forward[seg.name][ident]
-        if ident is None:
+        row = colls[collection].forward[seg.name][row]
+        if row < 0:
             return None
         collection = seg.destination
+    el = colls[collection].rows[row]
     if position is None:
-        return ident
-    if position < len(ident):
-        return ident[position]
-    return colls[collection].elements[ident].values[position - len(ident)]
+        return el.identity
+    if position < len(el.identity):
+        return el.identity[position]
+    return el.values[position - len(el.identity)]
 
 
 def sum_values(db, eset: ElementSet, path: FieldPath):
@@ -588,17 +627,23 @@ def sum_values(db, eset: ElementSet, path: FieldPath):
             f"sum path starts at '{path.source}' but the set is over "
             f"'{domain_name(eset.domain)}'"
         )
+    return _sum_rows(db, db.collections[path.source].rows_of(eset.members), path)
+
+
+def _sum_rows(db, rows, path: FieldPath):
+    """sum_values over rows of path.source, the path checked already."""
     coll = db.collections[path.dims[-1].destination if path.dims else path.source]
     k = coll.concept.position(path.field.name)
     arity = len(coll.concept.identity_fields)
     if path.dims:
-        values = (value_along(db, path.source, i, path.dims, k) for i in eset.members)
-    elif k < arity:
-        values = (i[k] for i in eset.members)
+        values = (_value_at(db, path.source, r, path.dims, k) for r in rows)
     else:
         # a field of the set's own elements is read in place
-        k -= arity
-        elements = coll.elements
-        values = (elements[i].values[k] for i in eset.members)
+        elements = map(coll.rows.__getitem__, rows)
+        if k < arity:
+            values = (el.identity[k] for el in elements)
+        else:
+            k -= arity
+            values = (el.values[k] for el in elements)
     # filter drops each NULL, and the zeros it drops too add nothing
     return sum(filter(None, values), Decimal(0) if path.field.type == "decimal" else 0)

@@ -27,9 +27,8 @@ from ..algebra import (
     route_path,
     route_star_deproject,
     route_star_project,
-    sum_values,
-    value_along,
-    ElementSet,
+    _sum_rows,
+    _value_at,
 )
 from ..errors import (
     AmbiguousPath,
@@ -136,10 +135,10 @@ def _compile_path(ctx: _Ctx, node: ast.PathTerm) -> PathValue:
     concept = ctx.schema.concept(owner)
     k = None if f is None else concept.position(f.name)
     arity = len(concept.identity_fields)
-    # a field of the subject itself is read in place; value_along walks the rest
+    # a field of the subject itself is read in place; _value_at walks the rest from its row
     if dims or k is None:
         def at(db, el):
-            return value_along(db, start, el.identity, dims, k)
+            return _value_at(db, start, el.row, dims, k)
     elif k < arity:
         def at(db, el):
             return el.identity[k]
@@ -244,14 +243,14 @@ def _compile_agg(ctx: _Ctx, node: ast.AggTerm) -> AggValue:
     collection = node.collection
 
     def read(db, el):
-        # the reverse index's entry, read in place: it lists each lesser once
-        members = db.collections[subject].reverse[dim].get(el.identity, ())
+        # the reverse list of the element's row, read in place: it lists each lesser once
+        members = db.collections[subject].reverse[dim][el.row]
         if inner is not None:
-            elements = db.collections[collection].elements
-            members = [i for i in members if inner(db, elements[i])]
+            rows = db.collections[collection].rows
+            members = [r for r in members if inner(db, rows[r])]
         if sum_path is None:
             return len(members)
-        return sum_values(db, ElementSet(collection, members), sum_path)
+        return _sum_rows(db, members, sum_path)
 
     return AggValue(read, node.func)
 

@@ -4,25 +4,27 @@ A Database owns one schema, one collection per concept, and a registry of
 named product collections.  Mutation is insert-only and bumps a version
 counter.  Nothing is locked or pinned: a query reads the live storage, so
 an insert made while a query runs can leave its answer inconsistent.
-Query results come back as ResultSet values held column-wise: the sorted
-member identities and, for a collection, each member's stored values
-tuple; rows are built as dicts only when read.  build_result picks one
-encoder per column from the schema, and the render_* functions map each
-column through it.
+execute runs a plan on the rows of collections and turns rows into
+identities only in the result.  Query results come back as ResultSet
+values held column-wise: the sorted member identities and, for a
+collection, each member's stored values tuple; rows are built as dicts
+only when read.  build_result picks one encoder per column from the
+schema, and the render_* functions map each column through it.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime
+import gc
 import io
-import json
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import partial
 from itertools import repeat
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable
 
@@ -141,18 +143,32 @@ def _parse_scalar(text: str, ftype: str, where: str):
         raise TypeMismatch(f"{where}: '{text}' is not {_TYPE_NAMES[ftype]}") from None
 
 
-def _typed_column(cells, ftype: str, where: str, errors: dict, empty=None) -> list:
+def _kept(e: TypeMismatch) -> TypeMismatch:
+    """A caught error as a load keeps it: its traceback, and the error it
+    replaced with its own, would hold the frames that hold it."""
+    e.__context__ = None
+    return e.with_traceback(None)
+
+
+def _typed_column(cells, ftype: str, where: str, errors: dict, empty=None,
+                  shared: dict | None = None) -> list:
     """A column of CSV cells through its type's converter; NULL and bad cells read None.
 
     A bad cell's TypeMismatch, or empty for a NULL cell, goes to errors
-    unless the row has an error already.
+    unless the row has an error already.  shared, when given, maps texts
+    to the values already made from them: in a column with no NULL or bad
+    cell, equal texts then share one value.
     """
     if ftype == "string":
         if "" not in cells and "NULL" not in cells:
             return list(cells)
     else:
+        convert = _CONVERTERS[ftype]
         try:  # only str accepts an empty or NULL cell
-            return list(map(_CONVERTERS[ftype], cells))
+            if shared is None:
+                return list(map(convert, cells))
+            known = shared.get  # a zero misses, and setdefault returns the kept one
+            return [known(t) or shared.setdefault(t, convert(t)) for t in cells]
         except (ValueError, ArithmeticError):
             pass
     out = []
@@ -162,7 +178,7 @@ def _typed_column(cells, ftype: str, where: str, errors: dict, empty=None) -> li
             try:
                 value = _parse_scalar(text, ftype, where)
             except TypeMismatch as e:
-                errors.setdefault(i, e)
+                errors.setdefault(i, _kept(e))
         elif empty is not None:
             errors.setdefault(i, empty)
         out.append(value)
@@ -227,16 +243,31 @@ def load_csv(db: Database, collection: str, path, strict: bool = False) -> Inges
     The header must name exactly the concept's fields, in any order.  Empty
     cells and the literal NULL read as NULL.  Bad rows are reported and
     skipped, or abort the load under strict.  The file is read and checked
-    before anything is stored, so a load that raises stores nothing.
+    before anything is stored, so a load that raises stores nothing.  The
+    cyclic garbage collector is paused for the whole process while the
+    load runs, so other threads' cycles wait until it ends.
     """
     return _load(db, [(collection, path)], strict)[0]
 
 
 def _load(db: Database, files, strict: bool) -> list[IngestReport]:
-    """Stage (collection, path) files in order, then store them all at once."""
-    staged: dict = {}
-    reports = [_stage_csv(db, name, path, strict, staged) for name, path in files]
-    model.commit(staged)
+    """Stage (collection, path) files in order, then store them all at once.
+
+    The cyclic garbage collector is paused meanwhile.  A load links its
+    objects into no cycle (a bad cell's error is kept without its
+    traceback), so a collection would free nothing, while each of the
+    several full ones a large load sets off walks every object the
+    process holds.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        staged: dict = {}
+        reports = [_stage_csv(db, name, path, strict, staged) for name, path in files]
+        model.commit(staged)
+    finally:
+        if enabled:
+            gc.enable()
     db.version += sum(1 for r in reports if r.inserted)
     return reports
 
@@ -269,6 +300,7 @@ def _stage_csv(db: Database, collection: str, path, strict: bool, staged: dict) 
             batch = model.Batch(coll, staged)
             width = len(header)
             rows, lines, errors = [], [], {}
+            decimals: dict = {}  # one Decimal per distinct text of the file's entity cells
             for row in reader:
                 if not row:
                     continue  # csv.reader reads a blank line as []
@@ -279,10 +311,10 @@ def _stage_csv(db: Database, collection: str, path, strict: bool, staged: dict) 
                 rows.append(row)
                 lines.append(reader.line_num)
                 if len(rows) == CHUNK_ROWS:
-                    _check_chunk(db, batch, header, rows, lines, errors, report, strict)
+                    _check_chunk(db, batch, header, rows, lines, errors, report, strict, decimals)
                     rows, lines, errors = [], [], {}
             if rows:
-                _check_chunk(db, batch, header, rows, lines, errors, report, strict)
+                _check_chunk(db, batch, header, rows, lines, errors, report, strict, decimals)
         except UnicodeDecodeError:
             raise _utf8_error(path) from None
         except csv.Error as e:
@@ -290,7 +322,8 @@ def _stage_csv(db: Database, collection: str, path, strict: bool, staged: dict) 
     return report
 
 
-def _check_chunk(db, batch: model.Batch, header, rows, lines, errors, report, strict) -> None:
+def _check_chunk(db, batch: model.Batch, header, rows, lines, errors, report, strict,
+                 decimals: dict) -> None:
     """Type rows column by column, stage the good ones and report the bad ones.
 
     errors holds the rows already known to be bad.  Any other row's first
@@ -307,8 +340,11 @@ def _check_chunk(db, batch: model.Batch, header, rows, lines, errors, report, st
     for j, f in enumerate(concept.entity_fields):
         if f.is_primitive:
             where = f"{concept.name}.{f.name}"
-            values = _typed_column(cells[f.name], f.type, where, errors)
-            bad = _nonfinite(values, where) if f.type == "decimal" else {}
+            if f.type == "decimal":
+                values = _typed_column(cells[f.name], f.type, where, errors, shared=decimals)
+                bad = _nonfinite(values, where)
+            else:
+                values, bad = _typed_column(cells[f.name], f.type, where, errors), {}
         else:
             values, bad = _typed_references(db.schema.concepts[f.type], cells[f.name], errors)
         columns.append(values)
@@ -350,12 +386,12 @@ def _typed_references(dest: model.Concept, cells, errors: dict) -> tuple[list, d
             try:
                 ident = decode_identity(dest, text)
             except TypeMismatch as e:
-                errors.setdefault(i, e)
+                errors.setdefault(i, _kept(e))
             else:
                 try:  # today's check of a typed identity: finite DECIMALs
                     model.make_identity(dest, ident)
                 except TypeMismatch as e:
-                    bad[i] = e
+                    bad[i] = _kept(e)
         idents.append(ident)
     return idents, bad
 
@@ -391,7 +427,8 @@ def load_data_dir(db: Database, directory, strict: bool = False):
     Returns (reports, unmatched file names).  Every file is read and checked,
     its references resolved against the store plus the files staged before
     it, and only then are all of them stored, so a load that raises stores
-    nothing.
+    nothing.  As in load_csv, the cyclic garbage collector is paused for the
+    whole process while the load runs.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -404,40 +441,49 @@ def load_data_dir(db: Database, directory, strict: bool = False):
 # --- execution --------------------------------------------------------------------
 
 
-def _filter_collection(db, eset: ElementSet, predicate) -> ElementSet:
-    elements = db.collections[eset.domain].elements
-    return ElementSet(eset.domain, frozenset(i for i in eset.members if predicate(db, elements[i])))
+def _filter_collection(db, collection: str, members, predicate) -> set:
+    rows = db.collections[collection].rows
+    return {r for r in members if predicate(db, rows[r])}
 
 
-def _run(db, anchor, steps) -> ElementSet:
-    """The set an anchor stands for, moved through the steps in order."""
+def _run(db, anchor, steps):
+    """(domain, members): the set an anchor stands for, moved through the steps in order.
+
+    Members over a collection are its rows (algebra's runner form).
+    """
     if isinstance(anchor, CollectionAnchor):
+        domain = anchor.collection
         if anchor.seeks:
-            eset = algebra.intersect_deprojections(
-                [_run(db, seek.anchor, seek.steps) for seek in anchor.seeks])
+            first, *rest = (_run(db, seek.anchor, seek.steps)[1] for seek in anchor.seeks)
+            members = set(first).intersection(*rest)
         else:
-            eset = algebra.full_set(db, anchor.collection)
+            members = range(len(db.collections[domain]))
         if anchor.predicate is not None:
-            eset = _filter_collection(db, eset, anchor.predicate)
+            members = _filter_collection(db, domain, members, anchor.predicate)
     elif isinstance(anchor, ProductAnchor):
-        eset = algebra.product_members(db, anchor.product)
+        domain = anchor.product
+        members = algebra.product_members(db, domain).members
     elif isinstance(anchor, LiteralAnchor):
-        eset = ElementSet(anchor.domain, frozenset(anchor.values))
+        domain, members = anchor.domain, frozenset(anchor.values)
     else:
         raise TypeError(f"not an anchor: {anchor!r}")
 
     for step in steps:
         if isinstance(step, PlanFilter):
-            eset = _filter_collection(db, eset, step.predicate)
+            members = _filter_collection(db, domain, members, step.predicate)
         elif isinstance(step, PlanProjectField):
-            eset = algebra.project_values(db, eset, (), step.field)
+            coll = db.collections[domain]
+            members = algebra._field_values(coll, members, step.field)
+            domain = PrimitiveDomain(domain, step.field.name, step.field.type)
         elif isinstance(step, PlanDeprojectValues):
-            eset = algebra.deproject_values(db, step.owner, step.field.name, eset.members)
+            domain = step.owner
+            members = algebra._owner_rows(db.collections[domain], step.field.name, members)
         elif isinstance(step, PlanRoute):
-            eset = algebra.run_route(db, eset, step.route)
+            members = algebra._run_route(db, members, step.route)
+            domain = step.route.target
         else:
             raise TypeError(f"not a plan step: {step!r}")
-    return eset
+    return domain, members
 
 
 def execute(db, plan: QueryPlan) -> "ResultSet":
@@ -446,8 +492,8 @@ def execute(db, plan: QueryPlan) -> "ResultSet":
     A collection anchor with seeks starts from the intersection of what
     they reach, and its predicate still decides which of those belong.
     """
-    eset = _run(db, plan.anchor, plan.steps)
-    return build_result(db, eset, tuple(dict.fromkeys(plan.warnings)))
+    domain, members = _run(db, plan.anchor, plan.steps)
+    return build_result(db, domain, members, tuple(dict.fromkeys(plan.warnings)))
 
 
 def execute_statement(db: Database, text: str):
@@ -468,6 +514,8 @@ def execute_statement(db: Database, text: str):
 # the text of a primitive value, by field type
 _TEXT = {"integer": str, "string": str, "decimal": str, "date": datetime.date.isoformat}
 _FIRST = operator.itemgetter(0)
+_IDENTITY = operator.attrgetter("identity")
+_VALUES = operator.attrgetter("values")
 
 
 def _encoder(schema: model.Schema, ftype: str):
@@ -486,8 +534,11 @@ def _encoder(schema: model.Schema, ftype: str):
 
 
 def _json_encoder(schema: model.Schema, ftype: str):
-    """As _encoder, but INT and CHAR values stay a JSON number and a JSON string."""
-    return iter if ftype in ("integer", "string") else _encoder(schema, ftype)
+    """As _encoder, but to JSON text: an INT is a JSON number, any other value a JSON string."""
+    text = _encoder(schema, ftype)
+    if ftype == "integer":
+        return text
+    return lambda column: map(encode_basestring, text(column))
 
 
 class _Rows(Sequence):
@@ -532,7 +583,7 @@ class ResultSet:
     tag: str                   # name of the domain the members live in
     columns: tuple[str, ...]
     identities: list
-    members: ElementSet
+    domain: algebra.Domain
     warnings: tuple[str, ...] = ()
     values: list | None = None  # collection: the stored values tuple of each member
     # per column, as _encoder and _json_encoder; of the identities, None for a product
@@ -547,25 +598,38 @@ class ResultSet:
     def rows(self) -> Sequence[dict]:
         return _Rows(self)
 
+    @property
+    def members(self) -> ElementSet:
+        return ElementSet(self.domain, frozenset(self.identities))
 
-def build_result(db, eset: ElementSet, warnings: tuple[str, ...] = ()) -> ResultSet:
-    domain = eset.domain
+
+def build_result(db, domain, members, warnings: tuple[str, ...] = ()) -> ResultSet:
+    """The result of members of a domain, as the runner holds them: rows for a collection.
+
+    Rows turn back into the stored identity tuples here, sorted.
+    """
     schema = db.schema
-    identities = sorted(eset.members)
     if isinstance(domain, PrimitiveDomain):
         encoder = _encoder(schema, domain.type)
-        return ResultSet("primitive", str(domain), (domain.field,), identities, eset, warnings,
-                         None, (encoder,), (_json_encoder(schema, domain.type),), encoder)
+        return ResultSet("primitive", str(domain), (domain.field,), sorted(members), domain,
+                         warnings, None, (encoder,), (_json_encoder(schema, domain.type),),
+                         encoder)
     if isinstance(domain, ProductCollection):
         aliases = tuple(a for a, _ in domain.factors)
         encoders = tuple(_encoder(schema, c) for _, c in domain.factors)
-        return ResultSet("product", domain.name, aliases, identities, eset, warnings,
-                         None, encoders, encoders)
+        return ResultSet("product", domain.name, aliases, sorted(members), domain, warnings,
+                         None, encoders, tuple(map(_json_encoder, repeat(schema),
+                                                   (c for _, c in domain.factors))))
     coll = db.collections[domain]
+    if coll.ordered:  # row order is identity order: sort the ints
+        picked = list(map(coll.rows.__getitem__, sorted(members)))
+    else:
+        picked = sorted(map(coll.rows.__getitem__, members), key=_IDENTITY)
+    identities = [None] * len(picked)
+    identities[:] = map(_IDENTITY, picked)  # sized exactly: a kept answer holds no spare slots
     fields = coll.concept.fields
-    elements = coll.elements
-    return ResultSet("collection", domain, tuple(f.name for f in fields), identities, eset,
-                     warnings, [elements[i].values for i in identities],
+    return ResultSet("collection", domain, tuple(f.name for f in fields),
+                     identities, domain, warnings, list(map(_VALUES, picked)),
                      tuple(_encoder(schema, f.type) for f in fields),
                      tuple(_json_encoder(schema, f.type) for f in fields),
                      _encoder(schema, domain))
@@ -620,18 +684,25 @@ def render_csv(rs: ResultSet) -> str:
 
 
 def render_json(rs: ResultSet) -> str:
-    """One JSON object per row, plus the member's text under "_identity"."""
-    cells = [_encode(c, e, None) for c, e in zip(_columns(rs), rs.json_encoders)]
+    """One JSON object per row, plus the member's text under "_identity".
+
+    Each column is encoded to JSON text once and each line joined from the
+    fragments, as json.dumps would print the row's dict.
+    """
+    columns = [_encode(c, e, "null") for c, e in zip(_columns(rs), rs.json_encoders)]
     if rs.identity_encoder is None:  # a product: every cell is a factor identity's text
-        keys = ("(" + ",".join(row) + ")" for row in zip(*cells))
+        keys = map("({})".format, map(",".join, zip(*_texts(rs, ""))))
     else:
         keys = rs.identity_encoder(rs.identities)
-    lines = []
-    for row, key in zip(zip(*cells), keys):
-        obj = dict(zip(rs.columns, row))
-        obj["_identity"] = key
-        lines.append(json.dumps(obj, ensure_ascii=False))
-    return "\n".join(lines)
+    keys = list(map(encode_basestring, keys))
+    names = list(rs.columns)
+    if "_identity" in names:  # the dict's key keeps its place and takes the identity
+        columns[names.index("_identity")] = keys
+    else:
+        names.append("_identity")
+        columns.append(keys)
+    cells = [list(map((encode_basestring(n) + ": ").__add__, c)) for n, c in zip(names, columns)]
+    return "\n".join(["{" + ", ".join(row) + "}" for row in zip(*cells)])
 
 
 def render(rs: ResultSet, fmt: str) -> str:

@@ -11,10 +11,18 @@ Identities are plain tuples of primitive values.  They double as the
 by-value references stored in entity fields, so two elements are related
 exactly when one holds the identity of the other (directly or transitively).
 
+Inside a collection each element also has a dense int row, its place in
+the order of arrival.  The store is insert-only, so a row never changes.
+The indexes the algebra walks are keyed by row: a forward list per owned
+dimension holds the referenced element's row (-1 for NULL), and a reverse
+list per arriving dimension holds, for each row of the greater collection,
+the rows of the lesser elements referencing it.  Identities stay the keys
+a user sees; the algebra converts at its edges.
+
 Rows reach the store in two steps: a Batch checks them (NOT NULL,
 references, duplicate identities) and holds the good ones, and commit
-writes elements, forward entries and reverse lists.  A batch that is
-never committed leaves nothing behind; insert_element is a batch of one.
+appends rows, forward entries and reverse lists.  A batch that is never
+committed leaves nothing behind; insert_element is a batch of one.
 """
 
 from __future__ import annotations
@@ -72,6 +80,7 @@ class Concept:
         object.__setattr__(self, "identity_fields", tuple(self.identity_fields))
         object.__setattr__(self, "entity_fields", tuple(self.entity_fields))
         object.__setattr__(self, "_positions", {f.name: k for k, f in enumerate(self.fields)})
+        object.__setattr__(self, "entity_names", tuple(f.name for f in self.entity_fields))
 
     @property
     def fields(self) -> tuple[FieldSpec, ...]:
@@ -307,68 +316,99 @@ def _check_acyclic(concepts: dict[str, Concept], dims: list[Dimension]) -> None:
 # --- elements and collections ---------------------------------------------
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(eq=False, repr=False, slots=True)
 class Element:
     """One element: identity tuple plus entity values (references as identities).
 
     values holds the entity values in the order of the concept's
-    entity_fields; names is the collection's tuple of their names, shared
-    by every element of it.
+    entity_fields.  row is the element's place in its collection's rows,
+    set when it is stored.  The collection's name and field names are read
+    off the concept, so an element holds nothing its collection shares.
     """
 
-    collection: str
+    concept: Concept
     identity: Identity
     values: tuple
-    names: tuple
+    row: int = -1
+
+    @property
+    def collection(self) -> str:
+        """The name of the element's collection, which is its concept's."""
+        return self.concept.name
+
+    @property
+    def names(self) -> tuple:
+        """The entity field names, the keys of values."""
+        return self.concept.entity_names
 
     @property
     def entity(self) -> dict:
         """The entity values by field name, as a new dict."""
-        return dict(zip(self.names, self.values))
+        return dict(zip(self.concept.entity_names, self.values))
+
+    def __repr__(self) -> str:
+        return (f"Element(collection={self.collection!r}, identity={self.identity!r}, "
+                f"values={self.values!r}, row={self.row!r})")
 
 
 @dataclass(eq=False)
 class Collection:
-    """All elements of one concept plus forward maps and reverse indexes.
+    """All elements of one concept, by identity and by row, plus row indexes.
 
-    forward maps each owned dimension name to {identity: referenced identity
-    or None}; reverse maps each dimension arriving here to {greater identity:
-    list of lesser identities}, each lesser listed once.  names are the
-    concept's entity field names, the keys of every element's values.
+    elements maps each identity to its Element.  rows lists the Elements
+    in the order they were stored, so rows[r].row == r.  forward maps each
+    owned dimension name to a list holding, for each row, the referenced
+    element's row in the destination collection, or -1 for NULL.  reverse
+    maps each dimension arriving here to a list holding, for each row of
+    this collection, the rows of the lesser elements referencing it, each
+    listed once.  ordered holds while every row was stored with a greater
+    identity than the row before, so that row order is identity order.
 
     checks lists (position, field, referenced elements or None) for each
     entity field that is NOT NULL or a reference, and refs (position,
-    forward map, destination's reverse index) for each reference field.
+    forward list, destination collection, destination's reverse list) for
+    each reference field.
     """
 
     name: str
     concept: Concept
     elements: dict = field(default_factory=dict)
+    rows: list = field(default_factory=list)
     forward: dict = field(default_factory=dict)
     reverse: dict = field(default_factory=dict)
-    names: tuple = ()
+    ordered: bool = True
     checks: tuple = ()
     refs: tuple = ()
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.rows)
+
+    def rows_of(self, identities) -> set:
+        """The rows of the given identities; an identity not stored has none."""
+        elements = self.elements
+        return {el.row for el in map(elements.get, identities) if el is not None}
+
+    def identities_of(self, rows) -> frozenset:
+        """The stored identity tuples of the given rows."""
+        return frozenset(el.identity for el in map(self.rows.__getitem__, rows))
 
 
 def create_collections(schema: Schema) -> dict[str, Collection]:
     """One collection per concept, carrying the same name, with empty indexes."""
     colls: dict[str, Collection] = {}
     for name, c in schema.concepts.items():
-        coll = Collection(name, c, names=tuple(f.name for f in c.entity_fields))
-        coll.forward = {f.name: {} for f in c.reference_fields}
+        coll = Collection(name, c)
+        coll.forward = {f.name: [] for f in c.reference_fields}
         colls[name] = coll
     for d in schema.dimensions:
-        colls[d.destination].reverse[d] = {}
+        colls[d.destination].reverse[d] = []
     for coll in colls.values():
         fields = coll.concept.entity_fields
         coll.checks = tuple((j, f, None if f.is_primitive else colls[f.type].elements)
                             for j, f in enumerate(fields) if not (f.nullable and f.is_primitive))
         coll.refs = tuple(
-            (k, coll.forward[f.name], colls[f.type].reverse[schema.dimension(coll.name, f.name)])
+            (k, coll.forward[f.name], colls[f.type],
+             colls[f.type].reverse[schema.dimension(coll.name, f.name)])
             for k, f in enumerate(fields) if not f.is_primitive)
     return colls
 
@@ -450,15 +490,16 @@ def insert_element(db, collection: str, identity, entity_values: Mapping | None 
                 raw = None
         values.append(raw)
     staged: dict = {}
-    error = Batch(coll, staged).add(ident, values, late)
+    batch = Batch(coll, staged)
+    error = batch.add(ident, values, late)
     if error is not None:
         raise error
-    extra = entity_values.keys() - coll.names
+    extra = entity_values.keys() - concept.entity_names
     if extra:
         raise TypeMismatch(
             f"unknown entity field(s) for '{collection}': {', '.join(sorted(extra))}")
     commit(staged)
-    return coll.elements[ident]
+    return batch.elements[ident]
 
 
 class Batch:
@@ -507,7 +548,7 @@ class Batch:
                 values[j] = el.identity  # share the stored tuple, not a copy
         if late is not None:
             return late[1]
-        self.elements[ident] = Element(coll.name, ident, tuple(values), coll.names)
+        self.elements[ident] = Element(coll.concept, ident, tuple(values))
         return None
 
 
@@ -519,16 +560,41 @@ def _lookup(store, batch):
 
 
 def commit(staged: dict) -> None:
-    """Store staged batches: elements, forward entries and reverse lists."""
+    """Store staged batches, greater collections first: rows, forward entries, reverse lists.
+
+    Each batch's elements get the next rows of their collection, and every
+    reverse list of the collection grows by one empty list per row.  A
+    reference resolves to its destination's row, which a batch staged
+    before this one has already been given.
+    """
     for batch in staged.values():
         coll, elements = batch.coll, batch.elements
+        if not elements:
+            continue
+        rows, new = coll.rows, list(elements.values())
+        if coll.ordered:  # each identity must be greater than the one stored before it
+            prev = rows[-1].identity if rows else None
+            for ident in elements:
+                if prev is not None and not prev < ident:
+                    coll.ordered = False
+                    break
+                prev = ident
+        for r, el in enumerate(new, len(rows)):
+            # an INT identity equal to the row (keys 0, 1, ... stored in
+            # order) lends the row its int object: one int less per element
+            first = el.identity[0]
+            el.row = first if type(first) is int and first == r else r
+        rows.extend(new)
         coll.elements.update(elements)
-        for k, forward, reverse in coll.refs:
-            for ident, el in elements.items():
-                ref = forward[ident] = el.values[k]
-                if ref is not None:
-                    lessers = reverse.get(ref)
-                    if lessers is None:
-                        reverse[ref] = [ident]
-                    else:
-                        lessers.append(ident)
+        for lessers in coll.reverse.values():
+            lessers.extend([] for _ in new)
+        for k, forward, dest, reverse in coll.refs:
+            found = dest.elements
+            for el in new:
+                ref = el.values[k]
+                if ref is None:
+                    forward.append(-1)
+                else:
+                    g = found[ref].row
+                    forward.append(g)
+                    reverse[g].append(el.row)

@@ -392,7 +392,8 @@ def random_members(rng: random.Random, db, collection: str) -> frozenset:
 # CSV ingest as it was before loads were staged: each row is parsed and
 # inserted as it is read.  The staged loader must agree with it on every
 # file: rows inserted, rejected lines and messages, a strict load's error,
-# and the elements, forward maps and reverse indexes stored.  It keeps no
+# and the elements, forward maps and reverse indexes stored (compared by
+# stored, which decodes the row layout into identity-keyed maps).  It keeps no
 # rollback: after a failed strict load only the error text is compared.
 
 
@@ -443,12 +444,20 @@ def o_insert(db, collection: str, identity, entity_values) -> None:
                 )
             values.append(dest.identity)
             refs.append((f, dest.identity))
-    coll.elements[ident] = model.Element(collection, ident, tuple(values), coll.names)
+    row = len(coll.rows)
+    if row and not ident > coll.rows[-1].identity:
+        coll.ordered = False
+    el = model.Element(concept, ident, tuple(values), row)
+    coll.rows.append(el)
+    coll.elements[ident] = el
+    for lessers in coll.reverse.values():
+        lessers.append([])
     for f, ref in refs:
-        coll.forward[f.name][ident] = ref
+        dest = db.collections[f.type]
+        greater = -1 if ref is None else dest.elements[ref].row
+        coll.forward[f.name].append(greater)
         if ref is not None:
-            rmap = db.collections[f.type].reverse[db.schema.dimension(concept.name, f.name)]
-            rmap.setdefault(ref, []).append(ident)
+            dest.reverse[db.schema.dimension(concept.name, f.name)][greater].append(row)
 
 
 def o_decode_identity(concept, text: str) -> tuple:
@@ -536,15 +545,36 @@ def o_load_data_dir(db, directory, strict: bool = False):
 
 
 def stored(db) -> dict:
-    """Everything a load writes, per collection: elements, forward maps and
-    reverse indexes, each reverse list as a set plus its length."""
-    return {
-        name: ({i: el.values for i, el in coll.elements.items()},
-               coll.forward,
-               {d: {k: (frozenset(v), len(v)) for k, v in rmap.items()}
-                for d, rmap in coll.reverse.items()})
-        for name, coll in db.collections.items()
-    }
+    """Everything a load writes, per collection, keyed by identity whatever the rows.
+
+    Elements as {identity: values}, forward maps as {identity: referenced
+    identity or None} and reverse indexes as {greater identity: (set of
+    lesser identities, list length)}, holding only referenced elements.
+    Checks the row layout on the way: each element's row is its place,
+    every row list is as long as the collection, and ordered holds exactly
+    when the identities ascend row by row.
+    """
+    out = {}
+    for name, coll in db.collections.items():
+        rows = coll.rows
+        idents = [el.identity for el in rows]
+        assert [el.row for el in rows] == list(range(len(rows))), name
+        assert coll.elements == dict(zip(idents, rows)), name
+        assert coll.ordered == all(a < b for a, b in zip(idents, idents[1:])), name
+        forward = {}
+        for dim, greaters in coll.forward.items():
+            assert len(greaters) == len(rows), (name, dim)
+            dest = db.collections[coll.concept.field(dim).type].rows
+            forward[dim] = {i: None if g < 0 else dest[g].identity
+                            for i, g in zip(idents, greaters)}
+        reverse = {}
+        for d, lessers in coll.reverse.items():
+            assert len(lessers) == len(rows), (name, d)
+            source = db.collections[d.source].rows
+            reverse[d] = {i: (frozenset(source[r].identity for r in ls), len(ls))
+                          for i, ls in zip(idents, lessers) if ls}
+        out[name] = ({i: el.values for i, el in coll.elements.items()}, forward, reverse)
+    return out
 
 
 # --- the row-at-a-time renderers ------------------------------------------------------

@@ -16,6 +16,7 @@ import pytest
 
 import oracle
 from comdb import algebra, engine, model
+from comdb.algebra import ElementSet
 from comdb.coql.parser import parse_query
 from comdb.errors import (FileError, HeaderMismatch, ProductTooLarge, ResolveError,
                           TypeMismatch, UnknownCollection)
@@ -157,6 +158,31 @@ def test_load_csv_strict_aborts_on_first_bad_row(tmp_path):
     with pytest.raises(FileError) as exc:
         engine.load_csv(db, "Addresses", f, strict=True)
     assert ":3:" in str(exc.value)
+
+
+def test_a_load_leaves_no_cycles_and_restores_the_collector(tmp_path):
+    # loads pause the cyclic collector, so they must not build cycles: a bad
+    # cell's error would otherwise hold its traceback's frames, and them
+    db = fresh(COMPOSITE + "CONCEPT M IDENTITY id INT ENTITY d DATE, x DECIMAL;")
+    db.insert("Slots", ("2024-05-01", "A"))
+    write(tmp_path / "Talks.csv",
+          'id,slot\n1,"(2024-05-01,A)"\n2,(2024-05-01)\n3,"(x,A)"\n4,nope\nz,"(2024-05-01,A)"\n')
+    write(tmp_path / "M.csv", "id,d,x\n1,2024-13-01,1.5\n2,2024-01-01,NaN\n3,,1.5x\n4,,x\n")
+    gc.collect()
+    reports = [engine.load_csv(db, "Talks", tmp_path / "Talks.csv"),
+               engine.load_csv(db, "M", tmp_path / "M.csv")]
+    assert [(r.inserted, len(r.rejected)) for r in reports] == [(1, 4), (0, 4)]
+    assert gc.collect() == 0
+    assert gc.isenabled()
+    with pytest.raises(FileError):
+        engine.load_csv(db, "M", tmp_path / "M.csv", strict=True)
+    assert gc.isenabled()
+    gc.disable()
+    try:  # a caller's paused collector stays paused
+        engine.load_csv(db, "M", tmp_path / "M.csv")
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_load_csv_strict_failure_rolls_back_the_file(tmp_path):
@@ -375,6 +401,45 @@ def test_results_are_sorted_by_identity(catalog_db):
     assert [i[0] for i in rs.identities] == ["b1", "b2", "b3", "b4", "b5"]
 
 
+def test_results_sort_by_identity_whatever_the_row_order(tmp_path):
+    # rows sort as ints only while row order is identity order: a CSV in
+    # descending order, and an insert below a sorted load, both end that
+    db = fresh("CONCEPT A IDENTITY id INT ENTITY n INT;"
+               "CONCEPT B IDENTITY k CHAR(4), id INT ENTITY a A;")
+    write(tmp_path / "A.csv", "id,n\n" + "".join(f"{i},{i % 3}\n" for i in range(19, -1, -1)))
+    write(tmp_path / "B.csv", "k,id,a\n" + "".join(
+        f"{k},{i},{(7 * i) % 20 if i % 4 else ''}\n" for k in ("m", "p") for i in range(12)))
+    engine.load_data_dir(db, tmp_path, strict=True)
+    coll_a, coll_b = db.collections["A"], db.collections["B"]
+    assert not coll_a.ordered and coll_b.ordered
+
+    def check():
+        reach = oracle.reach_closure(db)
+        every_a, every_b = frozenset(coll_a.elements), frozenset(coll_b.elements)
+        some_a = frozenset(i for i in every_a if i[0] < 9)
+        some_b = frozenset(i for i in every_b if i[1] > 4)
+        for query, want in [
+            ("(A)", every_a),
+            ("(A | id < 9)", some_a),
+            ("(A | n == 1)", frozenset(i for i in every_a if i[0] % 3 == 1)),
+            ("(B)", every_b),
+            ("(B | id > 4)", some_b),
+            ("(B | id > 4) *-> (A)", oracle.o_star_project(db, reach, "B", some_b, "A")),
+            ("(A | id < 9) <-* (B)", oracle.o_star_deproject(db, reach, "A", some_a, "B")),
+        ]:
+            rs = db.query(query)
+            assert rs.identities == sorted(want), query
+            assert rs.rows == oracle.o_rows(db, ElementSet(rs.tag, want)), query
+
+    check()
+    db.insert("B", ("a", 3), {"a": 5})  # below every stored B
+    assert not coll_b.ordered and coll_b.rows[-1].identity == ("a", 3)
+    check()
+    db.insert("A", 20)  # an A above the rest leaves A unordered
+    assert not coll_a.ordered
+    check()
+
+
 def _random_path(rng, db, concept: str, hops: int = 0) -> str:
     """id, v or a reference of concept, or a dotted path through a reference."""
     c = db.schema.concept(concept)
@@ -517,6 +582,135 @@ def test_equality_seeks_match_the_oracle():
     assert found >= 300
 
 
+def _rich_literal(value) -> str | None:
+    """COQL text of a stored value of a rich database, or None: NULL, a composite
+    identity, a date and a negative number get none."""
+    if value is None:
+        return None
+    if isinstance(value, tuple):
+        if len(value) != 1:
+            return None
+        value = value[0]
+    if isinstance(value, datetime.date):
+        return None  # o_holds compares the text itself, where the resolver reads a date
+    if isinstance(value, str):
+        return "'" + value.replace("'", "''") + "'"
+    return str(value) if value >= 0 else None  # COQL has no negative literals
+
+
+def _rich_anchor(rng, db, concept: str) -> str:
+    """(concept | ...) with `path == value` conjuncts (seeks) taking one element's
+    values, and now and then a random predicate; one that does not resolve
+    against the rich types is drawn again, then left out."""
+    el = rng.choice(list(db.collections[concept].elements.values()))
+    conjuncts = []
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        path = _random_path(rng, db, concept)
+        text = _rich_literal(oracle.o_path(db, el, path.split("."))[0])
+        if text is not None:
+            conjuncts.append(f"{path} == {text}")
+    for _ in range(5 if rng.random() < 0.5 else 0):
+        extra = _random_predicate(rng, db, concept)
+        try:
+            db.plan(f"({concept} | {extra})")
+        except ResolveError:
+            continue
+        conjuncts.append(extra)
+        break
+    return f"({concept} | {' AND '.join(conjuncts)})" if conjuncts else f"({concept})"
+
+
+def _insert_more(rng, db) -> int:
+    """Insert a few fresh elements, identities above and below the stored ones."""
+    done = 0
+    for cname in sorted(db.schema.concepts, key=lambda s: -int(s[1:])):
+        concept = db.schema.concepts[cname]
+        for _ in range(rng.randint(0, 3)):
+            k = rng.choice((rng.randint(300, 400), -rng.randint(1, 50)))
+            ident = tuple(oracle.rich_value(f.type, k) for f in concept.identity_fields)
+            if ident in db.collections[cname].elements:
+                continue
+            entity = {}
+            for f in concept.entity_fields:
+                if not f.is_primitive:
+                    if not f.nullable or rng.random() < 0.75:
+                        entity[f.name] = rng.choice(list(db.collections[f.type].elements))
+                elif not f.nullable or rng.random() < 0.8:
+                    entity[f.name] = oracle.rich_value(f.type, rng.randint(0, 50))
+            db.insert(cname, ident, entity)
+            done += 1
+    return done
+
+
+def test_row_runner_matches_the_oracle():
+    """Queries run on rows answer as the oracle's closures do, on rich random
+    databases: NULL references, composite identities, seeks, filters, product
+    legs both ways, and inserts after a first query."""
+    rng = random.Random(5150)
+    seen = collections.Counter()
+    for n in range(40):
+        db = oracle.random_db(rng, max_concepts=5, max_elements=50, rich=True)
+        names = sorted(db.schema.concepts)
+        pa, pb = rng.sample(names, 2)
+        modulus = rng.choice((2, 3))
+
+        def pair(db, m):
+            return (len(str(m["a"].identity)) + len(str(m["b"].identity))) % modulus == 0
+
+        db.register_product(algebra.make_product("P", [("a", pa), ("b", pb)], pair))
+        seen["null refs"] += any(-1 in f for c in db.collections.values()
+                                 for f in c.forward.values())
+        seen["composite"] += any(len(c.concept.identity_fields) > 1
+                                 for c in db.collections.values())
+        for phase in range(2):
+            if phase:
+                seen["inserted"] += _insert_more(rng, db)
+                seen["unordered"] += not all(c.ordered for c in db.collections.values())
+            reach = oracle.reach_closure(db)
+            rel = oracle.concept_below(db)
+            els = {c: db.collections[c].elements for c in (pa, pb)}
+            product = frozenset((x, y) for x in els[pa] for y in els[pb]
+                                if pair(db, {"a": els[pa][x], "b": els[pb][y]}))
+            for _ in range(12):
+                src = rng.choice(names)
+                anchor = _rich_anchor(rng, db, src)
+                seen["seek"] += "==" in anchor
+                pred = parse_query(anchor).anchor.predicate
+                elements = db.collections[src].elements
+                members = frozenset(i for i, el in elements.items()
+                                    if pred is None or oracle.o_holds(db, el, pred))
+                assert db.query(anchor).identities == sorted(members), anchor
+                target = rng.choice(names)
+                want, _ = oracle.o_infer(db, reach, src, members, target)
+                got = db.query(f"{anchor} <-*-> ({target})")
+                assert got.identities == sorted(want), (anchor, target)
+                assert algebra.infer(db, ElementSet(src, members), target).members == want
+                seen["nonempty"] += bool(want)
+                # down into the product from src, then up again to target
+                ways = [k for k, c in enumerate((pa, pb)) if c == src or c in rel["below"][src]]
+                if ways:
+                    low = {c: oracle.o_star_deproject(db, reach, src, members, c)
+                           for c in (pa, pb)}
+                    down = frozenset(m for m in product
+                                     if any(m[k] in low[(pa, pb)[k]] for k in ways))
+                else:
+                    down = product
+                got = db.query(f"{anchor} <-*-> (P)")
+                assert got.identities == sorted(down), anchor
+                assert bool(ways) != bool(got.warnings), anchor
+                seen["product down"] += 0 < len(down) < len(product)
+                ups = [k for k, c in enumerate((pa, pb)) if c == target or target in rel["above"][c]]
+                if ups:
+                    up = frozenset().union(*(oracle.o_star_project(
+                        db, reach, (pa, pb)[k], {m[k] for m in down}, target) for k in ups))
+                else:
+                    up = frozenset(db.collections[target].elements)
+                got = db.query(f"{anchor} <-*-> (P) <-*-> ({target})")
+                assert got.identities == sorted(up), (anchor, target)
+                seen["product up"] += bool(ups) and bool(up)
+    assert min(seen.values()) >= 10, seen
+
+
 @pytest.mark.parametrize("query, seeks", [
     ("(Books | isbn == 'b1')", ["'b1' <- isbn <- (Books)"]),
     ("(Books | 'Springer' == publisher)", ["'Springer' <- name <- publisher <- (Books)"]),
@@ -620,26 +814,31 @@ def tricky_db(rng: random.Random) -> engine.Database:
     return db
 
 
+def _result(db, eset):
+    """build_result of an identity ElementSet, converted to the runner's form."""
+    return engine.build_result(db, eset.domain, algebra._to_rows(db, eset.domain, eset.members))
+
+
 def random_results(rng: random.Random, db):
     """(ResultSet, ElementSet) pairs: random subsets of every collection, of
     every primitive field's values, and of products of two collections."""
     names = sorted(db.collections)
     for name in names:
         eset = algebra.ElementSet(name, oracle.random_members(rng, db, name))
-        yield engine.build_result(db, eset), eset
+        yield _result(db, eset), eset
         for f in db.schema.concepts[name].fields:
             if f.is_primitive:
                 values = algebra.project_values(db, algebra.full_set(db, name), (), f)
                 eset = algebra.ElementSet(values.domain, frozenset(
                     v for v in values.members if rng.random() < 0.6))
-                yield engine.build_result(db, eset), eset
+                yield _result(db, eset), eset
     for _ in range(3):
         a, b = rng.choice(names), rng.choice(names)
         product = algebra.make_product("P", [("a", a), ("b", b)])
         pairs = itertools.product(oracle.random_members(rng, db, a),
                                   oracle.random_members(rng, db, b))
         eset = algebra.ElementSet(product, frozenset(p for p in pairs if rng.random() < 0.2))
-        yield engine.build_result(db, eset), eset
+        yield _result(db, eset), eset
 
 
 def test_renderers_match_the_row_at_a_time_renderers():

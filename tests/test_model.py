@@ -221,10 +221,10 @@ def test_failed_insert_leaves_no_partial_state():
     with pytest.raises(TypeMismatch):
         db.insert("B", 5, {"a": 1, "n": "oops"})
     coll = db.collections["B"]
-    assert len(coll) == 0
-    assert coll.forward["a"] == {}
+    assert len(coll) == 0 and coll.rows == [] and coll.elements == {}
+    assert coll.forward["a"] == []
     dim = db.schema.dimension("B", "a")
-    assert db.collections["A"].reverse[dim] == {}
+    assert db.collections["A"].reverse[dim] == [[]]  # A's one row, referenced by nothing
 
 
 def test_bare_reference_value_for_single_field_identity():
