@@ -26,6 +26,12 @@ unites where dimensions meet.  Image and preimage distribute over union, so
 this equals the union over paths at a cost of one pass per dimension,
 however many paths there are.  _value_at is the one walk of a single
 element up a path; value_along is its identity-keyed form.
+
+A predicate's SUM along a de-projection with no inner predicate is not
+added up per query: _folded_sums keeps, on the greater collection, the sum
+for every greater row, folded once per stored lesser row.  Its watermark,
+the number of lesser rows folded in, is all the invalidation it needs,
+because the store is insert-only and a stored row never changes.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import itertools
 import math
 from itertools import chain, compress
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import Decimal, getcontext
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -630,20 +636,56 @@ def sum_values(db, eset: ElementSet, path: FieldPath):
     return _sum_rows(db, db.collections[path.source].rows_of(eset.members), path)
 
 
-def _sum_rows(db, rows, path: FieldPath):
-    """sum_values over rows of path.source, the path checked already."""
+def _path_values(db, rows, path: FieldPath):
+    """The values path reads off some rows of path.source, in order; NULL reads None."""
     coll = db.collections[path.dims[-1].destination if path.dims else path.source]
     k = coll.concept.position(path.field.name)
-    arity = len(coll.concept.identity_fields)
     if path.dims:
-        values = (_value_at(db, path.source, r, path.dims, k) for r in rows)
-    else:
-        # a field of the set's own elements is read in place
-        elements = map(coll.rows.__getitem__, rows)
-        if k < arity:
-            values = (el.identity[k] for el in elements)
-        else:
-            k -= arity
-            values = (el.values[k] for el in elements)
+        return (_value_at(db, path.source, r, path.dims, k) for r in rows)
+    # a field of the set's own elements is read in place
+    elements = map(coll.rows.__getitem__, rows)
+    arity = len(coll.concept.identity_fields)
+    if k < arity:
+        return (el.identity[k] for el in elements)
+    k -= arity
+    return (el.values[k] for el in elements)
+
+
+def _sum_rows(db, rows, path: FieldPath):
+    """sum_values over rows of path.source, the path checked already."""
     # filter drops each NULL, and the zeros it drops too add nothing
-    return sum(filter(None, values), Decimal(0) if path.field.type == "decimal" else 0)
+    return sum(filter(None, _path_values(db, rows, path)),
+               Decimal(0) if path.field.type == "decimal" else 0)
+
+
+def _folded_sums(db, key, dim: Dimension, path: FieldPath) -> list:
+    """_sum_rows over each greater row's lessers through dim, by greater row.
+
+    key names the pair (dim, path) in the greater collection's sums, where
+    the entry [(precision, rounding), lesser rows folded in, list] keeps
+    the list with its watermark and the decimal context it was added
+    under.  A read folds in only the lesser rows stored since, and a
+    change of context folds again from row 0.
+    Lesser rows are folded in ascending order, the order of every reverse
+    list, skipping what _sum_rows' filter skips, so each sum makes the same
+    additions from the same zero and is the identical value, exponent and
+    all.
+    """
+    greater = db.collections[dim.destination]
+    context = getcontext()
+    context = (context.prec, context.rounding)
+    entry = greater.sums.get(key)
+    if entry is None or entry[0] != context:
+        entry = greater.sums[key] = [context, 0, []]
+    _, folded, sums = entry
+    if len(sums) < len(greater.rows):
+        zero = Decimal(0) if path.field.type == "decimal" else 0
+        sums.extend([zero] * (len(greater.rows) - len(sums)))
+    lesser = db.collections[path.source]
+    if folded < len(lesser.rows):
+        rows = range(folded, len(lesser.rows))
+        for g, v in zip(lesser.forward[dim.name][folded:], _path_values(db, rows, path)):
+            if v and g >= 0:
+                sums[g] += v
+        entry[1] = len(lesser.rows)
+    return sums

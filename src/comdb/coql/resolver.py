@@ -27,6 +27,7 @@ from ..algebra import (
     route_path,
     route_star_deproject,
     route_star_project,
+    _folded_sums,
     _sum_rows,
     _value_at,
 )
@@ -241,6 +242,16 @@ def _compile_agg(ctx: _Ctx, node: ast.AggTerm) -> AggValue:
     elif node.path is not None:
         _raise(ResolveError, "COUNT takes no field path", node.pos)
     collection = node.collection
+    if sum_path is not None and inner is None:
+        # a SUM with no inner predicate reads the sums folded once per stored
+        # lesser row; COUNT and a SUM with one walk the reverse list below.
+        # The key is the SUM's names, which hash faster than dim and sum_path.
+        key = (collection, node.dim, tuple(node.path))
+
+        def read(db, el):
+            return _folded_sums(db, key, dim, sum_path)[el.row]
+
+        return AggValue(read, node.func)
 
     def read(db, el):
         # the reverse list of the element's row, read in place: it lists each lesser once

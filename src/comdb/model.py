@@ -364,6 +364,14 @@ class Collection:
     listed once.  ordered holds while every row was stored with a greater
     identity than the row before, so that row order is identity order.
 
+    sums is derived, and commit never writes it: for each predicate SUM
+    along a dimension arriving here, keyed by its names (lesser collection,
+    dimension, field path), it holds the sum for every row of this
+    collection and the number of lesser rows folded in, a watermark
+    (algebra._folded_sums).  Stored rows never change, so the lesser rows
+    past the watermark are all a read has to add.  A read that adds them
+    writes here, so reads, like inserts, take one thread at a time.
+
     checks lists (position, field, referenced elements or None) for each
     entity field that is NOT NULL or a reference, and refs (position,
     forward list, destination collection, destination's reverse list) for
@@ -377,6 +385,7 @@ class Collection:
     forward: dict = field(default_factory=dict)
     reverse: dict = field(default_factory=dict)
     ordered: bool = True
+    sums: dict = field(default_factory=dict)
     checks: tuple = ()
     refs: tuple = ()
 

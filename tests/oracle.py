@@ -185,9 +185,9 @@ def o_holds(db, el, pred, alias: str | None = None) -> bool:
     """Evaluate a parsed predicate on one element.
 
     Two-valued: a comparison touching NULL, or one Python cannot make, is
-    false, and NOT applies after that.  A literal compared with a reference
-    stands for the single-field identity it names.  A path may start with
-    the element's alias; the bare alias is the element's identity.
+    false, and NOT applies after that.  A literal is read as _o_literal
+    reads it.  A path may start with the element's alias; the bare alias is
+    the element's identity.
     """
     if isinstance(pred, ast.Not):
         return not o_holds(db, el, pred.item, alias)
@@ -197,16 +197,30 @@ def o_holds(db, el, pred, alias: str | None = None) -> bool:
         return any(o_holds(db, el, p, alias) for p in pred.items)
     a, a_ref = _o_term(db, el, pred.left, alias)
     b, b_ref = _o_term(db, el, pred.right, alias)
-    if isinstance(pred.left, ast.Literal) and b_ref and a is not None:
-        a = (a,)
-    if isinstance(pred.right, ast.Literal) and a_ref and b is not None:
-        b = (b,)
+    if isinstance(pred.left, ast.Literal):
+        a = _o_literal(a, b, b_ref)
+    if isinstance(pred.right, ast.Literal):
+        b = _o_literal(b, a, a_ref)
     if a is None or b is None:
         return False
     try:
         return bool(_CMP[pred.op](a, b))
     except TypeError:
         return False
+
+
+def _o_literal(value, other, other_ref: bool):
+    """A literal's value as compared with the other side's value.
+
+    Compared with a reference it stands for the single-field identity it
+    names; an ISO date string compared with a DATE stands for that date.
+    """
+    if value is None:
+        return None
+    if isinstance(value, str) and isinstance(other[0] if other_ref and other else other,
+                                             datetime.date):
+        value = datetime.date.fromisoformat(value)
+    return (value,) if other_ref else value
 
 
 def _o_term(db, el, term, alias=None):

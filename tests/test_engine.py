@@ -4,11 +4,13 @@ import collections
 import csv
 import dataclasses
 import datetime
+import decimal
 import gc
 import io
 import itertools
 import json
 import random
+import re
 from decimal import Decimal
 from pathlib import Path
 
@@ -584,7 +586,7 @@ def test_equality_seeks_match_the_oracle():
 
 def _rich_literal(value) -> str | None:
     """COQL text of a stored value of a rich database, or None: NULL, a composite
-    identity, a date and a negative number get none."""
+    identity and a negative number get none; a date is its ISO string."""
     if value is None:
         return None
     if isinstance(value, tuple):
@@ -592,7 +594,7 @@ def _rich_literal(value) -> str | None:
             return None
         value = value[0]
     if isinstance(value, datetime.date):
-        return None  # o_holds compares the text itself, where the resolver reads a date
+        value = value.isoformat()
     if isinstance(value, str):
         return "'" + value.replace("'", "''") + "'"
     return str(value) if value >= 0 else None  # COQL has no negative literals
@@ -675,6 +677,7 @@ def test_row_runner_matches_the_oracle():
                 src = rng.choice(names)
                 anchor = _rich_anchor(rng, db, src)
                 seen["seek"] += "==" in anchor
+                seen["date seek"] += bool(re.search(r"== '\d{4}-\d\d-\d\d'", anchor))
                 pred = parse_query(anchor).anchor.predicate
                 elements = db.collections[src].elements
                 members = frozenset(i for i, el in elements.items()
@@ -709,6 +712,162 @@ def test_row_runner_matches_the_oracle():
                 assert got.identities == sorted(up), (anchor, target)
                 seen["product up"] += bool(ups) and bool(up)
     assert min(seen.values()) >= 10, seen
+
+
+# --- predicate SUMs folded once per stored row ---------------------------------------
+
+
+def _sum_paths(schema) -> list:
+    """(dimension, path names, FieldPath) of every SUM(d <- (L).path) whose path
+    reads a numeric field of L, or of a concept one more hop up."""
+    out = []
+    for d in schema.dimensions:
+        lesser = schema.concepts[d.source]
+        hops = [((), (), lesser)] + [((r.name,), (schema.dimension(d.source, r.name),),
+                                      schema.concepts[r.type]) for r in lesser.reference_fields]
+        for names, dims, owner in hops:
+            out += [(d, names + (f.name,), algebra.FieldPath(d.source, dims, f))
+                    for f in owner.fields if f.type in ("integer", "decimal")]
+    return out
+
+
+def _sum_value(rng, f):
+    """A value for field f: for INT and DECIMAL, NULL, zeros of several exponents
+    and signed numbers; for the other types a rich_value."""
+    r = rng.random()
+    if r < 0.15 and f.nullable:
+        return None
+    if f.type == "integer":
+        return 0 if r < 0.3 else rng.randint(-20, 50)
+    if f.type == "decimal":
+        whole = 0 if r < 0.35 else rng.randint(-300, 300)
+        return Decimal(whole).scaleb(-rng.randint(0, 2))
+    return oracle.rich_value(f.type, rng.randint(0, 50))
+
+
+def _fresh_rows(rng, db, cname: str, fresh, count: int) -> list:
+    """count rows (identity, entity) for cname with unused identities taken from
+    fresh; references pick a stored element or, when nullable, NULL."""
+    concept = db.schema.concepts[cname]
+    rows = []
+    for _ in range(count):
+        k = next(fresh)
+        ident = tuple(oracle.rich_value(f.type, k) for f in concept.identity_fields)
+        entity = {}
+        for f in concept.entity_fields:
+            if f.is_primitive:
+                entity[f.name] = _sum_value(rng, f)
+            elif not f.nullable or rng.random() < 0.75:
+                entity[f.name] = rng.choice(list(db.collections[f.type].elements))
+        rows.append((ident, entity))
+    return rows
+
+
+def _write_rows(path: Path, concept, rows) -> Path:
+    """A CSV file of (identity, entity) rows; NULL is an empty cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow([f.name for f in concept.fields])
+    for ident, entity in rows:
+        cells = [engine.encode_scalar(v) for v in ident]
+        for f in concept.entity_fields:
+            v = entity.get(f.name)
+            cells.append("" if v is None else engine.encode_identity(v) if not f.is_primitive
+                         else engine.encode_scalar(v))
+        writer.writerow(cells)
+    path.write_text(buf.getvalue(), encoding="utf-8")
+    return path
+
+
+def test_folded_sums_follow_every_write(tmp_path):
+    """(G | SUM(d <- (L).path) op c) answers as o_holds does, and every folded sum
+    is the very value _sum_rows adds up over the row's reverse list, exponent
+    and all: on rich random databases, then after inserts into lesser, greater
+    and intermediate collections, a CSV batch with a rejected row, and a strict
+    load that fails."""
+    rng = random.Random(6174)
+    seen = collections.Counter()
+    for n in range(60):
+        db = oracle.random_db(rng, max_concepts=5, max_elements=40, rich=True,
+                              value_type="DECIMAL" if n % 2 else "INT")
+        paths = _sum_paths(db.schema)
+        if not paths:
+            continue
+        picked = rng.sample(paths, min(4, len(paths)))
+        # fresh identities, now and then below every stored one
+        fresh = (k if k % 3 else -k for k in itertools.count(1000))
+
+        def check():
+            for d, names, path in picked:
+                greater, lesser = db.collections[d.destination], db.collections[d.source]
+                reverse = greater.reverse[d]
+                el = rng.choice(greater.rows)
+                c = abs(algebra._sum_rows(db, reverse[el.row], path))
+                term = f"SUM({d.name} <- ({d.source}).{'.'.join(names)})"
+                for op in (">", "=="):
+                    query = f"({d.destination} | {term} {op} {c})"
+                    pred = parse_query(query).anchor.predicate
+                    want = sorted(i for i, m in greater.elements.items()
+                                  if oracle.o_holds(db, m, pred))
+                    assert db.query(query).identities == want, query
+                key = (d.source, d.name, names)
+                assert key in greater.sums, key
+                sums = algebra._folded_sums(db, key, d, path)
+                assert len(sums) == len(greater)
+                for r in range(len(greater)):
+                    want = algebra._sum_rows(db, reverse[r], path)
+                    assert (sums[r], str(sums[r])) == (want, str(want)), (key, r)
+                seen["dotted" if path.dims else "one-hop"] += 1
+                seen[path.field.type] += 1
+                seen["null ref"] += -1 in lesser.forward[d.name]
+                values = list(algebra._path_values(db, range(len(lesser)), path))
+                seen["zero"] += any(v == 0 for v in values if v is not None)
+                seen["zero exponent"] += any(v == 0 and str(v) != "0" for v in values
+                                             if isinstance(v, Decimal))
+
+        check()
+        before = {name: len(c) for name, c in db.collections.items()}
+        for cname in sorted(db.schema.concepts, key=lambda s: -int(s[1:])):
+            for ident, entity in _fresh_rows(rng, db, cname, fresh, rng.randint(0, 3)):
+                db.insert(cname, ident, entity)
+        for d, _, path in picked:
+            seen["new greater rows"] += len(db.collections[d.destination]) > before[d.destination]
+            seen["new intermediate rows"] += any(
+                len(db.collections[s.destination]) > before[s.destination] for s in path.dims)
+        check()
+        d = rng.choice(picked)[0]
+        concept = db.schema.concepts[d.source]
+        rows = _fresh_rows(rng, db, d.source, fresh, rng.randint(1, 8))
+        stored = rng.choice(list(db.collections[d.source].elements))
+        rows.insert(rng.randrange(len(rows) + 1), (stored, {}))  # rejected: already stored
+        report = engine.load_csv(db, d.source, _write_rows(tmp_path / f"{n}.csv", concept, rows))
+        assert (report.inserted, len(report.rejected)) == (len(rows) - 1, 1)
+        check()
+        sizes = {name: len(c) for name, c in db.collections.items()}
+        rows = _fresh_rows(rng, db, d.source, fresh, rng.randint(1, 8)) + [(stored, {})]
+        with pytest.raises(FileError):
+            engine.load_csv(db, d.source, _write_rows(tmp_path / f"{n}s.csv", concept, rows),
+                            strict=True)
+        assert {name: len(c) for name, c in db.collections.items()} == sizes
+        check()
+    assert min(seen.values()) >= 10, seen
+    assert len(seen) == 9, seen
+
+
+def test_folded_sums_fold_again_when_the_decimal_context_changes():
+    """Sums added under another precision or rounding are folded again."""
+    db = fresh("CONCEPT G IDENTITY id INT; CONCEPT L IDENTITY id INT ENTITY g G, a DECIMAL;")
+    db.insert("G", 1)
+    for i, a in enumerate(("1.25", "2.5", "0.00", "7.07")):
+        db.insert("L", i, {"g": 1, "a": a})
+    query = "(G | SUM(g <- (L).a) == {})"
+    assert db.query(query.format("10.82")).identities == [(1,)]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 3
+        assert db.query(query.format("10.8")).identities == [(1,)]
+        ctx.rounding = decimal.ROUND_UP
+        assert db.query(query.format("10.9")).identities == [(1,)]
+    assert db.query(query.format("10.82")).identities == [(1,)]
 
 
 @pytest.mark.parametrize("query, seeks", [
