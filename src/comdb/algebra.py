@@ -20,25 +20,32 @@ decided in one place, the router (route_path, route_star_project,
 route_star_deproject, route_infer), which keeps for each leg the sub-DAG of
 dimensions lying on some path between its ends.  Projection and
 de-projection along one named path are legs holding that one path.  The
-runner (_run_route, on rows; run_route converts around it) visits a leg's
-sub-DAG in topological order, pushes the set along each dimension once and
-unites where dimensions meet.  Image and preimage distribute over union, so
-this equals the union over paths at a cost of one pass per dimension,
-however many paths there are.  _value_at is the one walk of a single
-element up a path; value_along is its identity-keyed form.
+runner (_run_route, on rows; run_route converts around it) visits the
+sub-DAG of a way, its down leg and its up leg, in topological order,
+pushes the set along each dimension once and unites where dimensions
+meet.  Image and preimage distribute over union, so this equals the union
+over paths at a cost of one pass per dimension, however many paths there
+are.  Two things cut a way short, neither of which changes its answer: a
+node with one dimension in and one out is streamed through, never built,
+and a push stops once its image holds every row it could (the rows
+referenced along that dimension, _referenced).  _value_at is the one walk
+of a single element up a path; value_along is its identity-keyed form.
 
 A predicate's SUM along a de-projection with no inner predicate is not
 added up per query: _folded_sums keeps, on the greater collection, the sum
-for every greater row, folded once per stored lesser row.  Its watermark,
-the number of lesser rows folded in, is all the invalidation it needs,
-because the store is insert-only and a stored row never changes.
+for every greater row, folded once per stored lesser row.  It and the
+referenced counts are derived state (model.Collection.derived): a
+watermark, the number of lesser rows folded in, is all the invalidation
+they need, because the store is insert-only and a stored row never
+changes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from itertools import chain, compress
+from collections import Counter
+from itertools import chain, compress, islice
 from dataclasses import dataclass, field
 from decimal import Decimal, getcontext
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -466,59 +473,142 @@ def route_infer(schema: Schema, source: Domain, target: Domain, via=None) -> Rou
     return Route(target, ways, None if ways else INDEPENDENT_WARNING)
 
 
-def _run_leg(db, members, leg: Leg):
-    """Push a set along every edge of a leg in order, uniting where edges meet.
+# The kinds of hop a way takes: along a dimension down (reverse lists) or up
+# (forward lists), which stream rows, or from factors into a product and out.
+_DOWN, _UP, _INTO, _OUT = "down", "up", "into", "out"
+_ROWS = (_DOWN, _UP)
+# rows a batch of a streamed hop aims to produce between two checks of its cap
+_BATCH = 1024
+_ROW = (-1).__lt__  # a row, not the NULL marker -1
 
-    Members are rows, or tuples of factor identities at a product end.
-    Image and preimage distribute over union, so this equals the union over
-    every path of the leg, at a cost of one pass per edge.
+
+def _run_way(db, members, down: Leg | None, up: Leg | None):
+    """Move members down one leg and up the other, as one sub-DAG of hops.
+
+    Members are rows, or tuples of factor identities at a product end.  A
+    hop is (from node, to node, dimension, kind), and a node is (leg,
+    domain): a collection both legs pass through holds a set per leg, but
+    the up leg starts from the down leg's set at the via.  Hops run in
+    order, topological in the direction of travel, uniting where they
+    meet; image and preimage distribute over union, so this equals the
+    union over every path at a cost of one pass per hop.  A node with one
+    row hop in and one out is fused: its set is never built, and the rows
+    arriving through the hop in stream on through the hop out.  A node
+    with two or more hops in is never fused, since each path through it
+    would then be walked on its own.
     """
+    hops: list = []
+    start = end = None
+    if down is not None:
+        start, end = (0, down.source), (0, down.target)
+        hops += [((0, d.destination), (0, d.source), d, _DOWN) for d in down.edges]
+        hops += [((0, f.destination), end, f, _INTO) for f in down.factors]
+    if up is not None:
+        first = end or (1, up.source)  # the via, where the down leg ends
+
+        def node(n):
+            return first if n == up.source else (1, n)
+
+        start = start or first
+        hops += [(node(up.source), node(f.destination), f, _OUT) for f in up.factors]
+        hops += [(node(d.source), node(d.destination), d, _UP) for d in up.edges]
+        end = node(up.target)
+    ins = Counter(hop[1] for hop in hops)
+    outs = Counter(hop[0] for hop in hops)
+    into = {hop[1]: hop for hop in hops}
+    through = {hop[0]: hop for hop in hops if ins[hop[0]] == outs[hop[0]] == 1
+               and hop[3] in _ROWS and into[hop[0]][3] in _ROWS}
     colls = db.collections
-    if leg.down:
-        at = {leg.source: members}
-        for d in leg.edges:
-            cur = at.get(d.destination)
-            if cur:
-                lessers = colls[d.destination].reverse[d]
-                at.setdefault(d.source, set()).update(
-                    chain.from_iterable(map(lessers.__getitem__, cur)))
-        if not leg.factors:
-            return at.get(leg.target, ())
-        out: set = set()
-        for f in leg.factors:
-            keep = at.get(f.destination)
-            if keep:
-                restrict = {f.name: colls[f.destination].identities_of(keep)}
-                out.update(iter_members(db, leg.target, restrict=restrict))
-        return out
-    at = {}
-    if leg.factors:
-        for f in leg.factors:
-            idx = leg.source.alias_index[f.name]
-            elements = colls[f.destination].elements
-            at.setdefault(f.destination, set()).update(elements[m[idx]].row for m in members)
-    else:
-        at[leg.source] = members
-    for d in leg.edges:
-        cur = at.get(d.source)
-        if not cur:
+    at = {start: members}
+    for hop in hops:
+        a, b, d, kind = hop
+        cur = at.get(a)
+        if not cur or a in through:  # a fused node's hop out runs with its hop in
             continue
-        nxt = at.setdefault(d.destination, set())
-        if len(cur) == len(colls[d.source]):
-            # the whole collection: its image is every row referenced along
-            # d, which is every row whose reverse list is not empty
-            lessers = colls[d.destination].reverse[d]
-            nxt.update(compress(range(len(lessers)), lessers))
+        if kind is _INTO:
+            restrict = {d.name: colls[d.destination].identities_of(cur)}
+            at.setdefault(b, set()).update(iter_members(db, b[1], restrict=restrict))
+        elif kind is _OUT:
+            idx, elements = a[1].alias_index[d.name], colls[d.destination].elements
+            at.setdefault(b, set()).update(elements[m[idx]].row for m in cur)
         else:
-            nxt.update(map(colls[d.source].forward[d.name].__getitem__, cur))
-            nxt.discard(-1)
-    return at.get(leg.target, ())
+            steps = [hop]
+            while b in through:
+                steps.append(through[b])
+                b = steps[-1][1]
+            last = steps[-1]
+            # no image along the last hop holds more than its cap: the rows
+            # referenced along it, or every row where other hops arrive too
+            if ins[b] == 1 and last[3] is _UP:
+                cap = _referenced(colls, last[2])
+            else:
+                cap = len(colls[b[1]])
+            _stream(colls, cur, steps, at.setdefault(b, set()), cap)
+    return at.get(end, ())
+
+
+def _stream(colls, rows, steps, out: set, cap: int) -> None:
+    """Add to out the rows that row hops lead to from rows, until out holds cap rows.
+
+    Rows go through all the hops a batch at a time, so no node in between
+    holds a set, and out is checked against its cap after each batch.
+    """
+    if len(out) >= cap:
+        return
+    d, kind = steps[0][2:]
+    if kind is _UP and len(rows) == len(colls[d.source]):
+        # the whole collection: its image is every row referenced along
+        # d, which is every row whose reverse list is not empty
+        lessers = colls[d.destination].reverse[d]
+        rows, steps = compress(range(len(lessers)), lessers), steps[1:]
+    hops, fanout = [], 1
+    for _, _, d, kind in steps:
+        if kind is _DOWN:
+            lesser, greater = colls[d.source], colls[d.destination]
+            hops.append((greater.reverse[d].__getitem__, True, False))
+            fanout *= max(1, len(lesser) // max(1, len(greater)))
+        else:
+            hops.append((colls[d.source].forward[d.name].__getitem__, False, d.nullable))
+    rows, size = iter(rows), max(1, _BATCH // fanout)
+    while len(out) < cap:
+        batch = list(islice(rows, size))
+        if not batch:
+            return
+        for get, down, nullable in hops:
+            batch = chain.from_iterable(map(get, batch)) if down else map(get, batch)
+            if nullable:
+                batch = filter(_ROW, batch)
+        out.update(batch)
+
+
+def _referenced(colls, d: Dimension) -> int:
+    """How many rows of d's destination the rows of d's source reference along d.
+
+    This is the cap on any image along d.  Reverse lists hold rows in
+    ascending order, so a greater row g is referenced from the first row
+    its list holds on: a fold over lesser rows [lo, hi) counts the rows
+    they reference whose list starts at lo or later.
+    """
+    return colls[d.destination]._derived((d.source, d.name), None, _referenced_fold, colls, d)[0]
+
+
+def _referenced_fold(colls, d: Dimension):
+    """A new referenced count's source, fold and state."""
+    forward, reverse = colls[d.source].forward[d.name], colls[d.destination].reverse[d]
+
+    def fold(count: list, lo: int, hi: int) -> None:
+        fresh = set(forward[lo:hi])
+        fresh.discard(-1)
+        count[0] += sum(reverse[g][0] >= lo for g in fresh)
+
+    return colls[d.source], fold, [0]
 
 
 def _run_route(db, members, route: Route):
     """Move members along a route: rows of a collection, else values or product members.
 
-    The one runner; run_route and the engine both call it.
+    The one runner; run_route and the engine both call it.  Once the
+    target holds every row, the ways left can add nothing and are skipped.
     """
     target = route.target
     if route.warning is not None:
@@ -527,14 +617,15 @@ def _run_route(db, members, route: Route):
         return range(len(db.collections[target]))
     if not route.ways:
         return members
-    got = []
+    if len(route.ways) == 1:
+        return _run_way(db, members, *route.ways[0][1:])
+    every = len(db.collections[target]) if isinstance(target, str) else -1
+    got: set = set()
     for _, down, up in route.ways:
-        moved = members
-        for leg in (down, up):
-            if leg is not None:
-                moved = _run_leg(db, moved, leg)
-        got.append(moved)
-    return got[0] if len(got) == 1 else set().union(*got)
+        got.update(_run_way(db, members, down, up))
+        if len(got) == every:
+            break
+    return got
 
 
 def _to_rows(db, domain: Domain, members):
@@ -654,18 +745,15 @@ def _path_values(db, rows, path: FieldPath):
 def _sum_rows(db, rows, path: FieldPath):
     """sum_values over rows of path.source, the path checked already."""
     # filter drops each NULL, and the zeros it drops too add nothing
-    return sum(filter(None, _path_values(db, rows, path)),
-               Decimal(0) if path.field.type == "decimal" else 0)
+    return sum(filter(None, _path_values(db, rows, path)), _zero(path))
 
 
 def _folded_sums(db, key, dim: Dimension, path: FieldPath) -> list:
     """_sum_rows over each greater row's lessers through dim, by greater row.
 
-    key names the pair (dim, path) in the greater collection's sums, where
-    the entry [(precision, rounding), lesser rows folded in, list] keeps
-    the list with its watermark and the decimal context it was added
-    under.  A read folds in only the lesser rows stored since, and a
-    change of context folds again from row 0.
+    key names the pair (dim, path) in the greater collection's derived
+    state, which folds the lesser rows in under the decimal context of the
+    read, and folds them again from row 0 when that context changes.
     Lesser rows are folded in ascending order, the order of every reverse
     list, skipping what _sum_rows' filter skips, so each sum makes the same
     additions from the same zero and is the identical value, exponent and
@@ -673,19 +761,25 @@ def _folded_sums(db, key, dim: Dimension, path: FieldPath) -> list:
     """
     greater = db.collections[dim.destination]
     context = getcontext()
-    context = (context.prec, context.rounding)
-    entry = greater.sums.get(key)
-    if entry is None or entry[0] != context:
-        entry = greater.sums[key] = [context, 0, []]
-    _, folded, sums = entry
-    if len(sums) < len(greater.rows):
-        zero = Decimal(0) if path.field.type == "decimal" else 0
-        sums.extend([zero] * (len(greater.rows) - len(sums)))
+    sums = greater._derived(key, (context.prec, context.rounding), _sums_fold, db, greater, dim, path)
+    if len(sums) < len(greater.rows):  # greater rows that no folded lesser row references
+        sums.extend([_zero(path)] * (len(greater.rows) - len(sums)))
+    return sums
+
+
+def _zero(path: FieldPath):
+    return Decimal(0) if path.field.type == "decimal" else 0
+
+
+def _sums_fold(db, greater, dim: Dimension, path: FieldPath):
+    """A new folded SUM's source, fold and state: the sum by greater row."""
     lesser = db.collections[path.source]
-    if folded < len(lesser.rows):
-        rows = range(folded, len(lesser.rows))
-        for g, v in zip(lesser.forward[dim.name][folded:], _path_values(db, rows, path)):
+    forward = lesser.forward[dim.name]
+
+    def fold(sums: list, lo: int, hi: int) -> None:
+        sums.extend([_zero(path)] * (len(greater.rows) - len(sums)))
+        for g, v in zip(forward[lo:hi], _path_values(db, range(lo, hi), path)):
             if v and g >= 0:
                 sums[g] += v
-        entry[1] = len(lesser.rows)
-    return sums
+
+    return lesser, fold, []

@@ -3,8 +3,10 @@
 Longest match wins, so '<-*->' never splits into '<-' '*' '->'.  Keywords
 are case-insensitive; identifiers keep their case.  Strings take single or
 double quotes with the quote doubled to escape itself.  '//' starts a line
-comment.  Number literals are unsigned: a leading minus would be ambiguous
-with the '<-' arrow, so negate via comparisons instead ('x < 0').
+comment.  A number literal may take a minus sign right before its digits
+and an exponent ('-3', '-1.5', '1e4', '1E+4'); one with a fraction or an
+exponent is a DECIMAL.  The arrow wins where both could start: 'x <-3' is
+'x', '<-', '3', so a comparison with a negative number is written 'x < -3'.
 """
 
 from __future__ import annotations
@@ -56,6 +58,17 @@ class Token:
 
 # int() is stricter than str.isdigit (which admits superscripts and the like)
 _DIGITS = "0123456789"
+
+
+def _digit_at(text: str, i: int) -> bool:
+    return i < len(text) and text[i] in _DIGITS
+
+
+def _digits(text: str, i: int) -> int:
+    """The end of the run of digits starting at i."""
+    while _digit_at(text, i):
+        i += 1
+    return i
 
 
 def _is_ident_start(ch: str) -> bool:
@@ -111,20 +124,20 @@ def tokenize(text: str) -> list[Token]:
                 advance(1)
             tokens.append(Token("STRING", "".join(chunks), start_line, start_col))
             continue
-        if ch in _DIGITS:
+        if ch in _DIGITS or (ch == "-" and _digit_at(text, i + 1)):
             start_line, start_col = line, col
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1] in _DIGITS:
-                j += 1
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-                value: object = Decimal(text[i:j])
-                kind = "DECIMAL"
-            else:
-                value = int(text[i:j])
-                kind = "INTEGER"
+            j = _digits(text, i + 1)
+            kind = "INTEGER"
+            if text.startswith(".", j) and _digit_at(text, j + 1):
+                j, kind = _digits(text, j + 1), "DECIMAL"
+            if text[j:j + 1] in ("e", "E"):
+                k = j + 1 + text.startswith(("+", "-"), j + 1)
+                if _digit_at(text, k):
+                    j, kind = _digits(text, k), "DECIMAL"
+            try:
+                value: object = int(text[i:j]) if kind == "INTEGER" else Decimal(text[i:j])
+            except (ValueError, ArithmeticError):  # past int's digit limit or Decimal's exponent
+                raise LexError("number literal out of range", line, col) from None
             advance(j - i)
             tokens.append(Token(kind, value, start_line, start_col))
             continue

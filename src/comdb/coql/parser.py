@@ -53,6 +53,13 @@ class _Parser:
         self.i += 1
         return tok
 
+    def width(self, what: str) -> int:
+        """A declared width: an INTEGER with no minus sign."""
+        tok = self.peek()
+        if tok.kind == "INTEGER" and tok.value < 0:
+            raise ParseError(f"expected {what}, found {_show(tok)}", tok.line, tok.column)
+        return self.expect("INTEGER", what).value
+
     def pos(self) -> tuple[int, int]:
         tok = self.peek()
         return (tok.line, tok.column)
@@ -307,16 +314,16 @@ class _Parser:
         length = None
         if upper == "CHAR":
             self.expect("LPAREN", "'('")
-            length = self.expect("INTEGER", "a length").value
+            length = self.width("a length")
             self.expect("RPAREN", "')'")
             ftype = "string"
         elif upper in ("INT", "INTEGER"):
             ftype = "integer"
         elif upper == "DECIMAL":
             if self.accept("LPAREN"):
-                self.expect("INTEGER", "a precision")
+                self.width("a precision")
                 self.expect("COMMA", "','")
-                self.expect("INTEGER", "a scale")
+                self.width("a scale")
                 self.expect("RPAREN", "')'")
             ftype = "decimal"
         elif upper == "DATE":

@@ -9,7 +9,6 @@ before anything runs.
 
 from __future__ import annotations
 
-import datetime
 import operator
 from dataclasses import dataclass
 from decimal import Decimal
@@ -40,7 +39,7 @@ from ..errors import (
     UnknownCollection,
     UnknownDimension,
 )
-from ..model import Dimension, DimensionPath, FieldSpec, Schema
+from ..model import Dimension, DimensionPath, FieldSpec, Schema, _iso_date
 from . import ast
 from .printer import print_literal, print_predicate, print_query, print_set_expr
 
@@ -170,7 +169,7 @@ def _coerce_literal(value, value_type: str, pos) -> object:
         if not isinstance(value, str):
             _raise(ResolveError, f"expected an ISO date string, found {value!r}", pos)
         try:
-            return datetime.date.fromisoformat(value)
+            return _iso_date(value)
         except ValueError:
             _raise(ResolveError, f"'{value}' is not an ISO date", pos)
     return value

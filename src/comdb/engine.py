@@ -131,8 +131,7 @@ def load_schema(db: Database, text: str) -> SchemaSummary:
 CHUNK_ROWS = 4096  # CSV rows read, typed and checked at a time
 
 # the one converter per primitive type for CSV text, and what a bad cell is not
-_CONVERTERS = {"string": str, "integer": int, "decimal": Decimal,
-               "date": datetime.date.fromisoformat}
+_CONVERTERS = {"string": str, "integer": int, "decimal": Decimal, "date": model._iso_date}
 _TYPE_NAMES = {"integer": "an integer", "decimal": "a decimal", "date": "an ISO date"}
 
 

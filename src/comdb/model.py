@@ -28,9 +28,10 @@ committed leaves nothing behind; insert_element is a batch of one.
 from __future__ import annotations
 
 import datetime
+import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     CyclicSchema,
@@ -364,13 +365,18 @@ class Collection:
     listed once.  ordered holds while every row was stored with a greater
     identity than the row before, so that row order is identity order.
 
-    sums is derived, and commit never writes it: for each predicate SUM
-    along a dimension arriving here, keyed by its names (lesser collection,
-    dimension, field path), it holds the sum for every row of this
-    collection and the number of lesser rows folded in, a watermark
-    (algebra._folded_sums).  Stored rows never change, so the lesser rows
-    past the watermark are all a read has to add.  A read that adds them
-    writes here, so reads, like inserts, take one thread at a time.
+    derived holds state computed from the stored rows, which commit never
+    writes.  Each entry, under its key, keeps a watermark (how many rows of
+    its source collection are folded in), the context the state depends on
+    (such as the decimal context, or None), a fold(state, lo, hi) that folds
+    the source's rows [lo, hi) in, and the state.  The store only appends
+    and a stored row never changes, so _derived, the one reader, folds in
+    only the rows past the watermark, and starts again from row 0 when the
+    context has changed.  Two kinds are kept on the collection their source
+    references: the sum per row of a predicate SUM (algebra._folded_sums)
+    and the number of rows referenced along an arriving dimension
+    (algebra._referenced).  A read that folds writes here, so reads, like
+    inserts, take one thread at a time.
 
     checks lists (position, field, referenced elements or None) for each
     entity field that is NOT NULL or a reference, and refs (position,
@@ -385,7 +391,7 @@ class Collection:
     forward: dict = field(default_factory=dict)
     reverse: dict = field(default_factory=dict)
     ordered: bool = True
-    sums: dict = field(default_factory=dict)
+    derived: dict = field(default_factory=dict)
     checks: tuple = ()
     refs: tuple = ()
 
@@ -400,6 +406,33 @@ class Collection:
     def identities_of(self, rows) -> frozenset:
         """The stored identity tuples of the given rows."""
         return frozenset(el.identity for el in map(self.rows.__getitem__, rows))
+
+    def _derived(self, key, context, start, *args):
+        """The state of derived[key] with every stored row of its source folded in.
+
+        A missing entry, or one made under another context, is made again
+        at watermark 0 from start(*args), which returns (source collection,
+        fold, empty state).
+        """
+        entry = self.derived.get(key)
+        if entry is None or entry.context != context:
+            entry = self.derived[key] = _Derived(0, context, *start(*args))
+        seen, n = entry.seen, len(entry.source.rows)
+        if seen < n:
+            entry.fold(entry.state, seen, n)
+            entry.seen = n
+        return entry.state
+
+
+@dataclass(eq=False, slots=True)
+class _Derived:
+    """One entry of Collection.derived: source rows [0, seen) are folded into state."""
+
+    seen: int
+    context: object
+    source: Collection
+    fold: Callable
+    state: object
 
 
 def create_collections(schema: Schema) -> dict[str, Collection]:
@@ -420,6 +453,21 @@ def create_collections(schema: Schema) -> dict[str, Collection]:
              colls[f.type].reverse[schema.dimension(coll.name, f.name)])
             for k, f in enumerate(fields) if not f.is_primitive)
     return colls
+
+
+_DATE_TEXT = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def _iso_date(text: str) -> datetime.date:
+    """The date of a DATE text, which is YYYY-MM-DD; ValueError for any other text.
+
+    date.fromisoformat reads more forms on later Pythons ('20240101',
+    '2024-W01-1' on 3.11), so the form is checked first: the same text is a
+    date, or not, on every supported Python.
+    """
+    if _DATE_TEXT.fullmatch(text) is None:
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return datetime.date.fromisoformat(text)
 
 
 def coerce_primitive(value, ftype: str, where: str):
@@ -448,7 +496,7 @@ def coerce_primitive(value, ftype: str, where: str):
             return value
         if isinstance(value, str):
             try:
-                return datetime.date.fromisoformat(value)
+                return _iso_date(value)
             except ValueError:
                 raise TypeMismatch(f"{where}: '{value}' is not an ISO date") from None
     raise TypeMismatch(f"{where}: expected {ftype}, got {type(value).__name__} {value!r}")

@@ -36,9 +36,11 @@ def rand_literal(rng: random.Random) -> ast.Literal:
     if r < 0.12:
         return ast.Literal(None)
     if r < 0.45:
-        return ast.Literal(rng.randint(0, 10**6))
+        return ast.Literal(rng.randint(-10**6, 10**6))
     if r < 0.70:
-        return ast.Literal(Decimal(f"{rng.randint(0, 999)}.{rng.randint(0, 9999)}"))
+        sign = rng.choice(("", "-"))
+        d = Decimal(f"{sign}{rng.randint(0, 999)}.{rng.randint(0, 9999)}")
+        return ast.Literal(d.scaleb(rng.randint(-9, 9)) if rng.random() < 0.3 else d)
     n = rng.randint(0, 12)
     return ast.Literal("".join(rng.choice(_TEXT_POOL) for _ in range(n)))
 
@@ -142,17 +144,20 @@ idents = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,9}", fullmatch=True).filter(
     lambda s: s.upper() not in KEYWORDS
 )
 
+# signed, and with an exponent when scaled (str(Decimal("1.5").scaleb(4)) is '1.5E+4')
 decimals = st.builds(
-    lambda a, b: Decimal(f"{a}.{b}"),
+    lambda sign, a, b, e: Decimal(f"{sign}{a}.{b}").scaleb(e),
+    st.sampled_from(("", "-")),
     st.integers(0, 9999),
     st.integers(0, 9999),
+    st.integers(-9, 9),
 )
 
 literals = st.builds(
     ast.Literal,
     st.one_of(
         st.none(),
-        st.integers(0, 10**9),
+        st.integers(-10**9, 10**9),
         decimals,
         st.text(max_size=15),
     ),

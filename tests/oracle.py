@@ -23,6 +23,7 @@ import io
 import json
 import operator
 import random
+import re
 from decimal import Decimal, InvalidOperation
 
 from comdb import algebra, engine, model
@@ -219,8 +220,15 @@ def _o_literal(value, other, other_ref: bool):
         return None
     if isinstance(value, str) and isinstance(other[0] if other_ref and other else other,
                                              datetime.date):
-        value = datetime.date.fromisoformat(value)
+        value = _o_date(value)
     return (value,) if other_ref else value
+
+
+def _o_date(text: str) -> datetime.date:
+    """A DATE text is YYYY-MM-DD, on every Python; ValueError for any other."""
+    if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+        raise ValueError(text)
+    return datetime.date.fromisoformat(text)
 
 
 def _o_term(db, el, term, alias=None):
@@ -425,7 +433,7 @@ def o_parse_scalar(text: str, ftype: str, where: str):
         except InvalidOperation:
             raise TypeMismatch(f"{where}: '{text}' is not a decimal") from None
     try:
-        return datetime.date.fromisoformat(text)
+        return _o_date(text)
     except ValueError:
         raise TypeMismatch(f"{where}: '{text}' is not an ISO date") from None
 

@@ -78,6 +78,45 @@ def test_bare_minus_is_an_error():
         tokenize("a - b")
 
 
+def test_signed_and_exponent_numbers():
+    values = [(t.kind, t.value) for t in tokenize("-3 -1.5 1e4 1E+4 2.5e-3 -0")[:-1]]
+    assert values == [("INTEGER", -3), ("DECIMAL", Decimal("-1.5")), ("DECIMAL", Decimal("1E+4")),
+                      ("DECIMAL", Decimal("1E+4")), ("DECIMAL", Decimal("0.0025")),
+                      ("INTEGER", 0)]
+    assert str(tokenize("1e4")[0].value) == "1E+4"
+    # no digit after the 'e' or the sign: the number ends before it
+    assert kinds("3e x") == ["INTEGER", "IDENT", "IDENT"]
+    with pytest.raises(LexError):
+        tokenize("3e+")
+    for text in ("1e999999999999999999999", "9" * 5000):
+        with pytest.raises(LexError, match="out of range"):
+            tokenize(text)
+
+
+def test_the_arrow_wins_over_a_minus_sign():
+    # '<-3' is the arrow and 3, so a negative literal after '<' prints with a space
+    assert kinds("x <-3") == ["IDENT", "LARROW", "INTEGER"]
+    assert kinds("x < -3") == ["IDENT", "LT", "INTEGER"]
+    less = ast.Comparison("<", ast.PathTerm(("x",)), ast.Literal(-3))
+    assert print_predicate(less) == "x < -3"
+    query = ast.Query(ast.SetExpr((ast.Factor("A", None),), less), ())
+    assert print_query(query) == "(A | x < -3)"
+    assert parse_query(print_query(query)) == query
+    anchor = ast.Query((ast.Literal(-3), ast.Literal(Decimal("-1.5E+4"))),
+                       (ast.DeprojectStep(("v",), ast.SetExpr((ast.Factor("A", None),), None)),))
+    assert print_query(anchor) == "-3, -1.5E+4 <- v <- (A)"
+    assert parse_query(print_query(anchor)) == anchor
+    with pytest.raises(ParseError):
+        parse_query("(A | x <-3)")
+
+
+def test_declared_widths_take_no_sign():
+    with pytest.raises(ParseError, match="expected a length"):
+        parse_schema("CONCEPT A IDENTITY id INT ENTITY c CHAR(-2);")
+    with pytest.raises(ParseError, match="expected a scale"):
+        parse_schema("CONCEPT A IDENTITY id INT ENTITY c DECIMAL(4,-1);")
+
+
 def test_split_statements_respects_strings_and_comments():
     text = "(X) -> x; // first\n(Y | name == 'a;b'); // trailing only"
     parts = split_statements(text)

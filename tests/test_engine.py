@@ -9,6 +9,7 @@ import gc
 import io
 import itertools
 import json
+import operator
 import random
 import re
 from decimal import Decimal
@@ -241,6 +242,40 @@ def test_decimal_rejects_non_finite_values(tmp_path, cell):
             db.insert("A", 3, {"amount": value})
     assert db.query("(A | amount < 5)").identities == [(1,)]
     assert db.query("(A) -> amount").identities == [Decimal("2.5")]
+
+
+@pytest.mark.parametrize("text", ["20240101", "2024-W01-1"])
+def test_date_text_is_yyyy_mm_dd_on_every_python(tmp_path, text):
+    """date.fromisoformat reads these on Python 3.11 but not on 3.10: insert, CSV
+    load and a COQL literal reject them everywhere, each with the error 3.10 gives."""
+    db = fresh("CONCEPT A IDENTITY id INT ENTITY d DATE;")
+    db.insert("A", 1, {"d": "2024-01-01"})
+    with pytest.raises(TypeMismatch, match=f"A.d: '{text}' is not an ISO date"):
+        db.insert("A", 2, {"d": text})
+    f = write(tmp_path / "A.csv", f"id,d\n3,2024-01-02\n4,{text}\n")
+    report = engine.load_csv(db, "A", f)
+    assert report.inserted == 1
+    assert report.rejected == [(3, f"A.d: '{text}' is not an ISO date")]
+    with pytest.raises(FileError, match=f"'{text}' is not an ISO date"):
+        engine.load_csv(db, "A", write(tmp_path / "B.csv", f"id,d\n5,{text}\n"), strict=True)
+    with pytest.raises(ResolveError, match=f"'{text}' is not an ISO date"):
+        db.query(f"(A | d == '{text}')")
+    assert db.query("(A | d == '2024-01-02')").identities == [(3,)]
+
+
+def test_signed_and_exponent_literals_reach_stored_values():
+    db = fresh("CONCEPT A IDENTITY id INT ENTITY v DECIMAL, n INT;"
+               "CONCEPT B IDENTITY id INT ENTITY a A;")
+    for i, (v, n) in enumerate((("-1.5", -3), ("1E+3", 0), ("2.5", 7))):
+        db.insert("A", i - 1, {"v": v, "n": n})
+        db.insert("B", i, {"a": i - 1})
+    assert db.query("(A | id == -1)").identities == [(-1,)]  # a seek on the identity
+    assert db.query("(A | n == -3)").identities == [(-1,)]
+    assert db.query("(A | v < -1)").identities == [(-1,)]
+    assert db.query("(A | v == 1e3 AND n > -1)").identities == [(0,)]
+    assert db.query("(A | v >= 1E+3)").identities == [(0,)]
+    assert db.query("(A | SUM(a <- (B).id) > -1 AND v <= 25e-1)").identities == [(-1,), (1,)]
+    assert db.query("-3, 7 <- n <- (A)").identities == [(-1,), (1,)]
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -585,8 +620,8 @@ def test_equality_seeks_match_the_oracle():
 
 
 def _rich_literal(value) -> str | None:
-    """COQL text of a stored value of a rich database, or None: NULL, a composite
-    identity and a negative number get none; a date is its ISO string."""
+    """COQL text of a stored value of a rich database, or None: NULL and a
+    composite identity get none; a date is its ISO string."""
     if value is None:
         return None
     if isinstance(value, tuple):
@@ -597,7 +632,7 @@ def _rich_literal(value) -> str | None:
         value = value.isoformat()
     if isinstance(value, str):
         return "'" + value.replace("'", "''") + "'"
-    return str(value) if value >= 0 else None  # COQL has no negative literals
+    return str(value)
 
 
 def _rich_anchor(rng, db, concept: str) -> str:
@@ -714,6 +749,99 @@ def test_row_runner_matches_the_oracle():
     assert min(seen.values()) >= 10, seen
 
 
+# --- saturating, fused routes --------------------------------------------------------
+
+
+def _add_rows(rng, db, cname: str, ids, share: float) -> None:
+    """Insert elements of cname with int identities ids.  A reference picks one of
+    the first share of its destination's elements, or, now and then, NULL."""
+    concept = db.schema.concepts[cname]
+    for i in ids:
+        entity = {}
+        for f in concept.entity_fields:
+            if f.is_primitive:
+                entity[f.name] = rng.randint(0, 9)
+            elif not f.nullable or rng.random() < 0.8:
+                pool = list(db.collections[f.type].elements)
+                entity[f.name] = rng.choice(pool[:max(1, int(len(pool) * share))])
+        db.insert(cname, i, entity)
+
+
+def _skewed_db(rng) -> engine.Database:
+    """A random DAG schema in which greater concepts hold few elements and lesser
+    ones many, and references leave a third of each destination unreferenced:
+    images fill up long before their sources run out."""
+    db = engine.Database()
+    engine.load_schema(db, oracle.random_schema_text(rng, max_concepts=6, max_dims=3))
+    for k, cname in enumerate(sorted(db.schema.concepts, key=lambda s: -int(s[1:]))):
+        _add_rows(rng, db, cname, range(rng.randint(2, 4) * (1 + 4 * k)), 2 / 3)
+    return db
+
+
+def _referenced_rows(db, d) -> set:
+    return {g for g in db.collections[d.source].forward[d.name] if g >= 0}
+
+
+def test_saturating_fused_routes_match_the_oracle(monkeypatch):
+    """Inference and star routes that stop once an image holds every row it can
+    hold, and that stream through nodes with one dimension in and one out,
+    answer as the oracle's closures do: saturated or not, through NULL
+    references and diamonds, and after inserts that reference rows nothing
+    referenced when the counts were taken.  Every row is a batch of its own,
+    so the caps are checked as often as they can be."""
+    monkeypatch.setattr(algebra, "_BATCH", 1)
+    streams = []
+    stream = algebra._stream
+
+    def spy(colls, rows, steps, out, cap):
+        stream(colls, rows, steps, out, cap)
+        streams.append((len(steps), len(out), cap))
+
+    monkeypatch.setattr(algebra, "_stream", spy)
+    rng = random.Random(8128)
+    seen = collections.Counter()
+    for _ in range(50):
+        db = _skewed_db(rng)
+        names = sorted(db.schema.concepts)
+        seen["null refs"] += any(-1 in f for c in db.collections.values()
+                                 for f in c.forward.values())
+        for phase in range(2):
+            if phase:
+                counted = {d: _referenced_rows(db, d) for d in db.schema.dimensions}
+                for cname in sorted(names, key=lambda s: -int(s[1:])):
+                    _add_rows(rng, db, cname, range(1000, 1000 + rng.randint(0, 4)), 1)
+                seen["newly referenced after a count"] += sum(
+                    _referenced_rows(db, d) > rows for d, rows in counted.items())
+            reach = oracle.reach_closure(db)
+            for _ in range(15):
+                src, target = rng.sample(names, 2)
+                k = rng.randint(0, len(db.collections[src]))
+                op, anchor = rng.choice(((operator.lt, f"({src} | id < {k})"),
+                                         (operator.ge, f"({src} | id >= {k})"),
+                                         (None, f"({src})")))
+                members = frozenset(i for i in db.collections[src].elements
+                                    if op is None or op(i[0], k))
+                want, _ = oracle.o_infer(db, reach, src, members, target)
+                query = f"{anchor} <-*-> ({target})"
+                streams.clear()
+                assert db.query(query).identities == sorted(want), query
+                assert algebra.infer(db, ElementSet(src, members), target).members == want
+                seen["fused"] += any(steps > 1 for steps, _, _ in streams)
+                seen["saturated"] += any(0 < cap <= out for _, out, cap in streams)
+                seen["unsaturated"] += any(out < cap for _, out, cap in streams)
+                for _, down, up in db.plan(query).steps[-1].route.ways:
+                    for leg in filter(None, (down, up)):
+                        ins = collections.Counter(d.source if leg.down else d.destination
+                                                  for d in leg.edges)
+                        outs = collections.Counter(d.destination if leg.down else d.source
+                                                   for d in leg.edges)
+                        seen["two in, one out"] += any(ins[c] > 1 and outs[c] == 1 for c in ins)
+            for d in db.schema.dimensions:
+                assert algebra._referenced(db.collections, d) == len(_referenced_rows(db, d))
+    assert min(seen.values()) >= 10, seen
+    assert len(seen) == 6, seen
+
+
 # --- predicate SUMs folded once per stored row ---------------------------------------
 
 
@@ -802,7 +930,7 @@ def test_folded_sums_follow_every_write(tmp_path):
                 greater, lesser = db.collections[d.destination], db.collections[d.source]
                 reverse = greater.reverse[d]
                 el = rng.choice(greater.rows)
-                c = abs(algebra._sum_rows(db, reverse[el.row], path))
+                c = algebra._sum_rows(db, reverse[el.row], path)
                 term = f"SUM({d.name} <- ({d.source}).{'.'.join(names)})"
                 for op in (">", "=="):
                     query = f"({d.destination} | {term} {op} {c})"
@@ -811,7 +939,7 @@ def test_folded_sums_follow_every_write(tmp_path):
                                   if oracle.o_holds(db, m, pred))
                     assert db.query(query).identities == want, query
                 key = (d.source, d.name, names)
-                assert key in greater.sums, key
+                assert key in greater.derived, key
                 sums = algebra._folded_sums(db, key, d, path)
                 assert len(sums) == len(greater)
                 for r in range(len(greater)):
@@ -852,6 +980,54 @@ def test_folded_sums_follow_every_write(tmp_path):
         check()
     assert min(seen.values()) >= 10, seen
     assert len(seen) == 9, seen
+
+
+def test_referenced_counts_follow_every_write(tmp_path, monkeypatch):
+    """A saturated inference answers as the oracle does, and every referenced
+    count equals a count over the forward list, after: an insert that references
+    a row nothing referenced, new greater rows that nothing references, a CSV
+    batch with a rejected row, and a strict load that fails and changes nothing."""
+    monkeypatch.setattr(algebra, "_BATCH", 1)  # a cap checked after every row
+    db = fresh("CONCEPT G IDENTITY id INT; CONCEPT H IDENTITY id INT;"
+               "CONCEPT L IDENTITY id INT ENTITY g G NOT NULL, h H;")
+    for i in range(8):
+        db.insert("G", i)
+    for i in range(6):
+        db.insert("H", i)
+    for i in range(24):  # G 0-3 reach H 0-3 between them, so the stream stops after G 3
+        db.insert("L", i, {"g": i % 8, "h": None if i % 5 == 4 else i % 4})
+    query = "(G | id < 8) <-*-> (H)"
+    dims = db.schema.dimensions
+
+    def check(want):
+        reach = oracle.reach_closure(db)
+        got, _ = oracle.o_infer(db, reach, "G", frozenset((i,) for i in range(8)), "H")
+        assert sorted(got) == want
+        assert db.query(query).identities == want
+        for d in dims:
+            assert algebra._referenced(db.collections, d) == len(_referenced_rows(db, d)), d
+
+    def counts():
+        return {(name, key): (e.seen, list(e.state))
+                for name, c in db.collections.items() for key, e in c.derived.items()}
+
+    check([(0,), (1,), (2,), (3,)])
+    db.insert("L", 100, {"g": 7, "h": 4})  # H 4: referenced for the first time
+    check([(0,), (1,), (2,), (3,), (4,)])
+    db.insert("H", 6)
+    db.insert("G", 9)
+    check([(0,), (1,), (2,), (3,), (4,)])
+    rows = "id,g,h\n101,6,6\n102,9,6\n103,7,99\n"  # 103 is rejected: no H 99
+    report = engine.load_csv(db, "L", write(tmp_path / "L.csv", rows))
+    assert (report.inserted, len(report.rejected)) == (2, 1)
+    check([(0,), (1,), (2,), (3,), (4,), (6,)])
+    before = counts()
+    with pytest.raises(FileError):
+        engine.load_csv(db, "L", write(tmp_path / "S.csv", "id,g,h\n104,5,5\n100,5,5\n"),
+                        strict=True)
+    assert counts() == before
+    check([(0,), (1,), (2,), (3,), (4,), (6,)])
+    assert counts() == before
 
 
 def test_folded_sums_fold_again_when_the_decimal_context_changes():
