@@ -5,10 +5,10 @@ of identities tagged with the domain they belong to.  A domain is a
 collection name, a primitive domain (the values of one primitive field) or
 a product collection built from several factor collections and a
 membership predicate.  Inside, a set over a collection is a set of its int
-rows (model.Collection): the public operations convert identities to rows
-on the way in and back on the way out, and the engine runs whole plans on
-rows.  Primitive values and product members, tuples of factor identities,
-are never converted.
+rows (model.Collection), and a field is read off its column by row: the
+public operations convert identities to rows on the way in and back on
+the way out, and the engine runs whole plans on rows.  Primitive values
+and product members, tuples of factor identities, are never converted.
 
 Projection moves up the partial order and deduplicates; de-projection moves
 down and fans out.  NULL references contribute nothing in either direction.
@@ -18,10 +18,12 @@ collections, and infer routes a constraint through common lesser
 collections when the source and target are incomparable.  Every motion is
 decided in one place, the router (route_path, route_star_project,
 route_star_deproject, route_infer), which keeps for each leg the sub-DAG of
-dimensions lying on some path between its ends.  Projection and
-de-projection along one named path are legs holding that one path.  The
-runner (_run_route, on rows; run_route converts around it) visits the
-sub-DAG of a way, its down leg and its up leg, in topological order,
+dimensions lying on some path between its ends, and for each way the
+hops the runner takes (_plan_way).  A route between two collections is
+made once per schema.  Projection and de-projection along one named path
+are legs holding that one path.  The runner (_run_route, on rows;
+run_route converts around it) visits the sub-DAG of a way, its down leg
+and its up leg, in topological order,
 pushes the set along each dimension once and unites where dimensions
 meet.  Image and preimage distribute over union, so this equals the union
 over paths at a cost of one pass per dimension, however many paths there
@@ -29,7 +31,8 @@ are.  Two things cut a way short, neither of which changes its answer: a
 node with one dimension in and one out is streamed through, never built,
 and a push stops once its image holds every row it could (the rows
 referenced along that dimension, _referenced).  _value_at is the one walk
-of a single element up a path; value_along is its identity-keyed form.
+of a single element's row up a path to a field's column; value_along is
+its identity-keyed form.
 
 A predicate's SUM along a de-projection with no inner predicate is not
 added up per query: _folded_sums keeps, on the greater collection, the sum
@@ -42,10 +45,12 @@ changes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
 from itertools import chain, compress, islice
+from operator import itemgetter
 from dataclasses import dataclass, field
 from decimal import Decimal, getcontext
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -58,7 +63,7 @@ from .errors import (
     ProductTooLarge,
     ViaNotCommonLesser,
 )
-from .model import Dimension, DimensionPath, FieldSpec, Identity, Schema
+from .model import ROW, Dimension, DimensionPath, FieldSpec, Identity, Schema
 
 INDEPENDENT_WARNING = "independent collections: full target returned"
 
@@ -84,8 +89,9 @@ class ProductCollection:
 
     Factors are (alias, collection name) pairs; members are tuples of factor
     identities in factor order.  The predicate is an opaque callable taking
-    (db, {alias: Element}) so background knowledge can be expressed in any
-    form the caller likes.  Members are enumerated lazily.
+    (db, {alias: row}), each factor's row in its collection, so background
+    knowledge can be expressed in any form the caller likes (model.Element
+    is a view of a row).  Members are enumerated lazily.
     """
 
     name: str
@@ -171,31 +177,34 @@ def iter_members(db, product: ProductCollection,
     restrict optionally narrows individual factors to given identity sets
     before the cross product is formed, which keeps de-projections into
     large products from enumerating everything; a restricted factor
-    iterates its restriction, keeping only identities that exist.  Raises
+    iterates the rows of the identities that exist.  The predicate sees
+    each combination as {alias: row}; no view is built per pair.  Raises
     ProductTooLarge, before enumerating, when the factors' sizes multiply
     to more than MAX_PRODUCT_PAIRS.
     """
-    axes = []  # each factor's Elements
+    axes = []  # each factor's rows
     for alias, cname in product.factors:
         coll = db.collections[cname]
         if restrict is not None and alias in restrict:
-            axes.append([el for el in map(coll.elements.get, restrict[alias]) if el is not None])
+            axes.append(coll.rows_of(restrict[alias]))
         else:
-            axes.append(coll.rows)
+            axes.append(range(len(coll)))
     pairs = math.prod(map(len, axes))
     if pairs > MAX_PRODUCT_PAIRS:
         factors = " x ".join(f"{c} {a} ({len(axis):,})"
                              for (a, c), axis in zip(product.factors, axes))
         raise ProductTooLarge(f"product '{product.name}' of {factors} would examine "
                               f"{pairs:,} pairs, more than the {MAX_PRODUCT_PAIRS:,} allowed")
+    ids = [db.collections[cname].ids for _, cname in product.factors]
     predicate = product.predicate
     if predicate is None:
-        yield from itertools.product(*([el.identity for el in axis] for axis in axes))
+        yield from itertools.product(*(list(map(i.__getitem__, axis))
+                                       for i, axis in zip(ids, axes)))
         return
     aliases = [a for a, _ in product.factors]
     for combo in itertools.product(*axes):
         if predicate(db, dict(zip(aliases, combo))):
-            yield tuple(el.identity for el in combo)
+            yield tuple(map(list.__getitem__, ids, combo))
 
 
 def product_members(db, product: ProductCollection) -> ElementSet:
@@ -222,13 +231,7 @@ def project_values(db, eset: ElementSet, dims: Sequence[Dimension],
 
 def _field_values(coll, rows, fld: FieldSpec) -> set:
     """The values one primitive field takes over some rows of a collection, without NULL."""
-    k = coll.concept.position(fld.name)
-    arity = len(coll.concept.identity_fields)
-    elements = map(coll.rows.__getitem__, rows)
-    if k < arity:
-        return {el.identity[k] for el in elements}
-    k -= arity
-    values = {el.values[k] for el in elements}
+    values = set(map(coll.columns[fld.name].__getitem__, rows))
     values.discard(None)
     return values
 
@@ -258,15 +261,10 @@ def _owner_rows(coll, field_name: str, values: Iterable) -> set:
     if fld is None or not fld.is_primitive:
         raise PathNotComposable(f"'{concept.name}.{field_name}' is not a primitive field")
     wanted = {v for v in values if v is not None}
-    k = concept.position(field_name)
-    arity = len(concept.identity_fields)
-    if arity == 1 and k == 0:
-        # the whole identity: look each value up
-        return coll.rows_of((v,) for v in wanted)
-    if k < arity:
-        return {el.row for el in coll.rows if el.identity[k] in wanted}
-    k -= arity
-    return {el.row for el in coll.rows if el.values[k] in wanted}
+    if concept.identity_fields == (fld,):  # the whole identity: look each value up
+        return coll.rows_of(zip(wanted))
+    column = coll.columns[field_name]
+    return set(compress(range(len(column)), map(wanted.__contains__, column)))
 
 
 def intersect_deprojections(esets: Sequence[ElementSet]) -> ElementSet:
@@ -314,12 +312,17 @@ class Route:
     an inference passes through (None when it needs none), and either leg
     may be None.  No ways and no warning leaves the set where it is; a
     warning means nothing connects the ends, and the answer is the whole
-    target.
+    target.  plans holds, for each way, the hops _run_way runs, worked out
+    once when the route is made.
     """
 
     target: Domain
     ways: tuple[tuple[Domain | None, Leg | None, Leg | None], ...]
     warning: str | None = None
+    plans: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "plans", tuple(_plan_way(down, up) for _, down, up in self.ways))
 
 
 def _leg(schema: Schema, lower: Domain, upper: str, down: bool) -> Leg | None:
@@ -398,6 +401,27 @@ def route_path(schema: Schema, domain: Domain, path: DimensionPath, down: bool) 
     return Route(path.destination, ((None, None, leg),))
 
 
+def _kept(router):
+    """A router whose routes between two collections are made once per schema.
+
+    Such a route depends on the schema and the two names alone, and a Route
+    never changes, so every plan can share it, hop plans and all.  A route
+    with a product end, or through a given via, is made on every call.
+    """
+    @functools.wraps(router)
+    def routed(schema: Schema, source: Domain, target: Domain, *via) -> Route:
+        if any(via) or not (isinstance(source, str) and isinstance(target, str)):
+            return router(schema, source, target, *via)
+        key = (router.__name__, source, target)
+        route = schema.routes.get(key)
+        if route is None:
+            route = schema.routes[key] = router(schema, source, target)
+        return route
+
+    return routed
+
+
+@_kept
 def route_star_project(schema: Schema, source: Domain, target: str) -> Route:
     """The route of '*->': up from a collection or product to a greater collection."""
     if isinstance(source, PrimitiveDomain):
@@ -413,6 +437,7 @@ def route_star_project(schema: Schema, source: Domain, target: str) -> Route:
     return Route(target, ((None, None, leg),))
 
 
+@_kept
 def route_star_deproject(schema: Schema, source: Domain, target: Domain) -> Route:
     """The route of '<-*': down from a collection to a lesser collection or product."""
     if not isinstance(source, str):
@@ -430,6 +455,7 @@ def route_star_deproject(schema: Schema, source: Domain, target: Domain) -> Rout
     return Route(target, ((None, leg, None),))
 
 
+@_kept
 def route_infer(schema: Schema, source: Domain, target: Domain, via=None) -> Route:
     """The route of '<-*->' between any two domains.
 
@@ -479,11 +505,10 @@ _DOWN, _UP, _INTO, _OUT = "down", "up", "into", "out"
 _ROWS = (_DOWN, _UP)
 # rows a batch of a streamed hop aims to produce between two checks of its cap
 _BATCH = 1024
-_ROW = (-1).__lt__  # a row, not the NULL marker -1
 
 
-def _run_way(db, members, down: Leg | None, up: Leg | None):
-    """Move members down one leg and up the other, as one sub-DAG of hops.
+def _plan_way(down: Leg | None, up: Leg | None) -> tuple:
+    """How _run_way moves a set down one leg and up the other: (start, end, runs).
 
     Members are rows, or tuples of factor identities at a product end.  A
     hop is (from node, to node, dimension, kind), and a node is (leg,
@@ -496,6 +521,12 @@ def _run_way(db, members, down: Leg | None, up: Leg | None):
     arriving through the hop in stream on through the hop out.  A node
     with two or more hops in is never fused, since each path through it
     would then be walked on its own.
+
+    Each run is (from node, to node, kind, what, capped).  A product hop's
+    what is its dimension.  A row hop's what is the chain of hops its rows
+    stream through, up to the first node that is not fused, and capped is
+    the last hop's dimension when its image can hold no more than the rows
+    referenced along it (an up hop that alone arrives there), else None.
     """
     hops: list = []
     start = end = None
@@ -518,32 +549,45 @@ def _run_way(db, members, down: Leg | None, up: Leg | None):
     into = {hop[1]: hop for hop in hops}
     through = {hop[0]: hop for hop in hops if ins[hop[0]] == outs[hop[0]] == 1
                and hop[3] in _ROWS and into[hop[0]][3] in _ROWS}
-    colls = db.collections
-    at = {start: members}
+    runs = []
     for hop in hops:
         a, b, d, kind = hop
+        if a in through:  # a fused node's hop out runs with its hop in
+            continue
+        if kind not in _ROWS:
+            runs.append((a, b, kind, d, None))
+            continue
+        steps = [hop]
+        while b in through:
+            steps.append(through[b])
+            b = steps[-1][1]
+        last = steps[-1]
+        capped = last[2] if ins[b] == 1 and last[3] is _UP else None
+        runs.append((a, b, kind, tuple(steps), capped))
+    return start, end, tuple(runs)
+
+
+def _run_way(db, members, plan: tuple):
+    """Move members along one way of a route, as _plan_way planned it."""
+    start, end, runs = plan
+    colls = db.collections
+    at = {start: members}
+    for a, b, kind, what, capped in runs:
         cur = at.get(a)
-        if not cur or a in through:  # a fused node's hop out runs with its hop in
+        if not cur:
             continue
         if kind is _INTO:
-            restrict = {d.name: colls[d.destination].identities_of(cur)}
+            restrict = {what.name: colls[what.destination].identities_of(cur)}
             at.setdefault(b, set()).update(iter_members(db, b[1], restrict=restrict))
         elif kind is _OUT:
-            idx, elements = a[1].alias_index[d.name], colls[d.destination].elements
-            at.setdefault(b, set()).update(elements[m[idx]].row for m in cur)
+            rows = colls[what.destination].elements
+            at.setdefault(b, set()).update(map(rows.__getitem__,
+                                               map(itemgetter(a[1].alias_index[what.name]), cur)))
         else:
-            steps = [hop]
-            while b in through:
-                steps.append(through[b])
-                b = steps[-1][1]
-            last = steps[-1]
             # no image along the last hop holds more than its cap: the rows
             # referenced along it, or every row where other hops arrive too
-            if ins[b] == 1 and last[3] is _UP:
-                cap = _referenced(colls, last[2])
-            else:
-                cap = len(colls[b[1]])
-            _stream(colls, cur, steps, at.setdefault(b, set()), cap)
+            cap = len(colls[b[1]]) if capped is None else _referenced(colls, capped)
+            _stream(colls, cur, what, at.setdefault(b, set()), cap)
     return at.get(end, ())
 
 
@@ -577,7 +621,7 @@ def _stream(colls, rows, steps, out: set, cap: int) -> None:
         for get, down, nullable in hops:
             batch = chain.from_iterable(map(get, batch)) if down else map(get, batch)
             if nullable:
-                batch = filter(_ROW, batch)
+                batch = filter(ROW, batch)
         out.update(batch)
 
 
@@ -617,12 +661,12 @@ def _run_route(db, members, route: Route):
         return range(len(db.collections[target]))
     if not route.ways:
         return members
-    if len(route.ways) == 1:
-        return _run_way(db, members, *route.ways[0][1:])
+    if len(route.plans) == 1:
+        return _run_way(db, members, route.plans[0])
     every = len(db.collections[target]) if isinstance(target, str) else -1
     got: set = set()
-    for _, down, up in route.ways:
-        got.update(_run_way(db, members, down, up))
+    for plan in route.plans:
+        got.update(_run_way(db, members, plan))
         if len(got) == every:
             break
     return got
@@ -686,18 +730,16 @@ def infer(db, eset: ElementSet, target, via=None,
 
 
 def value_along(db, collection: str, ident: Identity,
-                dims: Sequence[Dimension], position: int | None):
+                dims: Sequence[Dimension], name: str | None):
     """Follow dimensions from one element, then read a field; NULL propagates.
 
-    position is the field's Concept.position in the concept the dimensions
-    arrive at; with position None the value is the identity of the
-    endpoint element.
+    name is a primitive field of the concept the dimensions arrive at; with
+    name None the value is the identity of the endpoint element.
     """
-    return _value_at(db, collection, db.collections[collection].elements[ident].row,
-                     dims, position)
+    return _value_at(db, collection, db.collections[collection].elements[ident], dims, name)
 
 
-def _value_at(db, collection: str, row: int, dims: Sequence[Dimension], position: int | None):
+def _value_at(db, collection: str, row: int, dims: Sequence[Dimension], name: str | None):
     """value_along from an element's row: the one walk along forward lists."""
     colls = db.collections
     for seg in dims:
@@ -705,12 +747,8 @@ def _value_at(db, collection: str, row: int, dims: Sequence[Dimension], position
         if row < 0:
             return None
         collection = seg.destination
-    el = colls[collection].rows[row]
-    if position is None:
-        return el.identity
-    if position < len(el.identity):
-        return el.identity[position]
-    return el.values[position - len(el.identity)]
+    coll = colls[collection]
+    return (coll.ids if name is None else coll.columns[name])[row]
 
 
 def sum_values(db, eset: ElementSet, path: FieldPath):
@@ -729,17 +767,10 @@ def sum_values(db, eset: ElementSet, path: FieldPath):
 
 def _path_values(db, rows, path: FieldPath):
     """The values path reads off some rows of path.source, in order; NULL reads None."""
-    coll = db.collections[path.dims[-1].destination if path.dims else path.source]
-    k = coll.concept.position(path.field.name)
     if path.dims:
-        return (_value_at(db, path.source, r, path.dims, k) for r in rows)
-    # a field of the set's own elements is read in place
-    elements = map(coll.rows.__getitem__, rows)
-    arity = len(coll.concept.identity_fields)
-    if k < arity:
-        return (el.identity[k] for el in elements)
-    k -= arity
-    return (el.values[k] for el in elements)
+        return (_value_at(db, path.source, r, path.dims, path.field.name) for r in rows)
+    # a field of the set's own elements is read off its column
+    return map(db.collections[path.source].columns[path.field.name].__getitem__, rows)
 
 
 def _sum_rows(db, rows, path: FieldPath):
@@ -762,8 +793,8 @@ def _folded_sums(db, key, dim: Dimension, path: FieldPath) -> list:
     greater = db.collections[dim.destination]
     context = getcontext()
     sums = greater._derived(key, (context.prec, context.rounding), _sums_fold, db, greater, dim, path)
-    if len(sums) < len(greater.rows):  # greater rows that no folded lesser row references
-        sums.extend([_zero(path)] * (len(greater.rows) - len(sums)))
+    if len(sums) < len(greater):  # greater rows that no folded lesser row references
+        sums.extend([_zero(path)] * (len(greater) - len(sums)))
     return sums
 
 
@@ -777,7 +808,7 @@ def _sums_fold(db, greater, dim: Dimension, path: FieldPath):
     forward = lesser.forward[dim.name]
 
     def fold(sums: list, lo: int, hi: int) -> None:
-        sums.extend([_zero(path)] * (len(greater.rows) - len(sums)))
+        sums.extend([_zero(path)] * (len(greater) - len(sums)))
         for g, v in zip(forward[lo:hi], _path_values(db, range(lo, hi), path)):
             if v and g >= 0:
                 sums[g] += v

@@ -66,6 +66,9 @@ _OPS = {
 class PathValue:
     """A path term: a reader (db, subject) -> value, and what the path reads.
 
+    The subject is a row of the path's collection, or {alias: row} for a
+    product member.
+
     value_type is the primitive type name, or None when the endpoint is a
     reference (ref_to then names the destination concept); a literal
     compared with the path is typed against them.
@@ -79,7 +82,7 @@ class PathValue:
 
 @dataclass(frozen=True)
 class AggValue:
-    """COUNT or SUM over the one-hop de-projection of the subject element."""
+    """COUNT or SUM over the one-hop de-projection of the subject row."""
 
     read: Callable
     func: str
@@ -132,22 +135,22 @@ def _compile_path(ctx: _Ctx, node: ast.PathTerm) -> PathValue:
             parts.pop(0)
 
     dims, owner, f = _field_path(ctx.schema, start, parts, node.pos)
-    concept = ctx.schema.concept(owner)
-    k = None if f is None else concept.position(f.name)
-    arity = len(concept.identity_fields)
-    # a field of the subject itself is read in place; _value_at walks the rest from its row
-    if dims or k is None:
-        def at(db, el):
-            return _value_at(db, start, el.row, dims, k)
-    elif k < arity:
-        def at(db, el):
-            return el.identity[k]
-    else:
-        k -= arity
+    if f is None or f.is_primitive:
+        name = None if f is None else f.name
+    else:  # a reference reads the identity of the element it names, one hop on
+        dims, name = dims + (ctx.schema.dimension(owner, f.name),), None
+    # a field of the subject itself is read off its column; _value_at walks the rest
+    if dims or name is None:
+        def at(db, row):
+            return _value_at(db, start, row, dims, name)
 
-        def at(db, el):
-            return el.values[k]
-    read = at if alias is None else (lambda db, subject: at(db, subject[alias]))
+        read = at if alias is None else (lambda db, subject: at(db, subject[alias]))
+    elif alias is None:
+        def read(db, row):
+            return db.collections[start].columns[name][row]
+    else:
+        def read(db, subject):
+            return db.collections[start].columns[name][subject[alias]]
     if f is None:
         return PathValue(read, None, start, text)
     if f.is_primitive:
@@ -247,17 +250,16 @@ def _compile_agg(ctx: _Ctx, node: ast.AggTerm) -> AggValue:
         # The key is the SUM's names, which hash faster than dim and sum_path.
         key = (collection, node.dim, tuple(node.path))
 
-        def read(db, el):
-            return _folded_sums(db, key, dim, sum_path)[el.row]
+        def read(db, row):
+            return _folded_sums(db, key, dim, sum_path)[row]
 
         return AggValue(read, node.func)
 
-    def read(db, el):
-        # the reverse list of the element's row, read in place: it lists each lesser once
-        members = db.collections[subject].reverse[dim][el.row]
+    def read(db, row):
+        # the subject's reverse list, read in place: it lists each lesser once
+        members = db.collections[subject].reverse[dim][row]
         if inner is not None:
-            rows = db.collections[collection].rows
-            members = [r for r in members if inner(db, rows[r])]
+            members = [r for r in members if inner(db, r)]
         if sum_path is None:
             return len(members)
         return _sum_rows(db, members, sum_path)
@@ -276,7 +278,8 @@ def _reader(term, other, node, schema: Schema) -> Callable:
 def compile_predicate(ctx: _Ctx, node) -> Callable:
     """Compile a predicate into one closure (db, subject) -> bool.
 
-    The subject is an Element, or {alias: Element} for a product member.
+    The subject is a row of the collection, or {alias: row} for a product
+    member.
     A comparison touching NULL is false, and so is one that raises
     TypeError; NOT applies after that.
     """

@@ -7,9 +7,10 @@ an insert made while a query runs can leave its answer inconsistent.
 execute runs a plan on the rows of collections and turns rows into
 identities only in the result.  Query results come back as ResultSet
 values held column-wise: the sorted member identities and, for a
-collection, each member's stored values tuple; rows are built as dicts
-only when read.  build_result picks one encoder per column from the
-schema, and the render_* functions map each column through it.
+collection, the slice of each stored column at the members' rows; rows
+are built as dicts only when read.  build_result picks one encoder per
+column from the schema, and the render_* functions map each column
+through it.
 """
 
 from __future__ import annotations
@@ -331,7 +332,8 @@ def _check_chunk(db, batch: model.Batch, header, rows, lines, errors, report, st
     taking a non-finite DECIMAL elsewhere in field order.
     """
     concept = batch.coll.concept
-    cells = dict(zip(header, zip(*rows)))
+    # one C-level pass per column: zip(*rows) would make an iterator per row
+    cells = {name: list(map(operator.itemgetter(k), rows)) for k, name in enumerate(header)}
     keys = [_typed_column(cells[f.name], f.type, f"{concept.name}.{f.name}", errors,
                           TypeMismatch(f"identity field {f.name} is empty"))
             for f in concept.identity_fields]
@@ -353,14 +355,7 @@ def _check_chunk(db, batch: model.Batch, header, rows, lines, errors, report, st
         if f.type == "decimal":
             for i, e in _nonfinite(values, f"{concept.name}.{f.name}").items():
                 errors.setdefault(i, e)
-    entities = map(list, zip(*columns)) if columns else ([] for _ in rows)
-    rejected = []
-    for i, (ident, values) in enumerate(zip(zip(*keys), entities)):
-        e = errors.get(i)
-        if e is None:
-            e = batch.add(ident, values, late.get(i))
-        if e is not None:
-            rejected.append((i, e))
+    rejected = batch.add(list(zip(*keys)), columns, errors, late)
     report.inserted += len(rows) - len(rejected)
     if strict and rejected:
         i, e = rejected[0]
@@ -440,9 +435,8 @@ def load_data_dir(db: Database, directory, strict: bool = False):
 # --- execution --------------------------------------------------------------------
 
 
-def _filter_collection(db, collection: str, members, predicate) -> set:
-    rows = db.collections[collection].rows
-    return {r for r in members if predicate(db, rows[r])}
+def _filter(db, members, predicate) -> set:
+    return {r for r in members if predicate(db, r)}
 
 
 def _run(db, anchor, steps):
@@ -458,7 +452,7 @@ def _run(db, anchor, steps):
         else:
             members = range(len(db.collections[domain]))
         if anchor.predicate is not None:
-            members = _filter_collection(db, domain, members, anchor.predicate)
+            members = _filter(db, members, anchor.predicate)
     elif isinstance(anchor, ProductAnchor):
         domain = anchor.product
         members = algebra.product_members(db, domain).members
@@ -469,7 +463,7 @@ def _run(db, anchor, steps):
 
     for step in steps:
         if isinstance(step, PlanFilter):
-            members = _filter_collection(db, domain, members, step.predicate)
+            members = _filter(db, members, step.predicate)
         elif isinstance(step, PlanProjectField):
             coll = db.collections[domain]
             members = algebra._field_values(coll, members, step.field)
@@ -513,8 +507,6 @@ def execute_statement(db: Database, text: str):
 # the text of a primitive value, by field type
 _TEXT = {"integer": str, "string": str, "decimal": str, "date": datetime.date.isoformat}
 _FIRST = operator.itemgetter(0)
-_IDENTITY = operator.attrgetter("identity")
-_VALUES = operator.attrgetter("values")
 
 
 def _encoder(schema: model.Schema, ftype: str):
@@ -553,11 +545,12 @@ class _Rows(Sequence):
         if isinstance(k, slice):
             return [self[i] for i in range(*k.indices(len(self)))]
         rs = self._rs
-        cells = rs.identities[k]
         if rs.kind == "collection":
-            cells = cells + rs.values[k]
+            cells = [column[k] for column in rs.values]
         elif rs.kind == "primitive":
-            cells = (cells,)
+            cells = (rs.identities[k],)
+        else:
+            cells = rs.identities[k]
         return dict(zip(rs.columns, cells))
 
     def __eq__(self, other) -> bool:
@@ -573,9 +566,10 @@ class ResultSet:
 
     identities are the sorted members: identity tuples of a collection,
     primitive values, or tuples of factor identities of a product.  A
-    collection result also holds each member's stored values tuple.
-    build_result picks one encoder per column; rows builds its dicts only
-    when read.
+    collection result also holds, in values, one list per column: the
+    slice of the stored column in the members' order, a reference as the
+    referenced element's stored identity tuple.  build_result picks one
+    encoder per column; rows builds its dicts only when read.
     """
 
     kind: str                  # collection | primitive | product
@@ -584,7 +578,7 @@ class ResultSet:
     identities: list
     domain: algebra.Domain
     warnings: tuple[str, ...] = ()
-    values: list | None = None  # collection: the stored values tuple of each member
+    values: list | None = None  # collection: each column's cells, in the members' order
     # per column, as _encoder and _json_encoder; of the identities, None for a product
     encoders: tuple = field(default=(), compare=False)
     json_encoders: tuple = field(default=(), compare=False)
@@ -620,35 +614,42 @@ def build_result(db, domain, members, warnings: tuple[str, ...] = ()) -> ResultS
                          None, encoders, tuple(map(_json_encoder, repeat(schema),
                                                    (c for _, c in domain.factors))))
     coll = db.collections[domain]
-    if coll.ordered:  # row order is identity order: sort the ints
-        picked = list(map(coll.rows.__getitem__, sorted(members)))
-    else:
-        picked = sorted(map(coll.rows.__getitem__, members), key=_IDENTITY)
-    identities = [None] * len(picked)
-    identities[:] = map(_IDENTITY, picked)  # sized exactly: a kept answer holds no spare slots
+    # row order is identity order while the collection is ordered: sort the ints
+    rows = sorted(members) if coll.ordered else sorted(members, key=coll.ids.__getitem__)
+    identities = [None] * len(rows)
+    # sized exactly: a kept answer holds no spare slots
+    identities[:] = map(coll.ids.__getitem__, rows)
     fields = coll.concept.fields
     return ResultSet("collection", domain, tuple(f.name for f in fields),
-                     identities, domain, warnings, list(map(_VALUES, picked)),
+                     identities, domain, warnings, [_cells(coll, f, rows) for f in fields],
                      tuple(_encoder(schema, f.type) for f in fields),
                      tuple(_json_encoder(schema, f.type) for f in fields),
                      _encoder(schema, domain))
 
 
+def _cells(coll: model.Collection, f: model.FieldSpec, rows) -> list:
+    """One field's values at some rows of a collection, a reference as the stored identity."""
+    cells = list(map(coll.columns[f.name].__getitem__, rows))
+    link = coll.refs.get(f.name)
+    if link is None:
+        return cells
+    ids = link[0].ids
+    if -1 not in cells:
+        return list(map(ids.__getitem__, cells))
+    return [ids[g] if g >= 0 else None for g in cells]
+
+
 def _columns(rs: ResultSet) -> list:
     """The result's cells column by column, in the order of rs.columns.
 
-    One itemgetter pass per column: zip(*rows) would make an iterator per row.
+    A collection result holds them already.  Otherwise one itemgetter pass
+    per column: zip(*rows) would make an iterator per row.
     """
     if rs.kind == "primitive":
         return [rs.identities]
-    if not rs.identities:
-        return [()] * len(rs.columns)
-    arity = len(rs.identities[0])
-    columns = [list(map(operator.itemgetter(k), rs.identities)) for k in range(arity)]
-    if rs.values is not None:
-        columns += (list(map(operator.itemgetter(k), rs.values))
-                    for k in range(len(rs.columns) - arity))
-    return columns
+    if rs.kind == "collection":
+        return rs.values
+    return [list(map(operator.itemgetter(k), rs.identities)) for k in range(len(rs.columns))]
 
 
 def _encode(column, encoder, null) -> list:

@@ -3,34 +3,41 @@
 A schema is a set of concepts partially ordered by their reference fields
 (dimensions): the concept a reference points at is greater than the concept
 declaring the reference.  A database instance mirrors the same shape one
-level down.  Every element stores the identities of the greater elements it
-references, each collection keeps a per-dimension reverse index, and the
-type constraint keeps every reference inside its destination collection.
+level down.  Every element references the greater elements it names, each
+collection keeps a per-dimension reverse index, and the type constraint
+keeps every reference inside its destination collection.
 
 Identities are plain tuples of primitive values.  They double as the
-by-value references stored in entity fields, so two elements are related
-exactly when one holds the identity of the other (directly or transitively).
+by-value references a user gives and reads, so two elements are related
+exactly when one names the identity of the other (directly or transitively).
 
-Inside a collection each element also has a dense int row, its place in
-the order of arrival.  The store is insert-only, so a row never changes.
-The indexes the algebra walks are keyed by row: a forward list per owned
-dimension holds the referenced element's row (-1 for NULL), and a reverse
-list per arriving dimension holds, for each row of the greater collection,
-the rows of the lesser elements referencing it.  Identities stay the keys
-a user sees; the algebra converts at its edges.
+The store is a column store.  Inside a collection each element is a dense
+int row, its place in the order of arrival; the store is insert-only, so a
+row never changes.  Every field is one list by row: an identity or
+primitive field holds its values, and a reference field, seen as the
+dimension it is, a function from the lesser collection to the greater,
+holds the referenced element's row (-1 for NULL).  A reverse list per
+arriving dimension holds, for each row of the greater collection, the rows
+of the lesser elements referencing it.  Identities stay the keys a user
+sees: each collection keeps its stored identity tuples by row and a dict
+from identity to row, and an Element is a view of one row built on demand.
 
-Rows reach the store in two steps: a Batch checks them (NOT NULL,
-references, duplicate identities) and holds the good ones, and commit
-appends rows, forward entries and reverse lists.  A batch that is never
-committed leaves nothing behind; insert_element is a batch of one.
+Rows reach the store in two steps: a Batch checks them a column at a time
+(duplicate identities, NOT NULL, references) and holds the good ones in
+columns, and commit extends the collection's columns and reverse lists.
+A batch that is never committed leaves nothing behind; insert_element is a
+chunk of one.
 """
 
 from __future__ import annotations
 
 import datetime
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
+from itertools import compress, islice, repeat
+from operator import eq, is_, itemgetter, lt
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
@@ -53,6 +60,9 @@ PRIMITIVE_TYPES = ("string", "integer", "decimal", "date")
 
 #: Flat tuple of primitive values; identities double as references.
 Identity = tuple
+
+#: A row, not the NULL marker -1 that a reference column holds for NULL.
+ROW = (-1).__lt__
 
 
 @dataclass(frozen=True)
@@ -94,14 +104,6 @@ class Concept:
     def field(self, name: str) -> FieldSpec | None:
         k = self._positions.get(name)
         return None if k is None else self.fields[k]
-
-    def position(self, name: str) -> int | None:
-        """Where a field is read: its index k in `fields`, identity fields first.
-
-        With n identity fields, k < n reads identity[k] and any other k
-        reads an element's values[k - n].
-        """
-        return self._positions.get(name)
 
 
 @dataclass(frozen=True)
@@ -156,10 +158,13 @@ class Schema:
 
     Instances come from build_schema, which enforces the invariants; the
     derived lookup tables and the strict order closure are computed here.
+    routes keeps the routes the algebra's router made between collections,
+    which depend on the schema alone.
     """
 
     concepts: dict[str, Concept]
     dimensions: tuple[Dimension, ...]
+    routes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _by_source: dict[str, tuple[Dimension, ...]] = field(init=False, repr=False)
     _by_destination: dict[str, tuple[Dimension, ...]] = field(init=False, repr=False)
     _above: dict[str, frozenset[str]] = field(init=False, repr=False)
@@ -317,35 +322,64 @@ def _check_acyclic(concepts: dict[str, Concept], dims: list[Dimension]) -> None:
 # --- elements and collections ---------------------------------------------
 
 
-@dataclass(eq=False, repr=False, slots=True)
 class Element:
-    """One element: identity tuple plus entity values (references as identities).
+    """A view of one stored element: its collection and its row, read on demand.
 
-    values holds the entity values in the order of the concept's
-    entity_fields.  row is the element's place in its collection's rows,
-    set when it is stored.  The collection's name and field names are read
-    off the concept, so an element holds nothing its collection shares.
+    Nothing is stored per element but the row: identity is the stored
+    identity tuple, values the entity values in the order of the concept's
+    entity_fields (a reference as the referenced element's stored identity
+    tuple, NULL as None), and entity the same values by field name.  Two
+    views of the same row are equal.
     """
 
-    concept: Concept
-    identity: Identity
-    values: tuple
-    row: int = -1
+    __slots__ = ("store", "row")
+
+    def __init__(self, store: Collection, row: int):
+        self.store = store
+        self.row = row
+
+    @property
+    def concept(self) -> Concept:
+        return self.store.concept
 
     @property
     def collection(self) -> str:
         """The name of the element's collection, which is its concept's."""
-        return self.concept.name
+        return self.store.name
+
+    @property
+    def identity(self) -> Identity:
+        return self.store.ids[self.row]
 
     @property
     def names(self) -> tuple:
         """The entity field names, the keys of values."""
-        return self.concept.entity_names
+        return self.store.concept.entity_names
+
+    @property
+    def values(self) -> tuple:
+        store, row = self.store, self.row
+        cells = []
+        for name in store.concept.entity_names:
+            v = store.columns[name][row]
+            link = store.refs.get(name)
+            if link is not None:
+                v = None if v < 0 else link[0].ids[v]
+            cells.append(v)
+        return tuple(cells)
 
     @property
     def entity(self) -> dict:
         """The entity values by field name, as a new dict."""
-        return dict(zip(self.concept.entity_names, self.values))
+        return dict(zip(self.names, self.values))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Element):
+            return NotImplemented
+        return self.store is other.store and self.row == other.row
+
+    def __hash__(self) -> int:
+        return hash((id(self.store), self.row))
 
     def __repr__(self) -> str:
         return (f"Element(collection={self.collection!r}, identity={self.identity!r}, "
@@ -354,16 +388,20 @@ class Element:
 
 @dataclass(eq=False)
 class Collection:
-    """All elements of one concept, by identity and by row, plus row indexes.
+    """All elements of one concept, one list by row per field, plus row indexes.
 
-    elements maps each identity to its Element.  rows lists the Elements
-    in the order they were stored, so rows[r].row == r.  forward maps each
-    owned dimension name to a list holding, for each row, the referenced
-    element's row in the destination collection, or -1 for NULL.  reverse
-    maps each dimension arriving here to a list holding, for each row of
-    this collection, the rows of the lesser elements referencing it, each
-    listed once.  ordered holds while every row was stored with a greater
-    identity than the row before, so that row order is identity order.
+    A row is an element's place in the order of arrival.  ids holds the
+    stored identity tuple of each row, and elements maps each identity to
+    its row.  columns maps every field name, identity fields first, to the
+    list of that field's values by row, None for NULL.  A reference field's
+    column holds the referenced element's row in the destination collection,
+    or -1 for NULL; forward maps each owned dimension name to that same
+    list.  reverse maps each dimension arriving here to a list holding, for
+    each row of this collection, the rows of the lesser elements referencing
+    it, each listed once and in ascending order.  ordered holds while every
+    row was stored with a greater identity than the row before, so that row
+    order is identity order.  No element is stored as an object: Element is
+    a view of (collection, row).
 
     derived holds state computed from the stored rows, which commit never
     writes.  Each entry, under its key, keeps a watermark (how many rows of
@@ -378,34 +416,40 @@ class Collection:
     (algebra._referenced).  A read that folds writes here, so reads, like
     inserts, take one thread at a time.
 
-    checks lists (position, field, referenced elements or None) for each
-    entity field that is NOT NULL or a reference, and refs (position,
-    forward list, destination collection, destination's reverse list) for
-    each reference field.
+    checks lists (position, field, destination's identity -> row, or None)
+    for each entity field that is NOT NULL or a reference, and refs maps
+    each reference field to (destination collection, the destination's
+    reverse list of the field's dimension).
     """
 
     name: str
     concept: Concept
+    ids: list = field(default_factory=list)
+    columns: dict = field(default_factory=dict)
     elements: dict = field(default_factory=dict)
-    rows: list = field(default_factory=list)
     forward: dict = field(default_factory=dict)
     reverse: dict = field(default_factory=dict)
     ordered: bool = True
     derived: dict = field(default_factory=dict)
     checks: tuple = ()
-    refs: tuple = ()
+    refs: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.ids)
+
+    def element(self, identity: Identity) -> Element:
+        """The view of the element stored under an identity; KeyError when there is none."""
+        return Element(self, self.elements[identity])
 
     def rows_of(self, identities) -> set:
         """The rows of the given identities; an identity not stored has none."""
-        elements = self.elements
-        return {el.row for el in map(elements.get, identities) if el is not None}
+        rows = set(map(self.elements.get, identities))
+        rows.discard(None)
+        return rows
 
     def identities_of(self, rows) -> frozenset:
         """The stored identity tuples of the given rows."""
-        return frozenset(el.identity for el in map(self.rows.__getitem__, rows))
+        return frozenset(map(self.ids.__getitem__, rows))
 
     def _derived(self, key, context, start, *args):
         """The state of derived[key] with every stored row of its source folded in.
@@ -417,7 +461,7 @@ class Collection:
         entry = self.derived.get(key)
         if entry is None or entry.context != context:
             entry = self.derived[key] = _Derived(0, context, *start(*args))
-        seen, n = entry.seen, len(entry.source.rows)
+        seen, n = entry.seen, len(entry.source)
         if seen < n:
             entry.fold(entry.state, seen, n)
             entry.seen = n
@@ -436,22 +480,22 @@ class _Derived:
 
 
 def create_collections(schema: Schema) -> dict[str, Collection]:
-    """One collection per concept, carrying the same name, with empty indexes."""
+    """One collection per concept, carrying the same name, with empty columns and indexes."""
     colls: dict[str, Collection] = {}
     for name, c in schema.concepts.items():
         coll = Collection(name, c)
-        coll.forward = {f.name: [] for f in c.reference_fields}
+        coll.columns = {f.name: [] for f in c.fields}
+        coll.forward = {f.name: coll.columns[f.name] for f in c.reference_fields}
         colls[name] = coll
     for d in schema.dimensions:
         colls[d.destination].reverse[d] = []
+    for d in schema.dimensions:
+        dest = colls[d.destination]
+        colls[d.source].refs[d.name] = (dest, dest.reverse[d])
     for coll in colls.values():
-        fields = coll.concept.entity_fields
         coll.checks = tuple((j, f, None if f.is_primitive else colls[f.type].elements)
-                            for j, f in enumerate(fields) if not (f.nullable and f.is_primitive))
-        coll.refs = tuple(
-            (k, coll.forward[f.name], colls[f.type],
-             colls[f.type].reverse[schema.dimension(coll.name, f.name)])
-            for k, f in enumerate(fields) if not f.is_primitive)
+                            for j, f in enumerate(coll.concept.entity_fields)
+                            if not (f.nullable and f.is_primitive))
     return colls
 
 
@@ -515,8 +559,19 @@ def make_identity(concept: Concept, values) -> Identity:
     for f, v in zip(concept.identity_fields, values):
         if v is None:
             raise NullViolation(f"identity field {concept.name}.{f.name} cannot be NULL")
-        out.append(coerce_primitive(v, f.type, f"{concept.name}.{f.name}"))
+        out.append(_coerce(v, f, concept))
     return tuple(out)
+
+
+# the type a value of each primitive type is stored as
+_STORED = {"string": str, "integer": int, "decimal": Decimal, "date": datetime.date}
+
+
+def _coerce(value, f: FieldSpec, concept: Concept):
+    """coerce_primitive for a field of a concept; a value stored as it is skips the checks."""
+    if type(value) is _STORED[f.type] and (f.type != "decimal" or value.is_finite()):
+        return value
+    return coerce_primitive(value, f.type, f"{concept.name}.{f.name}")
 
 
 def insert_element(db, collection: str, identity, entity_values: Mapping | None = None) -> Element:
@@ -524,8 +579,9 @@ def insert_element(db, collection: str, identity, entity_values: Mapping | None 
 
     Entity values may omit nullable fields.  Reference values may be given
     as identity tuples or as a bare value when the destination identity has
-    a single field.  The row is checked and stored as a batch of one, so a
-    row that raises leaves nothing behind.
+    a single field.  The row is checked and stored as a chunk of one, so a
+    row that raises leaves nothing behind.  Returns the view of the stored
+    element.
     """
     coll = db.collections.get(collection)
     if coll is None:
@@ -533,125 +589,192 @@ def insert_element(db, collection: str, identity, entity_values: Mapping | None 
     concept = coll.concept
     ident = make_identity(concept, identity)
     entity_values = entity_values or {}
-    values, late = [], None
+    values, late = [], {}
     for j, f in enumerate(concept.entity_fields):
         raw = entity_values.get(f.name)
         if raw is not None:
             try:
                 if f.is_primitive:
-                    raw = coerce_primitive(raw, f.type, f"{concept.name}.{f.name}")
+                    raw = _coerce(raw, f, concept)
                 else:
                     raw = make_identity(db.schema.concepts[f.type], raw)
             except DataError as e:
-                late = late or (j, e)
+                late.setdefault(0, (j, e))
                 raw = None
-        values.append(raw)
+        values.append([raw])
     staged: dict = {}
-    batch = Batch(coll, staged)
-    error = batch.add(ident, values, late)
-    if error is not None:
-        raise error
+    rejected = Batch(coll, staged).add([ident], values, {}, late)
+    if rejected:
+        raise rejected[0][1]
     extra = entity_values.keys() - concept.entity_names
     if extra:
         raise TypeMismatch(
             f"unknown entity field(s) for '{collection}': {', '.join(sorted(extra))}")
     commit(staged)
-    return batch.elements[ident]
+    return coll.element(ident)
 
 
 class Batch:
     """Checked rows of one collection, held back from the store until commit.
 
-    A new batch registers itself in staged.  Each reference field resolves
-    through one dict over the store plus the batch staged for its
-    destination, so a greater collection's batch is staged first.
+    ids holds the staged identity tuples and elements maps each to the row
+    it will take; parts holds, for each chunk staged, one list per field of
+    the collection's columns, in their order.  A new batch registers itself
+    in staged.  Each reference field resolves through one dict over its
+    destination's store plus the batch staged for it, so a greater
+    collection's batch is staged first.
     """
 
     def __init__(self, coll: Collection, staged: dict):
         self.coll = coll
-        self.elements: dict = {}  # identity -> Element, in row order
+        self.ids: list = []
+        self.elements: dict = {}
+        self.parts: list = []
         self.checks = coll.checks
         if staged:
             self.checks = tuple((j, f, _lookup(store, staged.get(f.type)))
                                 for j, f, store in coll.checks)
         staged[coll.name] = self
 
-    def add(self, ident: Identity, values: list, late=None) -> DataError | None:
-        """Stage one typed row, or return its first error.
+    def add(self, ids: list, values: list, errors: dict, late: dict) -> list:
+        """Stage the good rows of a chunk, in order; return the others as (index, error).
 
-        values are the entity values in field order, references as identity
-        tuples, which become the stored ones.  late is (field index, error)
-        for the first value that passed typing but not the field's type.
-        The first error wins, in this order: a duplicate of the store or of
-        a row staged before; then field by field late, NULL in a NOT NULL
-        field, a dangling reference.  A row that failed typing is never
-        added, so it claims no identity.
+        ids are the rows' identity tuples, which become the stored ones, and
+        values the entity columns in field order, a reference as an identity
+        tuple or None.  errors maps the rows already known to be bad to
+        their error; late maps a row to (field index, error) for the first
+        value that passed typing but not the field's type.  Each check runs
+        on a whole column and only flags rows: duplicates by one set against
+        the store and the batch, NOT NULL by a scan for None, references by
+        one lookup per cell.  Flagged rows alone take _first_error, in
+        order, which finds the error a row-at-a-time check finds.  The cells
+        of a row with an error, and those of a late row from its late field
+        on, are set to None here: they are never read, and a signalling NaN
+        in them could not be looked up.
         """
         coll = self.coll
-        if ident in coll.elements or ident in self.elements:
-            return DuplicateIdentity(f"element {ident!r} already exists in '{coll.name}'")
+        flagged = {*errors, *late}
+        if flagged:
+            ids = list(ids)
+            for i in errors:
+                ids[i] = None
+                for column in values:
+                    column[i] = None
+            for i, (j, _) in late.items():
+                for column in values[j:]:
+                    column[i] = None
+        unique = set(ids)
+        if (len(unique) < len(ids) or not coll.elements.keys().isdisjoint(unique)
+                or not self.elements.keys().isdisjoint(unique)):
+            counts = Counter(ids)
+            flagged.update(i for i, ident in enumerate(ids) if counts[ident] > 1
+                           or ident in coll.elements or ident in self.elements)
+        columns = list(values)  # as they are stored: a reference as its destination row
         for j, f, lookup in self.checks:
+            cells = values[j]
+            if lookup is None:
+                if None in cells:
+                    flagged.update(_nones(cells))
+                continue
+            column = columns[j] = list(map(lookup.get, cells))
+            if None in column:
+                for i in _nones(column):
+                    column[i] = -1
+                    if cells[i] is not None or not f.nullable:
+                        flagged.add(i)
+        rejected = []
+        if flagged:
+            claimed: set = set()
+            for i in sorted(flagged):
+                e = errors[i] if i in errors else self._first_error(ids[i], i, values, columns,
+                                                                   late.get(i), claimed)
+                if e is None:
+                    claimed.add(ids[i])
+                else:
+                    rejected.append((i, e))
+            if len(rejected) == len(ids):
+                return rejected
+            if rejected:
+                keep = [True] * len(ids)
+                for i, _ in rejected:
+                    keep[i] = False
+                ids = list(compress(ids, keep))
+                columns = [list(compress(column, keep)) for column in columns]
+        keys = [list(map(itemgetter(k), ids)) for k in range(len(coll.concept.identity_fields))]
+        start = len(coll.ids) + len(self.ids)
+        rows = range(start, start + len(ids))
+        if coll.concept.identity_fields[0].type == "integer" and all(map(eq, keys[0], rows)):
+            rows = keys[0]  # INT keys equal to their rows lend the rows their int objects
+        self.ids += ids
+        self.elements.update(zip(ids, rows))
+        self.parts.append(keys + columns)
+        return rejected
+
+    def _first_error(self, ident, i: int, values, columns, late, claimed) -> DataError | None:
+        """The first error of row i of a chunk, or None.
+
+        In this order: a duplicate of the store, of the batch or of a row of
+        the chunk claimed before; then field by field the late error, NULL
+        in a NOT NULL field, a dangling reference; then the late error.
+        """
+        coll = self.coll
+        if ident in coll.elements or ident in self.elements or ident in claimed:
+            return DuplicateIdentity(f"element {ident!r} already exists in '{coll.name}'")
+        for j, f in enumerate(coll.concept.entity_fields):
             if late is not None and late[0] <= j:
                 return late[1]
-            v = values[j]
+            v = values[j][i]
             if v is None:
                 if not f.nullable:
                     return NullViolation(f"field {coll.name}.{f.name} cannot be NULL")
-            elif lookup is not None:
-                el = lookup.get(v)
-                if el is None:
-                    return DanglingReference(f"{coll.name}.{f.name} references missing "
-                                             f"element {v!r} of '{f.type}'")
-                values[j] = el.identity  # share the stored tuple, not a copy
-        if late is not None:
-            return late[1]
-        self.elements[ident] = Element(coll.concept, ident, tuple(values))
-        return None
+            elif not f.is_primitive and columns[j][i] < 0:
+                return DanglingReference(f"{coll.name}.{f.name} references missing "
+                                         f"element {v!r} of '{f.type}'")
+        return None if late is None else late[1]
+
+
+def _nones(column) -> list:
+    """The indexes at which a column holds None."""
+    return list(compress(range(len(column)), map(is_, column, repeat(None))))
 
 
 def _lookup(store, batch):
-    """One dict over a store's elements and a staged batch's."""
+    """One dict over a store's elements and a staged batch's: identity -> row."""
     if batch is None or not batch.elements:
         return store
     return {**store, **batch.elements} if store else batch.elements
 
 
 def commit(staged: dict) -> None:
-    """Store staged batches, greater collections first: rows, forward entries, reverse lists.
+    """Store staged batches, greater collections first: ids, columns, reverse lists.
 
-    Each batch's elements get the next rows of their collection, and every
-    reverse list of the collection grows by one empty list per row.  A
-    reference resolves to its destination's row, which a batch staged
-    before this one has already been given.
+    Each batch's rows follow the rows stored before them, as the batch
+    numbered them.  Every reverse list of the collection grows by one empty
+    list per row, and each row is appended to the reverse list of the row
+    each of its references names, which a batch staged before this one has
+    already been given.  Each step is one pass over whole columns.
     """
     for batch in staged.values():
-        coll, elements = batch.coll, batch.elements
-        if not elements:
+        coll, ids = batch.coll, batch.ids
+        if not ids:
             continue
-        rows, new = coll.rows, list(elements.values())
         if coll.ordered:  # each identity must be greater than the one stored before it
-            prev = rows[-1].identity if rows else None
-            for ident in elements:
-                if prev is not None and not prev < ident:
-                    coll.ordered = False
-                    break
-                prev = ident
-        for r, el in enumerate(new, len(rows)):
-            # an INT identity equal to the row (keys 0, 1, ... stored in
-            # order) lends the row its int object: one int less per element
-            first = el.identity[0]
-            el.row = first if type(first) is int and first == r else r
-        rows.extend(new)
-        coll.elements.update(elements)
+            coll.ordered = ((not coll.ids or coll.ids[-1] < ids[0])
+                            and all(map(lt, ids, islice(ids, 1, None))))
+        start = len(coll.ids)
+        coll.ids += ids
+        columns = coll.columns.values()
+        for part in batch.parts:
+            for column, cells in zip(columns, part):
+                column += cells
+        coll.elements.update(batch.elements)
+        rows = list(batch.elements.values())
         for lessers in coll.reverse.values():
-            lessers.extend([] for _ in new)
-        for k, forward, dest, reverse in coll.refs:
-            found = dest.elements
-            for el in new:
-                ref = el.values[k]
-                if ref is None:
-                    forward.append(-1)
-                else:
-                    g = found[ref].row
-                    forward.append(g)
-                    reverse[g].append(el.row)
+            lessers += [[] for _ in rows]
+        for name, (_, reverse) in coll.refs.items():
+            greater, sources = coll.forward[name][start:], rows
+            if -1 in greater:  # NULL references no row
+                keep = list(map(ROW, greater))
+                greater, sources = compress(greater, keep), compress(rows, keep)
+            # list.append returns None, so any() runs every append
+            any(map(list.append, map(reverse.__getitem__, greater), sources))

@@ -10,6 +10,8 @@ Predicates are checked the same way: o_holds evaluates the parsed syntax
 tree on one element, reading values by following the references the
 elements hold, never through the resolver or the forward maps.
 
+Elements are read through model.Element, the view of one stored row.
+
 Also holds the seeded random schema/instance generator used by the
 randomized comparison tests, and the earlier row-at-a-time loader and
 renderers that the staged loader and the column-wise renderers must match.
@@ -34,6 +36,12 @@ from comdb.errors import (DanglingReference, DataError, DuplicateIdentity, FileE
 Key = tuple  # (collection name, identity)
 
 
+def views(db, collection: str) -> dict:
+    """{identity: Element} over every stored element of a collection, in row order."""
+    coll = db.collections[collection]
+    return {ident: model.Element(coll, row) for ident, row in coll.elements.items()}
+
+
 def reach_closure(db) -> dict:
     """For every element key, the set of strictly greater element keys."""
     memo: dict[Key, frozenset] = {}
@@ -44,7 +52,7 @@ def reach_closure(db) -> dict:
             return got
         memo[key] = frozenset()  # DAG: placeholder never observed on a cycle
         cname, ident = key
-        el = db.collections[cname].elements[ident]
+        el = db.collections[cname].element(ident)
         acc: set = set()
         for f in db.collections[cname].concept.reference_fields:
             ref = el.entity[f.name]
@@ -113,7 +121,7 @@ def o_project(db, source: str, members, dim_names) -> tuple[str, frozenset]:
         coll = source
         ok = True
         for name in dim_names:
-            el = db.collections[coll].elements[cur]
+            el = db.collections[coll].element(cur)
             ref = el.entity[name]
             if ref is None:
                 ok = False
@@ -136,7 +144,7 @@ def o_deproject(db, source: str, members, dim_names, target: str) -> frozenset:
         coll = target
         ok = True
         for name in dim_names:
-            el = db.collections[coll].elements[cur]
+            el = db.collections[coll].element(cur)
             ref = el.entity[name]
             if ref is None:
                 ok = False
@@ -236,7 +244,7 @@ def _o_term(db, el, term, alias=None):
     if isinstance(term, ast.Literal):
         return term.value, False
     if isinstance(term, ast.AggTerm):
-        lessers = [m for m in db.collections[term.collection].elements.values()
+        lessers = [m for m in views(db, term.collection).values()
                    if m.entity[term.dim] == el.identity
                    and (term.predicate is None or o_holds(db, m, term.predicate))]
         if term.func == "COUNT":
@@ -262,7 +270,7 @@ def o_path(db, el, parts):
         ref = not f.is_primitive
         if ref:
             concept = db.schema.concept(f.type)
-            at = None if value is None else db.collections[f.type].elements[value]
+            at = None if value is None else db.collections[f.type].element(value)
     return value, ref
 
 
@@ -412,11 +420,12 @@ def random_members(rng: random.Random, db, collection: str) -> frozenset:
 # --- the row-at-a-time loader ---------------------------------------------------------
 #
 # CSV ingest as it was before loads were staged: each row is parsed and
-# inserted as it is read.  The staged loader must agree with it on every
-# file: rows inserted, rejected lines and messages, a strict load's error,
-# and the elements, forward maps and reverse indexes stored (compared by
-# stored, which decodes the row layout into identity-keyed maps).  It keeps no
-# rollback: after a failed strict load only the error text is compared.
+# inserted as it is read, and written into the columns one cell at a time.
+# The staged loader must agree with it on every file: rows inserted,
+# rejected lines and messages, a strict load's error, and what is stored
+# (compared by stored, which decodes the column layout into identity-keyed
+# maps, and by layout, which copies it row by row).  It keeps no rollback:
+# after a failed strict load only the error text is compared.
 
 
 def o_parse_scalar(text: str, ftype: str, where: str):
@@ -439,47 +448,44 @@ def o_parse_scalar(text: str, ftype: str, where: str):
 
 
 def o_insert(db, collection: str, identity, entity_values) -> None:
-    """Check one row and write it straight into the store."""
+    """Check one row and write it straight into the store, one cell at a time."""
     coll = db.collections[collection]
     concept = coll.concept
     ident = model.make_identity(concept, identity)
     if ident in coll.elements:
         raise DuplicateIdentity(f"element {ident!r} already exists in '{collection}'")
-    values = []
-    refs = []
+    cells = {}
     for f in concept.entity_fields:
         raw = entity_values.get(f.name)
         if raw is None:
             if not f.nullable:
                 raise NullViolation(f"field {concept.name}.{f.name} cannot be NULL")
-            values.append(None)
-            if not f.is_primitive:
-                refs.append((f, None))
+            cells[f.name] = None if f.is_primitive else -1
         elif f.is_primitive:
-            values.append(model.coerce_primitive(raw, f.type, f"{concept.name}.{f.name}"))
+            cells[f.name] = model.coerce_primitive(raw, f.type, f"{concept.name}.{f.name}")
         else:
             ref = model.make_identity(db.schema.concept(f.type), raw)
-            dest = db.collections[f.type].elements.get(ref)
-            if dest is None:
+            greater = db.collections[f.type].elements.get(ref)
+            if greater is None:
                 raise DanglingReference(
                     f"{concept.name}.{f.name} references missing element {ref!r} of '{f.type}'"
                 )
-            values.append(dest.identity)
-            refs.append((f, dest.identity))
-    row = len(coll.rows)
-    if row and not ident > coll.rows[-1].identity:
+            cells[f.name] = greater
+    row = len(coll.ids)
+    if row and not ident > coll.ids[-1]:
         coll.ordered = False
-    el = model.Element(concept, ident, tuple(values), row)
-    coll.rows.append(el)
-    coll.elements[ident] = el
+    coll.ids.append(ident)
+    for f, v in zip(concept.identity_fields, ident):
+        coll.columns[f.name].append(v)
+    for name, v in cells.items():
+        coll.columns[name].append(v)
+    coll.elements[ident] = row
     for lessers in coll.reverse.values():
         lessers.append([])
-    for f, ref in refs:
-        dest = db.collections[f.type]
-        greater = -1 if ref is None else dest.elements[ref].row
-        coll.forward[f.name].append(greater)
-        if ref is not None:
-            dest.reverse[db.schema.dimension(concept.name, f.name)][greater].append(row)
+    for f in concept.reference_fields:
+        if cells[f.name] >= 0:
+            dim = db.schema.dimension(concept.name, f.name)
+            db.collections[f.type].reverse[dim][cells[f.name]].append(row)
 
 
 def o_decode_identity(concept, text: str) -> tuple:
@@ -572,30 +578,59 @@ def stored(db) -> dict:
     Elements as {identity: values}, forward maps as {identity: referenced
     identity or None} and reverse indexes as {greater identity: (set of
     lesser identities, list length)}, holding only referenced elements.
-    Checks the row layout on the way: each element's row is its place,
-    every row list is as long as the collection, and ordered holds exactly
-    when the identities ascend row by row.
+    Checks the column layout on the way: identity -> row is each identity's
+    place in ids, every column and reverse list is as long as the
+    collection, an identity field's column holds that component of ids, a
+    reference field's column is its forward list, and ordered holds
+    exactly when the identities ascend row by row.
     """
     out = {}
     for name, coll in db.collections.items():
-        rows = coll.rows
-        idents = [el.identity for el in rows]
-        assert [el.row for el in rows] == list(range(len(rows))), name
-        assert coll.elements == dict(zip(idents, rows)), name
+        concept, idents = coll.concept, coll.ids
+        assert coll.elements == {ident: row for row, ident in enumerate(idents)}, name
         assert coll.ordered == all(a < b for a, b in zip(idents, idents[1:])), name
+        assert list(coll.columns) == [f.name for f in concept.fields], name
+        assert all(len(column) == len(idents) for column in coll.columns.values()), name
+        for k, f in enumerate(concept.identity_fields):
+            assert coll.columns[f.name] == [ident[k] for ident in idents], (name, f.name)
         forward = {}
         for dim, greaters in coll.forward.items():
-            assert len(greaters) == len(rows), (name, dim)
-            dest = db.collections[coll.concept.field(dim).type].rows
-            forward[dim] = {i: None if g < 0 else dest[g].identity
-                            for i, g in zip(idents, greaters)}
+            assert greaters is coll.columns[dim], (name, dim)
+            dest = db.collections[concept.field(dim).type].ids
+            forward[dim] = {i: None if g < 0 else dest[g] for i, g in zip(idents, greaters)}
         reverse = {}
         for d, lessers in coll.reverse.items():
-            assert len(lessers) == len(rows), (name, d)
-            source = db.collections[d.source].rows
-            reverse[d] = {i: (frozenset(source[r].identity for r in ls), len(ls))
+            assert len(lessers) == len(idents), (name, d)
+            source = db.collections[d.source].ids
+            reverse[d] = {i: (frozenset(source[r] for r in ls), len(ls))
                           for i, ls in zip(idents, lessers) if ls}
-        out[name] = ({i: el.values for i, el in coll.elements.items()}, forward, reverse)
+        values = {ident: tuple(forward[f.name][ident] if f.name in forward
+                               else coll.columns[f.name][row] for f in concept.entity_fields)
+                  for row, ident in enumerate(idents)}
+        out[name] = (values, forward, reverse)
+    return out
+
+
+def layout(db) -> dict:
+    """The store as it lies, row by row, and every Element view read back.
+
+    Per collection: ids, every column, the forward and reverse lists,
+    identity -> row and ordered, copied; and for each row its view's
+    collection, identity, values, entity and row.  Two databases given the
+    same writes in the same order lay them out equally.
+    """
+    out = {}
+    for name, coll in db.collections.items():
+        seen = [model.Element(coll, row) for row in range(len(coll))]
+        out[name] = {
+            "ids": list(coll.ids),
+            "columns": {k: list(column) for k, column in coll.columns.items()},
+            "forward": {k: list(greaters) for k, greaters in coll.forward.items()},
+            "reverse": {d: [list(ls) for ls in lessers] for d, lessers in coll.reverse.items()},
+            "elements": dict(coll.elements),
+            "ordered": coll.ordered,
+            "views": [(el.collection, el.identity, el.values, el.entity, el.row) for el in seen],
+        }
     return out
 
 
@@ -669,8 +704,8 @@ def o_rows(db, eset) -> list[dict]:
     if isinstance(domain, str):
         concept = db.schema.concept(domain)
         names = [f.name for f in concept.fields]
-        elements = db.collections[domain].elements
-        return [dict(zip(names, ident + elements[ident].values)) for ident in members]
+        coll = db.collections[domain]
+        return [dict(zip(names, ident + coll.element(ident).values)) for ident in members]
     if isinstance(domain, algebra.ProductCollection):
         return [dict(zip((a for a, _ in domain.factors), m)) for m in members]
     return [{domain.field: v} for v in members]

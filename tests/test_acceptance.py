@@ -370,8 +370,8 @@ def test_criterion_7_performance_floor(wide_db):
     assert infer_time < 1.0
 
     star_time, rs2 = best_of(3, lambda: db.query("(Facts) *-> (X2)"))
-    referenced = {db.collections["X1"].elements[x1].entity["x2"]
-                  for x1 in (f.entity["x1"] for f in db.collections["Facts"].elements.values())}
+    referenced = {db.collections["X1"].element(x1).entity["x2"]
+                  for x1 in (f.entity["x1"] for f in oracle.views(db, "Facts").values())}
     assert frozenset(rs2.members.members) == referenced
     assert star_time < 0.100
     print(f"criterion 7: inference {infer_time * 1000:.0f} ms, "

@@ -319,11 +319,15 @@ def test_make_product_needs_two_factors():
         algebra.make_product("P", [("a", "A")])
 
 
+def same_book(db, bound):
+    """A product predicate over {alias: row}: the writer's book is the one sold."""
+    wb = model.Element(db.collections["WriterBooks"], bound["wb"])
+    s = model.Element(db.collections["Sellers"], bound["s"])
+    return wb.entity["book"] == s.entity["book"]
+
+
 def test_product_members_and_restrict(market_db):
     db = market_db
-
-    def same_book(inner, bound):
-        return bound["wb"].entity["book"] == bound["s"].entity["book"]
 
     deals = algebra.make_product("Deals", [("wb", "WriterBooks"), ("s", "Sellers")], same_book)
     everyone = algebra.product_members(db, deals)
@@ -336,9 +340,6 @@ def test_product_members_and_restrict(market_db):
 def test_star_project_from_product(market_db):
     db = market_db
 
-    def same_book(inner, bound):
-        return bound["wb"].entity["book"] == bound["s"].entity["book"]
-
     deals = algebra.make_product("Deals", [("wb", "WriterBooks"), ("s", "Sellers")], same_book)
     all_deals = algebra.product_members(db, deals)
     shops = algebra.star_project(db, all_deals, "Shops")
@@ -347,9 +348,6 @@ def test_star_project_from_product(market_db):
 
 def test_star_deproject_into_product(market_db):
     db = market_db
-
-    def same_book(inner, bound):
-        return bound["wb"].entity["book"] == bound["s"].entity["book"]
 
     deals = algebra.make_product("Deals", [("wb", "WriterBooks"), ("s", "Sellers")], same_book)
     young = collection_set(db, "Writers", "w1")
@@ -417,9 +415,6 @@ def test_infer_via_must_be_a_common_lesser(royalties_db):
 def test_infer_via_product_bottom(market_db):
     db = market_db
 
-    def same_book(inner, bound):
-        return bound["wb"].entity["book"] == bound["s"].entity["book"]
-
     deals = algebra.make_product("Deals", [("wb", "WriterBooks"), ("s", "Sellers")], same_book)
     young = collection_set(db, "Writers", "w1")
     shops = algebra.infer(db, young, "Shops", via=deals)
@@ -450,14 +445,12 @@ def test_value_along_walks_then_reads(catalog_db):
         db.schema.dimension("Books", "publisher"),
         db.schema.dimension("Publishers", "address"),
     )
-    country = db.schema.concept("Addresses").position("country")
-    v = algebra.value_along(db, "Books", ("b1",), dims, country)
+    v = algebra.value_along(db, "Books", ("b1",), dims, "country")
     assert v == "DE"
     assert algebra.value_along(db, "Books", ("b1",), dims, None) == (1,)
     # a NULL hop yields no value at all
-    name = db.schema.concept("Publishers").position("name")
-    assert algebra.value_along(db, "Books", ("b1",), (dims[0],), name) == "Springer"
-    v4 = algebra.value_along(db, "Books", ("b4",), (dims[0],), name)
+    assert algebra.value_along(db, "Books", ("b1",), (dims[0],), "name") == "Springer"
+    v4 = algebra.value_along(db, "Books", ("b4",), (dims[0],), "name")
     assert v4 is None
 
 

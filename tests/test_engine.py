@@ -1,6 +1,7 @@
 """Ingest, identity encoding, versioning, execution, and rendering."""
 
 import collections
+import copy
 import csv
 import dataclasses
 import datetime
@@ -21,7 +22,7 @@ import oracle
 from comdb import algebra, engine, model
 from comdb.algebra import ElementSet
 from comdb.coql.parser import parse_query
-from comdb.errors import (FileError, HeaderMismatch, ProductTooLarge, ResolveError,
+from comdb.errors import (ComdbError, FileError, HeaderMismatch, ProductTooLarge, ResolveError,
                           TypeMismatch, UnknownCollection)
 
 SCHEMA = """
@@ -107,7 +108,7 @@ def test_composite_identity_round_trips_any_text(tmp_path):
     with f.open("w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerows([("id", "slot"), (1, engine.encode_identity(slot))])
     assert engine.load_csv(db, "Talks", f, strict=True).inserted == 1
-    assert db.collections["Talks"].elements[(1,)].entity["slot"] == slot
+    assert db.collections["Talks"].element((1,)).entity["slot"] == slot
 
 
 # --- CSV ingest ---------------------------------------------------------------
@@ -118,7 +119,7 @@ def test_load_csv_happy_path(tmp_path):
     f = write(tmp_path / "Addresses.csv", "id,country\n1,DE\n2,US\n")
     report = engine.load_csv(db, "Addresses", f)
     assert report.inserted == 2 and report.rejected == []
-    assert db.collections["Addresses"].elements[(2,)].entity["country"] == "US"
+    assert db.collections["Addresses"].element((2,)).entity["country"] == "US"
 
 
 def test_load_csv_tolerates_bom_and_any_column_order(tmp_path):
@@ -135,8 +136,8 @@ def test_load_csv_reads_empty_and_null_as_null(tmp_path):
     engine.load_csv(db, "Addresses", tmp_path / "Addresses.csv")
     f = write(tmp_path / "Publishers.csv", "name,address\nSpringer,1\nWiley,\nHanser,NULL\n")
     engine.load_csv(db, "Publishers", f)
-    assert db.collections["Publishers"].elements[("Wiley",)].entity["address"] is None
-    assert db.collections["Publishers"].elements[("Hanser",)].entity["address"] is None
+    assert db.collections["Publishers"].element(("Wiley",)).entity["address"] is None
+    assert db.collections["Publishers"].element(("Hanser",)).entity["address"] is None
 
 
 def test_load_csv_rejects_bad_rows_with_line_numbers(tmp_path):
@@ -330,7 +331,7 @@ def test_load_csv_composite_references(tmp_path):
     f = write(tmp_path / "Talks.csv", "id,slot\n1,\"(2021-05-03,r1)\"\n")
     report = engine.load_csv(db, "Talks", f)
     assert report.inserted == 1
-    talk = db.collections["Talks"].elements[(1,)]
+    talk = db.collections["Talks"].element((1,))
     assert talk.entity["slot"] == (datetime.date(2021, 5, 3), "r1")
 
 
@@ -470,7 +471,7 @@ def test_results_sort_by_identity_whatever_the_row_order(tmp_path):
 
     check()
     db.insert("B", ("a", 3), {"a": 5})  # below every stored B
-    assert not coll_b.ordered and coll_b.rows[-1].identity == ("a", 3)
+    assert not coll_b.ordered and coll_b.ids[-1] == ("a", 3)
     check()
     db.insert("A", 20)  # an A above the rest leaves A unordered
     assert not coll_a.ordered
@@ -527,7 +528,7 @@ def test_filter_predicates_match_the_oracle():
             concept = rng.choice(list(db.schema.concepts))
             query = f"({concept} | {_random_predicate(rng, db, concept)})"
             pred = parse_query(query).anchor.predicate
-            elements = db.collections[concept].elements
+            elements = oracle.views(db, concept)
             want = sorted(i for i, el in elements.items() if oracle.o_holds(db, el, pred))
             assert db.query(query).identities == want, query
             partial += 0 < len(want) < len(elements)
@@ -588,7 +589,7 @@ def test_equality_seeks_match_the_oracle():
         for _ in range(10):
             concept = rng.choice(list(db.schema.concepts))
             alias = "a" if rng.random() < 0.4 else None
-            el = rng.choice(list(db.collections[concept].elements.values()))
+            el = rng.choice(list(oracle.views(db, concept).values()))
             equalities = []
             for _ in range(rng.choice((1, 1, 2, 3))):
                 text, kind = _random_equality(rng, db, el, alias)
@@ -598,7 +599,7 @@ def test_equality_seeks_match_the_oracle():
             rest = [f"NOT ({_random_predicate(rng, db, concept)})"] if rng.random() < 0.6 else []
             head = f"({concept} a | " if alias else f"({concept} | "
             query = head + " AND ".join(equalities + rest) + ")"
-            elements = db.collections[concept].elements
+            elements = oracle.views(db, concept)
 
             def oracle_says(q):
                 pred = parse_query(q).anchor.predicate
@@ -639,7 +640,7 @@ def _rich_anchor(rng, db, concept: str) -> str:
     """(concept | ...) with `path == value` conjuncts (seeks) taking one element's
     values, and now and then a random predicate; one that does not resolve
     against the rich types is drawn again, then left out."""
-    el = rng.choice(list(db.collections[concept].elements.values()))
+    el = rng.choice(list(oracle.views(db, concept).values()))
     conjuncts = []
     for _ in range(rng.choice((0, 1, 1, 2))):
         path = _random_path(rng, db, concept)
@@ -692,7 +693,8 @@ def test_row_runner_matches_the_oracle():
         modulus = rng.choice((2, 3))
 
         def pair(db, m):
-            return (len(str(m["a"].identity)) + len(str(m["b"].identity))) % modulus == 0
+            a, b = db.collections[pa].ids[m["a"]], db.collections[pb].ids[m["b"]]
+            return (len(str(a)) + len(str(b))) % modulus == 0
 
         db.register_product(algebra.make_product("P", [("a", pa), ("b", pb)], pair))
         seen["null refs"] += any(-1 in f for c in db.collections.values()
@@ -714,7 +716,7 @@ def test_row_runner_matches_the_oracle():
                 seen["seek"] += "==" in anchor
                 seen["date seek"] += bool(re.search(r"== '\d{4}-\d\d-\d\d'", anchor))
                 pred = parse_query(anchor).anchor.predicate
-                elements = db.collections[src].elements
+                elements = oracle.views(db, src)
                 members = frozenset(i for i, el in elements.items()
                                     if pred is None or oracle.o_holds(db, el, pred))
                 assert db.query(anchor).identities == sorted(members), anchor
@@ -929,13 +931,13 @@ def test_folded_sums_follow_every_write(tmp_path):
             for d, names, path in picked:
                 greater, lesser = db.collections[d.destination], db.collections[d.source]
                 reverse = greater.reverse[d]
-                el = rng.choice(greater.rows)
-                c = algebra._sum_rows(db, reverse[el.row], path)
+                row = rng.choice(range(len(greater)))
+                c = algebra._sum_rows(db, reverse[row], path)
                 term = f"SUM({d.name} <- ({d.source}).{'.'.join(names)})"
                 for op in (">", "=="):
                     query = f"({d.destination} | {term} {op} {c})"
                     pred = parse_query(query).anchor.predicate
-                    want = sorted(i for i, m in greater.elements.items()
+                    want = sorted(i for i, m in oracle.views(db, d.destination).items()
                                   if oracle.o_holds(db, m, pred))
                     assert db.query(query).identities == want, query
                 key = (d.source, d.name, names)
@@ -1066,7 +1068,7 @@ def test_only_equalities_with_a_constant_seek(catalog_db, query, seeks):
     assert [s.text for s in plan.anchor.seeks] == seeks
     assert catalog_db.explain(query) == plan.anchor.text  # seeks are not listed
     anchor = parse_query(query).anchor
-    elements = catalog_db.collections[anchor.factors[0].collection].elements
+    elements = oracle.views(catalog_db, anchor.factors[0].collection)
     want = sorted(i for i, el in elements.items()
                   if oracle.o_holds(catalog_db, el, anchor.predicate, anchor.factors[0].alias))
     assert catalog_db.query(query).identities == want
@@ -1455,3 +1457,183 @@ def test_staged_load_matches_the_row_at_a_time_loader(tmp_path):
                  "is not an ISO date", "is empty", "cannot be NULL", "references missing",
                  "already exists", "values, expected", "components", "must look like"):
         assert any(kind in m for m in messages), kind
+
+
+# --- the column store against the row-at-a-time writer --------------------------------
+
+
+def _random_row(rng: random.Random, db, name: str) -> tuple:
+    """(identity, entity) for db.insert: mostly good, else a duplicate identity,
+    a missing NOT NULL value, a dangling reference or a badly typed value."""
+    concept = db.schema.concepts[name]
+    stored_ids = list(db.collections[name].elements)
+    if stored_ids and rng.random() < 0.15:
+        ident = rng.choice(stored_ids)
+    else:
+        ident = tuple(oracle.rich_value(f.type, 200 + rng.randrange(60))
+                      for f in concept.identity_fields)
+    entity = {}
+    for f in concept.entity_fields:
+        r = rng.random()
+        if r < 0.1:
+            continue  # NULL
+        if f.is_primitive:
+            bad = r < 0.14 and f.type != "string"
+            entity[f.name] = "x" if bad else oracle.rich_value(f.type, rng.randrange(60))
+        elif r < 0.2 or not db.collections[f.type].elements:
+            entity[f.name] = tuple(oracle.rich_value(g.type, 500 + rng.randrange(9))
+                                   for g in db.schema.concepts[f.type].identity_fields)
+        else:
+            entity[f.name] = rng.choice(list(db.collections[f.type].elements))
+    return ident, entity
+
+
+def _outcome(write, *args):
+    """What a write returns, or the type and text of the error it raises."""
+    try:
+        return write(*args)
+    except ComdbError as e:
+        return type(e), str(e)
+
+
+def _check_views(db) -> None:
+    """Every Element view reads what oracle.stored decodes from the columns."""
+    for name, (values, forward, _) in oracle.stored(db).items():
+        coll = db.collections[name]
+        for ident, row in coll.elements.items():
+            el = coll.element(ident)
+            assert (el.row, el.identity, el.collection) == (row, ident, name)
+            assert el.values == values[ident] and el == model.Element(coll, row)
+            assert el.entity == dict(zip(coll.concept.entity_names, values[ident]))
+            for dim, greater in forward.items():
+                assert el.entity[dim] == greater[ident]
+
+
+def test_column_layout_matches_the_row_at_a_time_writer(tmp_path):
+    """After CSV loads with bad rows, strict loads that fail, directory loads,
+    inserts and failed inserts, the store holds, cell for cell, what the
+    oracle's row-at-a-time writer holds after the same writes: ids, every
+    column, the forward and reverse lists, identity -> row, ordered, and every
+    Element view."""
+    seen = collections.Counter()
+    for seed in range(60):
+        rng = random.Random(seed)
+        new = oracle.random_db(random.Random(seed), **SMALL_RICH)
+        old = oracle.random_db(random.Random(seed), **SMALL_RICH)
+        names = engine.load_order(new.schema)
+        file_identities: dict = {}
+        for step in range(8):
+            r = rng.random()
+            if r < 0.3:
+                name = rng.choice(names)
+                path = tmp_path / f"{seed}-{step}.csv"
+                random_csv(rng, new, name, path, file_identities)
+                strict = rng.random() < 0.3
+                before, kept = oracle.layout(new), copy.deepcopy(old)
+                got = _outcome(engine.load_csv, new, name, path, strict)
+                want = _outcome(oracle.o_load_csv, old, name, path, strict)
+                if isinstance(want, tuple):  # the oracle keeps what it wrote before the error
+                    assert got == want and oracle.layout(new) == before, seed
+                    old = kept
+                    seen["strict load failed"] += 1
+                    continue
+                assert (got.inserted, got.rejected) == (want.inserted, want.rejected), seed
+                seen["rejected rows"] += len(got.rejected)
+                seen["loaded rows"] += got.inserted
+            elif r < 0.4:
+                data = tmp_path / f"{seed}-{step}"
+                data.mkdir()
+                for name in names:
+                    if rng.random() < 0.6:
+                        random_csv(rng, new, name, data / f"{name}.csv", file_identities)
+                got = _outcome(engine.load_data_dir, new, data)
+                want = _outcome(oracle.o_load_data_dir, old, data)
+                assert [(g.inserted, g.rejected) for g in got[0]] == [
+                    (w.inserted, w.rejected) for w in want[0]], seed
+                seen["directory loads"] += 1
+            else:
+                name = rng.choice(names)
+                ident, entity = _random_row(rng, new, name)
+                got = _outcome(new.insert, name, ident, entity)
+                want = _outcome(oracle.o_insert, old, name, ident, entity)
+                if isinstance(want, tuple):
+                    assert got == want, (seed, ident, entity)
+                    seen["failed inserts"] += 1
+                else:
+                    assert got == new.collections[name].element(got.identity), seed
+                    seen["inserts"] += 1
+            assert oracle.layout(new) == oracle.layout(old), (seed, step)
+        _check_views(new)
+        seen["unordered"] += not all(c.ordered for c in new.collections.values())
+        seen["null refs"] += any(-1 in f for c in new.collections.values()
+                                 for f in c.forward.values())
+        seen["composite"] += any(len(c.concept.identity_fields) > 1
+                                 for c in new.collections.values())
+    assert min(seen.values()) >= 10, seen
+    assert len(seen) == 9, seen
+
+
+def test_a_failed_strict_load_leaves_every_column_as_it_was(tmp_path):
+    db = fresh(COMPOSITE)
+    db.insert("Slots", ("2021-05-03", "r1"))
+    db.insert("Talks", 1, {"slot": ("2021-05-03", "r1")})
+    write(tmp_path / "Slots.csv", "day,room\n2021-05-04,r2\n2021-05-05,r3\n")
+    write(tmp_path / "Talks.csv",
+          "id,slot\n2,\"(2021-05-04,r2)\"\n3,\"(2021-05-05,r3)\"\n4,\"(2021-05-06,r9)\"\n")
+    before, version = oracle.layout(db), db.version
+    lengths = {name: {k: len(c) for k, c in coll.columns.items()}
+               for name, coll in db.collections.items()}
+    with pytest.raises(FileError, match=r"Talks.csv:4: .*references missing"):
+        engine.load_data_dir(db, tmp_path, strict=True)
+    again = write(tmp_path / "again.csv", "day,room\n2021-05-07,r4\n2021-05-03,r1\n")
+    with pytest.raises(FileError, match=r"again.csv:3: .*already exists"):
+        engine.load_csv(db, "Slots", again, strict=True)
+    assert {name: {k: len(c) for k, c in coll.columns.items()}
+            for name, coll in db.collections.items()} == lengths
+    assert oracle.layout(db) == before and db.version == version
+    assert [len(ls) for ls in db.collections["Slots"].reverse.values()] == [1]
+
+
+def test_a_bad_row_among_clean_ones_is_reported_as_row_at_a_time(tmp_path):
+    """One bad row, or a few, at any place among clean rows of a chunk: the
+    rows rejected, each with its line and error, are those the row-at-a-time
+    loader rejects, and every other row is stored.  A row that fails claims no
+    identity, so a later row with the same identity is stored."""
+    schema = ("CONCEPT A IDENTITY id INT ENTITY n INT;"
+              "CONCEPT B IDENTITY id INT ENTITY a A NOT NULL, b A, v DECIMAL, w INT NOT NULL;")
+    planted = {
+        "duplicate of the store": "3,1,,1.5,1",
+        "duplicate in the chunk": "{dup},1,,1.5,1",
+        "dangling": "{id},99,,1.5,1",
+        "dangling nullable": "{id},1,77,1.5,1",
+        "NULL reference": "{id},,,1.5,1",
+        "NULL value": "{id},1,,1.5,",
+        "bad cell": "{id},1,,1.5,x",
+        "not finite": "{id},1,,NaN,1",
+        "short row": "{id},1",
+    }
+    cases = 0
+    for k, (kind, text) in enumerate(planted.items()):
+        for place in (0, 7, 19):
+            dbs = []
+            for _ in range(2):
+                db = fresh(schema)
+                for i in range(5):
+                    db.insert("A", i, {"n": i})
+                db.insert("B", 3, {"a": 0, "w": 0})
+                dbs.append(db)
+            lines = [f"{100 + i},{i % 5},{'' if i % 3 else 2},{i}.25,{i}" for i in range(20)]
+            # a duplicate of the row before it; at the top, the row after it is the duplicate
+            lines.insert(place, text.format(id=900 + k, dup=100 + max(place - 1, 0)))
+            if kind == "dangling":  # the failed row claims nothing: a later one takes its id
+                lines.append(f"{900 + k},1,,1.5,1")
+            path = write(tmp_path / f"{k}-{place}.csv", "id,a,b,v,w\n" + "\n".join(lines) + "\n")
+            got = engine.load_csv(dbs[0], "B", path)
+            want = oracle.o_load_csv(dbs[1], "B", path)
+            assert (got.inserted, got.rejected) == (want.inserted, want.rejected), (kind, place)
+            assert len(got.rejected) == 1 and got.inserted == len(lines) - 1, (kind, got.rejected)
+            line = 3 if kind == "duplicate in the chunk" and place == 0 else place + 2
+            assert got.rejected[0][0] == line, (kind, place)
+            assert oracle.layout(dbs[0]) == oracle.layout(dbs[1]), (kind, place)
+            cases += 1
+    assert cases == 27

@@ -163,7 +163,7 @@ def test_insert_and_lookup():
     db = db_from("CONCEPT A IDENTITY id INT ENTITY note CHAR(10);")
     e = db.insert("A", 1, {"note": "hi"})
     assert e.identity == (1,)
-    assert db.collections["A"].elements[(1,)] is e
+    assert db.collections["A"].elements[(1,)] == e.row and db.collections["A"].element((1,)) == e
     assert db.version == 1
 
 
@@ -224,7 +224,8 @@ def test_failed_insert_leaves_no_partial_state():
     with pytest.raises(TypeMismatch):
         db.insert("B", 5, {"a": 1, "n": "oops"})
     coll = db.collections["B"]
-    assert len(coll) == 0 and coll.rows == [] and coll.elements == {}
+    assert len(coll) == 0 and coll.ids == [] and coll.elements == {}
+    assert coll.columns == {"id": [], "a": [], "n": []}
     assert coll.forward["a"] == []
     dim = db.schema.dimension("B", "a")
     assert db.collections["A"].reverse[dim] == [[]]  # A's one row, referenced by nothing
@@ -273,8 +274,8 @@ def test_char_width_is_declarative_only(tmp_path):
     assert db.schema.concept("A").field("code").length == 3
     db.insert("A", 1, {"code": "abc"})
     db.insert("A", 2, {"code": "abcdefgh", "d": "12345.678"})
-    assert db.collections["A"].elements[(2,)].entity == {"code": "abcdefgh",
+    assert db.collections["A"].element((2,)).entity == {"code": "abcdefgh",
                                                          "d": Decimal("12345.678")}
     (tmp_path / "A.csv").write_text("id,code,d\n3,abcdefgh,-98765.4321\n", encoding="utf-8")
     engine.load_csv(db, "A", tmp_path / "A.csv", strict=True)
-    assert db.collections["A"].elements[(3,)].values == ("abcdefgh", Decimal("-98765.4321"))
+    assert db.collections["A"].element((3,)).values == ("abcdefgh", Decimal("-98765.4321"))
