@@ -31,8 +31,7 @@ are.  Two things cut a way short, neither of which changes its answer: a
 node with one dimension in and one out is streamed through, never built,
 and a push stops once its image holds every row it could (the rows
 referenced along that dimension, _referenced).  _value_at is the one walk
-of a single element's row up a path to a field's column; value_along is
-its identity-keyed form.
+of a single element's row up a path to a field's column.
 
 A predicate's SUM along a de-projection with no inner predicate is not
 added up per query: _folded_sums keeps, on the greater collection, the sum
@@ -57,13 +56,12 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DuplicateAlias,
-    NonNumericPath,
     NoPath,
     PathNotComposable,
     ProductTooLarge,
     ViaNotCommonLesser,
 )
-from .model import ROW, Dimension, DimensionPath, FieldSpec, Identity, Schema
+from .model import ROW, Dimension, DimensionPath, FieldSpec, Schema
 
 INDEPENDENT_WARNING = "independent collections: full target returned"
 
@@ -729,18 +727,12 @@ def infer(db, eset: ElementSet, target, via=None,
 # --- values and aggregates ---------------------------------------------------
 
 
-def value_along(db, collection: str, ident: Identity,
-                dims: Sequence[Dimension], name: str | None):
-    """Follow dimensions from one element, then read a field; NULL propagates.
+def _value_at(db, collection: str, row: int, dims: Sequence[Dimension], name: str | None):
+    """Follow dimensions from one element's row, then read a field; NULL propagates.
 
     name is a primitive field of the concept the dimensions arrive at; with
     name None the value is the identity of the endpoint element.
     """
-    return _value_at(db, collection, db.collections[collection].elements[ident], dims, name)
-
-
-def _value_at(db, collection: str, row: int, dims: Sequence[Dimension], name: str | None):
-    """value_along from an element's row: the one walk along forward lists."""
     colls = db.collections
     for seg in dims:
         row = colls[collection].forward[seg.name][row]
@@ -749,20 +741,6 @@ def _value_at(db, collection: str, row: int, dims: Sequence[Dimension], name: st
         collection = seg.destination
     coll = colls[collection]
     return (coll.ids if name is None else coll.columns[name])[row]
-
-
-def sum_values(db, eset: ElementSet, path: FieldPath):
-    """Sum a numeric field over a set of elements; NULL contributes zero."""
-    if path.field.type not in ("integer", "decimal"):
-        raise NonNumericPath(
-            f"cannot sum over '{path.field.name}' of type {path.field.type}"
-        )
-    if not isinstance(eset.domain, str) or eset.domain != path.source:
-        raise PathNotComposable(
-            f"sum path starts at '{path.source}' but the set is over "
-            f"'{domain_name(eset.domain)}'"
-        )
-    return _sum_rows(db, db.collections[path.source].rows_of(eset.members), path)
 
 
 def _path_values(db, rows, path: FieldPath):
@@ -774,7 +752,7 @@ def _path_values(db, rows, path: FieldPath):
 
 
 def _sum_rows(db, rows, path: FieldPath):
-    """sum_values over rows of path.source, the path checked already."""
+    """The sum of a numeric path over rows of path.source; NULL contributes zero."""
     # filter drops each NULL, and the zeros it drops too add nothing
     return sum(filter(None, _path_values(db, rows, path)), _zero(path))
 

@@ -5,6 +5,13 @@ compiles predicates into evaluable closures, stores on each motion step
 the route the algebra's router chose for it, and records any
 warnings (such as the full-target fallback for unconnected collections)
 before anything runs.
+
+A set expression binds one way wherever it stands, as the anchor or as a
+step's target (_resolve_set): to a collection and its compiled
+predicate, or to a product.  resolve walks the steps in one loop: it
+rejects a step that cannot start from the chain's domain, lets the
+step's resolver append its motions, then appends the target's predicate
+as a filter.
 """
 
 from __future__ import annotations
@@ -394,16 +401,6 @@ class QueryPlan:
 # --- resolution -----------------------------------------------------------------
 
 
-def _single_factor(se: ast.SetExpr):
-    if len(se.factors) == 1:
-        return se.factors[0]
-    return None
-
-
-def _anchor_ctx(schema: Schema, name: str, alias: str | None) -> _Ctx:
-    return _Ctx(schema, concept=name, alias=alias)
-
-
 def _product_from_set_expr(se: ast.SetExpr, schema: Schema) -> ProductCollection:
     factors = []
     for f in se.factors:
@@ -416,18 +413,6 @@ def _product_from_set_expr(se: ast.SetExpr, schema: Schema) -> ProductCollection
         predicate = compile_predicate(_Ctx(schema, aliases=aliases), se.predicate)
     text = print_set_expr(se)
     return make_product(text, factors, predicate, text)
-
-
-def _narrow_product(base: ProductCollection, se: ast.SetExpr, schema: Schema) -> ProductCollection:
-    """A registered product with an extra predicate on top."""
-    aliases = {a: c for a, c in base.factors}
-    extra = compile_predicate(_Ctx(schema, aliases=aliases), se.predicate)
-    inner = base.predicate
-
-    def both(db, subject):
-        return (inner is None or inner(db, subject)) and extra(db, subject)
-
-    return ProductCollection(base.name, base.factors, both, print_set_expr(se))
 
 
 def _conjuncts(node) -> list:
@@ -466,60 +451,53 @@ def _seek(schema: Schema, one: ast.Factor, node) -> QueryPlan | None:
                    schema)
 
 
-def _resolve_set_anchor(se: ast.SetExpr, schema: Schema, products: Mapping):
-    one = _single_factor(se)
-    if one is not None and one.collection in schema.concepts:
-        pred = None
-        seeks = ()
-        if se.predicate is not None:
-            ctx = _anchor_ctx(schema, one.collection, one.alias)
-            pred = compile_predicate(ctx, se.predicate)
-            seeks = tuple(filter(None, (_seek(schema, one, c) for c in _conjuncts(se.predicate))))
-        anchor = CollectionAnchor(one.collection, pred, print_set_expr(se), seeks)
-        return anchor, one.collection
-    if one is not None and one.collection in products:
-        if one.alias is not None:
-            _raise(ResolveError, "a product collection cannot take an alias", one.pos)
-        product = products[one.collection]
-        if se.predicate is not None:
-            product = _narrow_product(product, se, schema)
-        return ProductAnchor(product, print_set_expr(se)), product
-    if one is not None:
+def _resolve_set(se: ast.SetExpr, schema: Schema, products: Mapping):
+    """Bind a set expression: (collection, compiled predicate or None) or (product, None).
+
+    A registered product takes the expression's predicate on top of its own.
+    """
+    if len(se.factors) != 1:
+        return _product_from_set_expr(se, schema), None
+    (one,) = se.factors
+    if one.collection in schema.concepts:
+        if se.predicate is None:
+            return one.collection, None
+        ctx = _Ctx(schema, concept=one.collection, alias=one.alias)
+        return one.collection, compile_predicate(ctx, se.predicate)
+    if one.collection not in products:
         _raise(UnknownCollection, f"unknown collection '{one.collection}'", one.pos)
-    product = _product_from_set_expr(se, schema)
-    return ProductAnchor(product, print_set_expr(se)), product
-
-
-def _resolve_step_target(se: ast.SetExpr, schema: Schema, products: Mapping):
-    """A step target: a collection (plus optional post filter) or a product."""
-    one = _single_factor(se)
-    if one is not None and one.collection in schema.concepts:
-        post = None
-        if se.predicate is not None:
-            post = compile_predicate(_anchor_ctx(schema, one.collection, one.alias), se.predicate)
-        return one.collection, post
-    if one is not None and one.collection in products:
-        if one.alias is not None:
-            _raise(ResolveError, "a product collection cannot take an alias", one.pos)
-        product = products[one.collection]
-        if se.predicate is not None:
-            product = _narrow_product(product, se, schema)
+    if one.alias is not None:
+        _raise(ResolveError, "a product collection cannot take an alias", one.pos)
+    product = products[one.collection]
+    if se.predicate is None:
         return product, None
-    if one is not None:
-        _raise(UnknownCollection, f"unknown collection '{one.collection}'", one.pos)
-    return _product_from_set_expr(se, schema), None
+    extra = compile_predicate(_Ctx(schema, aliases=dict(product.factors)), se.predicate)
+    inner = product.predicate
+
+    def both(db, subject):
+        return (inner is None or inner(db, subject)) and extra(db, subject)
+
+    return ProductCollection(product.name, product.factors, both, print_set_expr(se)), None
 
 
-def _require_collection_domain(domain, step_pos, what: str) -> str:
-    if isinstance(domain, PrimitiveDomain):
-        _raise(
-            ResolveError,
-            f"the chain already ended at primitive values '{domain}'",
-            step_pos,
-        )
+def _set_anchor(se: ast.SetExpr, schema: Schema, products: Mapping):
+    """The anchor a set expression starts a chain with, and the domain it holds."""
+    domain, predicate = _resolve_set(se, schema, products)
     if isinstance(domain, ProductCollection):
-        _raise(ResolveError, f"{what} cannot start from product '{domain.name}'", step_pos)
-    return domain
+        return ProductAnchor(domain, print_set_expr(se)), domain
+    seeks = ()
+    if predicate is not None:
+        seeks = tuple(filter(None, (_seek(schema, se.factors[0], c)
+                                    for c in _conjuncts(se.predicate))))
+    return CollectionAnchor(domain, predicate, print_set_expr(se), seeks), domain
+
+
+def _collection_target(se: ast.SetExpr, schema: Schema, products: Mapping, pos):
+    """The target of '->' or '<-', which must be a collection, and its predicate."""
+    target, post = _resolve_set(se, schema, products)
+    if isinstance(target, ProductCollection):
+        _raise(ResolveError, "use '<-*' to reach a product collection", pos)
+    return target, post
 
 
 def _two_up_paths(schema: Schema, lower: str, upper: str) -> list[DimensionPath]:
@@ -570,9 +548,6 @@ def _path_route(schema: Schema, domain, segs, down: bool, text: str) -> PlanRout
 
 
 def _resolve_project(step: ast.ProjectStep, domain, schema: Schema, products: Mapping, out: list):
-    if isinstance(domain, PrimitiveDomain):
-        _raise(ResolveError, f"the chain already ended at primitive values '{domain}'", step.pos)
-
     # explicit dimensions, possibly starting with a product factor alias
     segs: list[Dimension] = []
     cur = domain
@@ -588,17 +563,13 @@ def _resolve_project(step: ast.ProjectStep, domain, schema: Schema, products: Ma
         cur = domain.collection_of(first)
         if not dims and step.target is None:
             out.append(_path_route(schema, domain, segs, False, f"-> {first} -> ({cur})"))
-            return cur
+            return cur, None
 
     if not dims and step.target is not None and not segs:
-        target, post = _resolve_step_target(step.target, schema, products)
-        if isinstance(target, ProductCollection):
-            _raise(ResolveError, "use '<-*' to reach a product collection", step.pos)
+        target, post = _collection_target(step.target, schema, products, step.pos)
         path = _unique_up_path(schema, cur, target, step.pos)
         out.append(_path_route(schema, cur, path.segments, False, f"-> ({target})"))
-        if post is not None:
-            out.append(PlanFilter(post, print_predicate(step.target.predicate)))
-        return target
+        return target, post
 
     for k, name in enumerate(dims):
         concept = schema.concept(cur)
@@ -609,7 +580,7 @@ def _resolve_project(step: ast.ProjectStep, domain, schema: Schema, products: Ma
                 # bare '-> Coll' reads as '-> (Coll)' when no dimension matches
                 path = _unique_up_path(schema, cur, name, step.pos)
                 out.append(_path_route(schema, cur, path.segments, False, f"-> ({name})"))
-                return name
+                return name, None
             _raise(UnknownDimension, f"no dimension or field '{name}' on '{cur}'", step.pos)
         if f.is_primitive:
             if not last or step.target is not None:
@@ -622,24 +593,20 @@ def _resolve_project(step: ast.ProjectStep, domain, schema: Schema, products: Ma
                 out.append(_path_route(schema, domain, segs, False,
                                        "-> " + " -> ".join(step.dims[:-1])))
             out.append(PlanProjectField(f, f"-> {name}"))
-            return PrimitiveDomain(cur, name, f.type)
+            return PrimitiveDomain(cur, name, f.type), None
         segs.append(schema.dimension(cur, name))
         cur = f.type
 
+    text = "-> " + " -> ".join(step.dims)
+    post = None
     if step.target is not None:
-        target, post = _resolve_step_target(step.target, schema, products)
-        if isinstance(target, ProductCollection):
-            _raise(ResolveError, "use '<-*' to reach a product collection", step.pos)
+        target, post = _collection_target(step.target, schema, products, step.pos)
         if target != cur:
             dotted = ".".join(step.dims)
             _raise(ResolveError, f"'{dotted}' arrives at '{cur}', not '{target}'", step.pos)
-        out.append(_path_route(schema, domain, segs, False,
-                               "-> " + " -> ".join(step.dims) + f" -> ({cur})"))
-        if post is not None:
-            out.append(PlanFilter(post, print_predicate(step.target.predicate)))
-        return cur
-    out.append(_path_route(schema, domain, segs, False, "-> " + " -> ".join(step.dims)))
-    return cur
+        text += f" -> ({cur})"
+    out.append(_path_route(schema, domain, segs, False, text))
+    return cur, post
 
 
 def _down_path(schema: Schema, target: str, names, pos) -> tuple[list[Dimension], str]:
@@ -660,36 +627,24 @@ def _down_path(schema: Schema, target: str, names, pos) -> tuple[list[Dimension]
 
 def _resolve_deproject(step: ast.DeprojectStep, domain, schema: Schema,
                        products: Mapping, out: list):
-    cur = _require_collection_domain(domain, step.pos, "'<-'")
-
-    if not step.dims:
-        target, post = _resolve_step_target(step.target, schema, products)
-        if isinstance(target, ProductCollection):
-            _raise(ResolveError, "use '<-*' to reach a product collection", step.pos)
-        path = _unique_up_path(schema, target, cur, step.pos)
-        out.append(_path_route(schema, cur, path.segments, True, f"<- ({target})"))
-        if post is not None:
-            out.append(PlanFilter(post, print_predicate(step.target.predicate)))
-        return target
-
     if step.target is not None:
-        target, post = _resolve_step_target(step.target, schema, products)
-        if isinstance(target, ProductCollection):
-            _raise(ResolveError, "use '<-*' to reach a product collection", step.pos)
+        target, post = _collection_target(step.target, schema, products, step.pos)
+        if not step.dims:
+            path = _unique_up_path(schema, target, domain, step.pos)
+            out.append(_path_route(schema, domain, path.segments, True, f"<- ({target})"))
+            return target, post
         segs, walk = _down_path(schema, target, step.dims, step.pos)
-        if walk != cur:
+        if walk != domain:
             dotted = " <- ".join(step.dims)
-            _raise(ResolveError, f"'{dotted} <- ({target})' arrives at '{walk}', not '{cur}'",
+            _raise(ResolveError, f"'{dotted} <- ({target})' arrives at '{walk}', not '{domain}'",
                    step.pos)
-        out.append(_path_route(schema, cur, segs, True,
+        out.append(_path_route(schema, domain, segs, True,
                                "<- " + " <- ".join(step.dims) + f" <- ({target})"))
-        if post is not None:
-            out.append(PlanFilter(post, print_predicate(step.target.predicate)))
-        return target
+        return target, post
 
     # no explicit source collection: walk down one dimension name at a time
     segs_down: list[Dimension] = []
-    walk = cur
+    walk = domain
     for name in step.dims:
         cands = [d for d in schema.dimensions_into(walk) if d.name == name]
         if not cands:
@@ -704,11 +659,12 @@ def _resolve_deproject(step: ast.DeprojectStep, domain, schema: Schema,
             )
         segs_down.append(cands[0])
         walk = cands[0].source
-    out.append(_path_route(schema, cur, segs_down[::-1], True, "<- " + " <- ".join(step.dims)))
-    return walk
+    out.append(_path_route(schema, domain, segs_down[::-1], True, "<- " + " <- ".join(step.dims)))
+    return walk, None
 
 
-def _resolve_literal_anchor(lits, first: ast.DeprojectStep, schema: Schema, out: list):
+def _resolve_literal_anchor(lits, first: ast.DeprojectStep, schema: Schema,
+                            products: Mapping, out: list):
     if not first.dims:
         _raise(ResolveError, "constants de-project through a field name first", first.pos)
     field_name = first.dims[0]
@@ -716,14 +672,7 @@ def _resolve_literal_anchor(lits, first: ast.DeprojectStep, schema: Schema, out:
 
     post = None
     if first.target is not None:
-        one = _single_factor(first.target)
-        if one is None or one.collection not in schema.concepts:
-            name = one.collection if one is not None else print_set_expr(first.target)
-            _raise(UnknownCollection, f"unknown collection '{name}'", first.pos)
-        target = one.collection
-        if first.target.predicate is not None:
-            post = compile_predicate(_anchor_ctx(schema, target, one.alias),
-                                     first.target.predicate)
+        target, post = _collection_target(first.target, schema, products, first.pos)
         segs, owner = _down_path(schema, target, rest, first.pos)
     else:
         if rest:
@@ -760,82 +709,63 @@ def _resolve_literal_anchor(lits, first: ast.DeprojectStep, schema: Schema, out:
     if segs:
         out.append(_path_route(schema, owner, segs, True,
                                "<- " + " <- ".join(rest) + f" <- ({target})"))
-    if post is not None:
-        out.append(PlanFilter(post, print_predicate(first.target.predicate)))
-    return anchor, target
+    return anchor, target, post
 
 
-def _resolve_star_project(step: ast.StarProjectStep, domain, schema: Schema,
-                          products: Mapping, out: list):
-    if isinstance(domain, PrimitiveDomain):
-        _raise(ResolveError, f"the chain already ended at primitive values '{domain}'", step.pos)
-    target, post = _resolve_step_target(step.target, schema, products)
-    if isinstance(target, ProductCollection):
+# each kind of step's arrow, and the router of each star form
+_ARROWS = {ast.ProjectStep: "->", ast.DeprojectStep: "<-", ast.StarProjectStep: "*->",
+           ast.StarDeprojectStep: "<-*", ast.InferStep: "<-*->"}
+_ROUTERS = {"*->": route_star_project, "<-*": route_star_deproject, "<-*->": route_infer}
+
+
+def _resolve_star(step, arrow: str, domain, schema: Schema, products: Mapping,
+                  out: list, warnings: list):
+    """'*->', '<-*' or '<-*->': the route its router chose to the target."""
+    target, post = _resolve_set(step.target, schema, products)
+    if arrow == "*->" and isinstance(target, ProductCollection):
         _raise(ResolveError, "'*->' cannot arrive at a product; use '<-*'", step.pos)
-    out.append(PlanRoute(route_star_project(schema, domain, target), f"*-> ({target})"))
-    if post is not None:
-        out.append(PlanFilter(post, print_predicate(step.target.predicate)))
-    return target
-
-
-def _resolve_star_deproject(step: ast.StarDeprojectStep, domain, schema: Schema,
-                            products: Mapping, out: list):
-    cur = _require_collection_domain(domain, step.pos, "'<-*'")
-    target, post = _resolve_step_target(step.target, schema, products)
-    route = route_star_deproject(schema, cur, target)
-    out.append(PlanRoute(route, f"<-* ({domain_name(target)})"))
-    if post is not None:
-        out.append(PlanFilter(post, print_predicate(step.target.predicate)))
-    return target
-
-
-def _resolve_infer(step: ast.InferStep, domain, schema: Schema, products: Mapping,
-                   out: list, warnings: list):
-    if isinstance(domain, PrimitiveDomain):
-        _raise(ResolveError, f"the chain already ended at primitive values '{domain}'", step.pos)
-    target, post = _resolve_step_target(step.target, schema, products)
-    route = route_infer(schema, domain, target)
+    route = _ROUTERS[arrow](schema, domain, target)
     if route.warning is not None:
         warnings.append(route.warning)
-    out.append(PlanRoute(route, f"<-*-> ({domain_name(target)})"))
-    if post is not None:
-        out.append(PlanFilter(post, print_predicate(step.target.predicate)))
-    return target
+    out.append(PlanRoute(route, f"{arrow} ({domain_name(target)})"))
+    return target, post
 
 
 def resolve(query: ast.Query, schema: Schema, products: Mapping | None = None) -> QueryPlan:
-    """Bind a parsed query against a schema; returns the executable plan."""
+    """Bind a parsed query against a schema; returns the executable plan.
+
+    Each step appends the motions it makes and returns the domain it
+    arrives at and its target's predicate, which filters after them.
+    """
     products = products or {}
     warnings: list[str] = []
-    steps_out: list = []
+    out: list = []
 
     if isinstance(query.anchor, ast.SetExpr):
-        anchor, domain = _resolve_set_anchor(query.anchor, schema, products)
-        pending = list(query.steps)
+        anchor, domain = _set_anchor(query.anchor, schema, products)
+    elif not query.steps or not isinstance(query.steps[0], ast.DeprojectStep):
+        _raise(ResolveError, "constants must be followed by a de-projection ('<-')", query.pos)
     else:
-        if not query.steps or not isinstance(query.steps[0], ast.DeprojectStep):
-            _raise(ResolveError, "constants must be followed by a de-projection ('<-')",
-                   query.pos)
-        anchor, domain = _resolve_literal_anchor(
-            query.anchor, query.steps[0], schema, steps_out
-        )
-        pending = list(query.steps[1:])
+        anchor = None  # the first step de-projects the constants
 
-    for st in pending:
-        if isinstance(st, ast.ProjectStep):
-            domain = _resolve_project(st, domain, schema, products, steps_out)
-        elif isinstance(st, ast.DeprojectStep):
-            domain = _resolve_deproject(st, domain, schema, products, steps_out)
-        elif isinstance(st, ast.StarProjectStep):
-            domain = _resolve_star_project(st, domain, schema, products, steps_out)
-        elif isinstance(st, ast.StarDeprojectStep):
-            domain = _resolve_star_deproject(st, domain, schema, products, steps_out)
-        elif isinstance(st, ast.InferStep):
-            domain = _resolve_infer(st, domain, schema, products, steps_out, warnings)
+    for st in query.steps:
+        arrow = _ARROWS[type(st)]
+        if anchor is None:
+            anchor, domain, post = _resolve_literal_anchor(query.anchor, st, schema, products, out)
+        elif isinstance(domain, PrimitiveDomain):
+            _raise(ResolveError, f"the chain already ended at primitive values '{domain}'", st.pos)
+        elif isinstance(domain, ProductCollection) and arrow in ("<-", "<-*"):
+            _raise(ResolveError, f"'{arrow}' cannot start from product '{domain.name}'", st.pos)
+        elif arrow == "->":
+            domain, post = _resolve_project(st, domain, schema, products, out)
+        elif arrow == "<-":
+            domain, post = _resolve_deproject(st, domain, schema, products, out)
         else:
-            raise TypeError(f"not a step: {st!r}")
+            domain, post = _resolve_star(st, arrow, domain, schema, products, out, warnings)
+        if post is not None:
+            out.append(PlanFilter(post, print_predicate(st.target.predicate)))
 
-    return QueryPlan(anchor, tuple(steps_out), tuple(warnings), print_query(query))
+    return QueryPlan(anchor, tuple(out), tuple(warnings), print_query(query))
 
 
 def resolve_product(pd: ast.ProductDef, schema: Schema,

@@ -150,14 +150,11 @@ def _kept(e: TypeMismatch) -> TypeMismatch:
     return e.with_traceback(None)
 
 
-def _typed_column(cells, ftype: str, where: str, errors: dict, empty=None,
-                  shared: dict | None = None) -> list:
+def _typed_column(cells, ftype: str, where: str, errors: dict, empty=None) -> list:
     """A column of CSV cells through its type's converter; NULL and bad cells read None.
 
     A bad cell's TypeMismatch, or empty for a NULL cell, goes to errors
-    unless the row has an error already.  shared, when given, maps texts
-    to the values already made from them: in a column with no NULL or bad
-    cell, equal texts then share one value.
+    unless the row has an error already.
     """
     if ftype == "string":
         if "" not in cells and "NULL" not in cells:
@@ -165,10 +162,7 @@ def _typed_column(cells, ftype: str, where: str, errors: dict, empty=None,
     else:
         convert = _CONVERTERS[ftype]
         try:  # only str accepts an empty or NULL cell
-            if shared is None:
-                return list(map(convert, cells))
-            known = shared.get  # a zero misses, and setdefault returns the kept one
-            return [known(t) or shared.setdefault(t, convert(t)) for t in cells]
+            return list(map(convert, cells))
         except (ValueError, ArithmeticError):
             pass
     out = []
@@ -300,7 +294,6 @@ def _stage_csv(db: Database, collection: str, path, strict: bool, staged: dict) 
             batch = model.Batch(coll, staged)
             width = len(header)
             rows, lines, errors = [], [], {}
-            decimals: dict = {}  # one Decimal per distinct text of the file's entity cells
             for row in reader:
                 if not row:
                     continue  # csv.reader reads a blank line as []
@@ -311,10 +304,10 @@ def _stage_csv(db: Database, collection: str, path, strict: bool, staged: dict) 
                 rows.append(row)
                 lines.append(reader.line_num)
                 if len(rows) == CHUNK_ROWS:
-                    _check_chunk(db, batch, header, rows, lines, errors, report, strict, decimals)
+                    _check_chunk(db, batch, header, rows, lines, errors, report, strict)
                     rows, lines, errors = [], [], {}
             if rows:
-                _check_chunk(db, batch, header, rows, lines, errors, report, strict, decimals)
+                _check_chunk(db, batch, header, rows, lines, errors, report, strict)
         except UnicodeDecodeError:
             raise _utf8_error(path) from None
         except csv.Error as e:
@@ -322,8 +315,7 @@ def _stage_csv(db: Database, collection: str, path, strict: bool, staged: dict) 
     return report
 
 
-def _check_chunk(db, batch: model.Batch, header, rows, lines, errors, report, strict,
-                 decimals: dict) -> None:
+def _check_chunk(db, batch: model.Batch, header, rows, lines, errors, report, strict) -> None:
     """Type rows column by column, stage the good ones and report the bad ones.
 
     errors holds the rows already known to be bad.  Any other row's first
@@ -341,11 +333,8 @@ def _check_chunk(db, batch: model.Batch, header, rows, lines, errors, report, st
     for j, f in enumerate(concept.entity_fields):
         if f.is_primitive:
             where = f"{concept.name}.{f.name}"
-            if f.type == "decimal":
-                values = _typed_column(cells[f.name], f.type, where, errors, shared=decimals)
-                bad = _nonfinite(values, where)
-            else:
-                values, bad = _typed_column(cells[f.name], f.type, where, errors), {}
+            values = _typed_column(cells[f.name], f.type, where, errors)
+            bad = _nonfinite(values, where) if f.type == "decimal" else {}
         else:
             values, bad = _typed_references(db.schema.concepts[f.type], cells[f.name], errors)
         columns.append(values)

@@ -2,14 +2,13 @@
 
 import itertools
 import random
-from decimal import Decimal
 
 import pytest
 
 import oracle
 from comdb import algebra, model
 from comdb.algebra import ElementSet, INDEPENDENT_WARNING
-from comdb.errors import NonNumericPath, NoPath, PathNotComposable, ViaNotCommonLesser
+from comdb.errors import NoPath, PathNotComposable, ViaNotCommonLesser
 
 
 def members(eset: ElementSet) -> set:
@@ -435,37 +434,3 @@ def test_infer_empty_source_still_routes(royalties_db):
     empty = ElementSet("Writers", frozenset())
     assert members(algebra.infer(db, empty, "Publishers")) == set()
 
-
-# --- scalar helpers ------------------------------------------------------------
-
-
-def test_value_along_walks_then_reads(catalog_db):
-    db = catalog_db
-    dims = (
-        db.schema.dimension("Books", "publisher"),
-        db.schema.dimension("Publishers", "address"),
-    )
-    v = algebra.value_along(db, "Books", ("b1",), dims, "country")
-    assert v == "DE"
-    assert algebra.value_along(db, "Books", ("b1",), dims, None) == (1,)
-    # a NULL hop yields no value at all
-    assert algebra.value_along(db, "Books", ("b1",), (dims[0],), "name") == "Springer"
-    v4 = algebra.value_along(db, "Books", ("b4",), (dims[0],), "name")
-    assert v4 is None
-
-
-def test_count_and_sum(catalog_db):
-    db = catalog_db
-    books = algebra.full_set(db, "Books")
-    fld = db.schema.concept("Books").field("price")
-    total = algebra.sum_values(db, books, algebra.FieldPath("Books", (), fld))
-    assert total == Decimal("65.49")
-
-
-def test_sum_needs_a_numeric_field(catalog_db):
-    db = catalog_db
-    books = algebra.full_set(db, "Books")
-    fld = db.schema.concept("Books").field("title")
-    with pytest.raises(NonNumericPath) as exc:
-        algebra.sum_values(db, books, algebra.FieldPath("Books", (), fld))
-    assert "title" in str(exc.value) and "string" in str(exc.value)

@@ -396,6 +396,12 @@ def test_sum_without_a_path_names_count(catalog_db):
     assert "COUNT" in str(exc.value)
 
 
+def test_sum_needs_a_numeric_field(catalog_db):
+    with pytest.raises(NonNumericPath) as exc:
+        catalog_db.plan("(Publishers | SUM(publisher <- (Books).title) > 1)")
+    assert str(exc.value) == "cannot sum over 'title' of type string"
+
+
 def test_aggregates_forbidden_in_product_predicates(market_db):
     from comdb.engine import execute_statement
 
@@ -415,6 +421,9 @@ def test_date_literals_are_typed_against_the_path(library_db):
 def test_reference_equality_accepts_bare_literal(catalog_db):
     rs = catalog_db.query("(Books | publisher == 'Springer')")
     assert sorted(i[0] for i in rs.identities) == ["b1", "b2"]
+    # a path may end in a reference after a hop: it reads the identity there
+    rs = catalog_db.query("(Books | publisher.address == 3)")
+    assert [i[0] for i in rs.identities] == ["b5"]
 
 
 def test_composite_reference_literal_is_rejected(market_db):
@@ -453,6 +462,11 @@ def test_mixed_type_path_comparisons_are_false(catalog_db):
 def test_predicate_paths_walk_dimensions(catalog_db):
     rs = catalog_db.query("(Books | publisher.address.country == 'DE')")
     assert sorted(i[0] for i in rs.identities) == ["b1", "b2", "b5"]
+    # b4 has no publisher: its path reads NULL, so both comparisons are false
+    rs = catalog_db.query("(Books | publisher.address.country != 'DE')")
+    assert [i[0] for i in rs.identities] == ["b3"]
+    rs = catalog_db.query("(Books | NOT publisher.name == 'Wiley')")
+    assert sorted(i[0] for i in rs.identities) == ["b1", "b2", "b4", "b5"]
 
 
 def test_product_predicate_paths_need_alias(market_db):

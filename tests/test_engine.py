@@ -1036,10 +1036,11 @@ def test_folded_sums_fold_again_when_the_decimal_context_changes():
     """Sums added under another precision or rounding are folded again."""
     db = fresh("CONCEPT G IDENTITY id INT; CONCEPT L IDENTITY id INT ENTITY g G, a DECIMAL;")
     db.insert("G", 1)
-    for i, a in enumerate(("1.25", "2.5", "0.00", "7.07")):
-        db.insert("L", i, {"g": 1, "a": a})
+    for i, a in enumerate(("1.25", "2.5", "0.00", None, "7.07")):
+        db.insert("L", i, {"g": 1, "a": a})  # a NULL adds nothing
     query = "(G | SUM(g <- (L).a) == {})"
     assert db.query(query.format("10.82")).identities == [(1,)]
+    assert db.query("(G | SUM(g <- (L | id >= 0).a) == 10.82)").identities == [(1,)]
     with decimal.localcontext() as ctx:
         ctx.prec = 3
         assert db.query(query.format("10.8")).identities == [(1,)]
