@@ -1612,6 +1612,21 @@ def test_a_bad_row_among_clean_ones_is_reported_as_row_at_a_time(tmp_path):
         "bad cell": "{id},1,,1.5,x",
         "not finite": "{id},1,,NaN,1",
         "short row": "{id},1",
+        # two faults in one row: the error reported is the first a row-at-a-time check meets
+        "bad cell and duplicate": "3,1,,1.5,x",
+        "duplicate and NULL value": "3,1,,1.5,",
+        "dangling and not finite": "{id},99,,NaN,1",
+        "not finite and NULL value": "{id},1,,NaN,",
+        "NULL reference and bad cell": "{id},,,1.5,x",
+        "dangling nullable and NULL value": "{id},1,77,1.5,",
+    }
+    first = {
+        "bad cell and duplicate": "B.w: 'x' is not an integer",
+        "duplicate and NULL value": "element (3,) already exists in 'B'",
+        "dangling and not finite": "B.a references missing",
+        "not finite and NULL value": "B.v: 'NaN' is not a finite decimal",
+        "NULL reference and bad cell": "B.w: 'x' is not an integer",
+        "dangling nullable and NULL value": "B.b references missing",
     }
     cases = 0
     for k, (kind, text) in enumerate(planted.items()):
@@ -1635,6 +1650,7 @@ def test_a_bad_row_among_clean_ones_is_reported_as_row_at_a_time(tmp_path):
             assert len(got.rejected) == 1 and got.inserted == len(lines) - 1, (kind, got.rejected)
             line = 3 if kind == "duplicate in the chunk" and place == 0 else place + 2
             assert got.rejected[0][0] == line, (kind, place)
+            assert got.rejected[0][1].startswith(first.get(kind, "")), (kind, got.rejected)
             assert oracle.layout(dbs[0]) == oracle.layout(dbs[1]), (kind, place)
             cases += 1
-    assert cases == 27
+    assert cases == 45
