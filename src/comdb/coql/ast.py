@@ -153,14 +153,9 @@ class StarDeprojectStep(Node):
 
 @dataclass(frozen=True)
 class InferStep(Node):
-    """'<-*-> (Coll)': constraint propagation to an arbitrary collection.
-
-    via is not part of the surface syntax; programmatic plans may pin the
-    intermediate collection with it.
-    """
+    """'<-*-> (Coll)': constraint propagation to an arbitrary collection."""
 
     target: SetExpr
-    via: str | None = None
     pos: tuple[int, int] = field(default=NOPOS, compare=False)
 
 

@@ -527,10 +527,8 @@ def _two_up_paths(schema: Schema, lower: str, upper: str) -> list[DimensionPath]
 def _unique_up_path(schema: Schema, lower: str, upper: str, pos) -> DimensionPath:
     paths = _two_up_paths(schema, lower, upper)
     if not paths:
-        raise NoPath(
-            f"no path between '{lower}' and '{upper}'; "
-            "'<-*->' routes through common lesser collections"
-        )
+        _raise(NoPath, f"no path between '{lower}' and '{upper}'; "
+               "'<-*->' routes through common lesser collections", pos)
     if len(paths) > 1:
         listing = " and ".join(p.dotted() for p in paths)
         _raise(

@@ -143,48 +143,37 @@ def _parse_scalar(text: str, ftype: str, where: str):
         raise TypeMismatch(f"{where}: '{text}' is not {_TYPE_NAMES[ftype]}") from None
 
 
-def _kept(e: TypeMismatch) -> TypeMismatch:
-    """A caught error as a load keeps it: its traceback, and the error it
-    replaced with its own, would hold the frames that hold it."""
-    e.__context__ = None
-    return e.with_traceback(None)
+def _typed_column(cells, ftype: str, bad: set) -> list:
+    """A column of CSV cells through its type's converter, None for a NULL cell.
 
-
-def _typed_column(cells, ftype: str, where: str, errors: dict, empty=None) -> list:
-    """A column of CSV cells through its type's converter; NULL and bad cells read None.
-
-    A bad cell's TypeMismatch, or empty for a NULL cell, goes to errors
-    unless the row has an error already.
+    A cell that does not convert, or converts to a DECIMAL that is not
+    finite, reads None too, and its row goes to bad.
     """
+    convert = _CONVERTERS[ftype]
     if ftype == "string":
         if "" not in cells and "NULL" not in cells:
             return list(cells)
     else:
-        convert = _CONVERTERS[ftype]
         try:  # only str accepts an empty or NULL cell
-            return list(map(convert, cells))
+            values = list(map(convert, cells))
         except (ValueError, ArithmeticError):
             pass
+        else:
+            if ftype != "decimal" or all(map(Decimal.is_finite, values)):
+                return values
     out = []
     for i, text in enumerate(cells):
         value = None
         if text not in ("", "NULL"):
             try:
-                value = _parse_scalar(text, ftype, where)
-            except TypeMismatch as e:
-                errors.setdefault(i, _kept(e))
-        elif empty is not None:
-            errors.setdefault(i, empty)
+                value = convert(text)
+            except (ValueError, ArithmeticError):  # InvalidOperation is an ArithmeticError
+                pass
+            if value is None or ftype == "decimal" and not value.is_finite():
+                value = None
+                bad.add(i)
         out.append(value)
     return out
-
-
-def _nonfinite(values, where: str) -> dict:
-    """The rows of a DECIMAL column holding NaN, sNaN or an infinity, with their errors."""
-    if all(map(Decimal.is_finite, filter(None, values))):
-        return {}
-    return {i: TypeMismatch(f"{where}: '{v}' is not a finite decimal")
-            for i, v in enumerate(values) if v is not None and not v.is_finite()}
 
 
 def encode_scalar(v) -> str:
@@ -293,21 +282,21 @@ def _stage_csv(db: Database, collection: str, path, strict: bool, staged: dict) 
                 )
             batch = model.Batch(coll, staged)
             width = len(header)
-            rows, lines, errors = [], [], {}
+            blank = [""] * width
+            rows, lines, ragged = [], [], {}
             for row in reader:
                 if not row:
                     continue  # csv.reader reads a blank line as []
                 if len(row) != width:
-                    errors[len(rows)] = TypeMismatch(
-                        f"row has {len(row)} values, expected {width}")
-                    row = [""] * width
+                    ragged[len(rows)] = row
+                    row = blank
                 rows.append(row)
                 lines.append(reader.line_num)
                 if len(rows) == CHUNK_ROWS:
-                    _check_chunk(db, batch, header, rows, lines, errors, report, strict)
-                    rows, lines, errors = [], [], {}
+                    _check_chunk(db, batch, header, rows, lines, ragged, report, strict)
+                    rows, lines, ragged = [], [], {}
             if rows:
-                _check_chunk(db, batch, header, rows, lines, errors, report, strict)
+                _check_chunk(db, batch, header, rows, lines, ragged, report, strict)
         except UnicodeDecodeError:
             raise _utf8_error(path) from None
         except csv.Error as e:
@@ -315,36 +304,27 @@ def _stage_csv(db: Database, collection: str, path, strict: bool, staged: dict) 
     return report
 
 
-def _check_chunk(db, batch: model.Batch, header, rows, lines, errors, report, strict) -> None:
+def _check_chunk(db, batch: model.Batch, header, rows, lines, ragged, report, strict) -> None:
     """Type rows column by column, stage the good ones and report the bad ones.
 
-    errors holds the rows already known to be bad.  Any other row's first
-    error comes from, in this order: its identity cells, its entity cells,
-    a non-finite DECIMAL in its identity; model.Batch.add checks the rest,
-    taking a non-finite DECIMAL elsewhere in field order.
+    The column passes only flag rows: a row of the wrong width (ragged maps
+    its index to its texts, and rows holds it blank), an empty identity
+    cell, a cell that does not type.  model.Batch.add flags more, and
+    _check_texts decides the error of every flagged row.
     """
     concept = batch.coll.concept
     # one C-level pass per column: zip(*rows) would make an iterator per row
     cells = {name: list(map(operator.itemgetter(k), rows)) for k, name in enumerate(header)}
-    keys = [_typed_column(cells[f.name], f.type, f"{concept.name}.{f.name}", errors,
-                          TypeMismatch(f"identity field {f.name} is empty"))
-            for f in concept.identity_fields]
-    columns, late = [], {}
-    for j, f in enumerate(concept.entity_fields):
-        if f.is_primitive:
-            where = f"{concept.name}.{f.name}"
-            values = _typed_column(cells[f.name], f.type, where, errors)
-            bad = _nonfinite(values, where) if f.type == "decimal" else {}
-        else:
-            values, bad = _typed_references(db.schema.concepts[f.type], cells[f.name], errors)
-        columns.append(values)
-        for i, e in bad.items():
-            late.setdefault(i, (j, e))
-    for f, values in zip(concept.identity_fields, keys):
-        if f.type == "decimal":
-            for i, e in _nonfinite(values, f"{concept.name}.{f.name}").items():
-                errors.setdefault(i, e)
-    rejected = batch.add(list(zip(*keys)), columns, errors, late)
+    flagged = set(ragged)
+    keys = [_typed_column(cells[f.name], f.type, flagged) for f in concept.identity_fields]
+    for key in keys:
+        if None in key:
+            flagged.update(model._nones(key))
+    columns = [_typed_column(cells[f.name], f.type, flagged) if f.is_primitive
+               else _typed_references(db.schema.concepts[f.type], cells[f.name], flagged)
+               for f in concept.entity_fields]
+    rejected = batch.add(list(zip(*keys)), columns, flagged, lambda i, claimed:
+                         _check_texts(db, batch, header, ragged.get(i, rows[i]), claimed))
     report.inserted += len(rows) - len(rejected)
     if strict and rejected:
         i, e = rejected[0]
@@ -352,31 +332,49 @@ def _check_chunk(db, batch: model.Batch, header, rows, lines, errors, report, st
     report.rejected.extend((lines[i], str(e)) for i, e in rejected)
 
 
-def _typed_references(dest: model.Concept, cells, errors: dict) -> tuple[list, dict]:
-    """A reference column as identities of dest, and the rows whose identity is not finite."""
+def _check_texts(db, batch: model.Batch, header, texts, claimed) -> tuple:
+    """One CSV row checked as the row-at-a-time loader checks it; see model.Batch.check_row.
+
+    In this order: the row's width, each identity cell (empty, or not of
+    its type), each entity cell's type, then check_row.
+    """
+    if len(texts) != len(header):
+        raise TypeMismatch(f"row has {len(texts)} values, expected {len(header)}")
+    concept = batch.coll.concept
+    given = {name: text for name, text in zip(header, texts) if text not in ("", "NULL")}
+    ident = []
+    for f in concept.identity_fields:
+        if f.name not in given:
+            raise TypeMismatch(f"identity field {f.name} is empty")
+        ident.append(_parse_scalar(given[f.name], f.type, f"{concept.name}.{f.name}"))
+    entity = {f.name: _parse_scalar(given[f.name], f.type, f"{concept.name}.{f.name}")
+              if f.is_primitive else decode_identity(db.schema.concepts[f.type], given[f.name])
+              for f in concept.entity_fields if f.name in given}
+    return batch.check_row(tuple(ident), entity, claimed)
+
+
+def _typed_references(dest: model.Concept, cells, bad: set) -> list:
+    """A reference column as identities of dest, None for a NULL cell.
+
+    A cell that is not an identity of dest, or names one with a DECIMAL
+    that is not finite, reads None too, and its row goes to bad.
+    """
     fields = dest.identity_fields
     if len(fields) == 1:
-        where = f"{dest.name}.{fields[0].name}"
-        values = _typed_column(cells, fields[0].type, where, errors)
-        bad = _nonfinite(values, where) if fields[0].type == "decimal" else {}
+        values = _typed_column(cells, fields[0].type, bad)
         if None not in values:
-            return list(zip(values)), bad
-        return [None if v is None else (v,) for v in values], bad
-    idents, bad = [], {}
+            return list(zip(values))
+        return [None if v is None else (v,) for v in values]
+    idents = []
     for i, text in enumerate(cells):
         ident = None
         if text not in ("", "NULL"):
             try:
-                ident = decode_identity(dest, text)
-            except TypeMismatch as e:
-                errors.setdefault(i, _kept(e))
-            else:
-                try:  # today's check of a typed identity: finite DECIMALs
-                    model.make_identity(dest, ident)
-                except TypeMismatch as e:
-                    bad[i] = _kept(e)
+                ident = model.make_identity(dest, decode_identity(dest, text))
+            except TypeMismatch:
+                bad.add(i)
         idents.append(ident)
-    return idents, bad
+    return idents
 
 
 def _utf8_error(path) -> FileError:

@@ -1,15 +1,26 @@
 """Exception hierarchy.
 
 Everything raised on purpose by this package derives from ComdbError, so
-callers can catch one class at the boundary.  Query-text errors additionally
-carry a 1-based source position.
+callers can catch one class at the boundary.  Any of them found in query
+text, such as a path error, can carry a 1-based source position.
 """
 
 from __future__ import annotations
 
 
 class ComdbError(Exception):
-    """Base class for every error raised by comdb."""
+    """Base class for every error raised by comdb.
+
+    An error found in query or schema text carries its 1-based line and
+    column, which the message starts with; otherwise both are None.
+    """
+
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        self.line = line
+        self.column = column
+        if line is not None:
+            message = f"line {line}, column {column}: {message}"
+        super().__init__(message)
 
 
 # schema construction
@@ -99,14 +110,7 @@ class ProductTooLarge(ComdbError):
 # query and DDL text
 
 class QueryError(ComdbError):
-    """Error in query or schema text; line and column are 1-based."""
-
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        self.line = line
-        self.column = column
-        if line is not None:
-            message = f"line {line}, column {column}: {message}"
-        super().__init__(message)
+    """Error in query or schema text."""
 
 
 class LexError(QueryError):

@@ -22,11 +22,13 @@ of the lesser elements referencing it.  Identities stay the keys a user
 sees: each collection keeps its stored identity tuples by row and a dict
 from identity to row, and an Element is a view of one row built on demand.
 
-Rows reach the store in two steps: a Batch checks them a column at a time
-(duplicate identities, NOT NULL, references) and holds the good ones in
-columns, and commit extends the collection's columns and reverse lists.
-A batch that is never committed leaves nothing behind; insert_element is a
-chunk of one.
+Rows reach the store in two steps: a Batch checks them and holds the good
+ones in columns, and commit extends the collection's columns and reverse
+lists.  Batch.check_row is the one check that decides a row's error;
+insert_element runs it on its row.  Batch.add checks a chunk a column at a
+time (duplicate identities, NOT NULL, references), which only flags rows,
+and sends the flagged rows alone through the row check.  A batch that is
+never committed leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -416,8 +418,8 @@ class Collection:
     (algebra._referenced).  A read that folds writes here, so reads, like
     inserts, take one thread at a time.
 
-    checks lists (position, field, destination's identity -> row, or None)
-    for each entity field that is NOT NULL or a reference, and refs maps
+    checks lists (field, destination's identity -> row, or None for a
+    primitive field) for each entity field in order, and refs maps
     each reference field to (destination collection, the destination's
     reverse list of the field's dimension).
     """
@@ -493,9 +495,8 @@ def create_collections(schema: Schema) -> dict[str, Collection]:
         dest = colls[d.destination]
         colls[d.source].refs[d.name] = (dest, dest.reverse[d])
     for coll in colls.values():
-        coll.checks = tuple((j, f, None if f.is_primitive else colls[f.type].elements)
-                            for j, f in enumerate(coll.concept.entity_fields)
-                            if not (f.nullable and f.is_primitive))
+        coll.checks = tuple((f, None if f.is_primitive else colls[f.type].elements)
+                            for f in coll.concept.entity_fields)
     return colls
 
 
@@ -579,37 +580,21 @@ def insert_element(db, collection: str, identity, entity_values: Mapping | None 
 
     Entity values may omit nullable fields.  Reference values may be given
     as identity tuples or as a bare value when the destination identity has
-    a single field.  The row is checked and stored as a chunk of one, so a
-    row that raises leaves nothing behind.  Returns the view of the stored
-    element.
+    a single field.  The row goes through Batch.check_row, so a row that
+    raises leaves nothing behind.  Returns the view of the stored element.
     """
     coll = db.collections.get(collection)
     if coll is None:
         raise UnknownCollection(f"unknown collection '{collection}'")
-    concept = coll.concept
-    ident = make_identity(concept, identity)
     entity_values = entity_values or {}
-    values, late = [], {}
-    for j, f in enumerate(concept.entity_fields):
-        raw = entity_values.get(f.name)
-        if raw is not None:
-            try:
-                if f.is_primitive:
-                    raw = _coerce(raw, f, concept)
-                else:
-                    raw = make_identity(db.schema.concepts[f.type], raw)
-            except DataError as e:
-                late.setdefault(0, (j, e))
-                raw = None
-        values.append([raw])
     staged: dict = {}
-    rejected = Batch(coll, staged).add([ident], values, {}, late)
-    if rejected:
-        raise rejected[0][1]
-    extra = entity_values.keys() - concept.entity_names
+    batch = Batch(coll, staged)
+    ident, cells = batch.check_row(identity, entity_values, ())
+    extra = entity_values.keys() - coll.concept.entity_names
     if extra:
         raise TypeMismatch(
             f"unknown entity field(s) for '{collection}': {', '.join(sorted(extra))}")
+    batch.stage([ident], [[cell] for cell in cells])
     commit(staged)
     return coll.element(ident)
 
@@ -632,37 +617,27 @@ class Batch:
         self.parts: list = []
         self.checks = coll.checks
         if staged:
-            self.checks = tuple((j, f, _lookup(store, staged.get(f.type)))
-                                for j, f, store in coll.checks)
+            self.checks = tuple((f, _lookup(store, staged.get(f.type)))
+                                for f, store in coll.checks)
         staged[coll.name] = self
 
-    def add(self, ids: list, values: list, errors: dict, late: dict) -> list:
+    def add(self, ids: list, values: list, flagged: set, explain: Callable) -> list:
         """Stage the good rows of a chunk, in order; return the others as (index, error).
 
-        ids are the rows' identity tuples, which become the stored ones, and
-        values the entity columns in field order, a reference as an identity
-        tuple or None.  errors maps the rows already known to be bad to
-        their error; late maps a row to (field index, error) for the first
-        value that passed typing but not the field's type.  Each check runs
-        on a whole column and only flags rows: duplicates by one set against
-        the store and the batch, NOT NULL by a scan for None, references by
-        one lookup per cell.  Flagged rows alone take _first_error, in
-        order, which finds the error a row-at-a-time check finds.  The cells
-        of a row with an error, and those of a late row from its late field
-        on, are set to None here: they are never read, and a signalling NaN
-        in them could not be looked up.
+        ids are the rows' identity tuples and values the entity columns in
+        field order, a reference as an identity tuple or None; flagged holds
+        the rows already suspect, whose cells may read None.  Each check
+        runs on a whole column and only adds rows to flagged: duplicates by
+        one set against the store and the batch, NOT NULL by a scan for
+        None, references by one lookup per cell.  Then explain(i, claimed)
+        decides each flagged row, in order: it raises the row's DataError,
+        or returns the row's identity and cells as stored, as check_row
+        does, which are staged in its place.  claimed holds the identities
+        of the flagged rows kept before it.  A kept error drops its
+        traceback and the error it replaced, whose frames would hold it in
+        a cycle.
         """
         coll = self.coll
-        flagged = {*errors, *late}
-        if flagged:
-            ids = list(ids)
-            for i in errors:
-                ids[i] = None
-                for column in values:
-                    column[i] = None
-            for i, (j, _) in late.items():
-                for column in values[j:]:
-                    column[i] = None
         unique = set(ids)
         if (len(unique) < len(ids) or not coll.elements.keys().isdisjoint(unique)
                 or not self.elements.keys().isdisjoint(unique)):
@@ -670,10 +645,10 @@ class Batch:
             flagged.update(i for i, ident in enumerate(ids) if counts[ident] > 1
                            or ident in coll.elements or ident in self.elements)
         columns = list(values)  # as they are stored: a reference as its destination row
-        for j, f, lookup in self.checks:
+        for j, (f, lookup) in enumerate(self.checks):
             cells = values[j]
             if lookup is None:
-                if None in cells:
+                if not f.nullable and None in cells:
                     flagged.update(_nones(cells))
                 continue
             column = columns[j] = list(map(lookup.get, cells))
@@ -686,20 +661,61 @@ class Batch:
         if flagged:
             claimed: set = set()
             for i in sorted(flagged):
-                e = errors[i] if i in errors else self._first_error(ids[i], i, values, columns,
-                                                                   late.get(i), claimed)
-                if e is None:
-                    claimed.add(ids[i])
-                else:
-                    rejected.append((i, e))
-            if len(rejected) == len(ids):
-                return rejected
+                try:
+                    ident, stored = explain(i, claimed)
+                except DataError as e:
+                    e.__context__ = None
+                    rejected.append((i, e.with_traceback(None)))
+                    continue
+                claimed.add(ident)
+                ids[i] = ident
+                for column, cell in zip(columns, stored):
+                    column[i] = cell
             if rejected:
                 keep = [True] * len(ids)
                 for i, _ in rejected:
                     keep[i] = False
                 ids = list(compress(ids, keep))
                 columns = [list(compress(column, keep)) for column in columns]
+        self.stage(ids, columns)
+        return rejected
+
+    def check_row(self, identity, entity: Mapping, claimed) -> tuple:
+        """One row's identity tuple and entity cells as stored, or its first DataError.
+
+        In this order: make_identity; a duplicate of the store, of the batch
+        or of an identity in claimed; then field by field NULL in a NOT NULL
+        field, the value's type, the identity a reference names, a dangling
+        reference.  A reference is stored as its destination row, -1 for NULL.
+        """
+        coll = self.coll
+        ident = make_identity(coll.concept, identity)
+        if ident in coll.elements or ident in self.elements or ident in claimed:
+            raise DuplicateIdentity(f"element {ident!r} already exists in '{coll.name}'")
+        cells = []
+        for f, lookup in self.checks:
+            v = entity.get(f.name)
+            if v is None:
+                if not f.nullable:
+                    raise NullViolation(f"field {coll.name}.{f.name} cannot be NULL")
+                if lookup is not None:
+                    v = -1
+            elif lookup is None:
+                v = _coerce(v, f, coll.concept)
+            else:
+                ref = make_identity(coll.refs[f.name][0].concept, v)
+                v = lookup.get(ref)
+                if v is None:
+                    raise DanglingReference(f"{coll.name}.{f.name} references missing "
+                                            f"element {ref!r} of '{f.type}'")
+            cells.append(v)
+        return ident, cells
+
+    def stage(self, ids: list, columns: list) -> None:
+        """Hold checked rows for commit: their identity tuples and entity columns as stored."""
+        if not ids:
+            return
+        coll = self.coll
         keys = [list(map(itemgetter(k), ids)) for k in range(len(coll.concept.identity_fields))]
         start = len(coll.ids) + len(self.ids)
         rows = range(start, start + len(ids))
@@ -708,29 +724,6 @@ class Batch:
         self.ids += ids
         self.elements.update(zip(ids, rows))
         self.parts.append(keys + columns)
-        return rejected
-
-    def _first_error(self, ident, i: int, values, columns, late, claimed) -> DataError | None:
-        """The first error of row i of a chunk, or None.
-
-        In this order: a duplicate of the store, of the batch or of a row of
-        the chunk claimed before; then field by field the late error, NULL
-        in a NOT NULL field, a dangling reference; then the late error.
-        """
-        coll = self.coll
-        if ident in coll.elements or ident in self.elements or ident in claimed:
-            return DuplicateIdentity(f"element {ident!r} already exists in '{coll.name}'")
-        for j, f in enumerate(coll.concept.entity_fields):
-            if late is not None and late[0] <= j:
-                return late[1]
-            v = values[j][i]
-            if v is None:
-                if not f.nullable:
-                    return NullViolation(f"field {coll.name}.{f.name} cannot be NULL")
-            elif not f.is_primitive and columns[j][i] < 0:
-                return DanglingReference(f"{coll.name}.{f.name} references missing "
-                                         f"element {v!r} of '{f.type}'")
-        return None if late is None else late[1]
 
 
 def _nones(column) -> list:

@@ -497,9 +497,3 @@ def test_literal_anchor_ambiguous_field_is_rejected(colors_db):
     # X and Y both carry a field called name
     with pytest.raises(AmbiguousPath):
         colors_db.plan("'red' <- name")
-
-
-def test_via_is_not_expressible_in_surface_syntax():
-    q = parse_query("(Writers) <-*-> (Publishers)")
-    (step,) = q.steps
-    assert step.via is None

@@ -47,7 +47,7 @@ def outcome(db, text: str) -> tuple[str, str]:
 
 
 _UNIQUE_PATH_NOTE = "'<-*->' routes through common lesser collections"
-_UNKNOWN_ALIAS = "(\"path 'nope' must start with a factor alias (p, w)\", 1, {})"
+_UNKNOWN_ALIAS = "line 1, column {}: path 'nope' must start with a factor alias (p, w)"
 
 # (fixture, statement, error class or "plan", error text or explain text)
 OUTCOMES = [
@@ -79,8 +79,10 @@ OUTCOMES = [
     ("library", "(D) -> (Books)", "ResolveError", "line 1, column 5: projection from a product names a factor alias first"),
     ("library", "(D) -> x", "UnknownDimension", "line 1, column 5: 'x' is not a factor alias (p, w)"),
     ("library", "(D) -> w -> nope", "UnknownDimension", "line 1, column 5: no dimension or field 'nope' on 'Writers'"),
-    ("library", "(Books) -> (Writers)", "NoPath", f"no path between 'Books' and 'Writers'; {_UNIQUE_PATH_NOTE}"),
-    ("library", "(Books) -> Writers", "NoPath", f"no path between 'Books' and 'Writers'; {_UNIQUE_PATH_NOTE}"),
+    ("library", "(Books) -> (Writers)", "NoPath",
+     f"line 1, column 9: no path between 'Books' and 'Writers'; {_UNIQUE_PATH_NOTE}"),
+    ("library", "(Books) -> Writers", "NoPath",
+     f"line 1, column 9: no path between 'Books' and 'Writers'; {_UNIQUE_PATH_NOTE}"),
     ("parallel", "(Reviews) -> (Grades)", "AmbiguousPath",
      "line 1, column 11: multiple paths between 'Reviews' and 'Grades', such as first and second; "
      "name the dimensions"),
@@ -108,7 +110,7 @@ OUTCOMES = [
      "line 1, column 9: dimension 'book' arrives at 'Books' from several collections (Sellers, WriterBooks); "
      "finish with one in parentheses"),
     ("library", "(Publishers) <- (Writers)", "NoPath",
-     f"no path between 'Writers' and 'Publishers'; {_UNIQUE_PATH_NOTE}"),
+     f"line 1, column 14: no path between 'Writers' and 'Publishers'; {_UNIQUE_PATH_NOTE}"),
     ("parallel", "(Grades) <- (Reviews)", "AmbiguousPath",
      "line 1, column 10: multiple paths between 'Reviews' and 'Grades', such as first and second; "
      "name the dimensions"),
