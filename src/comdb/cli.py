@@ -43,7 +43,7 @@ def _say(msg: str) -> None:
 
 def _load_database(args) -> engine.Database:
     try:
-        text = Path(args.schema).read_text(encoding="utf-8")
+        text = Path(args.schema).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as e:
         raise ComdbError(f"cannot read schema file: {e}") from None
     db = engine.Database()
@@ -87,7 +87,7 @@ def run_query(db: engine.Database, text: str, fmt: str) -> int:
 
 def run_script(db: engine.Database, path: str, fmt: str) -> int:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as e:
         _say(f"error: cannot read script: {e}")
         return 3

@@ -7,12 +7,21 @@ comment.  A number literal may take a minus sign right before its digits
 and an exponent ('-3', '-1.5', '1e4', '1E+4'); one with a fraction or an
 exponent is a DECIMAL.  The arrow wins where both could start: 'x <-3' is
 'x', '<-', '3', so a comparison with a negative number is written 'x < -3'.
+
+One regular expression scans the text; its alternatives are tried in order
+at each position, and the last one takes any single character that starts
+no token: a quote that opens no closed string, or a character outside the
+language.  Either raises at once; resuming the scan past a bad quote would
+try every later quote as a string start, in quadratic time.  Each string
+alternative is the unrolled loop "quote, run of other characters, (doubled
+quote, run)*", which backtracks in linear time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from decimal import Decimal
+from typing import NamedTuple
 
 from ..errors import LexError
 
@@ -45,8 +54,7 @@ OPERATORS = (
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: object
     line: int
@@ -56,112 +64,79 @@ class Token:
         return f"{self.kind}({self.value!r})"
 
 
-# int() is stricter than str.isdigit (which admits superscripts and the like)
-_DIGITS = "0123456789"
-
-
-def _digit_at(text: str, i: int) -> bool:
-    return i < len(text) and text[i] in _DIGITS
-
-
-def _digits(text: str, i: int) -> int:
-    """The end of the run of digits starting at i."""
-    while _digit_at(text, i):
-        i += 1
-    return i
-
-
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+# builds a Token without the Python-level __new__ that NamedTuple writes
+_new = tuple.__new__
+_OPS = {op: (kind, canon) for op, kind, canon in OPERATORS}
+# a string closed by its quote
+_STRINGS = ("'[^']*(?:''[^']*)*'", '"[^"]*(?:""[^"]*)*"')
+_COMMENT = r"//[^\n]*"
+_TOKEN = re.compile(
+    # \w is str.isalnum() or '_', and \d is str.isdecimal()
+    r"(?P<word>[^\W\d]\w*)"
+    rf"|(?P<op>{'|'.join(re.escape(op) for op, _, _ in OPERATORS)})"
+    rf"|(?P<skip>(?:[ \t\r\n]|{_COMMENT})+)"
+    # int() is stricter than \d (which admits other scripts' digits)
+    r"|(?P<number>-?[0-9]+(?P<frac>\.[0-9]+)?(?P<exp>[eE][+-]?[0-9]+)?)"
+    # the lookahead keeps "''" from closing a string at its first quote
+    rf"|(?P<string>{_STRINGS[0]}(?!')|{_STRINGS[1]}(?!\"))"
+    r"|(?P<other>.)",
+    re.DOTALL,
+)
+# what a semicolon splitting statements may not stand in: a string, closed
+# or running to the end, and a comment
+_PIECE = re.compile(rf"{_STRINGS[0]}?|{_STRINGS[1]}?|{_COMMENT}|;")
+# a comment ends only at a line end, so the pieces part one way and a failed
+# match backtracks in linear time
+_ONLY_COMMENTS = re.compile(rf"(?:\s|{_COMMENT}(?![^\n]))*")
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
+    append = tokens.append
     line = 1
-    col = 1
-    n = len(text)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        if ch in "'\"":
-            quote = ch
-            start_line, start_col = line, col
-            advance(1)
-            chunks: list[str] = []
-            while True:
-                if i >= n:
-                    raise LexError("unterminated string", start_line, start_col)
-                if text[i] == quote:
-                    if i + 1 < n and text[i + 1] == quote:
-                        chunks.append(quote)
-                        advance(2)
-                        continue
-                    advance(1)
-                    break
-                chunks.append(text[i])
-                advance(1)
-            tokens.append(Token("STRING", "".join(chunks), start_line, start_col))
-            continue
-        if ch in _DIGITS or (ch == "-" and _digit_at(text, i + 1)):
-            start_line, start_col = line, col
-            j = _digits(text, i + 1)
-            kind = "INTEGER"
-            if text.startswith(".", j) and _digit_at(text, j + 1):
-                j, kind = _digits(text, j + 1), "DECIMAL"
-            if text[j:j + 1] in ("e", "E"):
-                k = j + 1 + text.startswith(("+", "-"), j + 1)
-                if _digit_at(text, k):
-                    j, kind = _digits(text, k), "DECIMAL"
-            try:
-                value: object = int(text[i:j]) if kind == "INTEGER" else Decimal(text[i:j])
-            except (ValueError, ArithmeticError):  # past int's digit limit or Decimal's exponent
-                raise LexError("number literal out of range", line, col) from None
-            advance(j - i)
-            tokens.append(Token(kind, value, start_line, start_col))
-            continue
-        if _is_ident_start(ch):
-            start_line, start_col = line, col
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            word = text[i:j]
-            advance(j - i)
+    line_start = 0  # the index where the current line starts
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        start = m.start()
+        column = start - line_start + 1
+        if kind == "word":
+            word = m.group()
+            # past ASCII, \w also admits digits and numerals that start no word
+            if word[0] > "\x7f" and not word[0].isalpha():
+                raise LexError(f"unexpected character {word[0]!r}", line, column)
             upper = word.upper()
             if upper in KEYWORDS:
-                tokens.append(Token(upper, upper, start_line, start_col))
+                append(_new(Token, (upper, upper, line, column)))
             else:
-                tokens.append(Token("IDENT", word, start_line, start_col))
-            continue
-        for op, kind, canon in OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token(kind, canon, line, col))
-                advance(len(op))
-                break
-        else:
-            raise LexError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", None, line, col))
+                append(_new(Token, ("IDENT", word, line, column)))
+        elif kind == "op":
+            op_kind, canon = _OPS[m.group()]
+            append(_new(Token, (op_kind, canon, line, column)))
+        elif kind == "number":
+            literal = m.group()
+            try:
+                if m.start("frac") < 0 and m.start("exp") < 0:
+                    append(_new(Token, ("INTEGER", int(literal), line, column)))
+                else:
+                    append(_new(Token, ("DECIMAL", Decimal(literal), line, column)))
+            except (ValueError, ArithmeticError):  # past int's digit limit or Decimal's exponent
+                raise LexError("number literal out of range", line, column) from None
+        elif kind == "other":
+            ch = m.group()
+            if ch in "'\"":
+                raise LexError("unterminated string", line, column)
+            raise LexError(f"unexpected character {ch!r}", line, column)
+        else:  # skipped text or a string, either of which may hold line breaks
+            end = m.end()
+            if kind == "string":
+                body = m.group()
+                value = body[1:-1].replace(body[0] * 2, body[0])
+                append(_new(Token, ("STRING", value, line, column)))
+            breaks = text.count("\n", start, end)
+            if breaks:
+                line += breaks
+                line_start = text.rindex("\n", start, end) + 1
+    append(Token("EOF", None, line, len(text) - line_start + 1))
     return tokens
 
 
@@ -172,51 +147,15 @@ def split_statements(text: str) -> list[str]:
     relative to each statement).  Empty statements are dropped.
     """
     parts: list[str] = []
-    buf: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in "'\"":
-            quote = ch
-            buf.append(ch)
-            i += 1
-            while i < n:
-                buf.append(text[i])
-                if text[i] == quote:
-                    if i + 1 < n and text[i + 1] == quote:
-                        buf.append(text[i + 1])
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                i += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                buf.append(text[i])
-                i += 1
-            continue
-        if ch == ";":
-            parts.append("".join(buf))
-            buf = []
-            i += 1
-            continue
-        buf.append(ch)
-        i += 1
-    parts.append("".join(buf))
+    start = 0
+    for m in _PIECE.finditer(text):
+        if m.group() == ";":
+            parts.append(text[start:m.start()])
+            start = m.end()
+    parts.append(text[start:])
     return [p for p in (s.strip() for s in parts) if not _only_comments(p)]
 
 
 def _only_comments(fragment: str) -> bool:
     # a fragment holding nothing but whitespace and // comments is no statement
-    i, n = 0, len(fragment)
-    while i < n:
-        if fragment[i].isspace():
-            i += 1
-        elif fragment.startswith("//", i):
-            while i < n and fragment[i] != "\n":
-                i += 1
-        else:
-            return False
-    return True
+    return _ONLY_COMMENTS.fullmatch(fragment) is not None

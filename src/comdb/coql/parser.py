@@ -29,25 +29,20 @@ class _Parser:
         self.depth = 0
 
     # --- token plumbing ---
-
-    def peek(self, k: int = 0) -> Token:
-        j = self.i + k
-        if j >= len(self.tokens):
-            j = len(self.tokens) - 1
-        return self.tokens[j]
+    # EOF is the last token and no rule consumes it, so self.i stays in range
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.i].kind == kind
 
     def accept(self, kind: str) -> Token | None:
-        if self.at(kind):
-            tok = self.tokens[self.i]
+        tok = self.tokens[self.i]
+        if tok.kind == kind:
             self.i += 1
             return tok
         return None
 
     def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind != kind:
             raise ParseError(f"expected {what}, found {_show(tok)}", tok.line, tok.column)
         self.i += 1
@@ -55,26 +50,26 @@ class _Parser:
 
     def width(self, what: str) -> int:
         """A declared width: an INTEGER with no minus sign."""
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind == "INTEGER" and tok.value < 0:
             raise ParseError(f"expected {what}, found {_show(tok)}", tok.line, tok.column)
         return self.expect("INTEGER", what).value
 
     def pos(self) -> tuple[int, int]:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         return (tok.line, tok.column)
 
     def _enter(self) -> None:
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            tok = self.peek()
+            tok = self.tokens[self.i]
             raise ParseError("nesting too deep", tok.line, tok.column)
 
     def _leave(self) -> None:
         self.depth -= 1
 
     def done(self) -> None:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind != "EOF":
             raise ParseError(f"unexpected {_show(tok)} after statement", tok.line, tok.column)
 
@@ -86,13 +81,13 @@ class _Parser:
             return self._given_get()
         if self.at("LPAREN"):
             anchor: ast.SetExpr | tuple = self.set_expr()
-        elif self.peek().kind in _LITERAL_KINDS:
+        elif self.tokens[self.i].kind in _LITERAL_KINDS:
             lits = [self.literal()]
             while self.accept("COMMA"):
                 lits.append(self.literal())
             anchor = tuple(lits)
         else:
-            tok = self.peek()
+            tok = self.tokens[self.i]
             raise ParseError(
                 "a query starts with a set expression or constants",
                 tok.line, tok.column,
@@ -112,7 +107,7 @@ class _Parser:
 
     def steps(self) -> list[ast.Step]:
         out: list[ast.Step] = []
-        while self.peek().kind in _STEP_KINDS:
+        while self.tokens[self.i].kind in _STEP_KINDS:
             out.append(self.step())
         return out
 
@@ -138,7 +133,7 @@ class _Parser:
             return (), self.set_expr()
         dims = [self.expect("IDENT", "a dimension name or '('").value]
         while self.at(arrow):
-            nxt = self.peek(1).kind
+            nxt = self.tokens[self.i + 1].kind
             if nxt == "IDENT":
                 self.i += 1
                 dims.append(self.expect("IDENT", "a dimension name").value)
@@ -211,7 +206,7 @@ class _Parser:
     def comparison(self) -> ast.Comparison:
         pos = self.pos()
         left = self.term()
-        tok = self.peek()
+        tok = self.tokens[self.i]
         op = _CMP_KINDS.get(tok.kind)
         if op is None:
             raise ParseError("expected a comparison operator", tok.line, tok.column)
@@ -220,7 +215,7 @@ class _Parser:
         return ast.Comparison(op, left, right, pos=pos)
 
     def term(self) -> ast.Node:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind in _LITERAL_KINDS:
             return self.literal()
         if tok.kind in ("COUNT", "SUM"):
@@ -232,7 +227,7 @@ class _Parser:
         )
 
     def literal(self) -> ast.Literal:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind == "NULL":
             self.i += 1
             return ast.Literal(None, pos=(tok.line, tok.column))
@@ -243,14 +238,27 @@ class _Parser:
 
     def path_term(self) -> ast.PathTerm:
         pos = self.pos()
-        parts = [self.expect("IDENT", "a field name").value]
-        while self.accept("DOT"):
-            parts.append(self.expect("IDENT", "a field name").value)
-        return ast.PathTerm(tuple(parts), pos=pos)
+        return ast.PathTerm(self.field_path(), pos=pos)
+
+    def field_path(self) -> tuple[str, ...]:
+        """Field names joined by dots."""
+        tokens = self.tokens
+        i = self.i
+        parts = []
+        while True:
+            tok = tokens[i]
+            if tok.kind != "IDENT":
+                raise ParseError(f"expected a field name, found {_show(tok)}", tok.line, tok.column)
+            parts.append(tok.value)
+            i += 1
+            if tokens[i].kind != "DOT":
+                self.i = i
+                return tuple(parts)
+            i += 1
 
     def agg(self) -> ast.AggTerm:
         pos = self.pos()
-        func = self.peek().kind
+        func = self.tokens[self.i].kind
         self.i += 1
         self.expect("LPAREN", "'('")
         dim = self.expect("IDENT", "a dimension name").value
@@ -261,19 +269,14 @@ class _Parser:
         if self.accept("PIPE") or self.accept("WHERE"):
             predicate = self.or_expr()
         self.expect("RPAREN", "')'")
-        path = None
-        if self.accept("DOT"):
-            parts = [self.expect("IDENT", "a field name").value]
-            while self.accept("DOT"):
-                parts.append(self.expect("IDENT", "a field name").value)
-            path = tuple(parts)
+        path = self.field_path() if self.accept("DOT") else None
         self.expect("RPAREN", "')'")
         return ast.AggTerm(func, dim, coll, predicate, path, pos=pos)
 
     # --- statements ---
 
     def parse_statement(self) -> ast.Query | ast.ProductDef:
-        if self.at("IDENT") and self.peek(1).kind == "EQ":
+        if self.at("IDENT") and self.tokens[self.i + 1].kind == "EQ":
             pos = self.pos()
             name = self.accept("IDENT").value
             self.i += 1  # '='
@@ -330,10 +333,7 @@ class _Parser:
             ftype = "date"
         else:
             if self.at("LPAREN"):
-                raise ParseError(
-                    f"reference type '{word}' takes no parameters",
-                    self.peek().line, self.peek().column,
-                )
+                raise ParseError(f"reference type '{word}' takes no parameters", *self.pos())
             ftype = word
         nullable = not identity
         if self.accept("NOT"):

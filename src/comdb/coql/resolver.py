@@ -113,16 +113,18 @@ def _field_path(schema: Schema, start: str, parts, pos):
     """
     dims: list[Dimension] = []
     cur = start
+    last = len(parts) - 1
     for k, part in enumerate(parts):
-        f = schema.concept(cur).field(part)
-        if f is None:
+        got = schema.fields.get((cur, part))
+        if got is None:
             _raise(ResolveError, f"no field '{part}' on concept '{cur}'", pos)
-        if k == len(parts) - 1:
+        f, dim = got
+        if k == last:
             return tuple(dims), cur, f
-        if f.is_primitive:
+        if dim is None:
             _raise(ResolveError, f"'{cur}.{part}' is primitive; only the last path part may be", pos)
-        dims.append(schema.dimension(cur, part))
-        cur = f.type
+        dims.append(dim)
+        cur = dim.destination
     return (), cur, None
 
 
@@ -570,17 +572,17 @@ def _resolve_project(step: ast.ProjectStep, domain, schema: Schema, products: Ma
         return target, post
 
     for k, name in enumerate(dims):
-        concept = schema.concept(cur)
-        f = concept.field(name)
+        got = schema.fields.get((cur, name))
         last = k == len(dims) - 1
-        if f is None:
+        if got is None:
             if len(step.dims) == 1 and step.target is None and name in schema.concepts:
                 # bare '-> Coll' reads as '-> (Coll)' when no dimension matches
                 path = _unique_up_path(schema, cur, name, step.pos)
                 out.append(_path_route(schema, cur, path.segments, False, f"-> ({name})"))
                 return name, None
             _raise(UnknownDimension, f"no dimension or field '{name}' on '{cur}'", step.pos)
-        if f.is_primitive:
+        f, dim = got
+        if dim is None:
             if not last or step.target is not None:
                 _raise(
                     ResolveError,
@@ -592,8 +594,8 @@ def _resolve_project(step: ast.ProjectStep, domain, schema: Schema, products: Ma
                                        "-> " + " -> ".join(step.dims[:-1])))
             out.append(PlanProjectField(f, f"-> {name}"))
             return PrimitiveDomain(cur, name, f.type), None
-        segs.append(schema.dimension(cur, name))
-        cur = f.type
+        segs.append(dim)
+        cur = dim.destination
 
     text = "-> " + " -> ".join(step.dims)
     post = None

@@ -83,7 +83,10 @@ class FieldSpec:
 
 @dataclass(frozen=True)
 class Concept:
-    """A named pair of field lists; the identity part is the by-value reference."""
+    """A named pair of field lists; the identity part is the by-value reference.
+
+    fields holds both lists, identity first.
+    """
 
     name: str
     identity_fields: tuple[FieldSpec, ...]
@@ -92,20 +95,16 @@ class Concept:
     def __post_init__(self):
         object.__setattr__(self, "identity_fields", tuple(self.identity_fields))
         object.__setattr__(self, "entity_fields", tuple(self.entity_fields))
-        object.__setattr__(self, "_positions", {f.name: k for k, f in enumerate(self.fields)})
+        object.__setattr__(self, "fields", self.identity_fields + self.entity_fields)
+        object.__setattr__(self, "_by_name", {f.name: f for f in self.fields})
         object.__setattr__(self, "entity_names", tuple(f.name for f in self.entity_fields))
-
-    @property
-    def fields(self) -> tuple[FieldSpec, ...]:
-        return self.identity_fields + self.entity_fields
 
     @property
     def reference_fields(self) -> tuple[FieldSpec, ...]:
         return tuple(f for f in self.entity_fields if not f.is_primitive)
 
     def field(self, name: str) -> FieldSpec | None:
-        k = self._positions.get(name)
-        return None if k is None else self.fields[k]
+        return self._by_name.get(name)
 
 
 @dataclass(frozen=True)
@@ -160,13 +159,17 @@ class Schema:
 
     Instances come from build_schema, which enforces the invariants; the
     derived lookup tables and the strict order closure are computed here.
-    routes keeps the routes the algebra's router made between collections,
-    which depend on the schema alone.
+    fields maps (concept, field name) to the field and, for a reference, its
+    dimension, so a field path resolves with one lookup per part.  routes
+    keeps the routes the algebra's router made between collections, which
+    depend on the schema alone.
     """
 
     concepts: dict[str, Concept]
     dimensions: tuple[Dimension, ...]
     routes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    fields: dict[tuple[str, str], tuple[FieldSpec, Dimension | None]] = field(
+        init=False, repr=False)
     _by_source: dict[str, tuple[Dimension, ...]] = field(init=False, repr=False)
     _by_destination: dict[str, tuple[Dimension, ...]] = field(init=False, repr=False)
     _above: dict[str, frozenset[str]] = field(init=False, repr=False)
@@ -182,6 +185,9 @@ class Schema:
         self._by_destination = {
             k: tuple(sorted(v, key=lambda d: (d.source, d.name))) for k, v in by_dst.items()
         }
+        dims = {(d.source, d.name): d for d in self.dimensions}
+        self.fields = {(c.name, f.name): (f, dims.get((c.name, f.name)))
+                       for c in self.concepts.values() for f in c.fields}
         above: dict[str, frozenset[str]] = {}
 
         def walk(name: str) -> frozenset[str]:
@@ -222,10 +228,11 @@ class Schema:
         return self._by_destination[name]
 
     def dimension(self, source: str, name: str) -> Dimension | None:
-        for d in self.dimensions_from(source):
-            if d.name == name:
-                return d
-        return None
+        got = self.fields.get((source, name))
+        if got is None:
+            self.concept(source)
+            return None
+        return got[1]
 
     def above(self, name: str) -> frozenset[str]:
         """Concepts strictly greater than name."""

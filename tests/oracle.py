@@ -13,8 +13,9 @@ elements hold, never through the resolver or the forward maps.
 Elements are read through model.Element, the view of one stored row.
 
 Also holds the seeded random schema/instance generator used by the
-randomized comparison tests, and the earlier row-at-a-time loader and
-renderers that the staged loader and the column-wise renderers must match.
+randomized comparison tests, and the earlier row-at-a-time loader,
+renderers and character-at-a-time tokenizer that the staged loader, the
+column-wise renderers and the regular-expression lexer must match.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from decimal import Decimal, InvalidOperation
 
 from comdb import algebra, engine, model
 from comdb.coql import ast
+from comdb.coql.lexer import KEYWORDS, OPERATORS
 from comdb.errors import (DanglingReference, DataError, DuplicateIdentity, FileError,
-                          HeaderMismatch, NullViolation, TypeMismatch)
+                          HeaderMismatch, LexError, NullViolation, TypeMismatch)
 
 Key = tuple  # (collection name, identity)
 
@@ -709,3 +711,160 @@ def o_rows(db, eset) -> list[dict]:
     if isinstance(domain, algebra.ProductCollection):
         return [dict(zip((a for a, _ in domain.factors), m)) for m in members]
     return [{domain.field: v} for v in members]
+
+
+# --- the character-at-a-time tokenizer ------------------------------------------------
+#
+# The lexer as it was before it became one regular expression: it walks the
+# text one character at a time and counts lines and columns as it goes.  The
+# lexer must give the same (kind, value, line, column) tuples or raise the
+# same error, and split the same statements, on every text.
+
+_O_DIGITS = "0123456789"
+
+
+def _o_digit_at(text: str, i: int) -> bool:
+    return i < len(text) and text[i] in _O_DIGITS
+
+
+def _o_digits(text: str, i: int) -> int:
+    while _o_digit_at(text, i):
+        i += 1
+    return i
+
+
+def o_tokenize(text: str) -> list[tuple]:
+    tokens: list[tuple] = []
+    i = 0
+    line = 1
+    col = 1
+    n = len(text)
+
+    def advance(k: int) -> None:
+        nonlocal i, line, col
+        for _ in range(k):
+            if text[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            advance(1)
+            continue
+        if text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                advance(1)
+            continue
+        if ch in "'\"":
+            quote = ch
+            start_line, start_col = line, col
+            advance(1)
+            chunks: list[str] = []
+            while True:
+                if i >= n:
+                    raise LexError("unterminated string", start_line, start_col)
+                if text[i] == quote:
+                    if i + 1 < n and text[i + 1] == quote:
+                        chunks.append(quote)
+                        advance(2)
+                        continue
+                    advance(1)
+                    break
+                chunks.append(text[i])
+                advance(1)
+            tokens.append(("STRING", "".join(chunks), start_line, start_col))
+            continue
+        if ch in _O_DIGITS or (ch == "-" and _o_digit_at(text, i + 1)):
+            start_line, start_col = line, col
+            j = _o_digits(text, i + 1)
+            kind = "INTEGER"
+            if text.startswith(".", j) and _o_digit_at(text, j + 1):
+                j, kind = _o_digits(text, j + 1), "DECIMAL"
+            if text[j:j + 1] in ("e", "E"):
+                k = j + 1 + text.startswith(("+", "-"), j + 1)
+                if _o_digit_at(text, k):
+                    j, kind = _o_digits(text, k), "DECIMAL"
+            try:
+                value: object = int(text[i:j]) if kind == "INTEGER" else Decimal(text[i:j])
+            except (ValueError, ArithmeticError):
+                raise LexError("number literal out of range", line, col) from None
+            advance(j - i)
+            tokens.append((kind, value, start_line, start_col))
+            continue
+        if ch.isalpha() or ch == "_":
+            start_line, start_col = line, col
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            advance(j - i)
+            upper = word.upper()
+            if upper in KEYWORDS:
+                tokens.append((upper, upper, start_line, start_col))
+            else:
+                tokens.append(("IDENT", word, start_line, start_col))
+            continue
+        for op, kind, canon in OPERATORS:
+            if text.startswith(op, i):
+                tokens.append((kind, canon, line, col))
+                advance(len(op))
+                break
+        else:
+            raise LexError(f"unexpected character {ch!r}", line, col)
+    tokens.append(("EOF", None, line, col))
+    return tokens
+
+
+def o_split_statements(text: str) -> list[str]:
+    parts: list[str] = []
+    buf: list[str] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch in "'\"":
+            quote = ch
+            buf.append(ch)
+            i += 1
+            while i < n:
+                buf.append(text[i])
+                if text[i] == quote:
+                    if i + 1 < n and text[i + 1] == quote:
+                        buf.append(text[i + 1])
+                        i += 2
+                        continue
+                    i += 1
+                    break
+                i += 1
+            continue
+        if text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                buf.append(text[i])
+                i += 1
+            continue
+        if ch == ";":
+            parts.append("".join(buf))
+            buf = []
+            i += 1
+            continue
+        buf.append(ch)
+        i += 1
+    parts.append("".join(buf))
+    return [p for p in (s.strip() for s in parts) if not _o_only_comments(p)]
+
+
+def _o_only_comments(fragment: str) -> bool:
+    i, n = 0, len(fragment)
+    while i < n:
+        if fragment[i].isspace():
+            i += 1
+        elif fragment.startswith("//", i):
+            while i < n and fragment[i] != "\n":
+                i += 1
+        else:
+            return False
+    return True

@@ -156,6 +156,24 @@ def test_script_that_is_not_utf8_exits_3(capsys, tmp_path):
     assert "error: cannot read" in err
 
 
+def test_schema_file_may_start_with_a_bom(capsys, tmp_path):
+    schema = tmp_path / "s.ddl"
+    schema.write_text("CONCEPT A IDENTITY id INT;\n", encoding="utf-8-sig")
+    assert schema.read_bytes().startswith(b"\xef\xbb\xbf")
+    code, out, err = run(capsys, "--schema", str(schema), "--query", "(A)")
+    assert code == 0 and "error" not in err
+    assert "loaded schema: 1 concepts" in err
+
+
+def test_script_file_may_start_with_a_bom(capsys, tmp_path):
+    script = tmp_path / "q.coql"
+    script.write_text("(Books | price < 10);\n", encoding="utf-8-sig")
+    assert script.read_bytes().startswith(b"\xef\xbb\xbf")
+    code, out, err = run(capsys, *base_args("--script", str(script)))
+    assert code == 0 and "error" not in err
+    assert "(3 rows)" in out
+
+
 def test_mode_is_required(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--schema", str(SCHEMA)])

@@ -1,6 +1,7 @@
 """Lexing, parsing, printing, and name resolution for the query language."""
 
 import random
+import time
 from decimal import Decimal
 
 import pytest
@@ -130,6 +131,64 @@ def test_split_statements_respects_strings_and_comments():
 
 def test_comment_only_fragment_is_no_statement():
     assert split_statements("// nothing here\n   // still nothing") == []
+
+
+def lexed(lex, text: str):
+    """A tokenizer's (kind, value, line, column) tuples, or its error's class and text."""
+    try:
+        return [tuple(t) for t in lex(text)]
+    except LexError as e:
+        return type(e), str(e)
+
+
+# rich in the characters where tokens start, end or fail
+LEX_ALPHABET = (
+    "'", '"', "''", "//", "/", "\n", "\r", "\t", " ", "-", "+", "e", "E", ".", "0", "7", "9",
+    "é", "²", "½", "\xa0", "\f", "ı", "_", "x", "Q", ";", ",", "(", ")", "|", "*", "<", ">",
+    "=", "!", "<-", "->", "<-*", "*->", "<-*->", "<-*-*>", "and", "NULL", "Given",
+)
+
+
+def test_tokenizer_matches_the_character_at_a_time_oracle():
+    rng = random.Random(15)
+    for _ in range(100_000):
+        text = "".join(rng.choices(LEX_ALPHABET, k=rng.randint(0, 14)))
+        assert lexed(tokenize, text) == lexed(oracle.o_tokenize, text), text
+        assert split_statements(text) == oracle.o_split_statements(text), text
+
+
+@pytest.mark.parametrize("text, expected", [
+    # a doubled quote cannot close the string it opens
+    ("'''<-", (LexError, "line 1, column 1: unterminated string")),
+    ("'a'''", [("STRING", "a'", 1, 1), ("EOF", None, 1, 6)]),
+    ("'one\ntwo' x", [("STRING", "one\ntwo", 1, 1), ("IDENT", "x", 2, 6), ("EOF", None, 2, 7)]),
+    ("x\r\ny", [("IDENT", "x", 1, 1), ("IDENT", "y", 2, 1), ("EOF", None, 2, 2)]),
+    ("a//c", [("IDENT", "a", 1, 1), ("EOF", None, 1, 5)]),
+    ("1.", [("INTEGER", 1, 1, 1), ("DOT", ".", 1, 2), ("EOF", None, 1, 3)]),
+    ("1e", [("INTEGER", 1, 1, 1), ("IDENT", "e", 1, 2), ("EOF", None, 1, 3)]),
+    ("3e+", (LexError, "line 1, column 3: unexpected character '+'")),
+])
+def test_tokenizer_edge_cases(text, expected):
+    assert lexed(tokenize, text) == expected
+    assert lexed(oracle.o_tokenize, text) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "'" * 100_001,
+    "'" + "''" * 50_000,
+    "// " + "c" * 99_997,
+    "//" * 50_000 + "\nx",
+    "a." * 50_000 + "a",
+    "'a;" * 30_000,
+], ids=["quotes", "doubled quotes", "comment", "slashes", "dotted path", "quoted semicolons"])
+def test_lexing_takes_linear_time(text):
+    for lex in (tokenize, split_statements):
+        start = time.perf_counter()
+        try:
+            lex(text)
+        except LexError:
+            pass
+        assert time.perf_counter() - start < 2.0, lex.__name__
 
 
 # --- parser ------------------------------------------------------------------
