@@ -1,12 +1,13 @@
 """Tokenizer for queries and concept definitions.
 
 Longest match wins, so '<-*->' never splits into '<-' '*' '->'.  Keywords
-are case-insensitive; identifiers keep their case.  Strings take single or
-double quotes with the quote doubled to escape itself.  '//' starts a line
-comment.  A number literal may take a minus sign right before its digits
-and an exponent ('-3', '-1.5', '1e4', '1E+4'); one with a fraction or an
-exponent is a DECIMAL.  The arrow wins where both could start: 'x <-3' is
-'x', '<-', '3', so a comparison with a negative number is written 'x < -3'.
+are ASCII and case-insensitive; identifiers keep their case.  Strings take
+single or double quotes with the quote doubled to escape itself.  '//'
+starts a line comment.  A number literal may take a minus sign right
+before its digits and an exponent ('-3', '-1.5', '1e4', '1E+4'); one with
+a fraction or an exponent is a DECIMAL.  The arrow wins where both could
+start: 'x <-3' is 'x', '<-', '3', so a comparison with a negative number
+is written 'x < -3'.
 
 One regular expression scans the text; its alternatives are tried in order
 at each position, and the last one takes any single character that starts
@@ -105,7 +106,8 @@ def tokenize(text: str) -> list[Token]:
             if word[0] > "\x7f" and not word[0].isalpha():
                 raise LexError(f"unexpected character {word[0]!r}", line, column)
             upper = word.upper()
-            if upper in KEYWORDS:
+            # only an ASCII word is a keyword: 'ſum'.upper() is 'SUM'
+            if upper in KEYWORDS and word.isascii():
                 append(_new(Token, (upper, upper, line, column)))
             else:
                 append(_new(Token, ("IDENT", word, line, column)))

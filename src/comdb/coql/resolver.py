@@ -6,9 +6,10 @@ the route the algebra's router chose for it, and records any
 warnings (such as the full-target fallback for unconnected collections)
 before anything runs.
 
-A set expression binds one way wherever it stands, as the anchor or as a
-step's target (_resolve_set): to a collection and its compiled
-predicate, or to a product.  resolve walks the steps in one loop: it
+A set expression binds to a collection and its compiled predicate, or
+to a product (_resolve_set).  As a chain's anchor, a collection's
+predicate is split by access path instead: seeks, identity bounds and a
+residual (_set_anchor).  resolve walks the steps in one loop: it
 rejects a step that cannot start from the chain's domain, lets the
 step's resolver append its motions, then appends the target's predicate
 as a filter.
@@ -238,17 +239,15 @@ def _compile_agg(ctx: _Ctx, node: ast.AggTerm) -> AggValue:
     sum_path = None
     if node.func == "SUM":
         if node.path is None:
-            raise NonNumericPath(
-                "SUM needs a numeric field path, like SUM(dim <- (Coll).field); "
-                "COUNT counts elements without one"
-            )
+            _raise(NonNumericPath, "SUM needs a numeric field path, like "
+                   "SUM(dim <- (Coll).field); COUNT counts elements without one", node.pos)
         dims, owner, f = _field_path(ctx.schema, node.collection, node.path, node.pos)
         if f is None:
             _raise(ResolveError, "empty field path", node.pos)
         if not f.is_primitive:
             _raise(ResolveError, f"'{owner}.{f.name}' is not a primitive field", node.pos)
         if f.type not in ("integer", "decimal"):
-            raise NonNumericPath(f"cannot sum over '{f.name}' of type {f.type}")
+            _raise(NonNumericPath, f"cannot sum over '{f.name}' of type {f.type}", node.pos)
         sum_path = FieldPath(node.collection, dims, f)
     elif node.path is not None:
         _raise(ResolveError, "COUNT takes no field path", node.pos)
@@ -317,17 +316,26 @@ def compile_predicate(ctx: _Ctx, node) -> Callable:
         item = compile_predicate(ctx, node.item)
         return lambda db, subject: not item(db, subject)
     if isinstance(node, (ast.And, ast.Or)):
-        items = tuple(compile_predicate(ctx, i) for i in node.items)
-        stop = isinstance(node, ast.Or)  # the first item giving this decides
-
-        def decided(db, subject):
-            for p in items:
-                if p(db, subject) is stop:
-                    return stop
-            return not stop
-
-        return decided
+        return _decided([compile_predicate(ctx, i) for i in node.items], isinstance(node, ast.Or))
     raise TypeError(f"not a predicate: {node!r}")
+
+
+def _decided(items: list, stop: bool) -> Callable:
+    """The AND (stop False) or OR (stop True) of compiled predicates.
+
+    The first item giving stop decides.
+    """
+    items = tuple(items)
+    if len(items) == 1:
+        return items[0]
+
+    def decided(db, subject):
+        for p in items:
+            if p(db, subject) is stop:
+                return stop
+        return not stop
+
+    return decided
 
 
 # --- plans ---------------------------------------------------------------------
@@ -335,17 +343,22 @@ def compile_predicate(ctx: _Ctx, node) -> Callable:
 
 @dataclass(frozen=True)
 class CollectionAnchor:
-    """(C | p): every element of C that p holds for.
+    """(C | p): every element of C that p holds for, split by access path.
 
-    seeks are the plans of the de-projections equal to the `path ==
-    constant` conjuncts of p; when there are any, the predicate runs only
-    on the elements they all reach.
+    Each top-level conjunct of p goes to one of three groups.  seeks are
+    the plans of the de-projections equal to its `path == constant`
+    conjuncts.  bounds are (operator, constant) pairs, one per conjunct
+    comparing C's single identity field with a constant by `<`, `<=`, `>`
+    or `>=`, read as `identity op constant`.  residual is the rest,
+    compiled into one predicate, or None when nothing is left; it runs
+    only on the rows the seeks and bounds keep.
     """
 
     collection: str
-    predicate: object | None
+    residual: object | None
     text: str
     seeks: tuple = ()
+    bounds: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -424,31 +437,39 @@ def _conjuncts(node) -> list:
     return [node]
 
 
-def _seek(schema: Schema, one: ast.Factor, node) -> QueryPlan | None:
-    """The plan of the de-projection equal to `path == constant`, or None.
+# a comparison read with its sides swapped: `c < id` is `id > c`
+_FLIPPED = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _against_constant(node, alias: str | None):
+    """(op, path, its parts past the alias, constant) when node compares a
+    path with a non-NULL constant, read as `path op constant`; else None."""
+    if not isinstance(node, ast.Comparison):
+        return None
+    op, path, lit = node.op, node.left, node.right
+    if isinstance(path, ast.Literal):
+        op, path, lit = _FLIPPED[op], lit, path
+    if not isinstance(path, ast.PathTerm) or not isinstance(lit, ast.Literal) or lit.value is None:
+        return None
+    parts = path.parts[1:] if path.parts[:1] == (alias,) else path.parts
+    return op, path, parts, lit
+
+
+def _seek(schema: Schema, collection: str, path: ast.PathTerm, parts, lit) -> QueryPlan:
+    """The plan of the de-projection equal to `path == constant`.
 
     (C | p.f == v) holds the elements of v <- f <- p... <- (C).  A path
     ending at a reference, or the bare alias, compares a single-field
     identity, so its constant de-projects through that identity field.
     """
-    if not isinstance(node, ast.Comparison) or node.op != "==":
-        return None
-    path, lit = node.left, node.right
-    if isinstance(path, ast.Literal):
-        path, lit = lit, path
-    if not isinstance(path, ast.PathTerm) or not isinstance(lit, ast.Literal) or lit.value is None:
-        return None
-    parts = list(path.parts)
-    if parts and parts[0] == one.alias:
-        parts.pop(0)
-    dims, owner, f = _field_path(schema, one.collection, parts, path.pos)
+    dims, owner, f = _field_path(schema, collection, parts, path.pos)
     names = [d.name for d in dims]
     if f is None or not f.is_primitive:
         if f is not None:
             names.append(f.name)
             owner = f.type
         f = schema.concept(owner).identity_fields[0]
-    target = ast.SetExpr((ast.Factor(one.collection),))
+    target = ast.SetExpr((ast.Factor(collection),))
     return resolve(ast.Query((lit,), (ast.DeprojectStep((f.name, *reversed(names)), target),)),
                    schema)
 
@@ -483,15 +504,36 @@ def _resolve_set(se: ast.SetExpr, schema: Schema, products: Mapping):
 
 
 def _set_anchor(se: ast.SetExpr, schema: Schema, products: Mapping):
-    """The anchor a set expression starts a chain with, and the domain it holds."""
-    domain, predicate = _resolve_set(se, schema, products)
-    if isinstance(domain, ProductCollection):
+    """The anchor a set expression starts a chain with, and the domain it holds.
+
+    A collection's predicate is split into seeks, identity bounds and the
+    residual (see CollectionAnchor).  Every conjunct is compiled once, in
+    order, so each raises what compiling the whole predicate would.
+    """
+    one = se.factors[0]
+    if len(se.factors) != 1 or one.collection not in schema.concepts:
+        domain, _ = _resolve_set(se, schema, products)  # a product folds in its predicate
         return ProductAnchor(domain, print_set_expr(se)), domain
-    seeks = ()
-    if predicate is not None:
-        seeks = tuple(filter(None, (_seek(schema, se.factors[0], c)
-                                    for c in _conjuncts(se.predicate))))
-    return CollectionAnchor(domain, predicate, print_set_expr(se), seeks), domain
+    identity = schema.concepts[one.collection].identity_fields
+    # the parts of a path to the identity, when it has a single field
+    key = (identity[0].name,) if len(identity) == 1 else None
+    seeks, bounds, residual = [], [], []
+    if se.predicate is not None:
+        ctx = _Ctx(schema, concept=one.collection, alias=one.alias)
+        for c in _conjuncts(se.predicate):
+            op, path, parts, lit = _against_constant(c, one.alias) or (None,) * 4
+            if op in ("<", "<=", ">", ">=") and parts == key:
+                value = _type_literal_against(_compile_path(ctx, path), lit, schema)
+                bounds.append((_OPS[op], value))
+                continue
+            compiled = compile_predicate(ctx, c)
+            if op == "==":
+                seeks.append(_seek(schema, one.collection, path, parts, lit))
+            else:
+                residual.append(compiled)
+    anchor = CollectionAnchor(one.collection, _decided(residual, False) if residual else None,
+                              print_set_expr(se), tuple(seeks), tuple(bounds))
+    return anchor, one.collection
 
 
 def _collection_target(se: ast.SetExpr, schema: Schema, products: Mapping, pos):

@@ -20,6 +20,7 @@ import datetime
 import gc
 import io
 import operator
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -426,6 +427,42 @@ def _filter(db, members, predicate) -> set:
     return {r for r in members if predicate(db, r)}
 
 
+# how a bound `identity op c` cuts rows sorted by identity: (a lower bound?, the cut)
+_CUTS = {operator.gt: (True, bisect_right), operator.ge: (True, bisect_left),
+         operator.lt: (False, bisect_left), operator.le: (False, bisect_right)}
+
+
+def _anchor_rows(db, anchor: CollectionAnchor):
+    """The rows of (C | p): the seeks' rows, within the identity bounds, that the residual keeps.
+
+    While C is ordered its rows are sorted by identity, so the bounds are
+    one interval of rows found by bisection; otherwise each row's identity
+    is compared with each bound.
+    """
+    coll = db.collections[anchor.collection]
+    ids = coll.ids
+    rows = range(len(ids))
+    bounds = anchor.bounds
+    if bounds and coll.ordered:
+        lo, hi = 0, len(ids)
+        for op, value in bounds:
+            lower, cut = _CUTS[op]
+            if lower:
+                lo = max(lo, cut(ids, (value,)))
+            else:
+                hi = min(hi, cut(ids, (value,)))
+        rows, bounds = range(lo, max(lo, hi)), ()
+    if anchor.seeks:
+        first, *more = (_run(db, seek.anchor, seek.steps)[1] for seek in anchor.seeks)
+        found = set(first).intersection(*more)
+        rows = found if len(rows) == len(ids) else {r for r in found if r in rows}
+    for op, value in bounds:
+        rows = [r for r in rows if op(ids[r][0], value)]
+    if anchor.residual is not None:
+        rows = _filter(db, rows, anchor.residual)
+    return rows
+
+
 def _run(db, anchor, steps):
     """(domain, members): the set an anchor stands for, moved through the steps in order.
 
@@ -433,13 +470,7 @@ def _run(db, anchor, steps):
     """
     if isinstance(anchor, CollectionAnchor):
         domain = anchor.collection
-        if anchor.seeks:
-            first, *rest = (_run(db, seek.anchor, seek.steps)[1] for seek in anchor.seeks)
-            members = set(first).intersection(*rest)
-        else:
-            members = range(len(db.collections[domain]))
-        if anchor.predicate is not None:
-            members = _filter(db, members, anchor.predicate)
+        members = _anchor_rows(db, anchor)
     elif isinstance(anchor, ProductAnchor):
         domain = anchor.product
         members = algebra.product_members(db, domain).members
@@ -469,8 +500,8 @@ def _run(db, anchor, steps):
 def execute(db, plan: QueryPlan) -> "ResultSet":
     """Run a resolved plan against a database.
 
-    A collection anchor with seeks starts from the intersection of what
-    they reach, and its predicate still decides which of those belong.
+    A collection anchor's seeks and identity bounds answer their own
+    conjuncts; only its residual runs on each row they keep.
     """
     domain, members = _run(db, plan.anchor, plan.steps)
     return build_result(db, domain, members, tuple(dict.fromkeys(plan.warnings)))

@@ -803,7 +803,7 @@ def o_tokenize(text: str) -> list[tuple]:
             word = text[i:j]
             advance(j - i)
             upper = word.upper()
-            if upper in KEYWORDS:
+            if word.isascii() and upper in KEYWORDS:
                 tokens.append((upper, upper, start_line, start_col))
             else:
                 tokens.append(("IDENT", word, start_line, start_col))

@@ -7,6 +7,7 @@ from decimal import Decimal
 import pytest
 
 import oracle
+from comdb import engine
 from comdb.coql import ast
 from comdb.coql.lexer import LexError, split_statements, tokenize
 from comdb.coql.parser import parse_query, parse_schema, parse_statement
@@ -48,6 +49,20 @@ def test_keywords_are_case_insensitive():
     assert [t.kind for t in toks[:-1]] == ["GIVEN", "WHERE", "AND", "OR", "NOT", "NULL"]
     ident = tokenize("Wherever")[0]
     assert ident.kind == "IDENT" and ident.value == "Wherever"
+
+
+def test_only_ascii_words_are_keywords():
+    # 'ſ' (long s) upper-cases to 'S' and dotless 'ı' to 'I'
+    toks = tokenize("ſum gıven ſUM")
+    assert [(t.kind, t.value) for t in toks[:-1]] == [
+        ("IDENT", "ſum"), ("IDENT", "gıven"), ("IDENT", "ſUM")]
+    (concept,) = parse_schema("CONCEPT A IDENTITY ſum INT;")
+    assert [f.name for f in concept.identity_fields] == ["ſum"]
+    db = engine.Database()
+    engine.load_schema(db, "CONCEPT A IDENTITY ſum INT ENTITY gıven INT;")
+    db.insert("A", 1, {"gıven": 5})
+    db.insert("A", 2, {"gıven": 7})
+    assert db.query("(A | gıven > 6 AND ſum >= 1)").identities == [(2,)]
 
 
 def test_numbers_and_strings():
@@ -458,7 +473,7 @@ def test_sum_without_a_path_names_count(catalog_db):
 def test_sum_needs_a_numeric_field(catalog_db):
     with pytest.raises(NonNumericPath) as exc:
         catalog_db.plan("(Publishers | SUM(publisher <- (Books).title) > 1)")
-    assert str(exc.value) == "cannot sum over 'title' of type string"
+    assert str(exc.value) == "line 1, column 15: cannot sum over 'title' of type string"
 
 
 def test_aggregates_forbidden_in_product_predicates(market_db):

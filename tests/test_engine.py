@@ -610,7 +610,7 @@ def test_equality_seeks_match_the_oracle():
             assert len(plan.anchor.seeks) == len(equalities), query
             want = oracle_says(query)
             assert engine.execute(db, plan).identities == want, query
-            seeks_alone = dataclasses.replace(plan.anchor, predicate=None)
+            seeks_alone = dataclasses.replace(plan.anchor, residual=None)
             got = engine.execute(db, dataclasses.replace(plan, anchor=seeks_alone)).identities
             assert got == oracle_says(head + " AND ".join(equalities) + ")"), query
             found += bool(want)
@@ -618,6 +618,123 @@ def test_equality_seeks_match_the_oracle():
         assert seen.get(kind, 0) >= 20, seen
     assert sum(v for k, v in seen.items() if k.endswith("+decimal-int")) >= 20, seen
     assert found >= 300
+
+
+# identity types of the access-path test, and how a constant of each is written
+_BOUND_TYPES = ("INT", "DECIMAL", "CHAR(12)", "DATE")
+_ORDERINGS = ("<", "<=", ">", ">=")
+
+
+def _bound_db(rng, id_type: str):
+    """G (tags) above C (identity of id_type, a reference to G, an INT v).
+
+    C's elements arrive in identity order, so C is ordered; now and then
+    one more with a smaller identity arrives after them and C is not.
+    Returns the database and C's identity values, as rich_value makes them
+    from their ints.
+    """
+    db = engine.Database()
+    engine.load_schema(db, f"""
+        CONCEPT G IDENTITY id INT ENTITY tag CHAR(4);
+        CONCEPT C IDENTITY id {id_type} ENTITY g G, v INT;
+    """)
+    for k in range(6):
+        db.insert("G", k, {"tag": f"t{k % 3}"})
+    ftype = db.schema.concept("C").identity_fields[0].type
+    keys = {k: oracle.rich_value(ftype, k) for k in rng.sample(range(60), rng.randint(0, 40))}
+
+    def entity():
+        return {"g": None if rng.random() < 0.15 else rng.randrange(6),
+                "v": None if rng.random() < 0.15 else rng.randrange(8)}
+
+    for k in sorted(keys, key=keys.get):
+        db.insert("C", keys[k], entity())
+    if keys and rng.random() < 0.4:
+        k = -rng.randint(1, 9)
+        keys[k] = oracle.rich_value(ftype, k)
+        db.insert("C", keys[k], entity())
+    return db, ftype, keys
+
+
+def _bound_constant(rng, ftype: str, keys: dict) -> tuple[str, object, str]:
+    """COQL text of a constant to bound C's identity by, its value, and its kind.
+
+    Mostly a stored identity, so `<` and `<=` differ; else one between or
+    past them.  An INT identity gets now and then a DECIMAL constant, and
+    a DECIMAL identity an INT one.
+    """
+    k = rng.choice(list(keys)) if keys and rng.random() < 0.6 else rng.randint(-12, 70)
+    value = oracle.rich_value(ftype, k)
+    if ftype == "integer" and rng.random() < 0.3:
+        text = f"{k}.{rng.choice((0, 5))}"
+        return text, Decimal(text), "decimal constant"
+    if ftype == "decimal" and value == value.to_integral_value() and rng.random() < 0.5:
+        return str(int(value)), value, "int constant"
+    if ftype in ("string", "date"):
+        return "'" + str(value).replace("'", "''") + "'", value, "constant"
+    return str(value), value, "constant"
+
+
+def _access_conjunct(rng, ftype: str, keys: dict, ident: str) -> tuple[str, str]:
+    """A conjunct over C and which access path should answer it: a bound
+    (by the kind of its constant), a seek or the residual."""
+    r = rng.random()
+    op = rng.choice(_ORDERINGS)
+    c, _, kind = _bound_constant(rng, ftype, keys)
+    if r < 0.45:
+        text = f"{ident} {op} {c}" if rng.random() < 0.5 else f"{c} {op} {ident}"
+        return text, f"bound, {kind}"
+    if r < 0.6:
+        return rng.choice((f"g.tag == 't{rng.randrange(4)}'", f"v == {rng.randrange(9)}",
+                           f"g == {rng.randrange(7)}", f"{ident} == {c}")), "seek"
+    return rng.choice((f"NOT ({ident} {op} {c})", f"({ident} {op} {c} OR v == {rng.randrange(8)})",
+                       f"NOT (v < {rng.randrange(8)})", f"{ident} != {c}", f"{ident} {op} NULL",
+                       f"(g.tag == 't1' OR {ident} {op} {c})", f"v {op} {rng.randrange(8)}")), \
+        "residual"
+
+
+def test_access_paths_match_the_oracle():
+    """(C | p) answers as the oracle does when p's conjuncts split into seeks,
+    identity bounds and a residual, on INT, DECIMAL, CHAR and DATE identities,
+    with C ordered (bounds bisect the rows) and not (each row is compared)."""
+    rng = random.Random(1979)
+    seen = collections.Counter()
+    for n in range(160):
+        db, ftype, keys = _bound_db(rng, _BOUND_TYPES[n % 4])
+        coll = db.collections["C"]
+        elements = oracle.views(db, "C")
+        for _ in range(12):
+            alias = "c" if rng.random() < 0.3 else None
+            ident = "c.id" if alias and rng.random() < 0.7 else "id"
+            parts = [_access_conjunct(rng, ftype, keys, ident) for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.2:  # an interval, `id > a AND id < b`, often inverted
+                a, lo, kind_a = _bound_constant(rng, ftype, keys)
+                b, hi, kind_b = _bound_constant(rng, ftype, keys)
+                parts += [(f"{ident} > {a}", f"bound, {kind_a}"),
+                          (f"{b} > {ident}", f"bound, {kind_b}")]
+                seen["inverted interval" if lo >= hi else "interval"] += 1
+            texts = [t for t, _ in parts]
+            if len(texts) > 2 and rng.random() < 0.3:  # a nested AND is still top level
+                texts = [f"({texts[0]} AND {texts[1]})", *texts[2:]]
+            query = f"(C {alias} | " if alias else "(C | "
+            query += " AND ".join(texts) + ")"
+            pred = parse_query(query).anchor.predicate
+            want = sorted(i for i, el in elements.items() if oracle.o_holds(db, el, pred, alias))
+            plan = db.plan(query)
+            kinds = collections.Counter(k.partition(",")[0] for _, k in parts)
+            assert len(plan.anchor.bounds) == kinds["bound"], query
+            assert len(plan.anchor.seeks) == kinds["seek"], query
+            assert (plan.anchor.residual is None) == (not kinds["residual"]), query
+            assert engine.execute(db, plan).identities == want, query
+            if plan.anchor.bounds:
+                seen["ordered" if coll.ordered else "unordered"] += 1
+                seen[ftype] += 1
+                seen["bounds and seeks"] += bool(plan.anchor.seeks)
+                seen["bounds and residual"] += plan.anchor.residual is not None
+                seen["empty"] += not want
+                seen["partial"] += 0 < len(want) < len(elements)
+                seen.update(k for _, k in parts if k.endswith(("decimal constant", "int constant")))
+    assert min(seen.values()) >= 20, seen
 
 
 def _rich_literal(value) -> str | None:
@@ -1073,6 +1190,40 @@ def test_only_equalities_with_a_constant_seek(catalog_db, query, seeks):
     want = sorted(i for i, el in elements.items()
                   if oracle.o_holds(catalog_db, el, anchor.predicate, anchor.factors[0].alias))
     assert catalog_db.query(query).identities == want
+
+
+@pytest.mark.parametrize("query, bounds, residual", [
+    ("(Books | isbn < 'b3')", [("lt", "b3")], False),
+    ("(Books b | 'b2' <= b.isbn AND price > 5)", [("ge", "b2")], True),
+    ("(Addresses | id > 1 AND id <= 2.5)", [("gt", 1), ("le", Decimal("2.5"))], False),
+    ("(Addresses | id > 2 AND 1 > id)", [("gt", 2), ("lt", 1)], False),
+    ("(Addresses | country == 'DE' AND id >= 1)", [("ge", 1)], False),
+    ("(Addresses | NOT (id > 1))", [], True),
+    ("(Addresses | id > 1 OR id < 0)", [], True),
+    ("(Addresses | id > NULL)", [], True),
+    ("(Addresses | id != 1)", [], True),
+    ("(Books | price < 8)", [], True),
+    ("(Books b | b > 'b2')", [], True),
+])
+def test_only_identity_orderings_with_a_constant_bound(catalog_db, query, bounds, residual):
+    anchor = catalog_db.plan(query).anchor
+    assert [(op.__name__, value) for op, value in anchor.bounds] == bounds
+    assert (anchor.residual is not None) == residual
+    assert catalog_db.explain(query) == anchor.text  # bounds are not listed
+    parsed = parse_query(query).anchor
+    elements = oracle.views(catalog_db, parsed.factors[0].collection)
+    want = sorted(i for i, el in elements.items()
+                  if oracle.o_holds(catalog_db, el, parsed.predicate, parsed.factors[0].alias))
+    assert catalog_db.query(query).identities == want
+
+
+def test_a_composite_identity_is_not_bounded():
+    db = fresh(COMPOSITE)
+    db.insert("Slots", ("2024-01-02", "a"))
+    db.insert("Slots", ("2024-01-01", "b"))
+    anchor = db.plan("(Slots | day < '2024-01-02')").anchor
+    assert anchor.bounds == () and anchor.residual is not None
+    assert db.query("(Slots | day < '2024-01-02')").identities == [(datetime.date(2024, 1, 1), "b")]
 
 
 # --- rendering ---------------------------------------------------------------------

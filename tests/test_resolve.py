@@ -179,6 +179,19 @@ OUTCOMES = [
      "line 1, column 5: 'Books.publisher' is not a primitive field"),
     ("library", "1 <- title", "ResolveError", "line 1, column 1: expected a string, found 1"),
     ("library", "'x' <- age", "ResolveError", "line 1, column 1: expected a number, found 'x'"),
+    # an anchor's predicate: aggregates, and identity bounds typed like any comparison
+    ("catalog", "(Publishers | SUM(publisher <- (Books)) > 1)", "NonNumericPath",
+     "line 1, column 15: SUM needs a numeric field path, like SUM(dim <- (Coll).field); "
+     "COUNT counts elements without one"),
+    ("catalog", "(Publishers | SUM(publisher <- (Books).title) > 1)", "NonNumericPath",
+     "line 1, column 15: cannot sum over 'title' of type string"),
+    ("catalog", "(Publishers | COUNT(publisher <- (Books).title) > 1)", "ResolveError",
+     "line 1, column 15: COUNT takes no field path"),
+    ("catalog", "(Publishers | name < 3)", "ResolveError", "line 1, column 22: expected a string, found 3"),
+    ("catalog", "(Publishers p | 3 > p.name AND nope == 1)", "ResolveError",
+     "line 1, column 17: expected a string, found 3"),
+    ("catalog", "(Publishers | name < 'x' AND nope == 1)", "ResolveError",
+     "line 1, column 30: no field 'nope' on concept 'Publishers'"),
     # a target's predicate runs after the step's route
     ("library", "'DE' <- countries <- (Addresses | id > 0)", "plan",
      "'DE'\n<- countries <- (Addresses)\n| id > 0"),
