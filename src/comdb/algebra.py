@@ -5,10 +5,11 @@ of identities tagged with the domain they belong to.  A domain is a
 collection name, a primitive domain (the values of one primitive field) or
 a product collection built from several factor collections and a
 membership predicate.  Inside, a set over a collection is a set of its int
-rows (model.Collection), and a field is read off its column by row: the
-public operations convert identities to rows on the way in and back on
-the way out, and the engine runs whole plans on rows.  Primitive values
-and product members, tuples of factor identities, are never converted.
+rows (model.Collection), a field is read off its column by row, and a
+product member is the tuple of its factor rows in factor order.  The
+public operations convert identities to rows on the way in and back on the
+way out (_to_rows, _to_set), and the engine runs whole plans on rows.
+Primitive values are never converted.
 
 Projection moves up the partial order and deduplicates; de-projection moves
 down and fans out.  NULL references contribute nothing in either direction.
@@ -85,11 +86,12 @@ class PrimitiveDomain:
 class ProductCollection:
     """Cartesian product of factor collections restricted by a predicate.
 
-    Factors are (alias, collection name) pairs; members are tuples of factor
-    identities in factor order.  The predicate is an opaque callable taking
-    (db, {alias: row}), each factor's row in its collection, so background
-    knowledge can be expressed in any form the caller likes (model.Element
-    is a view of a row).  Members are enumerated lazily.
+    Factors are (alias, collection name) pairs; members are tuples with one
+    coordinate per factor, in factor order: the factor's row in the runner,
+    its identity in an ElementSet or a ResultSet.  The predicate is an opaque
+    callable taking (db, {alias: row}), each factor's row in its collection,
+    so background knowledge can be expressed in any form the caller likes
+    (model.Element is a view of a row).  Members are enumerated lazily.
     """
 
     name: str
@@ -106,10 +108,6 @@ class ProductCollection:
                 raise DuplicateAlias(f"alias '{alias}' used twice in product '{self.name}'")
             idx[alias] = i
         self.alias_index = idx
-
-    @property
-    def label(self) -> str:
-        return self.name
 
     def collection_of(self, alias: str) -> str:
         return self.factors[self.alias_index[alias]][1]
@@ -150,15 +148,8 @@ class FieldPath:
     field: FieldSpec
 
 
-def domain_name(domain: Domain) -> str:
-    if isinstance(domain, ProductCollection):
-        return domain.name
-    return str(domain)
-
-
 def full_set(db, collection: str) -> ElementSet:
-    coll = db.collections[collection]
-    return ElementSet(collection, frozenset(coll.elements.keys()))
+    return _to_set(db, collection, range(len(db.collections[collection])))
 
 
 def make_product(name: str, factors: Sequence[tuple[str, str]],
@@ -169,44 +160,36 @@ def make_product(name: str, factors: Sequence[tuple[str, str]],
 
 
 def iter_members(db, product: ProductCollection,
-                 restrict: Mapping[str, frozenset] | None = None) -> Iterator[tuple]:
-    """Enumerate product members, predicate applied, in no particular order.
+                 restrict: Mapping[str, Iterable[int]] | None = None) -> Iterator[tuple]:
+    """Enumerate members as tuples of factor rows, predicate applied, in no particular order.
 
-    restrict optionally narrows individual factors to given identity sets
+    restrict optionally narrows individual factors to given sets of rows
     before the cross product is formed, which keeps de-projections into
-    large products from enumerating everything; a restricted factor
-    iterates the rows of the identities that exist.  The predicate sees
-    each combination as {alias: row}; no view is built per pair.  Raises
+    large products from enumerating everything.  The predicate sees each
+    combination as {alias: row}; no view is built per pair.  Raises
     ProductTooLarge, before enumerating, when the factors' sizes multiply
     to more than MAX_PRODUCT_PAIRS.
     """
-    axes = []  # each factor's rows
-    for alias, cname in product.factors:
-        coll = db.collections[cname]
-        if restrict is not None and alias in restrict:
-            axes.append(coll.rows_of(restrict[alias]))
-        else:
-            axes.append(range(len(coll)))
+    axes = [restrict[alias] if restrict and alias in restrict else range(len(db.collections[c]))
+            for alias, c in product.factors]  # each factor's rows
     pairs = math.prod(map(len, axes))
     if pairs > MAX_PRODUCT_PAIRS:
         factors = " x ".join(f"{c} {a} ({len(axis):,})"
                              for (a, c), axis in zip(product.factors, axes))
         raise ProductTooLarge(f"product '{product.name}' of {factors} would examine "
                               f"{pairs:,} pairs, more than the {MAX_PRODUCT_PAIRS:,} allowed")
-    ids = [db.collections[cname].ids for _, cname in product.factors]
     predicate = product.predicate
     if predicate is None:
-        yield from itertools.product(*(list(map(i.__getitem__, axis))
-                                       for i, axis in zip(ids, axes)))
+        yield from itertools.product(*axes)
         return
     aliases = [a for a, _ in product.factors]
     for combo in itertools.product(*axes):
         if predicate(db, dict(zip(aliases, combo))):
-            yield tuple(map(list.__getitem__, ids, combo))
+            yield combo
 
 
 def product_members(db, product: ProductCollection) -> ElementSet:
-    return ElementSet(product, frozenset(iter_members(db, product)))
+    return _to_set(db, product, iter_members(db, product))
 
 
 # --- projection -------------------------------------------------------------
@@ -224,7 +207,7 @@ def project_values(db, eset: ElementSet, dims: Sequence[Dimension],
         eset = project(db, eset, DimensionPath(tuple(dims)))
     coll = db.collections[eset.domain]
     return ElementSet(PrimitiveDomain(coll.name, fld.name, fld.type),
-                      frozenset(_field_values(coll, coll.rows_of(eset.members), fld)))
+                      frozenset(_field_values(coll, _to_rows(db, coll.name, eset.members), fld)))
 
 
 def _field_values(coll, rows, fld: FieldSpec) -> set:
@@ -248,8 +231,7 @@ def deproject_values(db, collection: str, field_name: str, values: Iterable) -> 
     This is the first hop of a constraint anchored at primitive values; a
     NULL field never matches.
     """
-    coll = db.collections[collection]
-    return ElementSet(collection, coll.identities_of(_owner_rows(coll, field_name, values)))
+    return _to_set(db, collection, _owner_rows(db.collections[collection], field_name, values))
 
 
 def _owner_rows(coll, field_name: str, values: Iterable) -> set:
@@ -271,11 +253,9 @@ def intersect_deprojections(esets: Sequence[ElementSet]) -> ElementSet:
         raise ValueError("nothing to intersect")
     first = esets[0]
     for e in esets[1:]:
-        if domain_name(e.domain) != domain_name(first.domain):
+        if str(e.domain) != str(first.domain):
             raise PathNotComposable(
-                f"cannot intersect sets over '{domain_name(first.domain)}' "
-                f"and '{domain_name(e.domain)}'"
-            )
+                f"cannot intersect sets over '{first.domain}' and '{e.domain}'")
     members = frozenset.intersection(*(e.members for e in esets))
     return ElementSet(first.domain, members)
 
@@ -331,7 +311,7 @@ def _leg(schema: Schema, lower: Domain, upper: str, down: bool) -> Leg | None:
     edges are found in one pass over those concepts, never path by path.
     """
     if isinstance(lower, ProductCollection):
-        factors = tuple(Dimension(alias, lower.label, cname) for alias, cname in lower.factors
+        factors = tuple(Dimension(alias, lower.name, cname) for alias, cname in lower.factors
                         if cname == upper or upper in schema.above(cname))
         starts = [d.destination for d in factors]
     else:
@@ -371,8 +351,7 @@ def route_path(schema: Schema, domain: Domain, path: DimensionPath, down: bool) 
     segments = path.segments
     if down:
         if not isinstance(domain, str):
-            raise PathNotComposable(
-                f"cannot de-project from '{domain_name(domain)}' along '{path}'")
+            raise PathNotComposable(f"cannot de-project from '{domain}' along '{path}'")
         if path.destination != domain:
             raise PathNotComposable(f"path '{path}' does not arrive at collection '{domain}'")
         for seg in segments:
@@ -386,7 +365,7 @@ def route_path(schema: Schema, domain: Domain, path: DimensionPath, down: bool) 
     factors: tuple[Dimension, ...] = ()
     if isinstance(domain, ProductCollection):
         first = segments[0]
-        if (first.source != domain.label or first.name not in domain.alias_index
+        if (first.source != domain.name or first.name not in domain.alias_index
                 or first.destination != domain.collection_of(first.name)):
             raise PathNotComposable(f"'{first}' does not start at product '{domain.name}'")
         factors, segments = (first,), segments[1:]
@@ -441,7 +420,7 @@ def route_star_deproject(schema: Schema, source: Domain, target: Domain) -> Rout
     if not isinstance(source, str):
         if source is target:
             return Route(target, ())
-        raise NoPath(f"cannot de-project from '{domain_name(source)}'")
+        raise NoPath(f"cannot de-project from '{source}'")
     leg = _leg(schema, target, source, down=True)
     if leg is None:
         if isinstance(target, ProductCollection):
@@ -472,9 +451,7 @@ def route_infer(schema: Schema, source: Domain, target: Domain, via=None) -> Rou
             leg = _leg(schema, via, end, down) if isinstance(end, str) else None
             if leg is None and via is not end:
                 which = "source" if down else "target"
-                raise ViaNotCommonLesser(
-                    f"'{domain_name(via)}' is not at or below {which} '{domain_name(end)}'"
-                )
+                raise ViaNotCommonLesser(f"'{via}' is not at or below {which} '{end}'")
             ends.append(leg)
         return Route(target, ((via, *ends),))
     if isinstance(target, ProductCollection):
@@ -508,7 +485,7 @@ _BATCH = 1024
 def _plan_way(down: Leg | None, up: Leg | None) -> tuple:
     """How _run_way moves a set down one leg and up the other: (start, end, runs).
 
-    Members are rows, or tuples of factor identities at a product end.  A
+    Members are rows, or tuples of factor rows at a product end.  A
     hop is (from node, to node, dimension, kind), and a node is (leg,
     domain): a collection both legs pass through holds a set per leg, but
     the up leg starts from the down leg's set at the via.  Hops run in
@@ -575,12 +552,9 @@ def _run_way(db, members, plan: tuple):
         if not cur:
             continue
         if kind is _INTO:
-            restrict = {what.name: colls[what.destination].identities_of(cur)}
-            at.setdefault(b, set()).update(iter_members(db, b[1], restrict=restrict))
+            at.setdefault(b, set()).update(iter_members(db, b[1], restrict={what.name: cur}))
         elif kind is _OUT:
-            rows = colls[what.destination].elements
-            at.setdefault(b, set()).update(map(rows.__getitem__,
-                                               map(itemgetter(a[1].alias_index[what.name]), cur)))
+            at.setdefault(b, set()).update(map(itemgetter(a[1].alias_index[what.name]), cur))
         else:
             # no image along the last hop holds more than its cap: the rows
             # referenced along it, or every row where other hops arrive too
@@ -647,7 +621,7 @@ def _referenced_fold(colls, d: Dimension):
 
 
 def _run_route(db, members, route: Route):
-    """Move members along a route: rows of a collection, else values or product members.
+    """Move members along a route: rows of a collection, tuples of factor rows of a product.
 
     The one runner; run_route and the engine both call it.  Once the
     target holds every row, the ways left can add nothing and are skipped.
@@ -655,7 +629,7 @@ def _run_route(db, members, route: Route):
     target = route.target
     if route.warning is not None:
         if isinstance(target, ProductCollection):
-            return product_members(db, target).members
+            return set(iter_members(db, target))
         return range(len(db.collections[target]))
     if not route.ways:
         return members
@@ -671,19 +645,37 @@ def _run_route(db, members, route: Route):
 
 
 def _to_rows(db, domain: Domain, members):
-    """Members of a domain as the runner holds them: rows for a collection."""
-    return db.collections[domain].rows_of(members) if isinstance(domain, str) else members
+    """An ElementSet's members as the runner holds them.
+
+    A collection's identities become rows, and a product's members tuples
+    of factor rows.  An identity that is not stored has no row, so a member
+    holding one is dropped.  Primitive values stay as they are.
+    """
+    if isinstance(domain, str):
+        return db.collections[domain].rows_of(members)
+    if isinstance(domain, ProductCollection):
+        stores = [db.collections[c].elements for _, c in domain.factors]
+        rows = {tuple(map(dict.get, stores, m)) for m in members}
+        return {m for m in rows if None not in m}
+    return members
+
+
+def _to_set(db, domain: Domain, members) -> ElementSet:
+    """The ElementSet of members held as the runner holds them; see _to_rows."""
+    if isinstance(domain, str):
+        members = map(db.collections[domain].ids.__getitem__, members)
+    elif isinstance(domain, ProductCollection):
+        ids = [db.collections[c].ids for _, c in domain.factors]
+        members = (tuple(map(list.__getitem__, ids, m)) for m in members)
+    return ElementSet(domain, frozenset(members))
 
 
 def run_route(db, eset: ElementSet, route: Route) -> ElementSet:
     """Move a set along a route planned for its domain; no routing happens here."""
     if not route.ways and route.warning is None:
         return eset
-    target = route.target
-    moved = _run_route(db, _to_rows(db, eset.domain, eset.members), route)
-    if isinstance(target, str):
-        moved = db.collections[target].identities_of(moved)
-    return ElementSet(target, frozenset(moved))
+    return _to_set(db, route.target,
+                   _run_route(db, _to_rows(db, eset.domain, eset.members), route))
 
 
 def star_project(db, eset: ElementSet, target: str) -> ElementSet:

@@ -28,7 +28,6 @@ from ..algebra import (
     PrimitiveDomain,
     ProductCollection,
     Route,
-    domain_name,
     make_product,
     route_infer,
     route_path,
@@ -40,6 +39,7 @@ from ..algebra import (
 )
 from ..errors import (
     AmbiguousPath,
+    DuplicateAlias,
     NonNumericPath,
     NoPath,
     ResolveError,
@@ -427,6 +427,9 @@ def _product_from_set_expr(se: ast.SetExpr, schema: Schema) -> ProductCollection
         aliases = {a: c for a, c in factors}
         predicate = compile_predicate(_Ctx(schema, aliases=aliases), se.predicate)
     text = print_set_expr(se)
+    for k, (f, (alias, _)) in enumerate(zip(se.factors, factors)):
+        if alias in dict(factors[:k]):
+            _raise(DuplicateAlias, f"alias '{alias}' used twice in product '{text}'", f.pos)
     return make_product(text, factors, predicate, text)
 
 
@@ -601,7 +604,7 @@ def _resolve_project(step: ast.ProjectStep, domain, schema: Schema, products: Ma
         if first not in domain.alias_index:
             known = ", ".join(sorted(domain.alias_index))
             _raise(UnknownDimension, f"'{first}' is not a factor alias ({known})", step.pos)
-        segs.append(Dimension(first, domain.label, domain.collection_of(first)))
+        segs.append(Dimension(first, domain.name, domain.collection_of(first)))
         cur = domain.collection_of(first)
         if not dims and step.target is None:
             out.append(_path_route(schema, domain, segs, False, f"-> {first} -> ({cur})"))
@@ -766,10 +769,13 @@ def _resolve_star(step, arrow: str, domain, schema: Schema, products: Mapping,
     target, post = _resolve_set(step.target, schema, products)
     if arrow == "*->" and isinstance(target, ProductCollection):
         _raise(ResolveError, "'*->' cannot arrive at a product; use '<-*'", step.pos)
-    route = _ROUTERS[arrow](schema, domain, target)
+    try:
+        route = _ROUTERS[arrow](schema, domain, target)
+    except NoPath as e:
+        _raise(NoPath, str(e), step.pos)
     if route.warning is not None:
         warnings.append(route.warning)
-    out.append(PlanRoute(route, f"{arrow} ({domain_name(target)})"))
+    out.append(PlanRoute(route, f"{arrow} ({target})"))
     return target, post
 
 
@@ -843,13 +849,13 @@ def _explain_route(step: PlanRoute) -> list[str]:
     if len(route.ways) == 1 and route.ways[0][0] is None:
         (leg,) = legs
         lines = [f"{step.text} over {leg.paths} paths:"]
-        return lines + [f"  ({domain_name(start)}) {hop}" for start, hop in _hops(leg)]
+        return lines + [f"  ({start}) {hop}" for start, hop in _hops(leg)]
     lines = [f"{step.text} over {len(route.ways)} routes:"]
     for via, down, up in route.ways:
-        lines.append(f"via {domain_name(via)}:" if via is not None else "direct:")
+        lines.append(f"via {via}:" if via is not None else "direct:")
         for label, leg in (("down", down), ("up", up)):
             if leg is not None:
-                lines.extend(f"  {label}: ({domain_name(start)}) {hop}" for start, hop in _hops(leg))
+                lines.extend(f"  {label}: ({start}) {hop}" for start, hop in _hops(leg))
     return lines
 
 

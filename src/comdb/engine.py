@@ -466,14 +466,14 @@ def _anchor_rows(db, anchor: CollectionAnchor):
 def _run(db, anchor, steps):
     """(domain, members): the set an anchor stands for, moved through the steps in order.
 
-    Members over a collection are its rows (algebra's runner form).
+    Members are in algebra's runner form: rows, or tuples of factor rows.
     """
     if isinstance(anchor, CollectionAnchor):
         domain = anchor.collection
         members = _anchor_rows(db, anchor)
     elif isinstance(anchor, ProductAnchor):
         domain = anchor.product
-        members = algebra.product_members(db, domain).members
+        members = set(algebra.iter_members(db, domain))
     elif isinstance(anchor, LiteralAnchor):
         domain, members = anchor.domain, frozenset(anchor.values)
     else:
@@ -615,7 +615,7 @@ class ResultSet:
 
 
 def build_result(db, domain, members, warnings: tuple[str, ...] = ()) -> ResultSet:
-    """The result of members of a domain, as the runner holds them: rows for a collection.
+    """The result of members of a domain, as the runner holds them: rows, or tuples of them.
 
     Rows turn back into the stored identity tuples here, sorted.
     """
@@ -628,7 +628,8 @@ def build_result(db, domain, members, warnings: tuple[str, ...] = ()) -> ResultS
     if isinstance(domain, ProductCollection):
         aliases = tuple(a for a, _ in domain.factors)
         encoders = tuple(_encoder(schema, c) for _, c in domain.factors)
-        return ResultSet("product", domain.name, aliases, sorted(members), domain, warnings,
+        identities = sorted(algebra._to_set(db, domain, members).members)
+        return ResultSet("product", domain.name, aliases, identities, domain, warnings,
                          None, encoders, tuple(map(_json_encoder, repeat(schema),
                                                    (c for _, c in domain.factors))))
     coll = db.collections[domain]

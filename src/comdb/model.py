@@ -456,10 +456,6 @@ class Collection:
         rows.discard(None)
         return rows
 
-    def identities_of(self, rows) -> frozenset:
-        """The stored identity tuples of the given rows."""
-        return frozenset(map(self.ids.__getitem__, rows))
-
     def _derived(self, key, context, start, *args):
         """The state of derived[key] with every stored row of its source folded in.
 

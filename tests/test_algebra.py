@@ -332,8 +332,10 @@ def test_product_members_and_restrict(market_db):
     everyone = algebra.product_members(db, deals)
     assert members(everyone) == {((1,), (10,)), ((2,), (20,))}
 
-    only_wb1 = set(algebra.iter_members(db, deals, {"wb": frozenset({(1,)})}))
-    assert only_wb1 == {((1,), (10,))}
+    # the runner's form: restrict and members are in factor rows
+    rows = [db.collections[c].elements for _, c in deals.factors]
+    only_wb1 = set(algebra.iter_members(db, deals, {"wb": {rows[0][(1,)]}}))
+    assert only_wb1 == {(rows[0][(1,)], rows[1][(10,)])}
 
 
 def test_star_project_from_product(market_db):
@@ -343,6 +345,16 @@ def test_star_project_from_product(market_db):
     all_deals = algebra.product_members(db, deals)
     shops = algebra.star_project(db, all_deals, "Shops")
     assert members(shops) == {("s1",), ("s2",)}
+
+
+def test_product_members_not_stored_are_dropped(market_db):
+    # as a collection ElementSet drops an identity that is not stored, a
+    # product ElementSet drops a member holding one
+    db = market_db
+    deals = algebra.make_product("Deals", [("wb", "WriterBooks"), ("s", "Sellers")])
+    some = ElementSet(deals, frozenset({((1,), (99,)), ((1,), (10,))}))
+    assert members(algebra.star_project(db, some, "Shops")) == {("s1",)}
+    assert members(algebra.infer(db, some, "Shops")) == {("s1",)}
 
 
 def test_star_deproject_into_product(market_db):

@@ -55,7 +55,8 @@ OUTCOMES = [
     ("library", "(D w)", "ResolveError", "line 1, column 2: a product collection cannot take an alias"),
     ("library", "(Nope)", "UnknownCollection", "line 1, column 2: unknown collection 'Nope'"),
     ("library", "(Books b, Nope n)", "UnknownCollection", "line 1, column 11: unknown collection 'Nope'"),
-    ("library", "(Books b, Writers b)", "DuplicateAlias", "alias 'b' used twice in product '(Books b, Writers b)'"),
+    ("library", "(Books b, Writers b)", "DuplicateAlias",
+     "line 1, column 11: alias 'b' used twice in product '(Books b, Writers b)'"),
     ("library", "(Books b, Writers b | b.title == 'x')", "ResolveError",
      "line 1, column 23: no field 'title' on concept 'Writers'"),
     ("library", "(Nope | x == 1) -> nope", "UnknownCollection", "line 1, column 2: unknown collection 'Nope'"),
@@ -140,17 +141,18 @@ OUTCOMES = [
     ("library", "(Books) *-> (Nope | x == 1)", "UnknownCollection", "line 1, column 14: unknown collection 'Nope'"),
     ("library", "(Books) *-> (Books b, Nope n)", "UnknownCollection", "line 1, column 23: unknown collection 'Nope'"),
     ("library", "(Books) *-> (Writers)", "NoPath",
-     f"no upward path from 'Books' to 'Writers'; {_UNIQUE_PATH_NOTE}"),
-    ("library", "(D) *-> (Books)", "NoPath", "no factor of product 'D' reaches 'Books'"),
+     f"line 1, column 9: no upward path from 'Books' to 'Writers'; {_UNIQUE_PATH_NOTE}"),
+    ("library", "(D) *-> (Books)", "NoPath", "line 1, column 5: no factor of product 'D' reaches 'Books'"),
     ("library", "(D) <-* (WriterBooks)", "ResolveError", "line 1, column 5: '<-*' cannot start from product 'D'"),
     ("library", "(D) <-* (Nope)", "ResolveError", "line 1, column 5: '<-*' cannot start from product 'D'"),
     ("library", "(Books) <-* (D x)", "ResolveError", "line 1, column 14: a product collection cannot take an alias"),
     ("library", "(Books) <-* (Writers)", "NoPath",
-     f"no downward path from 'Books' to 'Writers'; {_UNIQUE_PATH_NOTE}"),
-    ("library", "(Books) <-* (D)", "NoPath", "no factor of product 'D' reaches 'Books'"),
+     f"line 1, column 9: no downward path from 'Books' to 'Writers'; {_UNIQUE_PATH_NOTE}"),
+    ("library", "(Books) <-* (D)", "NoPath", "line 1, column 9: no factor of product 'D' reaches 'Books'"),
     ("library", "(Books) <-*-> (Nope)", "UnknownCollection", "line 1, column 16: unknown collection 'Nope'"),
     ("library", "(Books) <-*-> (Books b, Nope n)", "UnknownCollection", "line 1, column 25: unknown collection 'Nope'"),
-    ("library", "(D) <-*-> (Books w, Writers p)", "NoPath", "cannot infer between two different products"),
+    ("library", "(D) <-*-> (Books w, Writers p)", "NoPath",
+     "line 1, column 5: cannot infer between two different products"),
     # constants
     ("library", "'x'", "ResolveError", "line 1, column 1: constants must be followed by a de-projection ('<-')"),
     ("library", "'x' -> title", "ResolveError",
@@ -218,6 +220,14 @@ OUTCOMES = [
 @pytest.mark.parametrize("fixture, text, cls, message", OUTCOMES, ids=[row[1] for row in OUTCOMES])
 def test_resolution_outcome(fixture, text, cls, message):
     assert outcome(_db(fixture), text) == (cls, message)
+
+
+def test_a_product_definition_places_a_duplicate_alias():
+    with pytest.raises(ComdbError) as exc:
+        engine.execute_statement(_db("library"), "P = (Books b, Writers w, Addresses b)")
+    assert (type(exc.value).__name__, str(exc.value)) == (
+        "DuplicateAlias",
+        "line 1, column 26: alias 'b' used twice in product '(Books b, Writers w, Addresses b)'")
 
 
 _AFTER_A_FIELD = [
