@@ -97,7 +97,6 @@ class ProductCollection:
     name: str
     factors: tuple[tuple[str, str], ...]
     predicate: Callable | None = None
-    text: str = ""
     alias_index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -153,10 +152,10 @@ def full_set(db, collection: str) -> ElementSet:
 
 
 def make_product(name: str, factors: Sequence[tuple[str, str]],
-                 predicate: Callable | None = None, text: str = "") -> ProductCollection:
+                 predicate: Callable | None = None) -> ProductCollection:
     if len(factors) < 2:
         raise PathNotComposable(f"product '{name}' needs at least two factors")
-    return ProductCollection(name=name, factors=tuple(factors), predicate=predicate, text=text)
+    return ProductCollection(name=name, factors=tuple(factors), predicate=predicate)
 
 
 def iter_members(db, product: ProductCollection,
@@ -475,7 +474,7 @@ def route_infer(schema: Schema, source: Domain, target: Domain, via=None) -> Rou
 
 
 # The kinds of hop a way takes: along a dimension down (reverse lists) or up
-# (forward lists), which stream rows, or from factors into a product and out.
+# (reference columns), which stream rows, or from factors into a product and out.
 _DOWN, _UP, _INTO, _OUT = "down", "up", "into", "out"
 _ROWS = (_DOWN, _UP)
 # rows a batch of a streamed hop aims to produce between two checks of its cap
@@ -584,7 +583,7 @@ def _stream(colls, rows, steps, out: set, cap: int) -> None:
             hops.append((greater.reverse[d].__getitem__, True, False))
             fanout *= max(1, len(lesser) // max(1, len(greater)))
         else:
-            hops.append((colls[d.source].forward[d.name].__getitem__, False, d.nullable))
+            hops.append((colls[d.source].columns[d.name].__getitem__, False, d.nullable))
     rows, size = iter(rows), max(1, _BATCH // fanout)
     while len(out) < cap:
         batch = list(islice(rows, size))
@@ -610,7 +609,7 @@ def _referenced(colls, d: Dimension) -> int:
 
 def _referenced_fold(colls, d: Dimension):
     """A new referenced count's source, fold and state."""
-    forward, reverse = colls[d.source].forward[d.name], colls[d.destination].reverse[d]
+    forward, reverse = colls[d.source].columns[d.name], colls[d.destination].reverse[d]
 
     def fold(count: list, lo: int, hi: int) -> None:
         fresh = set(forward[lo:hi])
@@ -727,7 +726,7 @@ def _value_at(db, collection: str, row: int, dims: Sequence[Dimension], name: st
     """
     colls = db.collections
     for seg in dims:
-        row = colls[collection].forward[seg.name][row]
+        row = colls[collection].columns[seg.name][row]
         if row < 0:
             return None
         collection = seg.destination
@@ -775,7 +774,7 @@ def _zero(path: FieldPath):
 def _sums_fold(db, greater, dim: Dimension, path: FieldPath):
     """A new folded SUM's source, fold and state: the sum by greater row."""
     lesser = db.collections[path.source]
-    forward = lesser.forward[dim.name]
+    forward = lesser.columns[dim.name]
 
     def fold(sums: list, lo: int, hi: int) -> None:
         sums.extend([_zero(path)] * (len(greater) - len(sums)))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from decimal import Decimal
-
 from . import ast
 
 
@@ -13,8 +11,6 @@ def print_literal(lit: ast.Literal) -> str:
         return "NULL"
     if isinstance(v, str):
         return "'" + v.replace("'", "''") + "'"
-    if isinstance(v, Decimal):
-        return str(v)
     return str(v)
 
 

@@ -399,10 +399,13 @@ class PlanDeprojectValues:
 
 @dataclass(frozen=True)
 class PlanRoute:
-    """A motion ('->', '<-', '*->', '<-*', '<-*->'): the route it runs."""
+    """A motion ('->', '<-', '*->', '<-*', '<-*->'): the route it runs.
+
+    text heads a star form's listing; '->' and '<-' list their hops alone.
+    """
 
     route: Route
-    text: str
+    text: str = ""
 
 
 @dataclass(frozen=True)
@@ -430,7 +433,7 @@ def _product_from_set_expr(se: ast.SetExpr, schema: Schema) -> ProductCollection
     for k, (f, (alias, _)) in enumerate(zip(se.factors, factors)):
         if alias in dict(factors[:k]):
             _raise(DuplicateAlias, f"alias '{alias}' used twice in product '{text}'", f.pos)
-    return make_product(text, factors, predicate, text)
+    return make_product(text, factors, predicate)
 
 
 def _conjuncts(node) -> list:
@@ -503,7 +506,7 @@ def _resolve_set(se: ast.SetExpr, schema: Schema, products: Mapping):
     def both(db, subject):
         return (inner is None or inner(db, subject)) and extra(db, subject)
 
-    return ProductCollection(product.name, product.factors, both, print_set_expr(se)), None
+    return ProductCollection(product.name, product.factors, both), None
 
 
 def _set_anchor(se: ast.SetExpr, schema: Schema, products: Mapping):
@@ -551,23 +554,24 @@ def _two_up_paths(schema: Schema, lower: str, upper: str) -> list[DimensionPath]
     """The first two paths from lower up to upper, in name order.
 
     Only branches that still reach upper are walked, so this stops after
-    two paths however many there are.
+    two paths however many there are.  prefix is the path walked so far,
+    and stack holds the dimensions left to try from lower and from the end
+    of each dimension in prefix.
     """
     paths: list[DimensionPath] = []
     prefix: list[Dimension] = []
-
-    def walk(at: str) -> None:
-        for d in schema.dimensions_from(at):
-            if len(paths) == 2:
-                return
+    stack = [iter(schema.dimensions_from(lower))]
+    while stack and len(paths) < 2:
+        d = next(stack[-1], None)
+        if d is None:
+            stack.pop()
+            if prefix:
+                prefix.pop()
+        elif d.destination == upper:
+            paths.append(DimensionPath((*prefix, d)))
+        elif upper in schema.above(d.destination):
             prefix.append(d)
-            if d.destination == upper:
-                paths.append(DimensionPath(tuple(prefix)))
-            elif upper in schema.above(d.destination):
-                walk(d.destination)
-            prefix.pop()
-
-    walk(lower)
+            stack.append(iter(schema.dimensions_from(d.destination)))
     return paths
 
 
@@ -587,9 +591,12 @@ def _unique_up_path(schema: Schema, lower: str, upper: str, pos) -> DimensionPat
     return paths[0]
 
 
-def _path_route(schema: Schema, domain, segs, down: bool, text: str) -> PlanRoute:
-    """A '->' or '<-' step along the dimensions segs, given in path order."""
-    return PlanRoute(route_path(schema, domain, DimensionPath(tuple(segs)), down), text)
+def _path_route(schema: Schema, domain, segs, down: bool) -> PlanRoute:
+    """A '->' or '<-' step along the dimensions segs, given in path order.
+
+    It needs no text: explain lists the hops of its one path.
+    """
+    return PlanRoute(route_path(schema, domain, DimensionPath(tuple(segs)), down))
 
 
 def _resolve_project(step: ast.ProjectStep, domain, schema: Schema, products: Mapping, out: list):
@@ -607,13 +614,13 @@ def _resolve_project(step: ast.ProjectStep, domain, schema: Schema, products: Ma
         segs.append(Dimension(first, domain.name, domain.collection_of(first)))
         cur = domain.collection_of(first)
         if not dims and step.target is None:
-            out.append(_path_route(schema, domain, segs, False, f"-> {first} -> ({cur})"))
+            out.append(_path_route(schema, domain, segs, False))
             return cur, None
 
     if not dims and step.target is not None and not segs:
         target, post = _collection_target(step.target, schema, products, step.pos)
         path = _unique_up_path(schema, cur, target, step.pos)
-        out.append(_path_route(schema, cur, path.segments, False, f"-> ({target})"))
+        out.append(_path_route(schema, cur, path.segments, False))
         return target, post
 
     for k, name in enumerate(dims):
@@ -623,7 +630,7 @@ def _resolve_project(step: ast.ProjectStep, domain, schema: Schema, products: Ma
             if len(step.dims) == 1 and step.target is None and name in schema.concepts:
                 # bare '-> Coll' reads as '-> (Coll)' when no dimension matches
                 path = _unique_up_path(schema, cur, name, step.pos)
-                out.append(_path_route(schema, cur, path.segments, False, f"-> ({name})"))
+                out.append(_path_route(schema, cur, path.segments, False))
                 return name, None
             _raise(UnknownDimension, f"no dimension or field '{name}' on '{cur}'", step.pos)
         f, dim = got
@@ -635,22 +642,19 @@ def _resolve_project(step: ast.ProjectStep, domain, schema: Schema, products: Ma
                     step.pos,
                 )
             if segs:
-                out.append(_path_route(schema, domain, segs, False,
-                                       "-> " + " -> ".join(step.dims[:-1])))
+                out.append(_path_route(schema, domain, segs, False))
             out.append(PlanProjectField(f, f"-> {name}"))
             return PrimitiveDomain(cur, name, f.type), None
         segs.append(dim)
         cur = dim.destination
 
-    text = "-> " + " -> ".join(step.dims)
     post = None
     if step.target is not None:
         target, post = _collection_target(step.target, schema, products, step.pos)
         if target != cur:
             dotted = ".".join(step.dims)
             _raise(ResolveError, f"'{dotted}' arrives at '{cur}', not '{target}'", step.pos)
-        text += f" -> ({cur})"
-    out.append(_path_route(schema, domain, segs, False, text))
+    out.append(_path_route(schema, domain, segs, False))
     return cur, post
 
 
@@ -676,15 +680,14 @@ def _resolve_deproject(step: ast.DeprojectStep, domain, schema: Schema,
         target, post = _collection_target(step.target, schema, products, step.pos)
         if not step.dims:
             path = _unique_up_path(schema, target, domain, step.pos)
-            out.append(_path_route(schema, domain, path.segments, True, f"<- ({target})"))
+            out.append(_path_route(schema, domain, path.segments, True))
             return target, post
         segs, walk = _down_path(schema, target, step.dims, step.pos)
         if walk != domain:
             dotted = " <- ".join(step.dims)
             _raise(ResolveError, f"'{dotted} <- ({target})' arrives at '{walk}', not '{domain}'",
                    step.pos)
-        out.append(_path_route(schema, domain, segs, True,
-                               "<- " + " <- ".join(step.dims) + f" <- ({target})"))
+        out.append(_path_route(schema, domain, segs, True))
         return target, post
 
     # no explicit source collection: walk down one dimension name at a time
@@ -704,7 +707,7 @@ def _resolve_deproject(step: ast.DeprojectStep, domain, schema: Schema,
             )
         segs_down.append(cands[0])
         walk = cands[0].source
-    out.append(_path_route(schema, domain, segs_down[::-1], True, "<- " + " <- ".join(step.dims)))
+    out.append(_path_route(schema, domain, segs_down[::-1], True))
     return walk, None
 
 
@@ -752,8 +755,7 @@ def _resolve_literal_anchor(lits, first: ast.DeprojectStep, schema: Schema,
     anchor = LiteralAnchor(domain, tuple(values), ", ".join(print_literal(l) for l in lits))
     out.append(PlanDeprojectValues(owner, fld, f"<- {field_name} <- ({owner})"))
     if segs:
-        out.append(_path_route(schema, owner, segs, True,
-                               "<- " + " <- ".join(rest) + f" <- ({target})"))
+        out.append(_path_route(schema, owner, segs, True))
     return anchor, target, post
 
 
@@ -824,8 +826,7 @@ def resolve_product(pd: ast.ProductDef, schema: Schema,
     if len(pd.body.factors) < 2:
         _raise(ResolveError, "a product needs at least two factors", pd.pos)
     product = _product_from_set_expr(pd.body, schema)
-    return ProductCollection(pd.name, product.factors, product.predicate,
-                             print_set_expr(pd.body))
+    return ProductCollection(pd.name, product.factors, product.predicate)
 
 
 # --- explain --------------------------------------------------------------------

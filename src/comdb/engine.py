@@ -389,20 +389,6 @@ def _utf8_error(path) -> FileError:
         return FileError(f"{path}:{line}: byte {data[e.start]:#04x} is not UTF-8 ({e.reason})")
 
 
-def load_order(schema: model.Schema) -> list[str]:
-    """Collections ordered so references always point at already loaded data.
-
-    Of the collections whose greater ones are all loaded, the first by name
-    goes next.
-    """
-    order: list[str] = []
-    while len(order) < len(schema.concepts):
-        loaded = set(order)
-        order.append(min(c for c in schema.concepts
-                         if c not in loaded and schema.above(c) <= loaded))
-    return order
-
-
 def load_data_dir(db: Database, directory, strict: bool = False):
     """Load every <Collection>.csv in a directory, greater collections first.
 
@@ -416,7 +402,7 @@ def load_data_dir(db: Database, directory, strict: bool = False):
     if not directory.is_dir():
         raise FileError(f"not a directory: {directory}")
     files = {p.stem: p for p in sorted(directory.glob("*.csv"))}
-    order = [(name, files.pop(name)) for name in load_order(db.schema) if name in files]
+    order = [(name, files.pop(name)) for name in db.schema.order if name in files]
     return _load(db, order, strict), sorted(files)
 
 
@@ -739,18 +725,23 @@ def render(rs: ResultSet, fmt: str) -> str:
 
 def schema_outline(schema: model.Schema) -> str:
     """Indented listing of the order: maximal concepts at the margin, each
-    lesser concept under its greater, annotated with the dimension name."""
+    lesser concept under its greater, annotated with the dimension name.
+
+    A concept reached a second time gets its line again, but its lessers
+    are listed only under its first line, so the outline has one line per
+    maximal concept and one per dimension.
+    """
     lines: list[str] = []
-
-    def walk(name: str, depth: int, via: str | None) -> None:
-        label = name if via is None else f"{name} ({via})"
-        lines.append("  " * depth + label)
-        for d in schema._by_destination[name]:
-            walk(d.source, depth + 1, d.name)
-
-    maximal = sorted(c for c in schema.concepts if not schema.dimensions_from(c))
-    for name in maximal:
-        walk(name, 0, None)
+    listed: set[str] = set()
+    stack = [(name, 0, None) for name in sorted(schema.concepts, reverse=True)
+             if not schema.dimensions_from(name)]
+    while stack:
+        name, depth, via = stack.pop()
+        lines.append("  " * depth + (name if via is None else f"{name} ({via})"))
+        if name not in listed:
+            listed.add(name)
+            stack.extend((d.source, depth + 1, d.name)
+                         for d in reversed(schema.dimensions_into(name)))
     return "\n".join(lines)
 
 

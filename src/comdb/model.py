@@ -34,6 +34,7 @@ never committed leaves nothing behind.
 from __future__ import annotations
 
 import datetime
+import heapq
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -158,7 +159,11 @@ class Schema:
     """A validated set of concepts plus the derived dimension DAG.
 
     Instances come from build_schema, which enforces the invariants; the
-    derived lookup tables and the strict order closure are computed here.
+    derived lookup tables are computed here.  One pass places the concepts
+    in order and builds their strict closures, above and below, or raises
+    CyclicSchema.  order lists each concept after every concept greater
+    than it, taking the first by name of those that could go next: a load
+    stores collections in this order, so references point at stored data.
     fields maps (concept, field name) to the field and, for a reference, its
     dimension, so a field path resolves with one lookup per part.  routes
     keeps the routes the algebra's router made between collections, which
@@ -170,6 +175,7 @@ class Schema:
     routes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     fields: dict[tuple[str, str], tuple[FieldSpec, Dimension | None]] = field(
         init=False, repr=False)
+    order: tuple[str, ...] = field(init=False, repr=False)
     _by_source: dict[str, tuple[Dimension, ...]] = field(init=False, repr=False)
     _by_destination: dict[str, tuple[Dimension, ...]] = field(init=False, repr=False)
     _above: dict[str, frozenset[str]] = field(init=False, repr=False)
@@ -188,27 +194,28 @@ class Schema:
         dims = {(d.source, d.name): d for d in self.dimensions}
         self.fields = {(c.name, f.name): (f, dims.get((c.name, f.name)))
                        for c in self.concepts.values() for f in c.fields}
+        # Kahn's pass from the greater side; parallel dimensions are one edge
+        greater = {k: {d.destination for d in v} for k, v in self._by_source.items()}
+        lesser = {k: {d.source for d in v} for k, v in self._by_destination.items()}
+        waiting = {k: len(v) for k, v in greater.items()}
+        ready = [k for k, n in waiting.items() if n == 0]
+        heapq.heapify(ready)
         above: dict[str, frozenset[str]] = {}
-
-        def walk(name: str) -> frozenset[str]:
-            got = above.get(name)
-            if got is not None:
-                return got
-            acc: set[str] = set()
-            for d in self._by_source[name]:
-                acc.add(d.destination)
-                acc |= walk(d.destination)
-            above[name] = frozenset(acc)
-            return above[name]
-
-        for name in self.concepts:
-            walk(name)
+        while ready:
+            name = heapq.heappop(ready)
+            above[name] = frozenset(greater[name].union(*map(above.get, greater[name])))
+            for s in lesser[name]:
+                waiting[s] -= 1
+                if waiting[s] == 0:
+                    heapq.heappush(ready, s)
+        if len(above) < len(self.concepts):  # what is on a cycle or below one is never placed
+            stuck = sorted(self.concepts.keys() - above.keys())
+            raise CyclicSchema(f"dimension cycle through concepts: {', '.join(stuck)}")
+        self.order = tuple(above)
         self._above = above
-        below: dict[str, set[str]] = {name: set() for name in self.concepts}
-        for name, greaters in above.items():
-            for g in greaters:
-                below[g].add(name)
-        self._below = {k: frozenset(v) for k, v in below.items()}
+        self._below = {}
+        for name in reversed(self.order):  # the lesser ones come later in the order
+            self._below[name] = frozenset(lesser[name].union(*map(self._below.get, lesser[name])))
 
     def concept(self, name: str) -> Concept:
         got = self.concepts.get(name)
@@ -303,29 +310,7 @@ def build_schema(definitions: Iterable[Concept]) -> Schema:
                 raise CyclicSchema(f"dimension {c.name}.{f.name} references its own concept")
             dims.append(Dimension(f.name, c.name, f.type, f.nullable))
 
-    _check_acyclic(concepts, dims)
     return Schema(concepts=concepts, dimensions=tuple(dims))
-
-
-def _check_acyclic(concepts: dict[str, Concept], dims: list[Dimension]) -> None:
-    out: dict[str, set[str]] = {name: set() for name in concepts}
-    indeg: dict[str, int] = {name: 0 for name in concepts}
-    for d in dims:
-        if d.destination not in out[d.source]:
-            out[d.source].add(d.destination)
-            indeg[d.destination] += 1
-    ready = [n for n, k in indeg.items() if k == 0]
-    done = 0
-    while ready:
-        n = ready.pop()
-        done += 1
-        for m in out[n]:
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                ready.append(m)
-    if done != len(concepts):
-        stuck = sorted(n for n, k in indeg.items() if k > 0)
-        raise CyclicSchema(f"dimension cycle through concepts: {', '.join(stuck)}")
 
 
 # --- elements and collections ---------------------------------------------
@@ -404,13 +389,12 @@ class Collection:
     its row.  columns maps every field name, identity fields first, to the
     list of that field's values by row, None for NULL.  A reference field's
     column holds the referenced element's row in the destination collection,
-    or -1 for NULL; forward maps each owned dimension name to that same
-    list.  reverse maps each dimension arriving here to a list holding, for
-    each row of this collection, the rows of the lesser elements referencing
-    it, each listed once and in ascending order.  ordered holds while every
-    row was stored with a greater identity than the row before, so that row
-    order is identity order.  No element is stored as an object: Element is
-    a view of (collection, row).
+    or -1 for NULL.  reverse maps each dimension arriving here to a list
+    holding, for each row of this collection, the rows of the lesser
+    elements referencing it, each listed once and in ascending order.
+    ordered holds while every row was stored with a greater identity than
+    the row before, so that row order is identity order.  No element is
+    stored as an object: Element is a view of (collection, row).
 
     derived holds state computed from the stored rows, which commit never
     writes.  Each entry, under its key, keeps a watermark (how many rows of
@@ -436,7 +420,6 @@ class Collection:
     ids: list = field(default_factory=list)
     columns: dict = field(default_factory=dict)
     elements: dict = field(default_factory=dict)
-    forward: dict = field(default_factory=dict)
     reverse: dict = field(default_factory=dict)
     ordered: bool = True
     derived: dict = field(default_factory=dict)
@@ -486,12 +469,8 @@ class _Derived:
 
 def create_collections(schema: Schema) -> dict[str, Collection]:
     """One collection per concept, carrying the same name, with empty columns and indexes."""
-    colls: dict[str, Collection] = {}
-    for name, c in schema.concepts.items():
-        coll = Collection(name, c)
-        coll.columns = {f.name: [] for f in c.fields}
-        coll.forward = {f.name: coll.columns[f.name] for f in c.reference_fields}
-        colls[name] = coll
+    colls = {name: Collection(name, c, columns={f.name: [] for f in c.fields})
+             for name, c in schema.concepts.items()}
     for d in schema.dimensions:
         colls[d.destination].reverse[d] = []
     for d in schema.dimensions:
@@ -768,7 +747,7 @@ def commit(staged: dict) -> None:
         for lessers in coll.reverse.values():
             lessers += [[] for _ in rows]
         for name, (_, reverse) in coll.refs.items():
-            greater, sources = coll.forward[name][start:], rows
+            greater, sources = coll.columns[name][start:], rows
             if -1 in greater:  # NULL references no row
                 keep = list(map(ROW, greater))
                 greater, sources = compress(greater, keep), compress(rows, keep)

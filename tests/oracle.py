@@ -8,7 +8,7 @@ in the engine's path machinery cannot hide in the oracle.
 
 Predicates are checked the same way: o_holds evaluates the parsed syntax
 tree on one element, reading values by following the references the
-elements hold, never through the resolver or the forward maps.
+elements hold, never through the resolver or the reference columns.
 
 Elements are read through model.Element, the view of one stored row.
 
@@ -73,10 +73,20 @@ def reach_closure(db) -> dict:
 
 
 def concept_below(db) -> dict:
-    """Strict lesser-than over concepts, by transitive closure of references."""
-    names = list(db.schema.concepts)
+    """Strict lesser-than over a database's concepts; see o_closures."""
+    return o_closures(db.schema.concepts.values())
+
+
+def o_closures(concepts) -> dict:
+    """Strict order over concepts, by transitive closure of references.
+
+    {"above": ..., "below": ...}, each mapping a concept name to a set: the
+    concepts it reaches through references, to a fixpoint, and the concepts
+    reaching it.  On a cycle a concept reaches itself.
+    """
+    names = [c.name for c in concepts]
     less = {a: set() for a in names}  # less[a] = concepts strictly greater than a
-    for c in db.schema.concepts.values():
+    for c in concepts:
         for f in c.reference_fields:
             less[c.name].add(f.type)
     changed = True
@@ -91,6 +101,22 @@ def concept_below(db) -> dict:
                 changed = True
     below = {a: {b for b in names if a in less[b]} for a in names}
     return {"above": less, "below": below}
+
+
+def load_order(above: dict) -> list[str]:
+    """Concepts in the order a load stores them, by rescanning for each one placed.
+
+    Of the concepts not yet placed whose greater ones all are, the first by
+    name goes next, until none can: a concept on a cycle or below one is
+    never placed.  above is o_closures' "above".
+    """
+    order: list[str] = []
+    while True:
+        placed = set(order)
+        ready = [c for c in above if c not in placed and above[c] <= placed]
+        if not ready:
+            return order
+        order.append(min(ready))
 
 
 def o_star_project(db, reach, source: str, members, target: str) -> frozenset:
@@ -568,7 +594,7 @@ def o_load_csv(db, collection: str, path, strict: bool = False) -> engine.Ingest
 def o_load_data_dir(db, directory, strict: bool = False):
     files = {p.stem: p for p in sorted(directory.glob("*.csv"))}
     reports = []
-    for name in engine.load_order(db.schema):
+    for name in db.schema.order:
         if name in files:
             reports.append(o_load_csv(db, name, files.pop(name), strict=strict))
     return reports, sorted(files)
@@ -582,9 +608,8 @@ def stored(db) -> dict:
     lesser identities, list length)}, holding only referenced elements.
     Checks the column layout on the way: identity -> row is each identity's
     place in ids, every column and reverse list is as long as the
-    collection, an identity field's column holds that component of ids, a
-    reference field's column is its forward list, and ordered holds
-    exactly when the identities ascend row by row.
+    collection, an identity field's column holds that component of ids,
+    and ordered holds exactly when the identities ascend row by row.
     """
     out = {}
     for name, coll in db.collections.items():
@@ -596,10 +621,10 @@ def stored(db) -> dict:
         for k, f in enumerate(concept.identity_fields):
             assert coll.columns[f.name] == [ident[k] for ident in idents], (name, f.name)
         forward = {}
-        for dim, greaters in coll.forward.items():
-            assert greaters is coll.columns[dim], (name, dim)
-            dest = db.collections[concept.field(dim).type].ids
-            forward[dim] = {i: None if g < 0 else dest[g] for i, g in zip(idents, greaters)}
+        for f in concept.reference_fields:
+            dest = db.collections[f.type].ids
+            forward[f.name] = {i: None if g < 0 else dest[g]
+                               for i, g in zip(idents, coll.columns[f.name])}
         reverse = {}
         for d, lessers in coll.reverse.items():
             assert len(lessers) == len(idents), (name, d)
@@ -616,7 +641,7 @@ def stored(db) -> dict:
 def layout(db) -> dict:
     """The store as it lies, row by row, and every Element view read back.
 
-    Per collection: ids, every column, the forward and reverse lists,
+    Per collection: ids, every column, the reverse lists,
     identity -> row and ordered, copied; and for each row its view's
     collection, identity, values, entity and row.  Two databases given the
     same writes in the same order lay them out equally.
@@ -627,7 +652,6 @@ def layout(db) -> dict:
         out[name] = {
             "ids": list(coll.ids),
             "columns": {k: list(column) for k, column in coll.columns.items()},
-            "forward": {k: list(greaters) for k, greaters in coll.forward.items()},
             "reverse": {d: [list(ls) for ls in lessers] for d, lessers in coll.reverse.items()},
             "elements": dict(coll.elements),
             "ordered": coll.ordered,

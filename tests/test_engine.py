@@ -336,8 +336,8 @@ def test_load_csv_composite_references(tmp_path):
 
 
 def test_load_order_visits_greater_collections_first(market_db):
-    order = engine.load_order(market_db.schema)
-    assert order == ["Books", "Shops", "Sellers", "Writers", "WriterBooks"]
+    order = market_db.schema.order
+    assert order == ("Books", "Shops", "Sellers", "Writers", "WriterBooks")
     pos = {name: i for i, name in enumerate(order)}
     for d in market_db.schema.dimensions:
         assert pos[d.destination] < pos[d.source]
@@ -814,8 +814,8 @@ def test_row_runner_matches_the_oracle():
             return (len(str(a)) + len(str(b))) % modulus == 0
 
         db.register_product(algebra.make_product("P", [("a", pa), ("b", pb)], pair))
-        seen["null refs"] += any(-1 in f for c in db.collections.values()
-                                 for f in c.forward.values())
+        seen["null refs"] += any(-1 in c.columns[name] for c in db.collections.values()
+                                 for name in c.refs)
         seen["composite"] += any(len(c.concept.identity_fields) > 1
                                  for c in db.collections.values())
         for phase in range(2):
@@ -898,7 +898,7 @@ def _skewed_db(rng) -> engine.Database:
 
 
 def _referenced_rows(db, d) -> set:
-    return {g for g in db.collections[d.source].forward[d.name] if g >= 0}
+    return {g for g in db.collections[d.source].columns[d.name] if g >= 0}
 
 
 def test_saturating_fused_routes_match_the_oracle(monkeypatch):
@@ -922,8 +922,8 @@ def test_saturating_fused_routes_match_the_oracle(monkeypatch):
     for _ in range(50):
         db = _skewed_db(rng)
         names = sorted(db.schema.concepts)
-        seen["null refs"] += any(-1 in f for c in db.collections.values()
-                                 for f in c.forward.values())
+        seen["null refs"] += any(-1 in c.columns[name] for c in db.collections.values()
+                                 for name in c.refs)
         for phase in range(2):
             if phase:
                 counted = {d: _referenced_rows(db, d) for d in db.schema.dimensions}
@@ -1066,7 +1066,7 @@ def test_folded_sums_follow_every_write(tmp_path):
                     assert (sums[r], str(sums[r])) == (want, str(want)), (key, r)
                 seen["dotted" if path.dims else "one-hop"] += 1
                 seen[path.field.type] += 1
-                seen["null ref"] += -1 in lesser.forward[d.name]
+                seen["null ref"] += -1 in lesser.columns[d.name]
                 values = list(algebra._path_values(db, range(len(lesser)), path))
                 seen["zero"] += any(v == 0 for v in values if v is not None)
                 seen["zero exponent"] += any(v == 0 and str(v) != "0" for v in values
@@ -1103,7 +1103,7 @@ def test_folded_sums_follow_every_write(tmp_path):
 
 def test_referenced_counts_follow_every_write(tmp_path, monkeypatch):
     """A saturated inference answers as the oracle does, and every referenced
-    count equals a count over the forward list, after: an insert that references
+    count equals a count over the reference column, after: an insert that references
     a row nothing referenced, new greater rows that nothing references, a CSV
     batch with a rejected row, and a strict load that fails and changes nothing."""
     monkeypatch.setattr(algebra, "_BATCH", 1)  # a cap checked after every row
@@ -1584,7 +1584,7 @@ def test_staged_load_matches_the_row_at_a_time_loader(tmp_path):
         shape = oracle.random_db(random.Random(seed), **SMALL_RICH)
         data = tmp_path / f"s{seed}"
         data.mkdir()
-        names = [n for n in engine.load_order(shape.schema) if rng.random() < 0.7]
+        names = [n for n in shape.schema.order if rng.random() < 0.7]
         file_identities: dict = {}
         for name in names:
             random_csv(rng, shape, name, data / f"{name}.csv", file_identities)
@@ -1665,14 +1665,14 @@ def test_column_layout_matches_the_row_at_a_time_writer(tmp_path):
     """After CSV loads with bad rows, strict loads that fail, directory loads,
     inserts and failed inserts, the store holds, cell for cell, what the
     oracle's row-at-a-time writer holds after the same writes: ids, every
-    column, the forward and reverse lists, identity -> row, ordered, and every
+    column, the reverse lists, identity -> row, ordered, and every
     Element view."""
     seen = collections.Counter()
     for seed in range(60):
         rng = random.Random(seed)
         new = oracle.random_db(random.Random(seed), **SMALL_RICH)
         old = oracle.random_db(random.Random(seed), **SMALL_RICH)
-        names = engine.load_order(new.schema)
+        names = new.schema.order
         file_identities: dict = {}
         for step in range(8):
             r = rng.random()
@@ -1717,8 +1717,8 @@ def test_column_layout_matches_the_row_at_a_time_writer(tmp_path):
             assert oracle.layout(new) == oracle.layout(old), (seed, step)
         _check_views(new)
         seen["unordered"] += not all(c.ordered for c in new.collections.values())
-        seen["null refs"] += any(-1 in f for c in new.collections.values()
-                                 for f in c.forward.values())
+        seen["null refs"] += any(-1 in c.columns[name] for c in new.collections.values()
+                                 for name in c.refs)
         seen["composite"] += any(len(c.concept.identity_fields) > 1
                                  for c in new.collections.values())
     assert min(seen.values()) >= 10, seen

@@ -1,11 +1,15 @@
 """Schema construction, typed identities, insertion invariants, poset order."""
 
+import collections
 import datetime
+import random
 from decimal import Decimal
 
 import pytest
 
+import oracle
 from comdb import engine, model
+from comdb.coql.parser import parse_schema
 from comdb.errors import (
     CyclicSchema,
     DanglingReference,
@@ -109,6 +113,53 @@ def test_cycles_rejected():
         )
     with pytest.raises(CyclicSchema):
         db_from("CONCEPT A IDENTITY id INT ENTITY a A;")
+
+
+def test_a_cycle_names_the_concepts_on_it_and_below_it():
+    # Top is above the cycle and is placed; Low, below it, never can be
+    with pytest.raises(CyclicSchema) as e:
+        db_from(
+            "CONCEPT Top IDENTITY id INT;"
+            "CONCEPT A IDENTITY id INT ENTITY b B, top Top;"
+            "CONCEPT B IDENTITY id INT ENTITY a A;"
+            "CONCEPT Low IDENTITY id INT ENTITY a A;"
+        )
+    assert str(e.value) == "dimension cycle through concepts: A, B, Low"
+
+
+def test_order_and_closures_match_the_oracle():
+    """Schema.order, above and below equal the rescanning load order and the
+    brute-force closure on random schemas, some given back references that
+    close cycles; a cyclic one raises CyclicSchema naming every concept the
+    rescanning order never places."""
+    seen = collections.Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        concepts = parse_schema(oracle.random_schema_text(rng, max_concepts=8, max_dims=3))
+        for k in range(rng.choice((0, 0, 1, 2))):
+            lo, hi = sorted(rng.sample(range(len(concepts)), 2))
+            c = concepts[hi]
+            back = model.FieldSpec(f"back{k}", concepts[lo].name)
+            concepts[hi] = model.Concept(c.name, c.identity_fields, c.entity_fields + (back,))
+        want = oracle.o_closures(concepts)
+        order = oracle.load_order(want["above"])
+        if len(order) < len(concepts):
+            stuck = sorted(c.name for c in concepts if c.name not in order)
+            with pytest.raises(CyclicSchema) as e:
+                model.build_schema(concepts)
+            assert str(e.value) == f"dimension cycle through concepts: {', '.join(stuck)}", seed
+            seen["cyclic"] += 1
+            seen["below a cycle"] += any(name not in want["above"][name] for name in stuck)
+            continue
+        s = model.build_schema(concepts)
+        assert s.order == tuple(order), seed
+        for name in order:
+            assert s.above(name) == want["above"][name], (seed, name)
+            assert s.below(name) == want["below"][name], (seed, name)
+        seen["acyclic"] += 1
+        seen["parallel"] += len({(d.source, d.destination) for d in s.dimensions}) < len(
+            s.dimensions)
+    assert min(seen[k] for k in ("cyclic", "below a cycle", "acyclic", "parallel")) >= 20, seen
 
 
 def test_single_concept_schema_is_fine():
@@ -226,7 +277,6 @@ def test_failed_insert_leaves_no_partial_state():
     coll = db.collections["B"]
     assert len(coll) == 0 and coll.ids == [] and coll.elements == {}
     assert coll.columns == {"id": [], "a": [], "n": []}
-    assert coll.forward["a"] == []
     dim = db.schema.dimension("B", "a")
     assert db.collections["A"].reverse[dim] == [[]]  # A's one row, referenced by nothing
 
