@@ -9,10 +9,11 @@ before anything runs.
 A set expression binds to a collection and its compiled predicate, or
 to a product (_resolve_set).  As a chain's anchor, a collection's
 predicate is split by access path instead: seeks, identity bounds and a
-residual (_set_anchor).  resolve walks the steps in one loop: it
-rejects a step that cannot start from the chain's domain, lets the
-step's resolver append its motions, then appends the target's predicate
-as a filter.
+residual (_set_anchor).  Constants that start a chain are one seek on
+the collection they reach (_constants_anchor).  resolve walks the steps
+in one loop: it rejects a step that cannot start from the chain's
+domain, lets the step's resolver append its motions, then appends the
+target's predicate as a filter.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from ..errors import (
 )
 from ..model import Dimension, DimensionPath, FieldSpec, Schema, _iso_date
 from . import ast
-from .printer import print_literal, print_predicate, print_query, print_set_expr
+from .printer import print_literal, print_predicate, print_set_expr
 
 
 def _raise(cls, msg: str, pos: tuple[int, int]):
@@ -342,16 +343,28 @@ def _decided(items: list, stop: bool) -> Callable:
 
 
 @dataclass(frozen=True)
+class Seek:
+    """An access path: the rows of owner whose primitive field takes one of
+    values, moved down route to the anchored collection (None: owner is it)."""
+
+    owner: str
+    field: str
+    values: tuple
+    route: Route | None
+
+
+@dataclass(frozen=True)
 class CollectionAnchor:
     """(C | p): every element of C that p holds for, split by access path.
 
-    Each top-level conjunct of p goes to one of three groups.  seeks are
-    the plans of the de-projections equal to its `path == constant`
-    conjuncts.  bounds are (operator, constant) pairs, one per conjunct
-    comparing C's single identity field with a constant by `<`, `<=`, `>`
-    or `>=`, read as `identity op constant`.  residual is the rest,
-    compiled into one predicate, or None when nothing is left; it runs
-    only on the rows the seeks and bounds keep.
+    Each top-level conjunct of p goes to one of three groups.  seeks hold
+    one Seek per `path == constant` conjunct.  bounds are (operator,
+    constant) pairs, one per conjunct comparing C's single identity field
+    with a constant by `<`, `<=`, `>` or `>=`, read as `identity op
+    constant`.  residual is the rest, compiled into one predicate, or None
+    when nothing is left; it runs only on the rows the seeks and bounds
+    keep.  A chain starting from constants, `v <- f <- ... <- (C | q)`,
+    is one seek with q its residual.
     """
 
     collection: str
@@ -368,13 +381,6 @@ class ProductAnchor:
 
 
 @dataclass(frozen=True)
-class LiteralAnchor:
-    domain: PrimitiveDomain
-    values: tuple
-    text: str
-
-
-@dataclass(frozen=True)
 class PlanFilter:
     predicate: object
     text: str
@@ -384,15 +390,6 @@ class PlanFilter:
 class PlanProjectField:
     """The last hop of a projection: read one primitive field."""
 
-    field: FieldSpec
-    text: str
-
-
-@dataclass(frozen=True)
-class PlanDeprojectValues:
-    """First hop of a constant-anchored chain: the owners of the values."""
-
-    owner: str
     field: FieldSpec
     text: str
 
@@ -413,7 +410,6 @@ class QueryPlan:
     anchor: object
     steps: tuple
     warnings: tuple[str, ...]
-    text: str
 
 
 # --- resolution -----------------------------------------------------------------
@@ -461,23 +457,21 @@ def _against_constant(node, alias: str | None):
     return op, path, parts, lit
 
 
-def _seek(schema: Schema, collection: str, path: ast.PathTerm, parts, lit) -> QueryPlan:
-    """The plan of the de-projection equal to `path == constant`.
+def _seek(schema: Schema, collection: str, path: ast.PathTerm, parts, lit) -> Seek:
+    """The access path equal to `path == constant`.
 
     (C | p.f == v) holds the elements of v <- f <- p... <- (C).  A path
     ending at a reference, or the bare alias, compares a single-field
     identity, so its constant de-projects through that identity field.
     """
     dims, owner, f = _field_path(schema, collection, parts, path.pos)
-    names = [d.name for d in dims]
     if f is None or not f.is_primitive:
         if f is not None:
-            names.append(f.name)
+            dims += (schema.dimension(owner, f.name),)
             owner = f.type
         f = schema.concept(owner).identity_fields[0]
-    target = ast.SetExpr((ast.Factor(collection),))
-    return resolve(ast.Query((lit,), (ast.DeprojectStep((f.name, *reversed(names)), target),)),
-                   schema)
+    return Seek(owner, f.name, (_coerce_literal(lit.value, f.type, lit.pos),),
+                route_path(schema, owner, DimensionPath(dims), True) if dims else None)
 
 
 def _resolve_set(se: ast.SetExpr, schema: Schema, products: Mapping):
@@ -711,16 +705,20 @@ def _resolve_deproject(step: ast.DeprojectStep, domain, schema: Schema,
     return walk, None
 
 
-def _resolve_literal_anchor(lits, first: ast.DeprojectStep, schema: Schema,
-                            products: Mapping, out: list):
+def _constants_anchor(lits, first: ast.DeprojectStep, schema: Schema, products: Mapping):
+    """`v1, v2 <- f <- p... <- (C | q)`: one seek on C, with q its residual.
+
+    Without a collection in parentheses, f names the one collection that
+    owns it.  The anchor's text lists what explain printed for the chain.
+    """
     if not first.dims:
         _raise(ResolveError, "constants de-project through a field name first", first.pos)
     field_name = first.dims[0]
     rest = first.dims[1:]
 
-    post = None
+    residual = None
     if first.target is not None:
-        target, post = _collection_target(first.target, schema, products, first.pos)
+        target, residual = _collection_target(first.target, schema, products, first.pos)
         segs, owner = _down_path(schema, target, rest, first.pos)
     else:
         if rest:
@@ -746,17 +744,17 @@ def _resolve_literal_anchor(lits, first: ast.DeprojectStep, schema: Schema,
     fld = schema.concept(owner).field(field_name)
     if fld is None or not fld.is_primitive:
         _raise(ResolveError, f"'{owner}.{field_name}' is not a primitive field", first.pos)
-    values = []
-    for lit in lits:
-        if lit.value is None:
-            continue  # de-projection never matches NULL
-        values.append(_coerce_literal(lit.value, fld.type, lit.pos))
-    domain = PrimitiveDomain(owner, field_name, fld.type)
-    anchor = LiteralAnchor(domain, tuple(values), ", ".join(print_literal(l) for l in lits))
-    out.append(PlanDeprojectValues(owner, fld, f"<- {field_name} <- ({owner})"))
-    if segs:
-        out.append(_path_route(schema, owner, segs, True))
-    return anchor, target, post
+    # de-projection never matches NULL
+    values = tuple(_coerce_literal(lit.value, fld.type, lit.pos) for lit in lits
+                   if lit.value is not None)
+    route = route_path(schema, owner, DimensionPath(tuple(segs)), True) if segs else None
+    lines = [", ".join(print_literal(l) for l in lits), f"<- {field_name} <- ({owner})"]
+    if route is not None:
+        lines += [hop for _, hop in _hops(route.ways[0][1])]
+    if residual is not None:
+        lines.append(f"| {print_predicate(first.target.predicate)}")
+    return CollectionAnchor(target, residual, "\n".join(lines),
+                            (Seek(owner, field_name, values, route),)), target
 
 
 # each kind of step's arrow, and the router of each star form
@@ -791,18 +789,18 @@ def resolve(query: ast.Query, schema: Schema, products: Mapping | None = None) -
     warnings: list[str] = []
     out: list = []
 
+    steps = query.steps
     if isinstance(query.anchor, ast.SetExpr):
         anchor, domain = _set_anchor(query.anchor, schema, products)
-    elif not query.steps or not isinstance(query.steps[0], ast.DeprojectStep):
+    elif not steps or not isinstance(steps[0], ast.DeprojectStep):
         _raise(ResolveError, "constants must be followed by a de-projection ('<-')", query.pos)
-    else:
-        anchor = None  # the first step de-projects the constants
+    else:  # the first step de-projects the constants
+        anchor, domain = _constants_anchor(query.anchor, steps[0], schema, products)
+        steps = steps[1:]
 
-    for st in query.steps:
+    for st in steps:
         arrow = _ARROWS[type(st)]
-        if anchor is None:
-            anchor, domain, post = _resolve_literal_anchor(query.anchor, st, schema, products, out)
-        elif isinstance(domain, PrimitiveDomain):
+        if isinstance(domain, PrimitiveDomain):
             _raise(ResolveError, f"the chain already ended at primitive values '{domain}'", st.pos)
         elif isinstance(domain, ProductCollection) and arrow in ("<-", "<-*"):
             _raise(ResolveError, f"'{arrow}' cannot start from product '{domain.name}'", st.pos)
@@ -815,7 +813,7 @@ def resolve(query: ast.Query, schema: Schema, products: Mapping | None = None) -
         if post is not None:
             out.append(PlanFilter(post, print_predicate(st.target.predicate)))
 
-    return QueryPlan(anchor, tuple(out), tuple(warnings), print_query(query))
+    return QueryPlan(anchor, tuple(out), tuple(warnings))
 
 
 def resolve_product(pd: ast.ProductDef, schema: Schema,
@@ -863,7 +861,7 @@ def _explain_route(step: PlanRoute) -> list[str]:
 def _explain_step(step) -> list[str]:
     if isinstance(step, PlanFilter):
         return [f"| {step.text}"]
-    if isinstance(step, (PlanProjectField, PlanDeprojectValues)):
+    if isinstance(step, PlanProjectField):
         return [step.text]
     if isinstance(step, PlanRoute):
         return _explain_route(step)

@@ -36,13 +36,12 @@ from .coql import ast as coql_ast
 from .coql import parser as coql_parser
 from .coql.resolver import (
     CollectionAnchor,
-    LiteralAnchor,
-    PlanDeprojectValues,
     PlanFilter,
     PlanProjectField,
     PlanRoute,
     ProductAnchor,
     QueryPlan,
+    Seek,
     explain,
     resolve,
     resolve_product,
@@ -439,7 +438,7 @@ def _anchor_rows(db, anchor: CollectionAnchor):
                 hi = min(hi, cut(ids, (value,)))
         rows, bounds = range(lo, max(lo, hi)), ()
     if anchor.seeks:
-        first, *more = (_run(db, seek.anchor, seek.steps)[1] for seek in anchor.seeks)
+        first, *more = (_seek_rows(db, seek) for seek in anchor.seeks)
         found = set(first).intersection(*more)
         rows = found if len(rows) == len(ids) else {r for r in found if r in rows}
     for op, value in bounds:
@@ -449,47 +448,42 @@ def _anchor_rows(db, anchor: CollectionAnchor):
     return rows
 
 
-def _run(db, anchor, steps):
-    """(domain, members): the set an anchor stands for, moved through the steps in order.
+def _seek_rows(db, seek: Seek):
+    """The rows a seek reaches in the collection it is anchored on."""
+    rows = algebra._owner_rows(db.collections[seek.owner], seek.field, seek.values)
+    return rows if seek.route is None else algebra._run_route(db, rows, seek.route)
+
+
+def execute(db, plan: QueryPlan) -> "ResultSet":
+    """Run a resolved plan against a database: the set its anchor stands for,
+    moved through its steps in order.
 
     Members are in algebra's runner form: rows, or tuples of factor rows.
+    A collection anchor's seeks and identity bounds answer their own
+    conjuncts; only its residual runs on each row they keep.
     """
+    anchor = plan.anchor
     if isinstance(anchor, CollectionAnchor):
         domain = anchor.collection
         members = _anchor_rows(db, anchor)
     elif isinstance(anchor, ProductAnchor):
         domain = anchor.product
         members = set(algebra.iter_members(db, domain))
-    elif isinstance(anchor, LiteralAnchor):
-        domain, members = anchor.domain, frozenset(anchor.values)
     else:
         raise TypeError(f"not an anchor: {anchor!r}")
 
-    for step in steps:
+    for step in plan.steps:
         if isinstance(step, PlanFilter):
             members = _filter(db, members, step.predicate)
         elif isinstance(step, PlanProjectField):
             coll = db.collections[domain]
             members = algebra._field_values(coll, members, step.field)
             domain = PrimitiveDomain(domain, step.field.name, step.field.type)
-        elif isinstance(step, PlanDeprojectValues):
-            domain = step.owner
-            members = algebra._owner_rows(db.collections[domain], step.field.name, members)
         elif isinstance(step, PlanRoute):
             members = algebra._run_route(db, members, step.route)
             domain = step.route.target
         else:
             raise TypeError(f"not a plan step: {step!r}")
-    return domain, members
-
-
-def execute(db, plan: QueryPlan) -> "ResultSet":
-    """Run a resolved plan against a database.
-
-    A collection anchor's seeks and identity bounds answer their own
-    conjuncts; only its residual runs on each row they keep.
-    """
-    domain, members = _run(db, plan.anchor, plan.steps)
     return build_result(db, domain, members, tuple(dict.fromkeys(plan.warnings)))
 
 

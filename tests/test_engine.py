@@ -429,6 +429,21 @@ def test_register_product_rejects_a_collection_name(market_db):
     assert market_db.query("(Shops)").kind == "collection"
 
 
+def test_a_registered_product_narrowed_by_a_query(market_db):
+    """(P | q) holds the members of P registered with q conjoined to its own
+    predicate, or with q alone when P has none; as an anchor and as a '<-*'
+    target."""
+    db = market_db
+    for own in (" | wb.book == s.book", ""):
+        both = f"{own} AND s.shop == 's1'" if own else " | s.shop == 's1'"
+        engine.execute_statement(db, f"P = (WriterBooks wb, Sellers s{own})")
+        engine.execute_statement(db, f"Q = (WriterBooks wb, Sellers s{both})")
+        for text in ("({})", "(Writers) <-* ({})"):
+            got = db.query(text.format("P | s.shop == 's1'")).identities
+            assert got == db.query(text.format("Q")).identities, (own, text)
+            assert 0 < len(got) < len(db.query(text.format("P"))), (own, text)
+
+
 def test_identical_warnings_are_deduplicated(market_db):
     rs = market_db.query("(Writers | age < 30) <-*-> (Shops) <-*-> (Writers)")
     assert rs.warnings == (algebra.INDEPENDENT_WARNING,)
@@ -868,6 +883,81 @@ def test_row_runner_matches_the_oracle():
     assert min(seen.values()) >= 10, seen
 
 
+def _rich_conjunct(rng, db, concept: str, depth: int = 0) -> str:
+    """A conjunct on concept: a path equal to one element's value, a bound on
+    its identity field id, or now and then an OR or a NOT of such."""
+    r = rng.random()
+    if depth == 0 and r < 0.15:
+        return f"NOT ({_rich_conjunct(rng, db, concept, 1)})"
+    if depth == 0 and r < 0.3:
+        return f"({_rich_conjunct(rng, db, concept, 1)} OR {_rich_conjunct(rng, db, concept, 1)})"
+    if r < 0.6:
+        path = _random_path(rng, db, concept)
+        el = rng.choice(list(oracle.views(db, concept).values()))
+        return f"{path} == {_rich_literal(oracle.o_path(db, el, path.split('.'))[0]) or 'NULL'}"
+    return f"id {rng.choice(_ORDERINGS)} {rng.randint(-3, 60)}"
+
+
+def test_constant_anchored_chains_match_the_oracle():
+    """`c1, c2 <- f <- p2 <- p1 <- (C | q)` holds the elements of C whose
+    p1.p2.f is one of the constants and that q holds for, as the oracle reads
+    them, on rich random databases: several constants and NULL, DATE and
+    DECIMAL fields, owners found by the field name alone, and targets whose
+    predicates hold equalities, identity bounds, OR and NOT."""
+    rng = random.Random(1066)
+    seen = collections.Counter()
+    for n in range(60):
+        db = oracle.random_db(rng, max_concepts=5, max_elements=60, rich=True,
+                              value_type="DECIMAL" if n % 2 else "INT")
+        schema = db.schema
+        for _ in range(10):
+            lesser = sorted(c.name for c in schema.concepts.values() if c.reference_fields)
+            target = owner = rng.choice(lesser if lesser and rng.random() < 0.8
+                                        else sorted(schema.concepts))
+            refs = []  # the references from target to owner, in path order
+            while len(refs) < 2 and schema.concept(owner).reference_fields and rng.random() < 0.7:
+                f = rng.choice(schema.concept(owner).reference_fields)
+                refs.append(f.name)
+                owner = f.type
+            fld = rng.choice([f for f in schema.concept(owner).fields if f.is_primitive])
+            stored = [oracle.o_path(db, el, [fld.name])[0]
+                      for el in oracle.views(db, owner).values()]
+            values = [rng.choice(stored) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.3:
+                values.append(oracle.rich_value(fld.type, rng.randint(51, 99)))  # not stored
+            if rng.random() < 0.3:
+                values.insert(rng.randrange(len(values) + 1), None)
+            head = ", ".join(_rich_literal(v) or "NULL" for v in values) + f" <- {fld.name}"
+            owners = [c for c in schema.concepts.values()
+                      if c.field(fld.name) is not None and c.field(fld.name).is_primitive]
+            where = ""
+            if not refs and len(owners) == 1 and rng.random() < 0.6:
+                query = head  # the one owner of the field is found by its name
+                seen["owner by name"] += 1
+            else:
+                where = " AND ".join(_rich_conjunct(rng, db, target)
+                                     for _ in range(rng.choice((0, 1, 2))))
+                query = head + "".join(f" <- {r}" for r in reversed(refs)) + (
+                    f" <- ({target} | {where})" if where else f" <- ({target})")
+            pred = parse_query(f"({target} | {where})").anchor.predicate if where else None
+            elements = oracle.views(db, target)
+            wanted = {v for v in values if v is not None}
+            reached = {i for i, el in elements.items()
+                       if oracle.o_path(db, el, [*refs, fld.name])[0] in wanted}
+            want = sorted(i for i in reached
+                          if pred is None or oracle.o_holds(db, elements[i], pred))
+            assert db.query(query).identities == want, query
+            seen[f"{len(refs)} hops"] += 1
+            seen[fld.type] += 1
+            seen["NULL constant"] += None in values
+            seen["several constants"] += len(values) > 1
+            seen["target predicate keeps some"] += 0 < len(want) < len(reached)
+            seen["nonempty"] += bool(want)
+            for k in ("==", " OR ", "NOT", "id <", "id >"):
+                seen[k] += k in where
+    assert min(seen.values()) >= 20, seen
+
+
 # --- saturating, fused routes --------------------------------------------------------
 
 
@@ -1183,7 +1273,8 @@ def test_folded_sums_fold_again_when_the_decimal_context_changes():
 ])
 def test_only_equalities_with_a_constant_seek(catalog_db, query, seeks):
     plan = catalog_db.plan(query)
-    assert [s.text for s in plan.anchor.seeks] == seeks
+    # each seek is the one access path its constants query is anchored on
+    assert list(plan.anchor.seeks) == [catalog_db.plan(s).anchor.seeks[0] for s in seeks]
     assert catalog_db.explain(query) == plan.anchor.text  # seeks are not listed
     anchor = parse_query(query).anchor
     elements = oracle.views(catalog_db, anchor.factors[0].collection)
@@ -1353,6 +1444,22 @@ def test_renderers_match_the_row_at_a_time_renderers():
         assert seen[case] >= 5, (case, seen)
 
 
+def test_a_field_named_identity_renders_json_as_the_oracle_does():
+    """A field named _identity keeps its place in a JSON row and holds the identity."""
+    db = fresh("CONCEPT A IDENTITY id INT ENTITY _identity CHAR(4), n INT;"
+               "CONCEPT B IDENTITY _identity INT, k CHAR(2) ENTITY a A;")
+    db.insert("A", 1, {"_identity": "x", "n": 2})
+    db.insert("A", 2, {"n": 3})
+    db.insert("B", (5, "p"), {"a": 1})
+    db.insert("B", (6, "q"))
+    for query in ("(A)", "(B)", "(B) -> a"):
+        rs = db.query(query)
+        assert engine.render_json(rs) == oracle.o_render_json(rs), query
+    assert engine.render_json(db.query("(A | id == 1)")) == '{"id": 1, "_identity": "1", "n": 2}'
+    assert engine.render_json(db.query("(B | k == 'p')")) == (
+        '{"_identity": "(5,p)", "k": "p", "a": "1"}')
+
+
 def test_rows_are_built_when_read_and_slice_into_plain_lists():
     for seed in range(12):
         rng = random.Random(seed)
@@ -1398,6 +1505,8 @@ def test_collections_outline_golden(colors_db):
         "Y: 3 elements\n"
         "Z: 4 elements"
     )
+    engine.execute_statement(colors_db, "P = (X a, X b)")
+    assert engine.collections_outline(colors_db).splitlines()[-1] == "P = product of (X a, X b)"
 
 
 def test_explain_is_exposed_on_the_database(colors_db):
@@ -1805,3 +1914,57 @@ def test_a_bad_row_among_clean_ones_is_reported_as_row_at_a_time(tmp_path):
             assert oracle.layout(dbs[0]) == oracle.layout(dbs[1]), (kind, place)
             cases += 1
     assert cases == 45
+
+
+def test_bad_rows_across_chunk_boundaries_load_as_row_at_a_time(tmp_path, monkeypatch):
+    """Three rows to a chunk, and bad rows on both sides of its boundaries: a
+    duplicate of a row in an earlier chunk, a ragged row, a badly typed cell,
+    a dangling reference and NULL in a NOT NULL field.  Loads of one file and
+    of a directory report the lines and errors the row-at-a-time loader
+    reports, raise what it raises under strict, and store what it stores.
+    Quoted line breaks and blank lines keep lines apart from row numbers."""
+    monkeypatch.setattr(engine, "CHUNK_ROWS", 3)
+    schema = ("CONCEPT A IDENTITY id INT ENTITY n INT;"
+              "CONCEPT B IDENTITY id INT ENTITY a A NOT NULL, v DECIMAL, w INT NOT NULL, "
+              "s CHAR(8);")
+    bad = {"100,1,1.5,1,x": "element (100,) already exists in 'B'",
+           "901,1": "row has 2 values, expected 5",
+           "902,1,1.5,x,x": "B.w: 'x' is not an integer",
+           "903,99,1.5,1,x": "B.a references missing element (99,) of 'A'",
+           "904,1,1.5,,x": "field B.w cannot be NULL"}
+    for shift in range(3):  # each bad row falls at each place in a chunk
+        rows = [f'{100 + i},{i % 8},{i}.25,{i},"{i}\n{i}"' for i in range(shift + 2)]
+        for k, text in enumerate(bad):
+            rows.append(text)
+            rows.append(f"{200 + k},{k},,{k},")
+            if k % 2:
+                rows.append("")  # a blank line is no row
+        data = tmp_path / str(shift)
+        data.mkdir()
+        write(data / "A.csv", "id,n\n" + "".join(f"{i},{i}\n" for i in range(8)))
+        path = write(data / "B.csv", "id,a,v,w,s\n" + "\n".join(rows) + "\n")
+        for strict in (False, True):
+            dbs = [fresh(schema), fresh(schema)]
+            want = _outcome(oracle.o_load_data_dir, dbs[1], data, strict)
+            got = _outcome(engine.load_data_dir, dbs[0], data, strict)
+            if strict:  # the duplicate is the first bad row; the oracle keeps what it wrote
+                assert got == want and got[0] is FileError, shift
+                assert got[1].startswith(f"{path}:{2 * shift + 6}: element (100,)"), got
+                assert oracle.layout(dbs[0]) == oracle.layout(fresh(schema))
+                continue
+            (a, b), _ = got
+            assert [(r.inserted, r.rejected) for r in got[0]] == [
+                (r.inserted, r.rejected) for r in want[0]], shift
+            assert (a.inserted, a.rejected, b.inserted) == (8, [], shift + 7)
+            assert b.rejected == [(2 * shift + line, message)
+                                  for line, message in zip((6, 8, 11, 13, 16), bad.values())]
+            assert oracle.layout(dbs[0]) == oracle.layout(dbs[1]), shift
+            # one file on its own, its references checked against the store
+            dbs = [fresh(schema), fresh(schema)]
+            for db in dbs:
+                for i in range(8):
+                    db.insert("A", i, {"n": i})
+            want = oracle.o_load_csv(dbs[1], "B", path)
+            got = engine.load_csv(dbs[0], "B", path)
+            assert (got.inserted, got.rejected) == (want.inserted, want.rejected), shift
+            assert oracle.layout(dbs[0]) == oracle.layout(dbs[1]), shift

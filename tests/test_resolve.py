@@ -230,6 +230,16 @@ def test_a_product_definition_places_a_duplicate_alias():
         "line 1, column 26: alias 'b' used twice in product '(Books b, Writers w, Addresses b)'")
 
 
+@pytest.mark.parametrize("statement, message", [
+    ("Deals = (WriterBooks wb)", "line 1, column 1: a product needs at least two factors"),
+    ("Books = (WriterBooks wb, Sellers s)", "line 1, column 1: 'Books' is already a collection"),
+])
+def test_a_product_definition_error_names_its_line(statement, message):
+    with pytest.raises(ResolveError) as exc:
+        engine.execute_statement(_db("market"), statement)
+    assert type(exc.value) is ResolveError and str(exc.value) == message
+
+
 _AFTER_A_FIELD = [
     ast.ProjectStep(("title",)),
     ast.DeprojectStep(("publisher",)),
