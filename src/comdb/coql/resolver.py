@@ -6,20 +6,21 @@ the route the algebra's router chose for it, and records any
 warnings (such as the full-target fallback for unconnected collections)
 before anything runs.
 
-A set expression binds to a collection and its compiled predicate, or
-to a product (_resolve_set).  As a chain's anchor, a collection's
-predicate is split by access path instead: seeks, identity bounds and a
-residual (_set_anchor).  Constants that start a chain are one seek on
-the collection they reach (_constants_anchor).  resolve walks the steps
-in one loop: it rejects a step that cannot start from the chain's
-domain, lets the step's resolver append its motions, then appends the
-target's predicate as a filter.
+A set expression binds to a collection, or to a product that folds in
+its predicate (_resolve_set).  A collection's predicate is split by
+access path into one CollectionAnchor, as a chain's anchor and as a
+step's target alike: seeks, identity bounds and a residual
+(_access_paths).  Constants that start a chain are one more seek on the
+record of the collection they reach (_constants_anchor).  resolve walks
+the steps in one loop: it rejects a step that cannot start from the
+chain's domain, lets the step's resolver append its motions, then
+appends the target's record.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from typing import Callable, Mapping
 
@@ -357,14 +358,20 @@ class Seek:
 class CollectionAnchor:
     """(C | p): every element of C that p holds for, split by access path.
 
-    Each top-level conjunct of p goes to one of three groups.  seeks hold
-    one Seek per `path == constant` conjunct.  bounds are (operator,
-    constant) pairs, one per conjunct comparing C's single identity field
-    with a constant by `<`, `<=`, `>` or `>=`, read as `identity op
-    constant`.  residual is the rest, compiled into one predicate, or None
-    when nothing is left; it runs only on the rows the seeks and bounds
-    keep.  A chain starting from constants, `v <- f <- ... <- (C | q)`,
-    is one seek with q its residual.
+    The one record of (C | p), as a chain's anchor and as a step's target;
+    engine._select runs it.  Each top-level conjunct of p goes to one of
+    three groups.  seeks hold one Seek per `path == constant` conjunct.
+    bounds are (operator, constant) pairs, one per conjunct comparing C's
+    single identity field with a constant by `<`, `<=`, `>` or `>=`, read
+    as `identity op constant`.  residual is the rest, compiled into one
+    predicate, or None when nothing is left; it runs only on the rows the
+    seeks and bounds keep.  checks is the seeks' conjuncts and the
+    residual compiled into one predicate (None without seeks), which runs
+    in place of both on rows that are not all of C.  A chain starting
+    from constants, `v <- f <- ... <- (C | q)`, is q's record with one
+    more seek first; it is always an anchor, so that seek needs no check.
+    text is what explain lists: `| p` for a step, the set expression or
+    the constants chain for an anchor.
     """
 
     collection: str
@@ -372,17 +379,12 @@ class CollectionAnchor:
     text: str
     seeks: tuple = ()
     bounds: tuple = ()
+    checks: object | None = None
 
 
 @dataclass(frozen=True)
 class ProductAnchor:
     product: ProductCollection
-    text: str
-
-
-@dataclass(frozen=True)
-class PlanFilter:
-    predicate: object
     text: str
 
 
@@ -474,10 +476,40 @@ def _seek(schema: Schema, collection: str, path: ast.PathTerm, parts, lit) -> Se
                 route_path(schema, owner, DimensionPath(dims), True) if dims else None)
 
 
-def _resolve_set(se: ast.SetExpr, schema: Schema, products: Mapping):
-    """Bind a set expression: (collection, compiled predicate or None) or (product, None).
+def _access_paths(schema: Schema, one: ast.Factor, predicate) -> CollectionAnchor:
+    """The record of (C | p), listed as `| p`: p's conjuncts split by access path.
 
-    A registered product takes the expression's predicate on top of its own.
+    Every conjunct is compiled once, in order, so each raises what
+    compiling the whole predicate would.
+    """
+    identity = schema.concepts[one.collection].identity_fields
+    # the parts of a path to the identity, when it has a single field
+    key = (identity[0].name,) if len(identity) == 1 else None
+    ctx = _Ctx(schema, concept=one.collection, alias=one.alias)
+    seeks, bounds, residual, checks = [], [], [], []
+    for c in _conjuncts(predicate):
+        op, path, parts, lit = _against_constant(c, one.alias) or (None,) * 4
+        if op in ("<", "<=", ">", ">=") and parts == key:
+            value = _type_literal_against(_compile_path(ctx, path), lit, schema)
+            bounds.append((_OPS[op], value))
+            continue
+        compiled = compile_predicate(ctx, c)
+        checks.append(compiled)
+        if op == "==":
+            seeks.append(_seek(schema, one.collection, path, parts, lit))
+        else:
+            residual.append(compiled)
+    return CollectionAnchor(one.collection, _decided(residual, False) if residual else None,
+                            f"| {print_predicate(predicate)}", tuple(seeks), tuple(bounds),
+                            _decided(checks, False) if seeks else None)
+
+
+def _resolve_set(se: ast.SetExpr, schema: Schema, products: Mapping):
+    """Bind a set expression: (its domain, the CollectionAnchor narrowing it, or None).
+
+    A collection's predicate gives its record (_access_paths); a product,
+    registered or not, takes the expression's predicate on top of its own
+    and has none.
     """
     if len(se.factors) != 1:
         return _product_from_set_expr(se, schema), None
@@ -485,8 +517,7 @@ def _resolve_set(se: ast.SetExpr, schema: Schema, products: Mapping):
     if one.collection in schema.concepts:
         if se.predicate is None:
             return one.collection, None
-        ctx = _Ctx(schema, concept=one.collection, alias=one.alias)
-        return one.collection, compile_predicate(ctx, se.predicate)
+        return one.collection, _access_paths(schema, one, se.predicate)
     if one.collection not in products:
         _raise(UnknownCollection, f"unknown collection '{one.collection}'", one.pos)
     if one.alias is not None:
@@ -503,41 +534,8 @@ def _resolve_set(se: ast.SetExpr, schema: Schema, products: Mapping):
     return ProductCollection(product.name, product.factors, both), None
 
 
-def _set_anchor(se: ast.SetExpr, schema: Schema, products: Mapping):
-    """The anchor a set expression starts a chain with, and the domain it holds.
-
-    A collection's predicate is split into seeks, identity bounds and the
-    residual (see CollectionAnchor).  Every conjunct is compiled once, in
-    order, so each raises what compiling the whole predicate would.
-    """
-    one = se.factors[0]
-    if len(se.factors) != 1 or one.collection not in schema.concepts:
-        domain, _ = _resolve_set(se, schema, products)  # a product folds in its predicate
-        return ProductAnchor(domain, print_set_expr(se)), domain
-    identity = schema.concepts[one.collection].identity_fields
-    # the parts of a path to the identity, when it has a single field
-    key = (identity[0].name,) if len(identity) == 1 else None
-    seeks, bounds, residual = [], [], []
-    if se.predicate is not None:
-        ctx = _Ctx(schema, concept=one.collection, alias=one.alias)
-        for c in _conjuncts(se.predicate):
-            op, path, parts, lit = _against_constant(c, one.alias) or (None,) * 4
-            if op in ("<", "<=", ">", ">=") and parts == key:
-                value = _type_literal_against(_compile_path(ctx, path), lit, schema)
-                bounds.append((_OPS[op], value))
-                continue
-            compiled = compile_predicate(ctx, c)
-            if op == "==":
-                seeks.append(_seek(schema, one.collection, path, parts, lit))
-            else:
-                residual.append(compiled)
-    anchor = CollectionAnchor(one.collection, _decided(residual, False) if residual else None,
-                              print_set_expr(se), tuple(seeks), tuple(bounds))
-    return anchor, one.collection
-
-
 def _collection_target(se: ast.SetExpr, schema: Schema, products: Mapping, pos):
-    """The target of '->' or '<-', which must be a collection, and its predicate."""
+    """The target of '->' or '<-', which must be a collection, and its record."""
     target, post = _resolve_set(se, schema, products)
     if isinstance(target, ProductCollection):
         _raise(ResolveError, "use '<-*' to reach a product collection", pos)
@@ -706,7 +704,7 @@ def _resolve_deproject(step: ast.DeprojectStep, domain, schema: Schema,
 
 
 def _constants_anchor(lits, first: ast.DeprojectStep, schema: Schema, products: Mapping):
-    """`v1, v2 <- f <- p... <- (C | q)`: one seek on C, with q its residual.
+    """`v1, v2 <- f <- p... <- (C | q)`: the record of (C | q) with one more seek.
 
     Without a collection in parentheses, f names the one collection that
     owns it.  The anchor's text lists what explain printed for the chain.
@@ -716,9 +714,9 @@ def _constants_anchor(lits, first: ast.DeprojectStep, schema: Schema, products: 
     field_name = first.dims[0]
     rest = first.dims[1:]
 
-    residual = None
+    sel = None
     if first.target is not None:
-        target, residual = _collection_target(first.target, schema, products, first.pos)
+        target, sel = _collection_target(first.target, schema, products, first.pos)
         segs, owner = _down_path(schema, target, rest, first.pos)
     else:
         if rest:
@@ -751,10 +749,11 @@ def _constants_anchor(lits, first: ast.DeprojectStep, schema: Schema, products: 
     lines = [", ".join(print_literal(l) for l in lits), f"<- {field_name} <- ({owner})"]
     if route is not None:
         lines += [hop for _, hop in _hops(route.ways[0][1])]
-    if residual is not None:
-        lines.append(f"| {print_predicate(first.target.predicate)}")
-    return CollectionAnchor(target, residual, "\n".join(lines),
-                            (Seek(owner, field_name, values, route),)), target
+    if sel is not None:
+        lines.append(sel.text)
+    sel = sel or CollectionAnchor(target, None, "")
+    return replace(sel, text="\n".join(lines),
+                   seeks=(Seek(owner, field_name, values, route), *sel.seeks)), target
 
 
 # each kind of step's arrow, and the router of each star form
@@ -783,7 +782,7 @@ def resolve(query: ast.Query, schema: Schema, products: Mapping | None = None) -
     """Bind a parsed query against a schema; returns the executable plan.
 
     Each step appends the motions it makes and returns the domain it
-    arrives at and its target's predicate, which filters after them.
+    arrives at and its target's record, which narrows after them.
     """
     products = products or {}
     warnings: list[str] = []
@@ -791,7 +790,12 @@ def resolve(query: ast.Query, schema: Schema, products: Mapping | None = None) -
 
     steps = query.steps
     if isinstance(query.anchor, ast.SetExpr):
-        anchor, domain = _set_anchor(query.anchor, schema, products)
+        domain, anchor = _resolve_set(query.anchor, schema, products)
+        text = print_set_expr(query.anchor)
+        if isinstance(domain, ProductCollection):
+            anchor = ProductAnchor(domain, text)
+        else:
+            anchor = replace(anchor or CollectionAnchor(domain, None, ""), text=text)
     elif not steps or not isinstance(steps[0], ast.DeprojectStep):
         _raise(ResolveError, "constants must be followed by a de-projection ('<-')", query.pos)
     else:  # the first step de-projects the constants
@@ -811,7 +815,7 @@ def resolve(query: ast.Query, schema: Schema, products: Mapping | None = None) -
         else:
             domain, post = _resolve_star(st, arrow, domain, schema, products, out, warnings)
         if post is not None:
-            out.append(PlanFilter(post, print_predicate(st.target.predicate)))
+            out.append(post)
 
     return QueryPlan(anchor, tuple(out), tuple(warnings))
 
@@ -859,9 +863,7 @@ def _explain_route(step: PlanRoute) -> list[str]:
 
 
 def _explain_step(step) -> list[str]:
-    if isinstance(step, PlanFilter):
-        return [f"| {step.text}"]
-    if isinstance(step, PlanProjectField):
+    if isinstance(step, (CollectionAnchor, PlanProjectField)):
         return [step.text]
     if isinstance(step, PlanRoute):
         return _explain_route(step)

@@ -36,12 +36,10 @@ from .coql import ast as coql_ast
 from .coql import parser as coql_parser
 from .coql.resolver import (
     CollectionAnchor,
-    PlanFilter,
     PlanProjectField,
     PlanRoute,
     ProductAnchor,
     QueryPlan,
-    Seek,
     explain,
     resolve,
     resolve_product,
@@ -408,26 +406,25 @@ def load_data_dir(db: Database, directory, strict: bool = False):
 # --- execution --------------------------------------------------------------------
 
 
-def _filter(db, members, predicate) -> set:
-    return {r for r in members if predicate(db, r)}
-
-
 # how a bound `identity op c` cuts rows sorted by identity: (a lower bound?, the cut)
 _CUTS = {operator.gt: (True, bisect_right), operator.ge: (True, bisect_left),
          operator.lt: (False, bisect_left), operator.le: (False, bisect_right)}
 
 
-def _anchor_rows(db, anchor: CollectionAnchor):
-    """The rows of (C | p): the seeks' rows, within the identity bounds, that the residual keeps.
+def _select(db, sel: CollectionAnchor, rows):
+    """The rows among rows, all of C's or those a step arrives with, that (C | p) keeps.
 
-    While C is ordered its rows are sorted by identity, so the bounds are
-    one interval of rows found by bisection; otherwise each row's identity
-    is compared with each bound.
+    Seeks run only when rows is all of C; otherwise their conjuncts run
+    on each row with the residual (sel.checks), so no column larger than
+    rows is scanned.  While C is ordered its rows are sorted by identity,
+    so the bounds are one interval of rows found by bisection and
+    intersected with rows; otherwise each row's identity is compared with
+    each bound.
     """
-    coll = db.collections[anchor.collection]
+    coll = db.collections[sel.collection]
     ids = coll.ids
-    rows = range(len(ids))
-    bounds = anchor.bounds
+    whole = len(rows) == len(ids)
+    bounds, check = sel.bounds, sel.residual
     if bounds and coll.ordered:
         lo, hi = 0, len(ids)
         for op, value in bounds:
@@ -436,22 +433,23 @@ def _anchor_rows(db, anchor: CollectionAnchor):
                 lo = max(lo, cut(ids, (value,)))
             else:
                 hi = min(hi, cut(ids, (value,)))
-        rows, bounds = range(lo, max(lo, hi)), ()
-    if anchor.seeks:
-        first, *more = (_seek_rows(db, seek) for seek in anchor.seeks)
-        found = set(first).intersection(*more)
+        interval = range(lo, max(lo, hi))
+        rows, bounds = interval if whole else [r for r in rows if r in interval], ()
+    if sel.seeks and whole:
+        found = None
+        for seek in sel.seeks:
+            got = algebra._owner_rows(db.collections[seek.owner], seek.field, seek.values)
+            if seek.route is not None:
+                got = algebra._run_route(db, got, seek.route)
+            found = set(got) if found is None else found.intersection(got)
         rows = found if len(rows) == len(ids) else {r for r in found if r in rows}
+    elif sel.seeks:
+        check = sel.checks
     for op, value in bounds:
         rows = [r for r in rows if op(ids[r][0], value)]
-    if anchor.residual is not None:
-        rows = _filter(db, rows, anchor.residual)
+    if check is not None:
+        rows = {r for r in rows if check(db, r)}
     return rows
-
-
-def _seek_rows(db, seek: Seek):
-    """The rows a seek reaches in the collection it is anchored on."""
-    rows = algebra._owner_rows(db.collections[seek.owner], seek.field, seek.values)
-    return rows if seek.route is None else algebra._run_route(db, rows, seek.route)
 
 
 def execute(db, plan: QueryPlan) -> "ResultSet":
@@ -459,13 +457,13 @@ def execute(db, plan: QueryPlan) -> "ResultSet":
     moved through its steps in order.
 
     Members are in algebra's runner form: rows, or tuples of factor rows.
-    A collection anchor's seeks and identity bounds answer their own
-    conjuncts; only its residual runs on each row they keep.
+    _select narrows every (C | p), an anchor from all of C's rows and a
+    step's target from the rows the step arrives with.
     """
     anchor = plan.anchor
     if isinstance(anchor, CollectionAnchor):
         domain = anchor.collection
-        members = _anchor_rows(db, anchor)
+        members = _select(db, anchor, range(len(db.collections[domain])))
     elif isinstance(anchor, ProductAnchor):
         domain = anchor.product
         members = set(algebra.iter_members(db, domain))
@@ -473,8 +471,8 @@ def execute(db, plan: QueryPlan) -> "ResultSet":
         raise TypeError(f"not an anchor: {anchor!r}")
 
     for step in plan.steps:
-        if isinstance(step, PlanFilter):
-            members = _filter(db, members, step.predicate)
+        if isinstance(step, CollectionAnchor):
+            members = _select(db, step, members)
         elif isinstance(step, PlanProjectField):
             coll = db.collections[domain]
             members = algebra._field_values(coll, members, step.field)
@@ -693,13 +691,8 @@ def render_json(rs: ResultSet) -> str:
         keys = map("({})".format, map(",".join, zip(*_texts(rs, ""))))
     else:
         keys = rs.identity_encoder(rs.identities)
-    keys = list(map(encode_basestring, keys))
-    names = list(rs.columns)
-    if "_identity" in names:  # the dict's key keeps its place and takes the identity
-        columns[names.index("_identity")] = keys
-    else:
-        names.append("_identity")
-        columns.append(keys)
+    columns.append(list(map(encode_basestring, keys)))  # no field name starts with '_'
+    names = (*rs.columns, "_identity")
     cells = [list(map((encode_basestring(n) + ": ").__add__, c)) for n, c in zip(names, columns)]
     return "\n".join(["{" + ", ".join(row) + "}" for row in zip(*cells)])
 

@@ -251,9 +251,6 @@ class Schema:
         self.concept(name)
         return self._below[name]
 
-    def strictly_less(self, a: str, b: str) -> bool:
-        return b in self.above(a)
-
     def path(self, source: str, *names: str) -> DimensionPath:
         """Resolve a left-to-right chain of dimension names into a path."""
         segments = []
@@ -270,9 +267,10 @@ class Schema:
 def build_schema(definitions: Iterable[Concept]) -> Schema:
     """Validate concept definitions and derive the dimension DAG.
 
-    Rejects duplicate concepts and fields, references to unknown concepts,
-    non-primitive or nullable identity fields, and any cycle among
-    dimensions (including self-references).
+    Rejects duplicate concepts and fields, field names starting with '_'
+    (reserved for the "_identity" key of JSON rows), references to unknown
+    concepts, non-primitive or nullable identity fields, and any cycle
+    among dimensions (including self-references).
     """
     concepts: dict[str, Concept] = {}
     for c in definitions:
@@ -288,6 +286,8 @@ def build_schema(definitions: Iterable[Concept]) -> Schema:
         for f in c.fields:
             if f.name in seen:
                 raise DuplicateField(f"field '{f.name}' defined twice in concept '{c.name}'")
+            if f.name.startswith("_"):
+                raise SchemaError(f"field {c.name}.{f.name} starts with '_', which is reserved")
             seen.add(f.name)
         if not c.identity_fields:
             raise SchemaError(f"concept '{c.name}' has an empty identity part")

@@ -23,7 +23,7 @@ from comdb import algebra, engine, model
 from comdb.algebra import ElementSet
 from comdb.coql.parser import parse_query
 from comdb.errors import (ComdbError, FileError, HeaderMismatch, ProductTooLarge, ResolveError,
-                          TypeMismatch, UnknownCollection)
+                          SchemaError, TypeMismatch, UnknownCollection)
 
 SCHEMA = """
 CONCEPT Addresses IDENTITY id INT ENTITY country CHAR(2) NOT NULL;
@@ -958,6 +958,165 @@ def test_constant_anchored_chains_match_the_oracle():
     assert min(seen.values()) >= 20, seen
 
 
+def _target_conjunct(rng, db, concept: str) -> str:
+    """A conjunct on concept: one of _rich_conjunct's, or a path ordered
+    against one element's value, which bounds an identity field id and is a
+    residual otherwise."""
+    if rng.random() < 0.7:
+        return _rich_conjunct(rng, db, concept)
+    path = _random_path(rng, db, concept)
+    el = rng.choice(list(oracle.views(db, concept).values()))
+    text = _rich_literal(oracle.o_path(db, el, path.split("."))[0]) or "NULL"
+    return f"{path} {rng.choice(('!=', '<', '<=', '>', '>='))} {text}"
+
+
+def _up_refs(rng, schema, concept: str, hops: int) -> tuple[list, str]:
+    """Up to hops references walked up from concept, and the concept they reach."""
+    refs = []
+    while len(refs) < hops and schema.concept(concept).reference_fields:
+        f = rng.choice(schema.concept(concept).reference_fields)
+        refs.append(f.name)
+        concept = f.type
+    return refs, concept
+
+
+def _insert_below(rng, db, cname: str) -> None:
+    """Store one element of cname with an identity below every stored one:
+    the collection is no longer ordered."""
+    concept = db.schema.concepts[cname]
+    k = -rng.randint(1, 9)
+    entity = {}
+    for f in concept.entity_fields:
+        if not f.nullable or rng.random() < 0.8:
+            entity[f.name] = (rng.choice(list(db.collections[f.type].elements))
+                              if not f.is_primitive else oracle.rich_value(f.type, rng.randint(0, 50)))
+    db.insert(cname, tuple(oracle.rich_value(f.type, k) for f in concept.identity_fields), entity)
+
+
+def test_step_targets_narrow_by_access_path_as_the_oracle_does():
+    """(T | p) after `->`, `<-`, `<-*` and `<-*->`, and as the target of a
+    chain from constants, keeps the elements the step reaches that p holds
+    for, as the oracle reads them: p's conjuncts split into seeks, identity
+    bounds and a residual, alone and mixed, over INT, DECIMAL, DATE and CHAR
+    values, NULL, OR and NOT; T ordered, and left unordered by one insert
+    with a smaller identity; the step arriving with all of T or with part."""
+    rng = random.Random(1979)
+    seen = collections.Counter()
+    for n in range(50):
+        db = oracle.random_db(rng, max_concepts=5, max_elements=60, rich=True,
+                              value_type="DECIMAL" if n % 2 else "INT")
+        schema = db.schema
+        names = sorted(schema.concepts)
+        lesser = [c for c in names if schema.concept(c).reference_fields]
+        for phase in range(2):
+            if phase:
+                for cname in names:
+                    if rng.random() < 0.7:
+                        _insert_below(rng, db, cname)
+            reach = oracle.reach_closure(db)
+            for _ in range(12):
+                form = rng.choice(("->", "<-", "<-*", "<-*->", "constants"))
+                if form in ("->", "<-") and not lesser:
+                    form = "<-*->"
+                if form == "->":
+                    source = rng.choice(lesser)
+                    refs, target = _up_refs(rng, schema, source, rng.randint(1, 2))
+                elif form == "<-":
+                    target = rng.choice(lesser)
+                    refs, source = _up_refs(rng, schema, target, rng.randint(1, 2))
+                else:
+                    target = rng.choice(names)
+                    source = rng.choice([target, *sorted(schema.above(target))] if form == "<-*"
+                                        else names)
+                where = " AND ".join(_target_conjunct(rng, db, target)
+                                     for _ in range(rng.randint(1, 3)))
+                tail = f"({target} | {where})"
+                elements = oracle.views(db, target)
+                if form == "constants":
+                    refs, owner = _up_refs(rng, schema, target, rng.randint(0, 2))
+                    fld = rng.choice([f for f in schema.concept(owner).fields if f.is_primitive])
+                    stored = [oracle.o_path(db, el, [fld.name])[0]
+                              for el in oracle.views(db, owner).values()]
+                    values = {rng.choice(stored) for _ in range(rng.randint(1, 3))}
+                    query = ", ".join(_rich_literal(v) or "NULL" for v in values) + "".join(
+                        f" <- {r}" for r in reversed([*refs, fld.name])) + f" <- {tail}"
+                    reached = {i for i, el in elements.items()
+                               if oracle.o_path(db, el, [*refs, fld.name])[0] in values - {None}}
+                else:
+                    anchor = f"({source})" if rng.random() < 0.4 else _rich_anchor(rng, db, source)
+                    pred = parse_query(anchor).anchor.predicate
+                    members = frozenset(i for i, el in oracle.views(db, source).items()
+                                        if pred is None or oracle.o_holds(db, el, pred))
+                    if form == "->":
+                        query = f"{anchor} -> {' -> '.join(refs)} -> {tail}"
+                        reached = oracle.o_project(db, source, members, refs)[1]
+                    elif form == "<-":
+                        query = f"{anchor} <- {' <- '.join(reversed(refs))} <- {tail}"
+                        reached = oracle.o_deproject(db, source, members, refs, target)
+                    elif form == "<-*":
+                        query = f"{anchor} <-* {tail}"
+                        reached = oracle.o_star_deproject(db, reach, source, members, target)
+                    else:
+                        query = f"{anchor} <-*-> {tail}"
+                        reached = oracle.o_infer(db, reach, source, members, target)[0]
+                pred = parse_query(tail).anchor.predicate
+                want = sorted(i for i in reached if oracle.o_holds(db, elements[i], pred))
+                plan = db.plan(query)
+                record = plan.anchor if form == "constants" else plan.steps[-1]
+                assert db.query(query).identities == want, query
+                groups = ("seeks" * bool(record.seeks[form == "constants":]),
+                          "bounds" * bool(record.bounds), "residual" * (record.residual is not None))
+                seen[" and ".join(g for g in groups if g)] += 1
+                seen[form] += 1
+                seen["some kept, some not"] += 0 < len(want) < len(reached)
+                if form != "constants":
+                    seen["all of T" if len(reached) == len(elements) else "part of T"] += 1
+                    if record.bounds:
+                        seen["ordered" if db.collections[target].ordered else "unordered"] += 1
+                for k in (" OR ", "NOT", "NULL"):
+                    seen[k] += k in where
+                seen["DATE"] += bool(re.search(r"'\d{4}-\d\d-\d\d'", where))
+                seen["DECIMAL"] += any(f.type == "decimal" for f in schema.concept(target).fields)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_filters_and_their_negations_split_what_they_narrow():
+    """(C | p) and (C | NOT (p)) split (C) exactly, and so do `... <-* (T | p)`
+    and `... <-* (T | NOT (p))` split `... <-* (T)`, over _rich_anchor's
+    predicates, before and after inserts.  No oracle is needed."""
+    rng = random.Random(2020)
+    seen = collections.Counter()
+    for n in range(40):
+        db = oracle.random_db(rng, max_concepts=5, max_elements=60, rich=True,
+                              value_type="DECIMAL" if n % 2 else "INT")
+        names = sorted(db.schema.concepts)
+        for phase in range(2):
+            if phase:
+                seen["inserted"] += _insert_more(rng, db)
+            for _ in range(10):
+                target = rng.choice(names)
+                anchor = _rich_anchor(rng, db, target)
+                # the anchor's predicate, now and then with one more conjunct, often a bound
+                p = [anchor[len(target) + 4:-1]] if anchor != f"({target})" else []
+                if not p or rng.random() < 0.5:
+                    p.append(_target_conjunct(rng, db, target))
+                p = " AND ".join(p)
+                source = rng.choice([target, *sorted(db.schema.above(target))])
+                for head in ("", f"{_rich_anchor(rng, db, source)} <-* "):
+                    every = db.query(f"{head}({target})").identities
+                    kept = db.query(f"{head}({target} | {p})").identities
+                    rest = db.query(f"{head}({target} | NOT ({p}))").identities
+                    assert sorted(kept + rest) == every, (head, p)
+                    plan = db.plan(f"{head}({target} | {p})")
+                    record = plan.steps[-1] if head else plan.anchor
+                    where = "step" if head else "anchor"
+                    seen[f"{where} seeks"] += bool(record.seeks)
+                    seen[f"{where} bounds"] += bool(record.bounds)
+                    seen[f"{where} residual"] += record.residual is not None
+                    seen[f"{where} both sides"] += bool(kept) and bool(rest)
+    assert min(seen.values()) >= 20, seen
+
+
 # --- saturating, fused routes --------------------------------------------------------
 
 
@@ -1444,20 +1603,16 @@ def test_renderers_match_the_row_at_a_time_renderers():
         assert seen[case] >= 5, (case, seen)
 
 
-def test_a_field_named_identity_renders_json_as_the_oracle_does():
-    """A field named _identity keeps its place in a JSON row and holds the identity."""
-    db = fresh("CONCEPT A IDENTITY id INT ENTITY _identity CHAR(4), n INT;"
-               "CONCEPT B IDENTITY _identity INT, k CHAR(2) ENTITY a A;")
-    db.insert("A", 1, {"_identity": "x", "n": 2})
-    db.insert("A", 2, {"n": 3})
-    db.insert("B", (5, "p"), {"a": 1})
-    db.insert("B", (6, "q"))
-    for query in ("(A)", "(B)", "(B) -> a"):
-        rs = db.query(query)
-        assert engine.render_json(rs) == oracle.o_render_json(rs), query
-    assert engine.render_json(db.query("(A | id == 1)")) == '{"id": 1, "_identity": "1", "n": 2}'
-    assert engine.render_json(db.query("(B | k == 'p')")) == (
-        '{"_identity": "(5,p)", "k": "p", "a": "1"}')
+def test_a_field_name_starting_with_an_underscore_is_rejected():
+    """JSON rows key the member's identity "_identity", so no field may take a
+    name starting with '_' and hide it; the error names Concept.field."""
+    for text, name in (
+        ("CONCEPT A IDENTITY id INT ENTITY _identity CHAR(4), n INT;", "A._identity"),
+        ("CONCEPT B IDENTITY _identity INT, k CHAR(2);", "B._identity"),
+        ("CONCEPT A IDENTITY id INT; CONCEPT B IDENTITY id INT ENTITY _a A;", "B._a"),
+    ):
+        with pytest.raises(SchemaError, match=re.escape(f"field {name} starts with '_'")):
+            fresh(text)
 
 
 def test_rows_are_built_when_read_and_slice_into_plain_lists():

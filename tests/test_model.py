@@ -182,9 +182,6 @@ def test_diamond_closures():
     s = db_from(DIAMOND).schema
     assert s.above("Bottom") == {"Left", "Right", "Top"}
     assert s.below("Top") == {"Left", "Right", "Bottom"}
-    assert s.strictly_less("Bottom", "Top")
-    assert not s.strictly_less("Top", "Bottom")
-    assert not s.strictly_less("Left", "Right")
 
 
 def test_dimension_path_composability():
