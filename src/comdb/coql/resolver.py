@@ -8,19 +8,19 @@ before anything runs.
 
 A set expression binds to a collection, or to a product that folds in
 its predicate (_resolve_set).  A collection's predicate is split by
-access path into one CollectionAnchor, as a chain's anchor and as a
-step's target alike: seeks, identity bounds and a residual
-(_access_paths).  Constants that start a chain are one more seek on the
-record of the collection they reach (_constants_anchor).  resolve walks
-the steps in one loop: it rejects a step that cannot start from the
-chain's domain, lets the step's resolver append its motions, then
-appends the target's record.
+access path into one CollectionAnchor, as a chain's anchor, as a step's
+target and as an aggregate's inner predicate alike: seeks, identity
+bounds, aggregate cuts and a residual (_access_paths).  Constants that
+start a chain are one more seek on the record of the collection they
+reach (_constants_anchor).  resolve walks the steps in one loop: it
+rejects a step that cannot start from the chain's domain, lets the
+step's resolver append its motions, then appends the target's record.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from typing import Callable, Mapping
 
@@ -35,8 +35,6 @@ from ..algebra import (
     route_path,
     route_star_deproject,
     route_star_project,
-    _folded_sums,
-    _sum_rows,
     _value_at,
 )
 from ..errors import (
@@ -92,10 +90,21 @@ class PathValue:
 
 @dataclass(frozen=True)
 class AggValue:
-    """COUNT or SUM over the one-hop de-projection of the subject row."""
+    """COUNT or SUM(dim <- (L | q).path) at a row of dim's destination: over
+    the lessers of the row through dim that q holds for.
+
+    read is engine._aggregate, which reads it for a set of rows, run on one
+    row.  inner is (L | q)'s record, None without q; path is SUM's, None
+    for COUNT; key names a SUM without q in the derived state of dim's
+    destination (algebra._folded_sums), and is None otherwise.
+    """
 
     read: Callable
     func: str
+    dim: Dimension
+    inner: CollectionAnchor | None
+    path: FieldPath | None
+    key: tuple | None
 
 
 @dataclass(frozen=True)
@@ -237,7 +246,7 @@ def _compile_agg(ctx: _Ctx, node: ast.AggTerm) -> AggValue:
         )
     inner = None
     if node.predicate is not None:
-        inner = compile_predicate(_Ctx(ctx.schema, concept=node.collection), node.predicate)
+        inner = _access_paths(ctx.schema, ast.Factor(node.collection), node.predicate)
     sum_path = None
     if node.func == "SUM":
         if node.path is None:
@@ -253,28 +262,16 @@ def _compile_agg(ctx: _Ctx, node: ast.AggTerm) -> AggValue:
         sum_path = FieldPath(node.collection, dims, f)
     elif node.path is not None:
         _raise(ResolveError, "COUNT takes no field path", node.pos)
-    collection = node.collection
-    if sum_path is not None and inner is None:
-        # a SUM with no inner predicate reads the sums folded once per stored
-        # lesser row; COUNT and a SUM with one walk the reverse list below.
-        # The key is the SUM's names, which hash faster than dim and sum_path.
-        key = (collection, node.dim, tuple(node.path))
-
-        def read(db, row):
-            return _folded_sums(db, key, dim, sum_path)[row]
-
-        return AggValue(read, node.func)
+    # a SUM with no inner predicate reads the sums folded once per stored
+    # lesser row, under its names, which hash faster than dim and sum_path
+    key = (node.collection, node.dim, node.path) if sum_path is not None and inner is None else None
+    from ..engine import _aggregate  # the engine, which runs plans, imports this module
 
     def read(db, row):
-        # the subject's reverse list, read in place: it lists each lesser once
-        members = db.collections[subject].reverse[dim][row]
-        if inner is not None:
-            members = [r for r in members if inner(db, r)]
-        if sum_path is None:
-            return len(members)
-        return _sum_rows(db, members, sum_path)
+        return _aggregate(db, agg, (row,))[0]
 
-    return AggValue(read, node.func)
+    agg = AggValue(read, node.func, dim, inner, sum_path, key)
+    return agg
 
 
 def _reader(term, other, node, schema: Schema) -> Callable:
@@ -346,32 +343,35 @@ def _decided(items: list, stop: bool) -> Callable:
 @dataclass(frozen=True)
 class Seek:
     """An access path: the rows of owner whose primitive field takes one of
-    values, moved down route to the anchored collection (None: owner is it)."""
+    values, moved down route to the anchored collection (None: owner is it).
+
+    check is the same test compiled for one row of the anchored collection.
+    """
 
     owner: str
     field: str
     values: tuple
     route: Route | None
+    check: Callable = field(compare=False)
 
 
 @dataclass(frozen=True)
 class CollectionAnchor:
     """(C | p): every element of C that p holds for, split by access path.
 
-    The one record of (C | p), as a chain's anchor and as a step's target;
-    engine._select runs it.  Each top-level conjunct of p goes to one of
-    three groups.  seeks hold one Seek per `path == constant` conjunct.
-    bounds are (operator, constant) pairs, one per conjunct comparing C's
-    single identity field with a constant by `<`, `<=`, `>` or `>=`, read
-    as `identity op constant`.  residual is the rest, compiled into one
-    predicate, or None when nothing is left; it runs only on the rows the
-    seeks and bounds keep.  checks is the seeks' conjuncts and the
-    residual compiled into one predicate (None without seeks), which runs
-    in place of both on rows that are not all of C.  A chain starting
-    from constants, `v <- f <- ... <- (C | q)`, is q's record with one
-    more seek first; it is always an anchor, so that seek needs no check.
-    text is what explain lists: `| p` for a step, the set expression or
-    the constants chain for an anchor.
+    The one record of (C | p), as a chain's anchor, as a step's target and
+    as an aggregate's inner (L | q); engine._select runs it.  Each
+    top-level conjunct of p goes to one of four groups.  seeks hold one
+    Seek per `path == constant` conjunct.  bounds are (operator, constant)
+    pairs, one per conjunct comparing C's single identity field with a
+    constant by `<`, `<=`, `>` or `>=`, read as `identity op constant`.
+    cuts are (AggValue, operator, constant) triples, one per conjunct
+    comparing COUNT or SUM with a constant, read as `aggregate op
+    constant`.  residual is the rest, compiled into one predicate, or None
+    when nothing is left; it runs only on the rows the others keep.  A
+    chain starting from constants, `v <- f <- ... <- (C | q)`, is q's
+    record with one more seek first.  text is what explain lists: `| p`
+    for a step, the set expression or the constants chain for an anchor.
     """
 
     collection: str
@@ -379,7 +379,7 @@ class CollectionAnchor:
     text: str
     seeks: tuple = ()
     bounds: tuple = ()
-    checks: object | None = None
+    cuts: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -446,21 +446,23 @@ _FLIPPED = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 def _against_constant(node, alias: str | None):
-    """(op, path, its parts past the alias, constant) when node compares a
-    path with a non-NULL constant, read as `path op constant`; else None."""
+    """(op, term, constant, a path term's parts past the alias) when node
+    compares a path or an aggregate with a non-NULL constant, read as
+    `term op constant`; else None.  An aggregate has no parts (None)."""
     if not isinstance(node, ast.Comparison):
         return None
-    op, path, lit = node.op, node.left, node.right
-    if isinstance(path, ast.Literal):
-        op, path, lit = _FLIPPED[op], lit, path
-    if not isinstance(path, ast.PathTerm) or not isinstance(lit, ast.Literal) or lit.value is None:
+    op, term, lit = node.op, node.left, node.right
+    if isinstance(term, ast.Literal):
+        op, term, lit = _FLIPPED[op], lit, term
+    if isinstance(term, ast.Literal) or not isinstance(lit, ast.Literal) or lit.value is None:
         return None
-    parts = path.parts[1:] if path.parts[:1] == (alias,) else path.parts
-    return op, path, parts, lit
+    if isinstance(term, ast.AggTerm):
+        return op, term, lit, None
+    return op, term, lit, term.parts[1:] if term.parts[:1] == (alias,) else term.parts
 
 
-def _seek(schema: Schema, collection: str, path: ast.PathTerm, parts, lit) -> Seek:
-    """The access path equal to `path == constant`.
+def _seek(schema: Schema, collection: str, path: ast.PathTerm, parts, lit, check) -> Seek:
+    """The access path equal to `path == constant`, compiled as check.
 
     (C | p.f == v) holds the elements of v <- f <- p... <- (C).  A path
     ending at a reference, or the bare alias, compares a single-field
@@ -473,7 +475,7 @@ def _seek(schema: Schema, collection: str, path: ast.PathTerm, parts, lit) -> Se
             owner = f.type
         f = schema.concept(owner).identity_fields[0]
     return Seek(owner, f.name, (_coerce_literal(lit.value, f.type, lit.pos),),
-                route_path(schema, owner, DimensionPath(dims), True) if dims else None)
+                route_path(schema, owner, DimensionPath(dims), True) if dims else None, check)
 
 
 def _access_paths(schema: Schema, one: ast.Factor, predicate) -> CollectionAnchor:
@@ -486,22 +488,22 @@ def _access_paths(schema: Schema, one: ast.Factor, predicate) -> CollectionAncho
     # the parts of a path to the identity, when it has a single field
     key = (identity[0].name,) if len(identity) == 1 else None
     ctx = _Ctx(schema, concept=one.collection, alias=one.alias)
-    seeks, bounds, residual, checks = [], [], [], []
+    seeks, bounds, cuts, residual = [], [], [], []
     for c in _conjuncts(predicate):
-        op, path, parts, lit = _against_constant(c, one.alias) or (None,) * 4
-        if op in ("<", "<=", ">", ">=") and parts == key:
-            value = _type_literal_against(_compile_path(ctx, path), lit, schema)
+        op, term, lit, parts = _against_constant(c, one.alias) or (None,) * 4
+        if isinstance(term, ast.AggTerm):
+            agg = _compile_agg(ctx, term)
+            cuts.append((agg, _OPS[op], _type_literal_against(agg, lit, schema)))
+        elif op in ("<", "<=", ">", ">=") and parts == key:
+            value = _type_literal_against(_compile_path(ctx, term), lit, schema)
             bounds.append((_OPS[op], value))
-            continue
-        compiled = compile_predicate(ctx, c)
-        checks.append(compiled)
-        if op == "==":
-            seeks.append(_seek(schema, one.collection, path, parts, lit))
+        elif op == "==":
+            seeks.append(_seek(schema, one.collection, term, parts, lit, compile_predicate(ctx, c)))
         else:
-            residual.append(compiled)
+            residual.append(compile_predicate(ctx, c))
     return CollectionAnchor(one.collection, _decided(residual, False) if residual else None,
                             f"| {print_predicate(predicate)}", tuple(seeks), tuple(bounds),
-                            _decided(checks, False) if seeks else None)
+                            tuple(cuts))
 
 
 def _resolve_set(se: ast.SetExpr, schema: Schema, products: Mapping):
@@ -745,7 +747,12 @@ def _constants_anchor(lits, first: ast.DeprojectStep, schema: Schema, products: 
     # de-projection never matches NULL
     values = tuple(_coerce_literal(lit.value, fld.type, lit.pos) for lit in lits
                    if lit.value is not None)
-    route = route_path(schema, owner, DimensionPath(tuple(segs)), True) if segs else None
+    dims = tuple(segs)
+    route = route_path(schema, owner, DimensionPath(dims), True) if dims else None
+
+    def check(db, row):
+        return _value_at(db, target, row, dims, field_name) in values
+
     lines = [", ".join(print_literal(l) for l in lits), f"<- {field_name} <- ({owner})"]
     if route is not None:
         lines += [hop for _, hop in _hops(route.ways[0][1])]
@@ -753,7 +760,7 @@ def _constants_anchor(lits, first: ast.DeprojectStep, schema: Schema, products: 
         lines.append(sel.text)
     sel = sel or CollectionAnchor(target, None, "")
     return replace(sel, text="\n".join(lines),
-                   seeks=(Seek(owner, field_name, values, route), *sel.seeks)), target
+                   seeks=(Seek(owner, field_name, values, route, check), *sel.seeks)), target
 
 
 # each kind of step's arrow, and the router of each star form

@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import partial
-from itertools import repeat
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable
@@ -414,17 +414,18 @@ _CUTS = {operator.gt: (True, bisect_right), operator.ge: (True, bisect_left),
 def _select(db, sel: CollectionAnchor, rows):
     """The rows among rows, all of C's or those a step arrives with, that (C | p) keeps.
 
-    Seeks run only when rows is all of C; otherwise their conjuncts run
-    on each row with the residual (sel.checks), so no column larger than
-    rows is scanned.  While C is ordered its rows are sorted by identity,
-    so the bounds are one interval of rows found by bisection and
-    intersected with rows; otherwise each row's identity is compared with
-    each bound.
+    While C is ordered its rows are sorted by identity, so the bounds are
+    one interval of rows found by bisection and intersected with rows;
+    otherwise each row's identity is compared with each bound, after the
+    seeks.  The seeks run cheapest first: one scans its owner while the
+    rows left number at least its cost (_seek_cost), and otherwise its
+    check runs on each row left, so no column larger than the rows left is
+    scanned.  Each cut then reads its aggregate once for all the rows
+    left, and the residual runs on each row the cuts keep.
     """
     coll = db.collections[sel.collection]
     ids = coll.ids
-    whole = len(rows) == len(ids)
-    bounds, check = sel.bounds, sel.residual
+    bounds = sel.bounds
     if bounds and coll.ordered:
         lo, hi = 0, len(ids)
         for op, value in bounds:
@@ -434,22 +435,56 @@ def _select(db, sel: CollectionAnchor, rows):
             else:
                 hi = min(hi, cut(ids, (value,)))
         interval = range(lo, max(lo, hi))
-        rows, bounds = interval if whole else [r for r in rows if r in interval], ()
-    if sel.seeks and whole:
-        found = None
-        for seek in sel.seeks:
-            got = algebra._owner_rows(db.collections[seek.owner], seek.field, seek.values)
-            if seek.route is not None:
-                got = algebra._run_route(db, got, seek.route)
-            found = set(got) if found is None else found.intersection(got)
-        rows = found if len(rows) == len(ids) else {r for r in found if r in rows}
-    elif sel.seeks:
-        check = sel.checks
+        rows, bounds = interval if len(rows) == len(ids) else [r for r in rows if r in interval], ()
+    checks = []
+    for cost, seek in sorted(((_seek_cost(db, s), s) for s in sel.seeks), key=_FIRST):
+        if len(rows) < cost:
+            checks.append(seek.check)
+            continue
+        got = algebra._owner_rows(db.collections[seek.owner], seek.field, seek.values)
+        if seek.route is not None:
+            got = algebra._run_route(db, got, seek.route)
+        rows = set(got) if len(rows) == len(ids) else set(got).intersection(rows)
+    for check in checks:
+        rows = [r for r in rows if check(db, r)]
     for op, value in bounds:
         rows = [r for r in rows if op(ids[r][0], value)]
-    if check is not None:
-        rows = {r for r in rows if check(db, r)}
+    for agg, op, value in sel.cuts:
+        rows = list(compress(rows, map(op, _aggregate(db, agg, rows), repeat(value))))
+    residual = sel.residual
+    if residual is not None:
+        rows = {r for r in rows if residual(db, r)}
     return rows
+
+
+def _seek_cost(db, seek) -> int:
+    """The rows scanning a seek reads: a lookup per constant when its field
+    is its owner's whole identity, else its owner's column."""
+    owner = db.collections[seek.owner]
+    if [f.name for f in owner.concept.identity_fields] == [seek.field]:
+        return len(seek.values)
+    return len(owner)
+
+
+def _aggregate(db, agg, rows) -> list:
+    """The value of an aggregate (resolver.AggValue) at each of rows, in their order.
+
+    With no inner predicate, COUNT is the length of each row's reverse
+    list and SUM its folded total.  Otherwise the inner record runs once
+    on the union of the rows' reverse lists, and each row counts the
+    lessers it keeps, or sums them in reverse-list order as _sum_rows
+    adds, so each total is the one its reverse list alone would give.
+    """
+    reverse = db.collections[agg.dim.destination].reverse[agg.dim]
+    if agg.inner is None:
+        if agg.path is None:
+            return list(map(len, map(reverse.__getitem__, rows)))
+        return list(map(algebra._folded_sums(db, agg.key, agg.dim, agg.path).__getitem__, rows))
+    lessers = list(map(reverse.__getitem__, rows))
+    kept = set(_select(db, agg.inner, set(chain.from_iterable(lessers))))
+    if agg.path is None:
+        return [sum(map(kept.__contains__, own)) for own in lessers]
+    return [algebra._sum_rows(db, [r for r in own if r in kept], agg.path) for own in lessers]
 
 
 def execute(db, plan: QueryPlan) -> "ResultSet":

@@ -1117,6 +1117,198 @@ def test_filters_and_their_negations_split_what_they_narrow():
     assert min(seen.values()) >= 20, seen
 
 
+def _agg_conjunct(rng, db, concept: str, depth: int = 0) -> str | None:
+    """`COUNT(d <- (L | q)) op c` or `SUM(d <- (L | q).path) op c` on concept,
+    the constant on either side and mostly one element's own total, or None
+    when no dimension arrives at concept.  q is left out now and then, and
+    otherwise holds _target_conjunct's seeks, bounds and residuals and, at
+    depth 0, now and then an aggregate of its own."""
+    into = db.schema.dimensions_into(concept)
+    if not into:
+        return None
+    d = rng.choice(into)
+    lesser = db.schema.concept(d.source)
+    q = []
+    if rng.random() < 0.6:
+        q = [_target_conjunct(rng, db, d.source) for _ in range(rng.randint(1, 2))]
+        nested = _agg_conjunct(rng, db, d.source, 1) if depth == 0 and rng.random() < 0.5 else None
+        if nested is not None:
+            q.insert(rng.randrange(len(q) + 1), nested)
+    hops = [("", lesser)] + [(f"{r.name}.", db.schema.concept(r.type))
+                             for r in lesser.reference_fields]
+    sums = [prefix + f.name for prefix, owner in hops for f in owner.fields
+            if f.type in ("integer", "decimal")]
+    inner = f" | {' AND '.join(q)}" if q else ""
+    term = (f"SUM({d.name} <- ({d.source}{inner}).{rng.choice(sums)})"
+            if sums and rng.random() < 0.5 else f"COUNT({d.name} <- ({d.source}{inner}))")
+    el = rng.choice(list(oracle.views(db, concept).values()))
+    total, _ = oracle._o_term(db, el, parse_query(f"({concept} | {term} == 0)").anchor.predicate.left)
+    c = total if rng.random() < 0.7 else total + rng.choice((-1, 1))
+    op = rng.choice(("==", "!=", "<", "<=", ">", ">="))
+    return f"{term} {op} {c}" if rng.random() < 0.5 else f"{c} {op} {term}"
+
+
+def test_aggregate_cuts_match_the_oracle():
+    """(T | ... AND COUNT or SUM op c AND ...) keeps the elements the oracle
+    keeps, as an anchor and after `->`, `<-*` and `<-*->`, with all of T and
+    with part of it: the aggregate compared with a constant is a cut, read
+    once for all the rows left, and its inner (L | q) is split as any
+    filter is.  COUNT and SUM, with q and without, q holding seeks, bounds,
+    residuals and aggregates; constants on either side, every operator, INT
+    and DECIMAL totals, NULL references; and inserts after a SUM was folded."""
+    rng = random.Random(2005)
+    seen = collections.Counter()
+    for n in range(50):
+        db = oracle.random_db(rng, max_concepts=5, max_elements=40, rich=True,
+                              value_type="DECIMAL" if n % 2 else "INT")
+        schema = db.schema
+        targets = [c for c in sorted(schema.concepts) if schema.dimensions_into(c)]
+        if not targets:
+            continue
+        folded = set()
+        for phase in range(2):
+            if phase:
+                inserted = _insert_more(rng, db)
+                seen["inserted after a fold"] += bool(folded) and inserted > 0
+            reach = oracle.reach_closure(db)
+            for _ in range(10):
+                target = rng.choice(targets)
+                cuts = [_agg_conjunct(rng, db, target) for _ in range(rng.choice((1, 1, 2)))]
+                where = cuts + [_target_conjunct(rng, db, target)
+                                for _ in range(rng.choice((0, 0, 1, 2)))]
+                rng.shuffle(where)
+                tail = f"({target} | {' AND '.join(where)})"
+                elements = oracle.views(db, target)
+                form = rng.choice(("anchor", "->", "<-*", "<-*->"))
+                d = rng.choice(schema.dimensions_into(target))
+                source = {"anchor": target, "->": d.source,
+                          "<-*": rng.choice([target, *sorted(schema.above(target))]),
+                          "<-*->": rng.choice(sorted(schema.concepts))}[form]
+                anchor = f"({source})" if rng.random() < 0.4 else _rich_anchor(rng, db, source)
+                pred = parse_query(anchor).anchor.predicate
+                members = frozenset(i for i, el in oracle.views(db, source).items()
+                                    if pred is None or oracle.o_holds(db, el, pred))
+                if form == "anchor":
+                    query, reached = tail, frozenset(elements)
+                elif form == "->":
+                    query = f"{anchor} -> {d.name} -> {tail}"
+                    reached = oracle.o_project(db, source, members, [d.name])[1]
+                elif form == "<-*":
+                    query = f"{anchor} <-* {tail}"
+                    reached = oracle.o_star_deproject(db, reach, source, members, target)
+                else:
+                    query = f"{anchor} <-*-> {tail}"
+                    reached = oracle.o_infer(db, reach, source, members, target)[0]
+                pred = parse_query(tail).anchor.predicate
+                want = sorted(i for i in reached if oracle.o_holds(db, elements[i], pred))
+                plan = db.plan(query)
+                record = plan.anchor if form == "anchor" else plan.steps[-1]
+                assert len(record.cuts) == len(cuts), query
+                assert db.query(query).identities == want, query
+                seen[form] += 1
+                if form != "anchor":
+                    seen["all of T" if len(reached) == len(elements) else "part of T"] += 1
+                seen["some kept, some not"] += 0 < len(want) < len(reached)
+                for agg, op, _ in record.cuts:
+                    seen[agg.func] += 1
+                    seen[op.__name__] += 1
+                    seen["with q" if agg.inner else "without q"] += 1
+                    inner = agg.inner
+                    if inner is not None:
+                        seen["q seeks"] += bool(inner.seeks)
+                        seen["q bounds"] += bool(inner.bounds)
+                        seen["q residual"] += inner.residual is not None
+                        seen["q cuts"] += bool(inner.cuts)
+                    if agg.path is not None:
+                        seen[f"{agg.path.field.type} total"] += 1
+                        values = {v for v in algebra._path_values(
+                            db, range(len(db.collections[agg.path.source])), agg.path)
+                            if isinstance(v, Decimal)}
+                        seen["mixed exponents"] += len({v.as_tuple().exponent for v in values}) > 1
+                        if agg.key is not None:
+                            folded.add(agg.key)
+                    seen["NULL references"] += -1 in db.collections[agg.dim.source].columns[agg.dim.name]
+                seen["constant first"] += any(re.match(r"-?\d", c) for c in cuts)
+    assert min(seen.values()) >= 20, seen
+    assert len(seen) == 27, seen
+
+
+def test_a_conjunction_narrows_to_the_intersection_of_its_conjuncts():
+    """(C | p AND q) is (C | p) ∩ (C | q), and `... <-* (T | p AND q)` is
+    `... <-* (T | p)` ∩ `... <-* (T | q)`, over _rich_anchor's predicates
+    with one more _target_conjunct or, now and then, an aggregate compared
+    with a constant, before and after inserts.  No oracle is needed."""
+    rng = random.Random(1979)
+    seen = collections.Counter()
+    for n in range(40):
+        db = oracle.random_db(rng, max_concepts=5, max_elements=60, rich=True,
+                              value_type="DECIMAL" if n % 2 else "INT")
+        names = sorted(db.schema.concepts)
+        for phase in range(2):
+            if phase:
+                seen["inserted"] += _insert_more(rng, db)
+            for _ in range(10):
+                target = rng.choice(names)
+                anchor = _rich_anchor(rng, db, target)
+                p = anchor[len(target) + 4:-1] if anchor != f"({target})" else \
+                    _target_conjunct(rng, db, target)
+                q = (rng.random() < 0.4 and _agg_conjunct(rng, db, target)
+                     or _target_conjunct(rng, db, target))
+                source = rng.choice([target, *sorted(db.schema.above(target))])
+                for head in ("", f"{_rich_anchor(rng, db, source)} <-* "):
+                    both = db.query(f"{head}({target} | {p} AND {q})").identities
+                    left = db.query(f"{head}({target} | {p})").identities
+                    right = db.query(f"{head}({target} | {q})").identities
+                    assert both == sorted(set(left) & set(right)), (head, p, q)
+                    plan = db.plan(f"{head}({target} | {p} AND {q})")
+                    record = plan.steps[-1] if head else plan.anchor
+                    where = "step" if head else "anchor"
+                    seen[f"{where} seeks"] += bool(record.seeks)
+                    seen[f"{where} bounds"] += bool(record.bounds)
+                    seen[f"{where} cuts"] += bool(record.cuts)
+                    seen[f"{where} residual"] += record.residual is not None
+                    seen[f"{where} p and q differ"] += left != right
+                    seen[f"{where} kept some"] += bool(both)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_a_seek_scans_only_what_the_rows_left_can_pay_for(monkeypatch):
+    """The seeks run cheapest first, and one scans its owner's column only
+    while the rows left number at least that column's length: after an
+    identity interval, or after a cheaper seek, an equality on Facts.amount
+    runs on each row left instead of scanning the column."""
+    db = fresh("CONCEPT X2 IDENTITY id INT ENTITY tag CHAR(4);"
+               "CONCEPT X1 IDENTITY id INT ENTITY x2 X2;"
+               "CONCEPT Facts IDENTITY id INT ENTITY x1 X1, amount DECIMAL;")
+    for i in range(20):
+        db.insert("X2", i, {"tag": f"t{i % 5}"})
+    for i in range(100):
+        db.insert("X1", i, {"x2": i % 20})
+    for i in range(2000):
+        db.insert("Facts", i, {"x1": i % 100, "amount": Decimal(i % 37) / 4})
+    scanned = []
+    owner_rows = algebra._owner_rows
+
+    def recorded(coll, field_name, values):
+        scanned.append((coll.name, field_name))
+        return owner_rows(coll, field_name, values)
+
+    monkeypatch.setattr(algebra, "_owner_rows", recorded)
+    for query, want, scans in [
+        ("(Facts | amount == 2.25 AND id < 500)", [i for i in range(500) if i % 37 == 9], []),
+        ("'t1' <- tag <- x2 <- x1 <- (Facts | amount == 2.25)",
+         [i for i in range(2000) if i % 37 == 9 and i % 5 == 1], [("X2", "tag")]),
+        ("(Facts | amount == 2.25 AND x1.x2.tag == 't1')",
+         [i for i in range(2000) if i % 37 == 9 and i % 5 == 1], [("X2", "tag")]),
+        ("(Facts | amount == 2.25 AND id == 46)", [(46,)], [("Facts", "id")]),
+        ("(Facts | amount == 2.25)", [i for i in range(2000) if i % 37 == 9],
+         [("Facts", "amount")]),
+    ]:
+        scanned.clear()
+        assert db.query(query).identities == [i if isinstance(i, tuple) else (i,) for i in want]
+        assert scanned == scans, query
+
+
 # --- saturating, fused routes --------------------------------------------------------
 
 
