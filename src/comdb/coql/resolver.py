@@ -2,9 +2,10 @@
 
 Resolution binds collection, dimension and field names against a schema,
 compiles predicates into evaluable closures, stores on each motion step
-the route the algebra's router chose for it, and records any
-warnings (such as the full-target fallback for unconnected collections)
-before anything runs.
+the route the algebra's router chose for it, and records any warnings
+(such as the full-target fallback for unconnected collections) before
+anything runs.  It prints nothing: explain derives every line it lists
+from the plan and the parsed query the plan keeps.
 
 A set expression binds to a collection, or to a product that folds in
 its predicate (_resolve_set).  A collection's predicate is split by
@@ -20,7 +21,7 @@ step's resolver append its motions, then appends the target's record.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Callable, Mapping
 
@@ -370,22 +371,16 @@ class CollectionAnchor:
     constant`.  residual is the rest, compiled into one predicate, or None
     when nothing is left; it runs only on the rows the others keep.  A
     chain starting from constants, `v <- f <- ... <- (C | q)`, is q's
-    record with one more seek first.  text is what explain lists: `| p`
-    for a step, the set expression or the constants chain for an anchor.
+    record with one more seek first.  predicate is the parsed p (q for a
+    constants chain), or None without one; explain lists a step's as `| p`.
     """
 
     collection: str
-    residual: object | None
-    text: str
+    predicate: object | None = None
+    residual: object | None = None
     seeks: tuple = ()
     bounds: tuple = ()
     cuts: tuple = ()
-
-
-@dataclass(frozen=True)
-class ProductAnchor:
-    product: ProductCollection
-    text: str
 
 
 @dataclass(frozen=True)
@@ -393,22 +388,25 @@ class PlanProjectField:
     """The last hop of a projection: read one primitive field."""
 
     field: FieldSpec
-    text: str
 
 
 @dataclass(frozen=True)
 class PlanRoute:
-    """A motion ('->', '<-', '*->', '<-*', '<-*->'): the route it runs.
+    """A motion and the route it runs; arrow is '->', '<-', '*->', '<-*' or '<-*->'.
 
-    text heads a star form's listing; '->' and '<-' list their hops alone.
+    explain lists a route's hops; a star form whose route holds several
+    paths, or none, or ends with a warning, is headed by its arrow and target.
     """
 
     route: Route
-    text: str = ""
+    arrow: str
 
 
 @dataclass(frozen=True)
 class QueryPlan:
+    """The plan of query; its anchor is a CollectionAnchor or a ProductCollection."""
+
+    query: ast.Query
     anchor: object
     steps: tuple
     warnings: tuple[str, ...]
@@ -417,7 +415,7 @@ class QueryPlan:
 # --- resolution -----------------------------------------------------------------
 
 
-def _product_from_set_expr(se: ast.SetExpr, schema: Schema) -> ProductCollection:
+def _product_from_set_expr(se: ast.SetExpr, schema: Schema, name=None) -> ProductCollection:
     factors = []
     for f in se.factors:
         if f.collection not in schema.concepts:
@@ -431,7 +429,7 @@ def _product_from_set_expr(se: ast.SetExpr, schema: Schema) -> ProductCollection
     for k, (f, (alias, _)) in enumerate(zip(se.factors, factors)):
         if alias in dict(factors[:k]):
             _raise(DuplicateAlias, f"alias '{alias}' used twice in product '{text}'", f.pos)
-    return make_product(text, factors, predicate)
+    return make_product(name or text, factors, predicate)
 
 
 def _conjuncts(node) -> list:
@@ -479,7 +477,7 @@ def _seek(schema: Schema, collection: str, path: ast.PathTerm, parts, lit, check
 
 
 def _access_paths(schema: Schema, one: ast.Factor, predicate) -> CollectionAnchor:
-    """The record of (C | p), listed as `| p`: p's conjuncts split by access path.
+    """The record of (C | p): p's conjuncts split by access path.
 
     Every conjunct is compiled once, in order, so each raises what
     compiling the whole predicate would.
@@ -501,9 +499,9 @@ def _access_paths(schema: Schema, one: ast.Factor, predicate) -> CollectionAncho
             seeks.append(_seek(schema, one.collection, term, parts, lit, compile_predicate(ctx, c)))
         else:
             residual.append(compile_predicate(ctx, c))
-    return CollectionAnchor(one.collection, _decided(residual, False) if residual else None,
-                            f"| {print_predicate(predicate)}", tuple(seeks), tuple(bounds),
-                            tuple(cuts))
+    return CollectionAnchor(one.collection, predicate,
+                            _decided(residual, False) if residual else None,
+                            tuple(seeks), tuple(bounds), tuple(cuts))
 
 
 def _resolve_set(se: ast.SetExpr, schema: Schema, products: Mapping):
@@ -586,11 +584,9 @@ def _unique_up_path(schema: Schema, lower: str, upper: str, pos) -> DimensionPat
 
 
 def _path_route(schema: Schema, domain, segs, down: bool) -> PlanRoute:
-    """A '->' or '<-' step along the dimensions segs, given in path order.
-
-    It needs no text: explain lists the hops of its one path.
-    """
-    return PlanRoute(route_path(schema, domain, DimensionPath(tuple(segs)), down))
+    """A '->' or '<-' step along the dimensions segs, given in path order."""
+    return PlanRoute(route_path(schema, domain, DimensionPath(tuple(segs)), down),
+                     "<-" if down else "->")
 
 
 def _resolve_project(step: ast.ProjectStep, domain, schema: Schema, products: Mapping, out: list):
@@ -637,7 +633,7 @@ def _resolve_project(step: ast.ProjectStep, domain, schema: Schema, products: Ma
                 )
             if segs:
                 out.append(_path_route(schema, domain, segs, False))
-            out.append(PlanProjectField(f, f"-> {name}"))
+            out.append(PlanProjectField(f))
             return PrimitiveDomain(cur, name, f.type), None
         segs.append(dim)
         cur = dim.destination
@@ -709,7 +705,7 @@ def _constants_anchor(lits, first: ast.DeprojectStep, schema: Schema, products: 
     """`v1, v2 <- f <- p... <- (C | q)`: the record of (C | q) with one more seek.
 
     Without a collection in parentheses, f names the one collection that
-    owns it.  The anchor's text lists what explain printed for the chain.
+    owns it.
     """
     if not first.dims:
         _raise(ResolveError, "constants de-project through a field name first", first.pos)
@@ -753,14 +749,10 @@ def _constants_anchor(lits, first: ast.DeprojectStep, schema: Schema, products: 
     def check(db, row):
         return _value_at(db, target, row, dims, field_name) in values
 
-    lines = [", ".join(print_literal(l) for l in lits), f"<- {field_name} <- ({owner})"]
-    if route is not None:
-        lines += [hop for _, hop in _hops(route.ways[0][1])]
-    if sel is not None:
-        lines.append(sel.text)
-    sel = sel or CollectionAnchor(target, None, "")
-    return replace(sel, text="\n".join(lines),
-                   seeks=(Seek(owner, field_name, values, route, check), *sel.seeks)), target
+    sel = sel or CollectionAnchor(target)
+    return CollectionAnchor(target, sel.predicate, sel.residual,
+                            (Seek(owner, field_name, values, route, check), *sel.seeks),
+                            sel.bounds, sel.cuts), target
 
 
 # each kind of step's arrow, and the router of each star form
@@ -781,7 +773,7 @@ def _resolve_star(step, arrow: str, domain, schema: Schema, products: Mapping,
         _raise(NoPath, str(e), step.pos)
     if route.warning is not None:
         warnings.append(route.warning)
-    out.append(PlanRoute(route, f"{arrow} ({target})"))
+    out.append(PlanRoute(route, arrow))
     return target, post
 
 
@@ -798,11 +790,8 @@ def resolve(query: ast.Query, schema: Schema, products: Mapping | None = None) -
     steps = query.steps
     if isinstance(query.anchor, ast.SetExpr):
         domain, anchor = _resolve_set(query.anchor, schema, products)
-        text = print_set_expr(query.anchor)
-        if isinstance(domain, ProductCollection):
-            anchor = ProductAnchor(domain, text)
-        else:
-            anchor = replace(anchor or CollectionAnchor(domain, None, ""), text=text)
+        if anchor is None:
+            anchor = domain if isinstance(domain, ProductCollection) else CollectionAnchor(domain)
     elif not steps or not isinstance(steps[0], ast.DeprojectStep):
         _raise(ResolveError, "constants must be followed by a de-projection ('<-')", query.pos)
     else:  # the first step de-projects the constants
@@ -824,7 +813,7 @@ def resolve(query: ast.Query, schema: Schema, products: Mapping | None = None) -
         if post is not None:
             out.append(post)
 
-    return QueryPlan(anchor, tuple(out), tuple(warnings))
+    return QueryPlan(query, anchor, tuple(out), tuple(warnings))
 
 
 def resolve_product(pd: ast.ProductDef, schema: Schema,
@@ -834,8 +823,7 @@ def resolve_product(pd: ast.ProductDef, schema: Schema,
         _raise(ResolveError, f"'{pd.name}' is already a collection", pd.pos)
     if len(pd.body.factors) < 2:
         _raise(ResolveError, "a product needs at least two factors", pd.pos)
-    product = _product_from_set_expr(pd.body, schema)
-    return ProductCollection(pd.name, product.factors, product.predicate)
+    return _product_from_set_expr(pd.body, schema, pd.name)
 
 
 # --- explain --------------------------------------------------------------------
@@ -849,18 +837,20 @@ def _hops(leg: Leg) -> list[tuple[str, str]]:
 
 
 def _explain_route(step: PlanRoute) -> list[str]:
-    """Hop by hop when every leg is one path; else the sub-DAG's edges in order."""
+    """Hop by hop when every leg is one path, the header alone with a warning
+    or no hop; else the sub-DAG's edges in order."""
     route = step.route
+    header = f"{step.arrow} ({route.target})"
     if route.warning is not None:
-        return [step.text]
+        return [header]
     legs = [leg for way in route.ways for leg in way[1:] if leg is not None]
     if len(route.ways) <= 1 and all(leg.paths == 1 for leg in legs):
-        return [hop for leg in legs for _, hop in _hops(leg)]
+        return [hop for leg in legs for _, hop in _hops(leg)] or [header]
     if len(route.ways) == 1 and route.ways[0][0] is None:
         (leg,) = legs
-        lines = [f"{step.text} over {leg.paths} paths:"]
+        lines = [f"{header} over {leg.paths} paths:"]
         return lines + [f"  ({start}) {hop}" for start, hop in _hops(leg)]
-    lines = [f"{step.text} over {len(route.ways)} routes:"]
+    lines = [f"{header} over {len(route.ways)} routes:"]
     for via, down, up in route.ways:
         lines.append(f"via {via}:" if via is not None else "direct:")
         for label, leg in (("down", down), ("up", up)):
@@ -869,19 +859,34 @@ def _explain_route(step: PlanRoute) -> list[str]:
     return lines
 
 
-def _explain_step(step) -> list[str]:
-    if isinstance(step, (CollectionAnchor, PlanProjectField)):
-        return [step.text]
-    if isinstance(step, PlanRoute):
-        return _explain_route(step)
-    raise TypeError(f"not a plan step: {step!r}")
-
-
 def explain(plan: QueryPlan) -> str:
-    """Human-readable listing of the motions a plan will make, one hop per line."""
-    lines = [plan.anchor.text]
+    """Human-readable listing of the motions a plan will make, one hop per line.
+
+    The anchor as the query writes it, or constants with the hops of their
+    seek; each step's record; a registered product target's folded `| p`.
+    """
+    query = plan.query
+    if isinstance(query.anchor, ast.SetExpr):
+        lines = [print_set_expr(query.anchor)]
+    else:
+        seek = plan.anchor.seeks[0]
+        lines = [", ".join(map(print_literal, query.anchor)), f"<- {seek.field} <- ({seek.owner})"]
+        if seek.route is not None:
+            lines += [hop for _, hop in _hops(seek.route.ways[0][1])]
+        if plan.anchor.predicate is not None:
+            lines.append(f"| {print_predicate(plan.anchor.predicate)}")
+    targets = (st.target for st in query.steps if _ARROWS[type(st)] in _ROUTERS)
     for step in plan.steps:
-        lines.extend(_explain_step(step))
-    for w in plan.warnings:
-        lines.append(f"warning: {w}")
+        if isinstance(step, CollectionAnchor):
+            lines.append(f"| {print_predicate(step.predicate)}")
+        elif isinstance(step, PlanProjectField):
+            lines.append(f"-> {step.field.name}")
+        else:
+            lines.extend(_explain_route(step))
+            if step.arrow in _ROUTERS:
+                se = next(targets)  # the star step's target
+                registered = len(se.factors) == 1 and isinstance(step.route.target, ProductCollection)
+                if registered and se.predicate is not None:
+                    lines.append(f"| {print_predicate(se.predicate)}")
+    lines.extend(f"warning: {w}" for w in plan.warnings)
     return "\n".join(lines)

@@ -37,8 +37,6 @@ from .coql import parser as coql_parser
 from .coql.resolver import (
     CollectionAnchor,
     PlanProjectField,
-    PlanRoute,
-    ProductAnchor,
     QueryPlan,
     explain,
     resolve,
@@ -395,6 +393,8 @@ def load_data_dir(db: Database, directory, strict: bool = False):
     nothing.  As in load_csv, the cyclic garbage collector is paused for the
     whole process while the load runs.
     """
+    if db.schema is None:
+        raise SchemaError("no schema loaded")
     directory = Path(directory)
     if not directory.is_dir():
         raise FileError(f"not a directory: {directory}")
@@ -496,14 +496,12 @@ def execute(db, plan: QueryPlan) -> "ResultSet":
     step's target from the rows the step arrives with.
     """
     anchor = plan.anchor
-    if isinstance(anchor, CollectionAnchor):
-        domain = anchor.collection
-        members = _select(db, anchor, range(len(db.collections[domain])))
-    elif isinstance(anchor, ProductAnchor):
-        domain = anchor.product
+    if isinstance(anchor, ProductCollection):
+        domain = anchor
         members = set(algebra.iter_members(db, domain))
     else:
-        raise TypeError(f"not an anchor: {anchor!r}")
+        domain = anchor.collection
+        members = _select(db, anchor, range(len(db.collections[domain])))
 
     for step in plan.steps:
         if isinstance(step, CollectionAnchor):
@@ -512,11 +510,9 @@ def execute(db, plan: QueryPlan) -> "ResultSet":
             coll = db.collections[domain]
             members = algebra._field_values(coll, members, step.field)
             domain = PrimitiveDomain(domain, step.field.name, step.field.type)
-        elif isinstance(step, PlanRoute):
+        else:
             members = algebra._run_route(db, members, step.route)
             domain = step.route.target
-        else:
-            raise TypeError(f"not a plan step: {step!r}")
     return build_result(db, domain, members, tuple(dict.fromkeys(plan.warnings)))
 
 

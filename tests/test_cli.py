@@ -59,6 +59,22 @@ def test_query_warnings_go_to_stderr(capsys, tmp_path):
     assert "warning" not in out
 
 
+def test_an_empty_schema_and_an_unmatched_csv_are_warned_of(capsys, tmp_path):
+    schema = tmp_path / "s.ddl"
+    schema.write_text("", encoding="utf-8")
+    code, out, err = run(capsys, "--schema", str(schema), "--query", "(A)")
+    assert code == 2 and out == ""
+    assert err.splitlines()[0] == "warning: schema defines no concepts"
+    schema.write_text("CONCEPT A IDENTITY id INT;\n", encoding="utf-8")
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "A.csv").write_text("id\n1\n", encoding="utf-8")
+    (data / "Notes.csv").write_text("text\nhello\n", encoding="utf-8")
+    code, out, err = run(capsys, "--schema", str(schema), "--data", str(data), "--query", "(A)")
+    assert code == 0 and "(1 row)" in out
+    assert "warning: Notes.csv does not match any collection, skipped" in err.splitlines()
+
+
 def test_bad_query_exits_2(capsys):
     code, out, err = run(capsys, *base_args("--query", "(Books | price <"))
     assert code == 2
@@ -294,6 +310,26 @@ def test_repl_reload_drops_products(capsys, monkeypatch):
     assert "(2 rows)" in out
     assert "registered products were dropped" in err
     assert "unknown collection 'Deals'" in err
+
+
+def test_repl_explain_and_reload_report_errors(capsys, monkeypatch, tmp_path):
+    schema = tmp_path / "s.ddl"
+    schema.write_text(SCHEMA.read_text(), encoding="utf-8")
+    lines = iter([".explain (Nope)", ".reload", ".explain (Books)", ".quit"])
+
+    def read_line():
+        line = next(lines)
+        if line == ".reload":  # the schema file breaks while the session runs
+            schema.write_text("CONCEPT Books;", encoding="utf-8")
+        return line
+
+    monkeypatch.setattr("builtins.input", read_line)
+    code, out, err = run(capsys, "--schema", str(schema), "--data", str(DATA), "--repl")
+    assert code == 0
+    errors = [line for line in err.replace("comdb> ", "").splitlines() if line.startswith("error")]
+    assert errors[0] == "error: line 1, column 2: unknown collection 'Nope'"
+    assert errors[1:] == ["error: line 1, column 14: expected 'IDENTITY', found ';'"]
+    assert out == "(Books)\n"  # the database loaded first is kept
 
 
 def test_repl_survives_errors(capsys, monkeypatch):

@@ -307,6 +307,16 @@ def test_error_messages_carry_positions():
     assert "line 1" in msg and "column" in msg
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1, <- id", "line 1, column 4: expected a constant, found '<-'"),
+    ("(A | n. == 1)", "line 1, column 9: expected a field name, found '=='"),
+])
+def test_a_missing_constant_or_field_name_is_named(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_query(text)
+    assert str(exc.value) == message
+
+
 def test_end_of_input_is_named():
     with pytest.raises(ParseError) as exc:
         parse_query("(X | a ==")

@@ -21,7 +21,8 @@ import pytest
 import oracle
 from comdb import algebra, engine, model
 from comdb.algebra import ElementSet
-from comdb.coql.parser import parse_query
+from comdb.coql.parser import parse_query, parse_schema
+from comdb.coql.printer import print_set_expr
 from comdb.errors import (ComdbError, FileError, HeaderMismatch, ProductTooLarge, ResolveError,
                           SchemaError, TypeMismatch, UnknownCollection)
 
@@ -324,6 +325,50 @@ def test_load_csv_unknown_collection(tmp_path):
         engine.load_csv(db, "Nope", f)
 
 
+def test_load_csv_of_a_path_that_cannot_be_opened(tmp_path):
+    path = tmp_path / "missing.csv"
+    with pytest.raises(FileError) as exc:
+        engine.load_csv(fresh(), "Addresses", path)
+    assert str(exc.value).startswith(f"cannot read {path}: ")
+
+
+def test_a_database_without_a_schema_says_so(tmp_path):
+    db = engine.Database()
+    write(tmp_path / "Addresses.csv", "id,country\n1,DE\n")
+    calls = {
+        "load_csv": lambda: engine.load_csv(db, "Addresses", tmp_path / "Addresses.csv"),
+        "load_data_dir": lambda: engine.load_data_dir(db, tmp_path),
+        "plan": lambda: db.plan("(Addresses)"),
+        "execute_statement": lambda: engine.execute_statement(db, "(Addresses)"),
+    }
+    for name, call in calls.items():
+        with pytest.raises(SchemaError) as exc:
+            call()
+        assert (type(exc.value), str(exc.value)) == (SchemaError, "no schema loaded"), name
+
+
+def test_a_database_takes_one_schema():
+    db = engine.Database(model.build_schema(parse_schema(SCHEMA)))
+    db.insert("Addresses", 1, {"country": "DE"})
+    assert db.query("(Addresses | country == 'DE')").identities == [(1,)]
+    with pytest.raises(SchemaError) as exc:
+        engine.load_schema(db, SCHEMA)
+    assert str(exc.value) == "a schema is already loaded"
+    assert engine.load_schema(engine.Database(), "") == engine.SchemaSummary(
+        0, 0, ("schema defines no concepts",))
+
+
+def test_a_composite_reference_with_a_line_break_outside_quotes_is_rejected(tmp_path):
+    db = fresh(COMPOSITE)
+    write(tmp_path / "Slots.csv", "day,room\n2021-05-03,r1\n")
+    engine.load_csv(db, "Slots", tmp_path / "Slots.csv")
+    # the cell is quoted, but the line break is outside quotes inside the reference
+    f = write(tmp_path / "Talks.csv", 'id,slot\n1,"(2021-05-03,r\n1)"\n2,"(2021-05-03,r1)"\n')
+    report = engine.load_csv(db, "Talks", f)
+    assert report.inserted == 1
+    assert report.rejected == [(3, "reference to 'Slots' has a line break outside quotes")]
+
+
 def test_load_csv_composite_references(tmp_path):
     db = fresh(COMPOSITE)
     write(tmp_path / "Slots.csv", "day,room\n2021-05-03,r1\n")
@@ -442,6 +487,17 @@ def test_a_registered_product_narrowed_by_a_query(market_db):
             got = db.query(text.format("P | s.shop == 's1'")).identities
             assert got == db.query(text.format("Q")).identities, (own, text)
             assert 0 < len(got) < len(db.query(text.format("P"))), (own, text)
+
+
+def test_a_product_predicate_reads_a_factors_own_field(library_db):
+    """(Writers w, Publishers p | w.age > 30) is (Writers | age > 30) times
+    every Publishers, as an anchor and as a '<-*' target."""
+    older = library_db.query("(Writers | age > 30)").identities
+    assert 0 < len(older) < len(library_db.query("(Writers)"))
+    want = [(w, p) for w in older for p in library_db.query("(Publishers)").identities]
+    product = "(Writers w, Publishers p | w.age > 30)"
+    for text in (product, f"(Writers) <-* {product}"):
+        assert library_db.query(text).identities == want, text
 
 
 def test_identical_warnings_are_deduplicated(market_db):
@@ -1626,7 +1682,7 @@ def test_only_equalities_with_a_constant_seek(catalog_db, query, seeks):
     plan = catalog_db.plan(query)
     # each seek is the one access path its constants query is anchored on
     assert list(plan.anchor.seeks) == [catalog_db.plan(s).anchor.seeks[0] for s in seeks]
-    assert catalog_db.explain(query) == plan.anchor.text  # seeks are not listed
+    assert catalog_db.explain(query) == print_set_expr(parse_query(query).anchor)  # seeks are not listed
     anchor = parse_query(query).anchor
     elements = oracle.views(catalog_db, anchor.factors[0].collection)
     want = sorted(i for i, el in elements.items()
@@ -1651,7 +1707,7 @@ def test_only_identity_orderings_with_a_constant_bound(catalog_db, query, bounds
     anchor = catalog_db.plan(query).anchor
     assert [(op.__name__, value) for op, value in anchor.bounds] == bounds
     assert (anchor.residual is not None) == residual
-    assert catalog_db.explain(query) == anchor.text  # bounds are not listed
+    assert catalog_db.explain(query) == print_set_expr(parse_query(query).anchor)  # bounds are not listed
     parsed = parse_query(query).anchor
     elements = oracle.views(catalog_db, parsed.factors[0].collection)
     want = sorted(i for i, el in elements.items()

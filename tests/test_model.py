@@ -20,6 +20,7 @@ from comdb.errors import (
     NullViolation,
     SchemaError,
     TypeMismatch,
+    UnknownCollection,
     UnknownConcept,
 )
 
@@ -85,6 +86,13 @@ def test_build_schema_basic_shape():
 def test_duplicate_concept_rejected():
     with pytest.raises(DuplicateConcept):
         db_from("CONCEPT A IDENTITY id INT; CONCEPT A IDENTITY id INT;")
+
+
+def test_concept_named_like_a_primitive_type_rejected():
+    with pytest.raises(SchemaError) as exc:
+        db_from("CONCEPT integer IDENTITY id INT;")
+    assert type(exc.value) is SchemaError
+    assert str(exc.value) == "concept name 'integer' collides with a primitive type"
 
 
 def test_duplicate_field_rejected():
@@ -298,6 +306,14 @@ def test_composite_reference_requires_full_tuple():
     assert e.entity["a"] == (1, 2)
     with pytest.raises(TypeMismatch):
         db.insert("B", 2, {"a": 1})
+
+
+def test_insert_into_an_unknown_collection_rejected():
+    db = db_from("CONCEPT A IDENTITY id INT;")
+    with pytest.raises(UnknownCollection) as exc:
+        db.insert("Nope", 1)
+    assert str(exc.value) == "unknown collection 'Nope'"
+    assert db.version == 0
 
 
 def test_unknown_entity_field_rejected():

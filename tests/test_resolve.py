@@ -2,9 +2,10 @@
 
 The table pins, for each way the resolver rejects a chain, the error class
 and its full text with line and column, including which error wins when a
-query has several faults; a few plans with post filters pin where the
-filter lands.  The seeded sweep builds statements from each fixture's own
-names and checks that every one either plans or raises a ComdbError.
+query has several faults; the plans pin what explain lists, such as where
+a target's filter lands.  The seeded sweep builds statements from each
+fixture's own names and checks that every one either plans or raises a
+ComdbError.
 """
 
 import random
@@ -13,7 +14,7 @@ import pytest
 
 from conftest import load_fixture
 from comdb import engine
-from comdb.coql import ast
+from comdb.coql import ast, resolver
 from comdb.coql.resolver import resolve
 from comdb.errors import ComdbError, ResolveError
 
@@ -194,6 +195,21 @@ OUTCOMES = [
      "line 1, column 17: expected a string, found 3"),
     ("catalog", "(Publishers | name < 'x' AND nope == 1)", "ResolveError",
      "line 1, column 30: no field 'nope' on concept 'Publishers'"),
+    ("catalog", "(Publishers | COUNT(publisher <- (Books)) > 'x')", "ResolveError",
+     "line 1, column 45: COUNT compares against numbers, found 'x'"),
+    # anchors: products, constants, and an aggregate's inner predicate
+    ("library", "(D)", "plan", "(D)"),
+    ("library", "(D | w.age > 30)", "plan", "(D | w.age > 30)"),
+    ("library", "(D) -> w -> age", "plan", "(D)\n-> w -> (Writers)\n-> age"),
+    ("catalog", "1, NULL, 3 <- id <- (Addresses)", "plan", "1, NULL, 3\n<- id <- (Addresses)"),
+    ("catalog", "'DE' <- country", "plan", "'DE'\n<- country <- (Addresses)"),
+    ("catalog", "(Publishers | COUNT(publisher <- (Books | price < 10)) > 1)", "plan",
+     "(Publishers | COUNT(publisher <- (Books | price < 10)) > 1)"),
+    ("market", "(Writers) <-*-> (Shops)", "plan",
+     "(Writers)\n<-*-> (Shops)\nwarning: independent collections: full target returned"),
+    ("library", "GIVEN (Writers | age < 30) GET (Publishers)", "plan",
+     "(Writers | age < 30)\n<- writer <- (WriterBooks)\n-> book -> (Books)\n"
+     "-> publisher -> (Publishers)"),
     # a target's predicate runs after the step's route
     ("library", "'DE' <- countries <- (Addresses | id > 0)", "plan",
      "'DE'\n<- countries <- (Addresses)\n| id > 0"),
@@ -214,12 +230,35 @@ OUTCOMES = [
     ("library", "(Writers) <-*-> (Publishers | name == 'x')", "plan",
      "(Writers)\n<- writer <- (WriterBooks)\n-> book -> (Books)\n-> publisher -> (Publishers)\n"
      "| name == 'x'"),
+    # a registered product folds a target's predicate into its own, and it is listed all the same
+    ("library", "(Writers) <-* (D | p.name != 'x')", "plan", "(Writers)\n<- w <- (D)\n| p.name != 'x'"),
+    # a star step that moves along no dimension lists its header
+    ("catalog", "(Books) <-*-> (Books | price < 10)", "plan", "(Books)\n<-*-> (Books)\n| price < 10"),
+    ("catalog", "(Books) *-> (Books)", "plan", "(Books)\n*-> (Books)"),
 ]
 
 
 @pytest.mark.parametrize("fixture, text, cls, message", OUTCOMES, ids=[row[1] for row in OUTCOMES])
 def test_resolution_outcome(fixture, text, cls, message):
     assert outcome(_db(fixture), text) == (cls, message)
+
+
+@pytest.mark.parametrize("fixture, text", [
+    ("catalog", "(Books b | b.price < 10 AND isbn == 'b1')"),
+    ("library", "(Publishers) <- (Books | title == 'x') *-> (Addresses | id > 1)"),
+    ("library", "'DE', NULL <- countries <- address <- (Publishers | name != 'x')"),
+    ("catalog", "(Publishers | COUNT(publisher <- (Books | price < 10)) > 1)"),
+])
+def test_planning_prints_nothing(monkeypatch, fixture, text):
+    """A plan holds what runs; only explain prints the query back."""
+    db = _db(fixture)
+
+    def refuse(*args):
+        raise AssertionError("a printer was called while planning")
+
+    for name in ("print_predicate", "print_set_expr", "print_literal"):
+        monkeypatch.setattr(resolver, name, refuse)
+    db.plan(text)
 
 
 def test_a_product_definition_places_a_duplicate_alias():
