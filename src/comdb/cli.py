@@ -157,7 +157,6 @@ def run_repl(db: engine.Database, args, fmt: str) -> int:
             _run_statement(db, line, fmt)
         except ComdbError as e:
             _say(f"error: {e}")
-    return 0
 
 
 def main(argv=None) -> int:

@@ -384,13 +384,6 @@ class CollectionAnchor:
 
 
 @dataclass(frozen=True)
-class PlanProjectField:
-    """The last hop of a projection: read one primitive field."""
-
-    field: FieldSpec
-
-
-@dataclass(frozen=True)
 class PlanRoute:
     """A motion and the route it runs; arrow is '->', '<-', '*->', '<-*' or '<-*->'.
 
@@ -404,7 +397,8 @@ class PlanRoute:
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """The plan of query; its anchor is a CollectionAnchor or a ProductCollection."""
+    """The plan of query: a CollectionAnchor or ProductCollection anchor, then
+    steps, each a CollectionAnchor, a PlanRoute or, last, a FieldSpec to read."""
 
     query: ast.Query
     anchor: object
@@ -633,7 +627,7 @@ def _resolve_project(step: ast.ProjectStep, domain, schema: Schema, products: Ma
                 )
             if segs:
                 out.append(_path_route(schema, domain, segs, False))
-            out.append(PlanProjectField(f))
+            out.append(f)
             return PrimitiveDomain(cur, name, f.type), None
         segs.append(dim)
         cur = dim.destination
@@ -816,8 +810,7 @@ def resolve(query: ast.Query, schema: Schema, products: Mapping | None = None) -
     return QueryPlan(query, anchor, tuple(out), tuple(warnings))
 
 
-def resolve_product(pd: ast.ProductDef, schema: Schema,
-                    products: Mapping | None = None) -> ProductCollection:
+def resolve_product(pd: ast.ProductDef, schema: Schema) -> ProductCollection:
     """Bind a product definition; the result can be registered under its name."""
     if pd.name in schema.concepts:
         _raise(ResolveError, f"'{pd.name}' is already a collection", pd.pos)
@@ -829,18 +822,25 @@ def resolve_product(pd: ast.ProductDef, schema: Schema,
 # --- explain --------------------------------------------------------------------
 
 
+def _domain(name) -> str:
+    """A domain's name in parentheses; an inline product's, its printed set expression, has them."""
+    return str(name) if str(name).startswith("(") else f"({name})"
+
+
 def _hops(leg: Leg) -> list[tuple[str, str]]:
     """(where the hop starts, the hop) for each edge of a leg, in running order."""
     if leg.down:
-        return [(d.destination, f"<- {d.name} <- ({d.source})") for d in leg.edges + leg.factors]
-    return [(d.source, f"-> {d.name} -> ({d.destination})") for d in leg.factors + leg.edges]
+        return [(_domain(d.destination), f"<- {d.name} <- {_domain(d.source)}")
+                for d in leg.edges + leg.factors]
+    return [(_domain(d.source), f"-> {d.name} -> {_domain(d.destination)}")
+            for d in leg.factors + leg.edges]
 
 
 def _explain_route(step: PlanRoute) -> list[str]:
     """Hop by hop when every leg is one path, the header alone with a warning
     or no hop; else the sub-DAG's edges in order."""
     route = step.route
-    header = f"{step.arrow} ({route.target})"
+    header = f"{step.arrow} {_domain(route.target)}"
     if route.warning is not None:
         return [header]
     legs = [leg for way in route.ways for leg in way[1:] if leg is not None]
@@ -849,13 +849,13 @@ def _explain_route(step: PlanRoute) -> list[str]:
     if len(route.ways) == 1 and route.ways[0][0] is None:
         (leg,) = legs
         lines = [f"{header} over {leg.paths} paths:"]
-        return lines + [f"  ({start}) {hop}" for start, hop in _hops(leg)]
+        return lines + [f"  {start} {hop}" for start, hop in _hops(leg)]
     lines = [f"{header} over {len(route.ways)} routes:"]
     for via, down, up in route.ways:
         lines.append(f"via {via}:" if via is not None else "direct:")
         for label, leg in (("down", down), ("up", up)):
             if leg is not None:
-                lines.extend(f"  {label}: ({start}) {hop}" for start, hop in _hops(leg))
+                lines.extend(f"  {label}: {start} {hop}" for start, hop in _hops(leg))
     return lines
 
 
@@ -879,8 +879,8 @@ def explain(plan: QueryPlan) -> str:
     for step in plan.steps:
         if isinstance(step, CollectionAnchor):
             lines.append(f"| {print_predicate(step.predicate)}")
-        elif isinstance(step, PlanProjectField):
-            lines.append(f"-> {step.field.name}")
+        elif isinstance(step, FieldSpec):
+            lines.append(f"-> {step.name}")
         else:
             lines.extend(_explain_route(step))
             if step.arrow in _ROUTERS:

@@ -6,11 +6,10 @@ counter.  Nothing is locked or pinned: a query reads the live storage, so
 an insert made while a query runs can leave its answer inconsistent.
 execute runs a plan on the rows of collections and turns rows into
 identities only in the result.  Query results come back as ResultSet
-values held column-wise: the sorted member identities and, for a
-collection, the slice of each stored column at the members' rows; rows
-are built as dicts only when read.  build_result picks one encoder per
-column from the schema, and the render_* functions map each column
-through it.
+values held column-wise: the sorted member identities and one list per
+column, whatever the result's domain; rows are built as dicts only when
+read.  build_result picks one encoder per column from the schema, and
+the render_* functions map each column through it.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .coql import ast as coql_ast
 from .coql import parser as coql_parser
 from .coql.resolver import (
     CollectionAnchor,
-    PlanProjectField,
     QueryPlan,
     explain,
     resolve,
@@ -506,10 +504,10 @@ def execute(db, plan: QueryPlan) -> "ResultSet":
     for step in plan.steps:
         if isinstance(step, CollectionAnchor):
             members = _select(db, step, members)
-        elif isinstance(step, PlanProjectField):
+        elif isinstance(step, model.FieldSpec):
             coll = db.collections[domain]
-            members = algebra._field_values(coll, members, step.field)
-            domain = PrimitiveDomain(domain, step.field.name, step.field.type)
+            members = algebra._field_values(coll, members, step)
+            domain = PrimitiveDomain(domain, step.name, step.type)
         else:
             members = algebra._run_route(db, members, step.route)
             domain = step.route.target
@@ -522,7 +520,7 @@ def execute_statement(db: Database, text: str):
         raise SchemaError("no schema loaded")
     stmt = coql_parser.parse_statement(text)
     if isinstance(stmt, coql_ast.ProductDef):
-        product = resolve_product(stmt, db.schema, db.products)
+        product = resolve_product(stmt, db.schema)
         db.register_product(product)
         return ("product", product)
     plan = resolve(stmt, db.schema, db.products)
@@ -572,13 +570,7 @@ class _Rows(Sequence):
         if isinstance(k, slice):
             return [self[i] for i in range(*k.indices(len(self)))]
         rs = self._rs
-        if rs.kind == "collection":
-            cells = [column[k] for column in rs.values]
-        elif rs.kind == "primitive":
-            cells = (rs.identities[k],)
-        else:
-            cells = rs.identities[k]
-        return dict(zip(rs.columns, cells))
+        return dict(zip(rs.columns, [column[k] for column in rs.values]))
 
     def __eq__(self, other) -> bool:
         return list(self) == other
@@ -592,11 +584,12 @@ class ResultSet:
     """The answer to a query, held column-wise.
 
     identities are the sorted members: identity tuples of a collection,
-    primitive values, or tuples of factor identities of a product.  A
-    collection result also holds, in values, one list per column: the
-    slice of the stored column in the members' order, a reference as the
-    referenced element's stored identity tuple.  build_result picks one
-    encoder per column; rows builds its dicts only when read.
+    primitive values, or tuples of factor identities of a product.  values
+    holds one list per column, in the members' order: a collection's
+    stored columns, a reference as the referenced element's stored
+    identity tuple; a primitive result's identities; a product's factor
+    identities.  build_result picks one encoder per column and one for
+    the identities; rows builds its dicts only when read.
     """
 
     kind: str                  # collection | primitive | product
@@ -604,12 +597,12 @@ class ResultSet:
     columns: tuple[str, ...]
     identities: list
     domain: algebra.Domain
-    warnings: tuple[str, ...] = ()
-    values: list | None = None  # collection: each column's cells, in the members' order
-    # per column, as _encoder and _json_encoder; of the identities, None for a product
-    encoders: tuple = field(default=(), compare=False)
-    json_encoders: tuple = field(default=(), compare=False)
-    identity_encoder: Callable | None = field(default=None, compare=False)
+    warnings: tuple[str, ...]
+    values: list               # each column's cells, in the members' order
+    # per column, as _encoder and _json_encoder; identity_encoder maps identities to texts
+    encoders: tuple = field(compare=False)
+    json_encoders: tuple = field(compare=False)
+    identity_encoder: Callable = field(compare=False)
 
     def __len__(self) -> int:
         return len(self.identities)
@@ -626,33 +619,43 @@ class ResultSet:
 def build_result(db, domain, members, warnings: tuple[str, ...] = ()) -> ResultSet:
     """The result of members of a domain, as the runner holds them: rows, or tuples of them.
 
-    Rows turn back into the stored identity tuples here, sorted.
+    Rows turn back into the stored identity tuples here, sorted.  A
+    product's columns are one itemgetter pass per factor: zip(*members)
+    would make an iterator per member.
     """
     schema = db.schema
     if isinstance(domain, PrimitiveDomain):
-        encoder = _encoder(schema, domain.type)
-        return ResultSet("primitive", str(domain), (domain.field,), sorted(members), domain,
-                         warnings, None, (encoder,), (_json_encoder(schema, domain.type),),
-                         encoder)
-    if isinstance(domain, ProductCollection):
-        aliases = tuple(a for a, _ in domain.factors)
-        encoders = tuple(_encoder(schema, c) for _, c in domain.factors)
+        kind, columns, types = "primitive", (domain.field,), (domain.type,)
+        identities = sorted(members)
+        values = [identities]
+    elif isinstance(domain, ProductCollection):
+        kind, (columns, types) = "product", zip(*domain.factors)
         identities = sorted(algebra._to_set(db, domain, members).members)
-        return ResultSet("product", domain.name, aliases, identities, domain, warnings,
-                         None, encoders, tuple(map(_json_encoder, repeat(schema),
-                                                   (c for _, c in domain.factors))))
-    coll = db.collections[domain]
-    # row order is identity order while the collection is ordered: sort the ints
-    rows = sorted(members) if coll.ordered else sorted(members, key=coll.ids.__getitem__)
-    identities = [None] * len(rows)
-    # sized exactly: a kept answer holds no spare slots
-    identities[:] = map(coll.ids.__getitem__, rows)
-    fields = coll.concept.fields
-    return ResultSet("collection", domain, tuple(f.name for f in fields),
-                     identities, domain, warnings, [_cells(coll, f, rows) for f in fields],
-                     tuple(_encoder(schema, f.type) for f in fields),
-                     tuple(_json_encoder(schema, f.type) for f in fields),
-                     _encoder(schema, domain))
+        values = [list(map(operator.itemgetter(k), identities)) for k in range(len(columns))]
+    else:
+        coll = db.collections[domain]
+        # row order is identity order while the collection is ordered: sort the ints
+        rows = sorted(members) if coll.ordered else sorted(members, key=coll.ids.__getitem__)
+        identities = [None] * len(rows)
+        # sized exactly: a kept answer holds no spare slots
+        identities[:] = map(coll.ids.__getitem__, rows)
+        fields = coll.concept.fields
+        kind = "collection"
+        columns, types = tuple(f.name for f in fields), tuple(f.type for f in fields)
+        values = [_cells(coll, f, rows) for f in fields]
+    encoders = tuple(_encoder(schema, t) for t in types)
+    if kind == "product":
+        identity_encoder = partial(_product_texts, encoders)
+    else:
+        identity_encoder = encoders[0] if kind == "primitive" else _encoder(schema, domain)
+    return ResultSet(kind, str(domain), columns, identities, domain, warnings, values, encoders,
+                     tuple(_json_encoder(schema, t) for t in types), identity_encoder)
+
+
+def _product_texts(encoders, members):
+    """The texts of product members, `(f1,f2)`, from their factors' encoders."""
+    texts = [e(map(operator.itemgetter(k), members)) for k, e in enumerate(encoders)]
+    return map("({})".format, map(",".join, zip(*texts)))
 
 
 def _cells(coll: model.Collection, f: model.FieldSpec, rows) -> list:
@@ -667,19 +670,6 @@ def _cells(coll: model.Collection, f: model.FieldSpec, rows) -> list:
     return [ids[g] if g >= 0 else None for g in cells]
 
 
-def _columns(rs: ResultSet) -> list:
-    """The result's cells column by column, in the order of rs.columns.
-
-    A collection result holds them already.  Otherwise one itemgetter pass
-    per column: zip(*rows) would make an iterator per row.
-    """
-    if rs.kind == "primitive":
-        return [rs.identities]
-    if rs.kind == "collection":
-        return rs.values
-    return [list(map(operator.itemgetter(k), rs.identities)) for k in range(len(rs.columns))]
-
-
 def _encode(column, encoder, null) -> list:
     """A column through its encoder, NULL cells reading null."""
     if not any(map(operator.is_, column, repeat(None))):  # `in` would call __eq__
@@ -689,7 +679,7 @@ def _encode(column, encoder, null) -> list:
 
 
 def _texts(rs: ResultSet, null: str) -> list[list[str]]:
-    return [_encode(c, e, null) for c, e in zip(_columns(rs), rs.encoders)]
+    return [_encode(c, e, null) for c, e in zip(rs.values, rs.encoders)]
 
 
 def render_table(rs: ResultSet) -> str:
@@ -717,11 +707,8 @@ def render_json(rs: ResultSet) -> str:
     Each column is encoded to JSON text once and each line joined from the
     fragments, as json.dumps would print the row's dict.
     """
-    columns = [_encode(c, e, "null") for c, e in zip(_columns(rs), rs.json_encoders)]
-    if rs.identity_encoder is None:  # a product: every cell is a factor identity's text
-        keys = map("({})".format, map(",".join, zip(*_texts(rs, ""))))
-    else:
-        keys = rs.identity_encoder(rs.identities)
+    columns = [_encode(c, e, "null") for c, e in zip(rs.values, rs.json_encoders)]
+    keys = rs.identity_encoder(rs.identities)
     columns.append(list(map(encode_basestring, keys)))  # no field name starts with '_'
     names = (*rs.columns, "_identity")
     cells = [list(map((encode_basestring(n) + ": ").__add__, c)) for n, c in zip(names, columns)]

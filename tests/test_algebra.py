@@ -8,7 +8,7 @@ import pytest
 import oracle
 from comdb import algebra, model
 from comdb.algebra import ElementSet, INDEPENDENT_WARNING
-from comdb.errors import NoPath, PathNotComposable, ViaNotCommonLesser
+from comdb.errors import DuplicateAlias, NoPath, PathNotComposable, ViaNotCommonLesser
 
 
 def members(eset: ElementSet) -> set:
@@ -169,6 +169,8 @@ def test_deproject_values_finds_owners(catalog_db):
     assert members(eset) == {("b1",), ("b2",)}
     by_id = algebra.deproject_values(db, "Books", "isbn", ["b5"])
     assert members(by_id) == {("b5",)}
+    with pytest.raises(PathNotComposable, match=r"^'Books.publisher' is not a primitive field$"):
+        algebra.deproject_values(db, "Books", "publisher", ["Springer"])
 
 
 def test_intersect_deprojections(colors_db):
@@ -177,6 +179,25 @@ def test_intersect_deprojections(colors_db):
     b = collection_set(db, "Z", 2, 3, 4)
     both = algebra.intersect_deprojections([a, b])
     assert members(both) == {(2,), (3,)}
+    assert (2,) in both and (1,) not in both
+
+
+def test_intersect_deprojections_needs_sets_over_one_domain(library_db):
+    with pytest.raises(ValueError, match="^nothing to intersect$"):
+        algebra.intersect_deprojections([])
+    books, writers = algebra.full_set(library_db, "Books"), algebra.full_set(library_db, "Writers")
+    with pytest.raises(PathNotComposable, match="^cannot intersect sets over 'Books' and 'Writers'$"):
+        algebra.intersect_deprojections([books, writers])
+
+
+def test_star_forms_and_inference_reject_a_set_of_primitive_values(catalog_db):
+    db = catalog_db
+    titles = algebra.project_values(db, algebra.full_set(db, "Books"), (),
+                                    db.schema.concept("Books").field("title"))
+    with pytest.raises(PathNotComposable, match="^cannot project a set of primitive values$"):
+        algebra.star_project(db, titles, "Publishers")
+    with pytest.raises(PathNotComposable, match="^cannot infer from a set of primitive values$"):
+        algebra.infer(db, titles, "Publishers")
 
 
 # --- routing -----------------------------------------------------------------
@@ -316,6 +337,8 @@ def test_star_project_requires_a_path(market_db):
 def test_make_product_needs_two_factors():
     with pytest.raises(PathNotComposable):
         algebra.make_product("P", [("a", "A")])
+    with pytest.raises(DuplicateAlias, match="^alias 'a' used twice in product 'P'$"):
+        algebra.make_product("P", [("a", "Books"), ("a", "Writers")])
 
 
 def same_book(db, bound):
@@ -364,6 +387,15 @@ def test_star_deproject_into_product(market_db):
     young = collection_set(db, "Writers", "w1")
     down = algebra.star_deproject(db, young, deals)
     assert members(down) == {((1,), (10,))}
+
+
+def test_star_deproject_from_a_product_reaches_only_itself(market_db):
+    db = market_db
+    deals = algebra.make_product("Deals", [("wb", "WriterBooks"), ("s", "Sellers")], same_book)
+    every = algebra.product_members(db, deals)
+    assert algebra.star_deproject(db, every, deals) is every
+    with pytest.raises(NoPath, match="^cannot de-project from 'Deals'$"):
+        algebra.star_deproject(db, every, "Books")
 
 
 # --- common lesser collections and inference ---------------------------------

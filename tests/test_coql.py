@@ -12,6 +12,7 @@ from comdb.coql import ast
 from comdb.coql.lexer import LexError, split_statements, tokenize
 from comdb.coql.parser import parse_query, parse_schema, parse_statement
 from comdb.coql.printer import print_predicate, print_query, print_statement
+from comdb.coql.resolver import resolve
 from comdb.errors import (
     AmbiguousPath,
     NonNumericPath,
@@ -305,6 +306,9 @@ def test_error_messages_carry_positions():
         parse_query("(X | a == )")
     msg = str(exc.value)
     assert "line 1" in msg and "column" in msg
+    with pytest.raises(ParseError) as exc:
+        parse_query("(Books) -> publisher -> 5")
+    assert str(exc.value) == "line 1, column 25: expected a dimension name or '(', found 5"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -484,6 +488,16 @@ def test_sum_needs_a_numeric_field(catalog_db):
     with pytest.raises(NonNumericPath) as exc:
         catalog_db.plan("(Publishers | SUM(publisher <- (Books).title) > 1)")
     assert str(exc.value) == "line 1, column 15: cannot sum over 'title' of type string"
+
+
+def test_a_built_sum_with_an_empty_path_is_rejected(catalog_db):
+    """The parser never builds SUM with path (); a tree built in Python can."""
+    total = ast.AggTerm("SUM", "publisher", "Books", None, ())
+    query = ast.Query(ast.SetExpr((ast.Factor("Publishers"),),
+                                  ast.Comparison(">", total, ast.Literal(1))))
+    with pytest.raises(ResolveError) as exc:
+        resolve(query, catalog_db.schema)
+    assert str(exc.value) == "empty field path"
 
 
 def test_aggregates_forbidden_in_product_predicates(market_db):

@@ -1890,6 +1890,21 @@ def test_rows_are_built_when_read_and_slice_into_plain_lists():
             assert not any(x is rs or x is rs.values or x is rs.identities for x in held)
 
 
+def test_every_result_holds_its_columns_and_an_identity_encoder(catalog_db):
+    """A primitive result's one column is its values; a product's columns are
+    its factor identities, and its members read `(f1,f2)`."""
+    rs = catalog_db.query("(Books | price < 10) -> price")
+    assert rs.kind == "primitive" and rs.values == [rs.identities]
+    assert repr(rs.rows) == (
+        "[{'price': Decimal('5')}, {'price': Decimal('8')}, {'price': Decimal('9.50')}]")
+    assert list(rs.identity_encoder(rs.identities)) == ["5", "8", "9.50"]
+    rs = catalog_db.query("(Books b, Addresses a | b.price < 9 AND a.country == 'DE')")
+    assert rs.kind == "product" and rs.identities == [
+        (("b3",), (1,)), (("b3",), (3,)), (("b4",), (1,)), (("b4",), (3,))]
+    assert rs.values == [[("b3",), ("b3",), ("b4",), ("b4",)], [(1,), (3,), (1,), (3,)]]
+    assert list(rs.identity_encoder(rs.identities)) == ["(b3,1)", "(b3,3)", "(b4,1)", "(b4,3)"]
+
+
 # --- outlines -----------------------------------------------------------------------
 
 

@@ -105,6 +105,14 @@ def test_reference_to_unknown_concept_rejected():
         db_from("CONCEPT A IDENTITY id INT ENTITY b B;")
 
 
+def test_an_identity_must_be_there_and_not_null():
+    """The DDL parser demands IDENTITY; concepts built in Python reach build_schema as they are."""
+    with pytest.raises(SchemaError, match="^concept 'A' has an empty identity part$"):
+        model.build_schema([model.Concept("A", ())])
+    with pytest.raises(SchemaError, match="^identity field A.id cannot be nullable$"):
+        model.build_schema([model.Concept("A", (model.FieldSpec("id", "integer"),))])
+
+
 def test_reference_in_identity_rejected():
     with pytest.raises(NestedIdentity):
         db_from(
@@ -202,6 +210,10 @@ def test_dimension_path_composability():
     assert p.rank == 2
     with pytest.raises(model.PathNotComposable):
         model.DimensionPath((d2, d1))
+    with pytest.raises(model.PathNotComposable, match="^a dimension path needs at least one segment$"):
+        model.DimensionPath(())
+    with pytest.raises(UnknownConcept, match="^unknown concept 'Nope'$"):
+        s.concept("Nope")
 
 
 def test_enumerate_paths_via_schema_path():
@@ -221,6 +233,9 @@ def test_insert_and_lookup():
     assert e.identity == (1,)
     assert db.collections["A"].elements[(1,)] == e.row and db.collections["A"].element((1,)) == e
     assert db.version == 1
+    view = db.collections["A"].element((1,))
+    assert e.concept is db.schema.concept("A") and (e == 1) is False and hash(e) == hash(view)
+    assert repr(e) == "Element(collection='A', identity=(1,), values=('hi',), row=0)"
 
 
 def test_duplicate_identity_rejected_and_version_unchanged():

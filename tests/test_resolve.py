@@ -232,6 +232,17 @@ OUTCOMES = [
      "| name == 'x'"),
     # a registered product folds a target's predicate into its own, and it is listed all the same
     ("library", "(Writers) <-* (D | p.name != 'x')", "plan", "(Writers)\n<- w <- (D)\n| p.name != 'x'"),
+    # an inline product's name is its printed set expression, parentheses included
+    ("library", "(Writers) <-* (Writers w, Publishers p | w.age > 30)", "plan",
+     "(Writers)\n<- w <- (Writers w, Publishers p | w.age > 30)"),
+    ("library", "(Addresses) <-* (Books b, Writers w)", "plan",
+     "(Addresses)\n<- address <- (Publishers)\n<- publisher <- (Books)\n<- b <- (Books b, Writers w)"),
+    ("market", "(Books) <-* (WriterBooks wb, Sellers s)", "plan",
+     "(Books)\n<-* (WriterBooks wb, Sellers s) over 2 paths:\n  (Books) <- book <- (Sellers)\n"
+     "  (Books) <- book <- (WriterBooks)\n  (WriterBooks) <- wb <- (WriterBooks wb, Sellers s)\n"
+     "  (Sellers) <- s <- (WriterBooks wb, Sellers s)"),
+    ("market", "(Shops) <-*-> (Writers w, Books b)", "plan",
+     "(Shops)\n<-*-> (Writers w, Books b)\nwarning: independent collections: full target returned"),
     # a star step that moves along no dimension lists its header
     ("catalog", "(Books) <-*-> (Books | price < 10)", "plan", "(Books)\n<-*-> (Books)\n| price < 10"),
     ("catalog", "(Books) *-> (Books)", "plan", "(Books)\n*-> (Books)"),
