@@ -1,9 +1,12 @@
 """Database instances: schema loading, CSV ingest, execution and rendering.
 
-A Database owns one schema, one collection per concept, and a registry of
-named product collections.  Mutation is insert-only and bumps a version
-counter.  Nothing is locked or pinned: a query reads the live storage, so
-an insert made while a query runs can leave its answer inconsistent.
+A Database owns one schema, one collection per concept, a registry of
+named product collections, and the plans of the last PLANS query texts it
+planned.  A plan depends on the schema and the products only, never on
+stored rows, so registering a product clears the plans and inserts keep
+them.  Mutation is insert-only and bumps a version counter.  Nothing is
+locked or pinned: a query reads the live storage, so an insert made while
+a query runs can leave its answer inconsistent.
 execute runs a plan on the rows of collections and turns rows into
 identities only in the result.  Query results come back as ResultSet
 values held column-wise: the sorted member identities and one list per
@@ -65,12 +68,16 @@ class IngestReport:
     rejected: list = field(default_factory=list)  # (line number, message) pairs
 
 
+PLANS = 256  # query texts whose plans a Database keeps
+
+
 class Database:
     def __init__(self, schema: model.Schema | None = None):
         self.schema: model.Schema | None = None
         self.collections: dict[str, model.Collection] = {}
         self.products: dict[str, ProductCollection] = {}
         self.version = 0
+        self._plans: dict[str, QueryPlan] = {}  # by text, oldest first
         if schema is not None:
             self._attach(schema)
 
@@ -92,6 +99,7 @@ class Database:
         if self.schema is not None and self.schema.has(product.name):
             raise ResolveError(f"'{product.name}' is already a collection")
         self.products[product.name] = product
+        self._plans.clear()
 
     # --- reading ---
 
@@ -100,10 +108,24 @@ class Database:
         return execute(self, plan)
 
     def plan(self, text: str) -> QueryPlan:
-        if self.schema is None:
-            raise SchemaError("no schema loaded")
-        q = coql_parser.parse_query(text)
-        return resolve(q, self.schema, self.products)
+        """The plan of a query text, resolved on its first use and kept."""
+        return self._plan(text, coql_parser.parse_query)
+
+    def _plan(self, text: str, parse):
+        """text's kept plan, or parse(text) planned and kept; a ProductDef
+        that parse returns comes back as it is, unplanned."""
+        plan = self._plans.get(text)
+        if plan is None:
+            if self.schema is None:
+                raise SchemaError("no schema loaded")
+            stmt = parse(text)
+            if isinstance(stmt, coql_ast.ProductDef):
+                return stmt
+            plan = resolve(stmt, self.schema, self.products)
+            if len(self._plans) >= PLANS:
+                del self._plans[next(iter(self._plans))]
+            self._plans[text] = plan
+        return plan
 
     def explain(self, text: str) -> str:
         return explain(self.plan(text))
@@ -515,15 +537,15 @@ def execute(db, plan: QueryPlan) -> "ResultSet":
 
 
 def execute_statement(db: Database, text: str):
-    """Run one statement: ('product', ProductCollection) or ('result', ResultSet)."""
-    if db.schema is None:
-        raise SchemaError("no schema loaded")
-    stmt = coql_parser.parse_statement(text)
-    if isinstance(stmt, coql_ast.ProductDef):
-        product = resolve_product(stmt, db.schema)
+    """Run one statement: ('product', ProductCollection) or ('result', ResultSet).
+
+    A query reuses the plan db keeps for its text, as db.query does.
+    """
+    plan = db._plan(text, coql_parser.parse_statement)
+    if isinstance(plan, coql_ast.ProductDef):
+        product = resolve_product(plan, db.schema)
         db.register_product(product)
         return ("product", product)
-    plan = resolve(stmt, db.schema, db.products)
     return ("result", execute(db, plan))
 
 

@@ -233,6 +233,19 @@ def test_script_registers_products_for_later_statements(capsys, tmp_path):
     assert "s1" in out and "s2" not in out
 
 
+def test_script_that_redefines_a_product_answers_from_the_new_one(capsys, tmp_path):
+    script = tmp_path / "q.coql"
+    script.write_text(
+        "D = (Books b, Addresses a);\n(D);\n"
+        "D = (Books b, Addresses a | b.price < 10);\n(D);\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, *base_args("--script", str(script)))
+    assert code == 0
+    assert err.count("registered product 'D'") == 2
+    assert out.index("(15 rows)") < out.index("(9 rows)")
+
+
 def test_script_stops_at_first_error(capsys, tmp_path):
     script = tmp_path / "q.coql"
     script.write_text("(Books);\n(Nope);\n(Books);\n", encoding="utf-8")

@@ -1328,6 +1328,101 @@ def test_a_conjunction_narrows_to_the_intersection_of_its_conjuncts():
     assert min(seen.values()) >= 20, seen
 
 
+_FACT_SCHEMA = """
+CONCEPT X2 IDENTITY id INT ENTITY tag CHAR(8);
+CONCEPT Y2 IDENTITY id INT ENTITY tag CHAR(8);
+CONCEPT X1 IDENTITY id INT ENTITY x2 X2 NOT NULL;
+CONCEPT Y1 IDENTITY id INT ENTITY y2 Y2 NOT NULL;
+CONCEPT Facts IDENTITY id INT ENTITY x1 X1 NOT NULL, y1 Y1 NOT NULL, amount DECIMAL(10,2);
+"""
+
+
+def _add_fact(rng, db, f: int) -> None:
+    """One fact under random X1 and Y1; one amount in 50 is NULL."""
+    amount = None if rng.random() < 0.02 else Decimal(rng.randrange(100_000)) / 100
+    db.insert("Facts", f, {"x1": rng.randrange(1000), "y1": rng.randrange(1000), "amount": amount})
+
+
+def _fact_db(rng, facts: int) -> engine.Database:
+    """A database shaped as the fact_olap benchmark's: facts Facts under 1,000
+    X1 and Y1, under 100 X2 and Y2 tagged t0 to t9."""
+    db = fresh(_FACT_SCHEMA)
+    for side in "XY":
+        for i in range(100):
+            db.insert(f"{side}2", i, {"tag": f"t{rng.randrange(10)}"})
+        for i in range(1000):
+            db.insert(f"{side}1", i, {f"{side.lower()}2": rng.randrange(100)})
+    for f in range(facts):
+        _add_fact(rng, db, f)
+    return db
+
+
+def _fact_conjunct(rng, target: str, facts: int) -> str:
+    """A conjunct on Facts (a dotted tag seek, an amount comparison, an
+    identity bound or seek) or on X1 (a COUNT or SUM cut, with an inner
+    predicate now and then, a tag seek or an identity bound), or now and then
+    an OR of two."""
+    if rng.random() < 0.1:
+        return f"({_fact_conjunct(rng, target, facts)} OR {_fact_conjunct(rng, target, facts)})"
+    k = rng.randrange(4)
+    op = rng.choice(_ORDERINGS + ("==", "!="))
+    if target == "Facts":
+        if k == 0:
+            return f"{rng.choice(('x1.x2', 'y1.y2'))}.tag == 't{rng.randrange(10)}'"
+        if k == 1:
+            return f"amount {op} {Decimal(rng.randrange(100_000)) / 100}"
+        if k == 2:
+            return f"id {rng.choice(_ORDERINGS)} {rng.randrange(-100, facts + 100)}"
+        return f"id == {rng.randrange(facts)}"
+    if k == 0:
+        inner = f" | amount < {rng.randrange(1000)}" if rng.random() < 0.4 else ""
+        return f"COUNT(x1 <- (Facts{inner})) {op} {rng.randrange(facts // 1000 + 4)}"
+    if k == 1:
+        return f"SUM(x1 <- (Facts).amount) {op} {rng.randrange(facts // 2, facts)}"
+    if k == 2:
+        return f"x2.tag == 't{rng.randrange(10)}'"
+    return f"id {rng.choice(_ORDERINGS)} {rng.randrange(-10, 1010)}"
+
+
+def test_partitions_hold_on_a_fact_olap_shaped_database():
+    """Both partition relations at the benchmark's shape, 10k facts: (C | p)
+    and (C | NOT (p)) split (C), and (C | p AND q) is (C | p) ∩ (C | q), as
+    anchors and as `<-*` targets, over dotted tag seeks, amount comparisons,
+    identity bounds and seeks, and COUNT and SUM cuts, before and after
+    inserts that leave Facts unordered.  No oracle is needed."""
+    facts = 10_000
+    rng = random.Random(facts)
+    db = _fact_db(rng, facts)
+    seen = collections.Counter()
+    heads = ("", "(X2 | id < 30) <-* ", "'t3' <- tag <- (X2) <-* ", "(Y1 | id >= 100 AND id < 300) <-* ")
+    for phase in range(2):
+        if phase:
+            for f in [*rng.sample(range(-500, 0), 50), *range(facts, facts + 100)]:
+                _add_fact(rng, db, f)
+            assert not db.collections["Facts"].ordered
+        for _ in range(40):
+            target = rng.choice(("Facts", "X1"))
+            p = " AND ".join(_fact_conjunct(rng, target, facts) for _ in range(rng.randint(1, 2)))
+            q = _fact_conjunct(rng, target, facts)
+            for head in ("", rng.choice(heads[1:3] if target == "X1" else heads[1:])):
+                every, kept, rest, both, right = (
+                    db.query(f"{head}({target}{where})").identities
+                    for where in ("", f" | {p}", f" | NOT ({p})", f" | {p} AND {q}", f" | {q}"))
+                assert sorted(kept + rest) == every, (head, p)
+                assert both == sorted(set(kept) & set(right)), (head, p, q)
+                plan = db.plan(f"{head}({target} | {p} AND {q})")
+                record = plan.steps[-1] if head else plan.anchor
+                where = "step" if head else "anchor"
+                seen[f"{where} dotted seeks"] += any(s.route is not None for s in record.seeks)
+                seen[f"{where} bounds"] += bool(record.bounds)
+                seen[f"{where} residual"] += record.residual is not None
+                seen[f"{where} both sides"] += bool(kept) and bool(rest)
+                seen[f"{where} p and q differ"] += kept != right
+                seen.update(f"{where} {agg.func}" for agg, _, _ in record.cuts)
+    assert min(seen.values()) >= 10, seen
+    assert len(seen) == 14, seen
+
+
 def test_a_seek_scans_only_what_the_rows_left_can_pay_for(monkeypatch):
     """The seeks run cheapest first, and one scans its owner's column only
     while the rows left number at least that column's length: after an

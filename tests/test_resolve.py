@@ -16,7 +16,9 @@ from conftest import load_fixture
 from comdb import engine
 from comdb.coql import ast, resolver
 from comdb.coql.resolver import resolve
-from comdb.errors import ComdbError, ResolveError
+from comdb.coql.parser import parse_query
+from comdb.errors import ComdbError, ResolveError, SchemaError, UnknownCollection
+from comdb.model import FieldSpec
 
 PRODUCTS = {
     "catalog": "D = (Books b, Addresses a)",
@@ -312,85 +314,259 @@ def test_no_step_follows_primitive_values(library_db, step):
 # --- seeded statements --------------------------------------------------------
 
 _CONSTANTS = ("'DE'", "'b1'", "'x'", "1", "2.5", "NULL", "'2001-01-01'")
+_TYPED = {"string": ("'DE'", "'b1'", "'x'", "NULL"), "integer": ("1", "30", "NULL"),
+          "decimal": ("2.5", "10", "NULL"), "date": ("'2001-01-01'", "NULL")}
 _OPS = ("==", "!=", "<", ">=")
+_ODD = 0.04  # the share of slots that draw a name, alias or constant that may not fit
 
 
 def statements(db, rng: random.Random, n: int) -> list[str]:
     """n query texts over db's own collection, dimension, field and product names.
 
-    Each name slot may also draw the one unknown name; the texts mix
-    registered and inline products, aliases, predicates and constants.
+    Each slot mostly draws what fits where the chain stands: a field of the
+    collection it has reached, a dimension into that collection, a
+    collection above or below it, a constant of the field's type.  Now and
+    then (_ODD) a slot draws any name of the database, the unknown name
+    'Nope' or 'nope', a repeated alias or an untyped constant instead.  The
+    texts mix registered and inline products, aliases, predicates,
+    aggregates and constants.
     """
     schema = db.schema
-    names = sorted(schema.concepts) + sorted(db.products) + ["Nope"]
-    fields = sorted({f.name for c in schema.concepts.values() for f in c.fields}) + ["nope"]
+    concepts = sorted(schema.concepts)
+    names = concepts + sorted(db.products)
+    fields = sorted({f.name for c in schema.concepts.values() for f in c.fields})
+    specs = [f for c in concepts for f in schema.concept(c).fields] + [FieldSpec("nope", "string")]
     aliases = ["a", "b"] + sorted({a for p in db.products.values() for a, _ in p.factors})
     pick = rng.choice
 
-    def path():
-        k = rng.random()
-        if k < 0.4:
-            return pick(fields)
-        if k < 0.8:
-            return f"{pick(aliases)}.{pick(fields)}"
-        return f"{pick(fields)}.{pick(fields)}"
+    def odd() -> bool:
+        return rng.random() < _ODD
 
-    def predicate():
+    def name(fit) -> str:
+        return pick(names + ["Nope"]) if odd() or not fit else pick(sorted(fit))
+
+    def field(concept, primitive=None) -> FieldSpec:
+        """A field of concept, primitive or a reference as asked, or any field."""
+        fit = [] if concept not in schema.concepts else [
+            f for f in schema.concept(concept).fields if primitive in (None, f.is_primitive)]
+        return pick(fit) if fit and not odd() else pick(specs)
+
+    def const(f: FieldSpec) -> str:
+        return pick(_TYPED[f.type] if f.type in _TYPED and not odd() else _CONSTANTS)
+
+    def into(concept):
+        return schema.dimensions_into(concept) if concept in schema.concepts else ()
+
+    def path(scope):
+        """(text, field) of a path over scope, a list of (alias or '', concept)."""
+        alias, concept = pick(scope)
+        head = f"{alias}." if alias else ""
+        f = field(concept)
+        if not f.is_primitive and rng.random() < 0.7:
+            g = field(f.type, primitive=True)
+            return f"{head}{f.name}.{g.name}", g
+        return f"{head}{f.name}", f
+
+    def predicate(scope, aggregates: bool) -> str:
         k = rng.random()
-        if k < 0.6:
-            return f"{path()} {pick(_OPS)} {pick(_CONSTANTS)}"
-        if k < 0.7:
-            return f"COUNT({pick(fields)} <- ({pick(names)})) > 0"
+        if k < 0.6 or not aggregates and k < 0.8:
+            text, f = path(scope)
+            return f"{text} {pick(_OPS)} {const(f)}"
         if k < 0.8:
-            return f"SUM({pick(fields)} <- ({pick(names)}).{pick(fields)}) > 1"
+            concept = scope[0][1]
+            dims = into(concept)
+            d = pick(dims) if dims and not odd() else None
+            dim, lesser = (d.name, d.source) if d else (pick(fields), name(concepts))
+            if k < 0.7:
+                return f"COUNT({dim} <- ({lesser})) > 0"
+            sums = [f.name for f in schema.concept(lesser).fields
+                    if f.type in ("integer", "decimal")] if lesser in schema.concepts else []
+            total = pick(sums) if sums and not odd() else pick(fields)
+            return f"SUM({dim} <- ({lesser}).{total}) > 1"
         if k < 0.9:
-            return f"{path()} == {path()}"
-        return f"NOT {path()} == {pick(_CONSTANTS)} AND {path()} != {pick(_CONSTANTS)}"
+            return f"{path(scope)[0]} == {path(scope)[0]}"
+        (p1, f1), (p2, f2) = path(scope), path(scope)
+        return f"NOT {p1} == {const(f1)} AND {p2} != {const(f2)}"
 
-    def set_expr():
-        k = rng.random()
-        if k < 0.75:
-            factors = pick(names) + (f" {pick(aliases)}" if rng.random() < 0.3 else "")
+    def set_expr(fit):
+        """(text, the collection it names or None) for a set expression drawn from fit."""
+        if rng.random() < 0.75:
+            n1 = name(fit)
+            concept = n1 if n1 in schema.concepts else None
+            alias = pick(aliases) if (concept or odd()) and rng.random() < 0.3 else None
+            text = n1 + (f" {alias}" if alias else "")
+            scope = ([(alias or "", concept)] if concept else
+                     list(db.products[n1].factors) if n1 in db.products else [("", n1)])
         else:
-            factors = f"{pick(names)} {pick(aliases)}, {pick(names)} {pick(aliases)}"
+            n1, n2 = name(concepts), name(concepts)
+            a1 = pick(aliases)
+            a2 = a1 if odd() else pick([a for a in aliases if a != a1])
+            text, concept, scope = f"{n1} {a1}, {n2} {a2}", None, [(a1, n1), (a2, n2)]
         if rng.random() < 0.35:
-            return f"({factors} | {predicate()})"
-        return f"({factors})"
+            return f"({text} | {predicate(scope, concept is not None)})", concept
+        return f"({text})", concept
 
-    steps = (
-        lambda: f"-> {pick(fields)}",
-        lambda: f"-> {pick(fields)} -> {pick(fields)}",
-        lambda: f"-> {pick(fields)} -> {set_expr()}",
-        lambda: f"-> {set_expr()}",
-        lambda: f"-> {pick(names)}",
-        lambda: f"<- {pick(fields)}",
-        lambda: f"<- {pick(fields)} <- {pick(fields)}",
-        lambda: f"<- {pick(fields)} <- {set_expr()}",
-        lambda: f"<- {pick(fields)} <- {pick(fields)} <- {set_expr()}",
-        lambda: f"<- {set_expr()}",
-        lambda: f"*-> {set_expr()}",
-        lambda: f"<-* {set_expr()}",
-        lambda: f"<-*-> {set_expr()}",
-    )
+    def above(c):
+        return schema.above(c) if c in schema.concepts else ()
+
+    def below(c):
+        return schema.below(c) if c in schema.concepts else ()
+
+    def step(at):
+        """(text, where the chain stands after it) for one step from collection at."""
+        k = rng.randrange(13)
+        if k < 3:
+            f = field(at)
+            ref = None if f.is_primitive else f.type
+            if k == 0 or ref is None:
+                return f"-> {f.name}", ref
+            if k == 1:
+                g = field(ref)
+                return f"-> {f.name} -> {g.name}", None if g.is_primitive else g.type
+            target, to = set_expr([ref])
+            return f"-> {f.name} -> {target}", to
+        if k == 3:
+            target, to = set_expr(above(at))
+            return f"-> {target}", to
+        if k == 4:
+            to = name(above(at))
+            return f"-> {to}", to
+        if k < 9:
+            dims = into(at)
+            if not dims or odd():
+                return f"<- {pick(fields)}", None
+            d = pick(dims)
+            if k == 5:
+                return f"<- {d.name}", d.source
+            if k == 6:
+                target, to = set_expr([d.source])
+                return f"<- {d.name} <- {target}", to
+            if k == 7:
+                e = pick(into(d.source) or (d,))
+                return f"<- {d.name} <- {e.name}", e.source
+            e = pick(into(d.source) or (d,))
+            target, to = set_expr([e.source])
+            return f"<- {d.name} <- {e.name} <- {target}", to
+        if k == 9:
+            target, to = set_expr(below(at))
+            return f"<- {target}", to
+        if k == 10:
+            target, to = set_expr(above(at))
+            return f"*-> {target}", to
+        if k == 11:
+            target, to = set_expr([*below(at), *db.products])
+            return f"<-* {target}", to
+        target, to = set_expr(names)
+        return f"<-*-> {target}", to
+
     out = []
     for _ in range(n):
         if rng.random() < 0.25:
-            anchor = ", ".join(pick(_CONSTANTS) for _ in range(rng.randint(1, 2)))
+            owner = pick(concepts)
+            f = field(owner, primitive=True)
+            consts = ", ".join(const(f) for _ in range(rng.randint(1, 2)))
+            chain = [f"{consts} <- {f.name}"]
+            at = owner
+            if rng.random() < 0.6:
+                target, at = set_expr([owner])
+                chain.append(f"<- {target}")
         else:
-            anchor = set_expr()
-        chain = [pick(steps)() for _ in range(rng.randint(0, 3))]
-        out.append(" ".join([anchor, *chain]))
+            anchor, at = set_expr(names)
+            chain = [anchor]
+        for _ in range(rng.randint(0, 3)):
+            if at is None and not odd():
+                break
+            text, at = step(at)
+            chain.append(text)
+        out.append(" ".join(chain))
     return out
+
+
+def _answered(rs) -> tuple:
+    """What a ResultSet answers; an inline product's domain is made afresh by each plan."""
+    return rs.kind, rs.tag, rs.columns, rs.identities, rs.values, rs.warnings
 
 
 @pytest.mark.parametrize("fixture", sorted(PRODUCTS))
 def test_resolution_raises_only_comdb_errors(fixture):
+    """Every statement plans or raises a ComdbError, and at least a third
+    plan.  A kept plan explains and answers as one resolved afresh, and the
+    text's next plan is the same object; a text that raised raises the same
+    error again and is not kept."""
     db = _db(fixture)
+    texts = statements(db, random.Random(fixture), 3000)
     planned = 0
-    for text in statements(db, random.Random(fixture), 3000):
+    for text in texts:
         try:
-            db.plan(text)
-            planned += 1
-        except ComdbError:
-            pass
-    assert planned > 0
+            plan = db.plan(text)
+        except ComdbError as e:
+            with pytest.raises(ComdbError) as again:
+                db.plan(text)
+            assert (type(again.value), str(again.value)) == (type(e), str(e)), text
+            assert text not in db._plans, text
+            continue
+        planned += 1
+        fresh = resolve(parse_query(text), db.schema, db.products)
+        assert db.plan(text) is plan, text
+        assert resolver.explain(plan) == resolver.explain(fresh), text
+        assert _answered(engine.execute(db, plan)) == _answered(engine.execute(db, fresh)), text
+    assert planned >= len(texts) / 3, planned
+
+
+# --- kept plans -----------------------------------------------------------------
+
+
+def test_a_text_naming_an_undefined_product_plans_once_it_is_defined():
+    db = load_fixture("library")
+    with pytest.raises(UnknownCollection):
+        db.plan("(E)")
+    engine.execute_statement(db, "E = (Writers w, Books b)")
+    assert len(db.query("(E)")) == len(db.collections["Writers"]) * len(db.collections["Books"])
+
+
+def test_a_query_before_the_schema_plans_after_it():
+    db = engine.Database()
+    for _ in range(2):
+        with pytest.raises(SchemaError):
+            db.plan("(Books)")
+    engine.load_schema(db, "CONCEPT Books IDENTITY isbn CHAR(13);")
+    db.insert("Books", "b1")
+    assert db.query("(Books)").identities == [("b1",)]
+
+
+def test_the_oldest_plan_makes_room_for_a_new_one():
+    """A database keeps PLANS plans; the next text drops the first one planned,
+    however recently that was looked up."""
+    db = load_fixture("catalog")
+    texts = [f"(Books | price < {i})" for i in range(engine.PLANS + 1)]
+    plans = [db.plan(t) for t in texts[:-1]]
+    assert all(db.plan(t) is p for t, p in zip(texts, plans))
+    newest = db.plan(texts[-1])
+    assert db.plan(texts[1]) is plans[1] and db.plan(texts[-1]) is newest
+    assert db.plan(texts[0]) is not plans[0]
+    assert len(db._plans) == engine.PLANS
+
+
+def test_a_kept_plan_reads_rows_stored_after_it(tmp_path):
+    """Inserts and loads keep the plans, and a kept plan answers as a fresh one."""
+    db = load_fixture("library")
+    texts = ["(Writers | age > 30)", "(Publishers) <- (Books | title == 'Dune')",
+             "'DE' <- countries <- address <- (Publishers)", "(Writers) <-*-> (Addresses)"]
+    before = {t: db.query(t) for t in texts}
+    plans = {t: db.plan(t) for t in texts}
+
+    def check():
+        for t in texts:
+            assert db.plan(t) is plans[t]
+            assert db.query(t) == engine.execute(db, resolve(parse_query(t), db.schema)), t
+
+    db.insert("Writers", "Zed", {"age": 70})
+    db.insert("Addresses", 99, {"countries": "DE"})
+    db.insert("Publishers", "Nova", {"address": 99})
+    db.insert("Books", "b99", {"title": "Dune", "publisher": "Nova"})
+    db.insert("WriterBooks", 99, {"writer": "Zed", "book": "b99"})
+    check()
+    (tmp_path / "Writers.csv").write_text("name,age\nYan,80\n")
+    assert engine.load_csv(db, "Writers", tmp_path / "Writers.csv").inserted == 1
+    check()
+    assert all(db.query(t) != before[t] for t in texts)
