@@ -8,8 +8,10 @@ membership predicate.  Inside, a set over a collection is a set of its int
 rows (model.Collection), a field is read off its column by row, and a
 product member is the tuple of its factor rows in factor order.  The
 public operations convert identities to rows on the way in and back on the
-way out (_to_rows, _to_set), and the engine runs whole plans on rows.
-Primitive values are never converted.
+way out (_to_rows, _to_set).  A plan's records are plain data run here on
+rows: a motion by _run_route, a (C | p) by _select and an aggregate by
+_aggregate; the engine only walks them in order.  Primitive values are
+never converted.
 
 Projection moves up the partial order and deduplicates; de-projection moves
 down and fans out.  NULL references contribute nothing in either direction.
@@ -48,8 +50,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from dataclasses import dataclass, field
 from decimal import Decimal, getcontext
@@ -147,10 +151,6 @@ class FieldPath:
     field: FieldSpec
 
 
-def full_set(db, collection: str) -> ElementSet:
-    return _to_set(db, collection, range(len(db.collections[collection])))
-
-
 def make_product(name: str, factors: Sequence[tuple[str, str]],
                  predicate: Callable | None = None) -> ProductCollection:
     if len(factors) < 2:
@@ -185,10 +185,6 @@ def iter_members(db, product: ProductCollection,
     for combo in itertools.product(*axes):
         if predicate(db, dict(zip(aliases, combo))):
             yield combo
-
-
-def product_members(db, product: ProductCollection) -> ElementSet:
-    return _to_set(db, product, iter_members(db, product))
 
 
 # --- projection -------------------------------------------------------------
@@ -240,10 +236,15 @@ def _owner_rows(coll, field_name: str, values: Iterable) -> set:
     if fld is None or not fld.is_primitive:
         raise PathNotComposable(f"'{concept.name}.{field_name}' is not a primitive field")
     wanted = {v for v in values if v is not None}
-    if concept.identity_fields == (fld,):  # the whole identity: look each value up
+    if _whole_identity(coll, field_name):
         return coll.rows_of(zip(wanted))
     column = coll.columns[field_name]
     return set(compress(range(len(column)), map(wanted.__contains__, column)))
+
+
+def _whole_identity(coll, field_name: str) -> bool:
+    """Whether a field is its collection's whole identity: its values are looked up, not scanned."""
+    return [f.name for f in coll.concept.identity_fields] == [field_name]
 
 
 def intersect_deprojections(esets: Sequence[ElementSet]) -> ElementSet:
@@ -622,7 +623,7 @@ def _referenced_fold(colls, d: Dimension):
 def _run_route(db, members, route: Route):
     """Move members along a route: rows of a collection, tuples of factor rows of a product.
 
-    The one runner; run_route and the engine both call it.  Once the
+    The one runner; run_route, _select and the engine call it.  Once the
     target holds every row, the ways left can add nothing and are skipped.
     """
     target = route.target
@@ -783,3 +784,87 @@ def _sums_fold(db, greater, dim: Dimension, path: FieldPath):
                 sums[g] += v
 
     return lesser, fold, []
+
+
+# --- running (C | p) ---------------------------------------------------------
+
+# the comparison each operator of a plan's bounds, cuts and predicates names
+_OPS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+# how a bound `identity op c` cuts rows sorted by identity: (a lower bound?, the cut)
+_CUTS = {">": (True, bisect_right), ">=": (True, bisect_left),
+         "<": (False, bisect_left), "<=": (False, bisect_right)}
+
+
+def _select(db, sel, rows):
+    """The rows among rows, all of C's or those a step arrives with, that (C | p) keeps.
+
+    sel is (C | p)'s record, a resolver.CollectionAnchor.  While C is
+    ordered its rows are sorted by identity, so the bounds are one interval
+    of rows found by bisection and intersected with rows; otherwise each
+    row's identity is compared with each bound, after the seeks.  The seeks
+    run cheapest first: one scans its owner while the rows left number at
+    least its cost (_seek_cost), and otherwise reads its path at each row
+    left, so no column larger than the rows left is scanned.  Each cut
+    then reads its aggregate once for all the rows left, and the residual
+    runs on each row the cuts keep.
+    """
+    coll = db.collections[sel.collection]
+    ids = coll.ids
+    bounds = sel.bounds
+    if bounds and coll.ordered:
+        lo, hi = 0, len(ids)
+        for op, value in bounds:
+            lower, cut = _CUTS[op]
+            if lower:
+                lo = max(lo, cut(ids, (value,)))
+            else:
+                hi = min(hi, cut(ids, (value,)))
+        interval = range(lo, max(lo, hi))
+        rows, bounds = interval if len(rows) == len(ids) else [r for r in rows if r in interval], ()
+    for cost, seek in sorted(((_seek_cost(db, s), s) for s in sel.seeks), key=itemgetter(0)):
+        if len(rows) < cost:  # fewer rows left than this or any later seek scans
+            rows = [r for r in rows
+                    if _value_at(db, sel.collection, r, seek.dims, seek.field) in seek.values]
+        else:
+            got = _owner_rows(db.collections[seek.owner], seek.field, seek.values)
+            if seek.route is not None:
+                got = _run_route(db, got, seek.route)
+            rows = set(got) if len(rows) == len(ids) else set(got).intersection(rows)
+    for symbol, value in bounds:
+        op = _OPS[symbol]
+        rows = [r for r in rows if op(ids[r][0], value)]
+    for agg, op, value in sel.cuts:
+        rows = list(compress(rows, map(_OPS[op], _aggregate(db, agg, rows), repeat(value))))
+    residual = sel.residual
+    if residual is not None:
+        rows = {r for r in rows if residual(db, r)}
+    return rows
+
+
+def _seek_cost(db, seek) -> int:
+    """The rows scanning a seek reads: a lookup per constant when its field
+    is its owner's whole identity, else its owner's column."""
+    owner = db.collections[seek.owner]
+    return len(seek.values) if _whole_identity(owner, seek.field) else len(owner)
+
+
+def _aggregate(db, agg, rows) -> list:
+    """The value of an aggregate (resolver.AggValue) at each of rows, in their order.
+
+    With no inner predicate, COUNT is the length of each row's reverse
+    list and SUM its folded total.  Otherwise the inner record runs once
+    on the union of the rows' reverse lists, and each row counts the
+    lessers it keeps, or sums them in reverse-list order as _sum_rows
+    adds, so each total is the one its reverse list alone would give.
+    """
+    reverse = db.collections[agg.dim.destination].reverse[agg.dim]
+    if agg.inner is None:
+        if agg.path is None:
+            return list(map(len, map(reverse.__getitem__, rows)))
+        return list(map(_folded_sums(db, agg.key, agg.dim, agg.path).__getitem__, rows))
+    lessers = list(map(reverse.__getitem__, rows))
+    kept = set(_select(db, agg.inner, set(chain.from_iterable(lessers))))
+    if agg.path is None:
+        return [sum(map(kept.__contains__, own)) for own in lessers]
+    return [_sum_rows(db, [r for r in own if r in kept], agg.path) for own in lessers]

@@ -1,11 +1,12 @@
 """Name resolution and planning: a parsed query becomes an executable plan.
 
 Resolution binds collection, dimension and field names against a schema,
-compiles predicates into evaluable closures, stores on each motion step
-the route the algebra's router chose for it, and records any warnings
-(such as the full-target fallback for unconnected collections) before
-anything runs.  It prints nothing: explain derives every line it lists
-from the plan and the parsed query the plan keeps.
+splits predicates into plain records that algebra runs and compiles what
+is left into closures, stores on each motion step the route the algebra's
+router chose for it, and records any warnings (such as the full-target
+fallback for unconnected collections) before anything runs.  It prints
+nothing: explain derives every line it lists from the plan and the parsed
+query the plan keeps.
 
 A set expression binds to a collection, or to a product that folds in
 its predicate (_resolve_set).  A collection's predicate is split by
@@ -20,8 +21,7 @@ step's resolver append its motions, then appends the target's record.
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from typing import Callable, Mapping
 
@@ -36,6 +36,8 @@ from ..algebra import (
     route_path,
     route_star_deproject,
     route_star_project,
+    _aggregate,
+    _OPS,
     _value_at,
 )
 from ..errors import (
@@ -61,16 +63,6 @@ def _raise(cls, msg: str, pos: tuple[int, int]):
 
 # --- predicate compilation ----------------------------------------------------
 
-_OPS = {
-    "==": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
-
 @dataclass(frozen=True)
 class PathValue:
     """A path term: a reader (db, subject) -> value, and what the path reads.
@@ -94,13 +86,12 @@ class AggValue:
     """COUNT or SUM(dim <- (L | q).path) at a row of dim's destination: over
     the lessers of the row through dim that q holds for.
 
-    read is engine._aggregate, which reads it for a set of rows, run on one
-    row.  inner is (L | q)'s record, None without q; path is SUM's, None
-    for COUNT; key names a SUM without q in the derived state of dim's
-    destination (algebra._folded_sums), and is None otherwise.
+    Plain data that algebra._aggregate reads for a set of rows.  inner is
+    (L | q)'s record, None without q; path is SUM's, None for COUNT; key
+    names a SUM without q in the derived state of dim's destination
+    (algebra._folded_sums), and is None otherwise.
     """
 
-    read: Callable
     func: str
     dim: Dimension
     inner: CollectionAnchor | None
@@ -266,17 +257,14 @@ def _compile_agg(ctx: _Ctx, node: ast.AggTerm) -> AggValue:
     # a SUM with no inner predicate reads the sums folded once per stored
     # lesser row, under its names, which hash faster than dim and sum_path
     key = (node.collection, node.dim, node.path) if sum_path is not None and inner is None else None
-    from ..engine import _aggregate  # the engine, which runs plans, imports this module
-
-    def read(db, row):
-        return _aggregate(db, agg, (row,))[0]
-
-    agg = AggValue(read, node.func, dim, inner, sum_path, key)
-    return agg
+    return AggValue(node.func, dim, inner, sum_path, key)
 
 
 def _reader(term, other, node, schema: Schema) -> Callable:
-    """A compiled term's reader; a literal reads as its value typed against other."""
+    """A compiled term's reader (db, subject) -> value; an aggregate's runs
+    algebra._aggregate on one row, a literal's is its value typed against other."""
+    if isinstance(term, AggValue):
+        return lambda db, row: _aggregate(db, term, (row,))[0]
     if term is not None:
         return term.read
     value = _type_literal_against(other, node, schema)
@@ -343,17 +331,20 @@ def _decided(items: list, stop: bool) -> Callable:
 
 @dataclass(frozen=True)
 class Seek:
-    """An access path: the rows of owner whose primitive field takes one of
-    values, moved down route to the anchored collection (None: owner is it).
+    """An access path: the rows of the anchored collection whose path dims,
+    then owner's primitive field, reads one of values.
 
-    check is the same test compiled for one row of the anchored collection.
+    dims lead from the anchored collection up to owner (none: owner is it),
+    and route is the de-projection down them (None without dims).
+    algebra._select runs it from owner's side, the rows of owner moved
+    down route, or reads the path at each of a few rows.
     """
 
     owner: str
     field: str
     values: tuple
+    dims: tuple[Dimension, ...]
     route: Route | None
-    check: Callable = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -361,18 +352,20 @@ class CollectionAnchor:
     """(C | p): every element of C that p holds for, split by access path.
 
     The one record of (C | p), as a chain's anchor, as a step's target and
-    as an aggregate's inner (L | q); engine._select runs it.  Each
+    as an aggregate's inner (L | q); algebra._select runs it.  Each
     top-level conjunct of p goes to one of four groups.  seeks hold one
     Seek per `path == constant` conjunct.  bounds are (operator, constant)
     pairs, one per conjunct comparing C's single identity field with a
     constant by `<`, `<=`, `>` or `>=`, read as `identity op constant`.
     cuts are (AggValue, operator, constant) triples, one per conjunct
     comparing COUNT or SUM with a constant, read as `aggregate op
-    constant`.  residual is the rest, compiled into one predicate, or None
-    when nothing is left; it runs only on the rows the others keep.  A
-    chain starting from constants, `v <- f <- ... <- (C | q)`, is q's
-    record with one more seek first.  predicate is the parsed p (q for a
-    constants chain), or None without one; explain lists a step's as `| p`.
+    constant`.  An operator is its text, such as '<='.  residual is the
+    rest, compiled into one predicate, or None when nothing is left; it
+    runs only on the rows the others keep, and is the record's one
+    callable.  A chain starting from constants, `v <- f <- ... <- (C | q)`,
+    is q's record with one more seek first.  predicate is the parsed p (q
+    for a constants chain), or None without one; explain lists a step's as
+    `| p`.
     """
 
     collection: str
@@ -453,12 +446,19 @@ def _against_constant(node, alias: str | None):
     return op, term, lit, term.parts[1:] if term.parts[:1] == (alias,) else term.parts
 
 
-def _seek(schema: Schema, collection: str, path: ast.PathTerm, parts, lit, check) -> Seek:
-    """The access path equal to `path == constant`, compiled as check.
+def _seek(schema: Schema, owner: str, field_name: str, values: tuple, dims: tuple) -> Seek:
+    """The seek of the rows whose path dims, then owner's field_name, reads one of values."""
+    route = route_path(schema, owner, DimensionPath(dims), True) if dims else None
+    return Seek(owner, field_name, values, dims, route)
+
+
+def _equal_seek(schema: Schema, collection: str, path: ast.PathTerm, parts, value) -> Seek:
+    """The access path equal to `path == value`, value typed against path.
 
     (C | p.f == v) holds the elements of v <- f <- p... <- (C).  A path
     ending at a reference, or the bare alias, compares a single-field
-    identity, so its constant de-projects through that identity field.
+    identity, whose value is typed as a one-field identity tuple, so its
+    constant de-projects through that identity field.
     """
     dims, owner, f = _field_path(schema, collection, parts, path.pos)
     if f is None or not f.is_primitive:
@@ -466,8 +466,8 @@ def _seek(schema: Schema, collection: str, path: ast.PathTerm, parts, lit, check
             dims += (schema.dimension(owner, f.name),)
             owner = f.type
         f = schema.concept(owner).identity_fields[0]
-    return Seek(owner, f.name, (_coerce_literal(lit.value, f.type, lit.pos),),
-                route_path(schema, owner, DimensionPath(dims), True) if dims else None, check)
+        (value,) = value
+    return _seek(schema, owner, f.name, (value,), dims)
 
 
 def _access_paths(schema: Schema, one: ast.Factor, predicate) -> CollectionAnchor:
@@ -485,12 +485,13 @@ def _access_paths(schema: Schema, one: ast.Factor, predicate) -> CollectionAncho
         op, term, lit, parts = _against_constant(c, one.alias) or (None,) * 4
         if isinstance(term, ast.AggTerm):
             agg = _compile_agg(ctx, term)
-            cuts.append((agg, _OPS[op], _type_literal_against(agg, lit, schema)))
-        elif op in ("<", "<=", ">", ">=") and parts == key:
+            cuts.append((agg, op, _type_literal_against(agg, lit, schema)))
+        elif op == "==" or (op in ("<", "<=", ">", ">=") and parts == key):
             value = _type_literal_against(_compile_path(ctx, term), lit, schema)
-            bounds.append((_OPS[op], value))
-        elif op == "==":
-            seeks.append(_seek(schema, one.collection, term, parts, lit, compile_predicate(ctx, c)))
+            if op == "==":
+                seeks.append(_equal_seek(schema, one.collection, term, parts, value))
+            else:
+                bounds.append((op, value))
         else:
             residual.append(compile_predicate(ctx, c))
     return CollectionAnchor(one.collection, predicate,
@@ -737,15 +738,9 @@ def _constants_anchor(lits, first: ast.DeprojectStep, schema: Schema, products: 
     # de-projection never matches NULL
     values = tuple(_coerce_literal(lit.value, fld.type, lit.pos) for lit in lits
                    if lit.value is not None)
-    dims = tuple(segs)
-    route = route_path(schema, owner, DimensionPath(dims), True) if dims else None
-
-    def check(db, row):
-        return _value_at(db, target, row, dims, field_name) in values
-
     sel = sel or CollectionAnchor(target)
     return CollectionAnchor(target, sel.predicate, sel.residual,
-                            (Seek(owner, field_name, values, route, check), *sel.seeks),
+                            (_seek(schema, owner, field_name, values, tuple(segs)), *sel.seeks),
                             sel.bounds, sel.cuts), target
 
 

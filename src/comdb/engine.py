@@ -4,15 +4,16 @@ A Database owns one schema, one collection per concept, a registry of
 named product collections, and the plans of the last PLANS query texts it
 planned.  A plan depends on the schema and the products only, never on
 stored rows, so registering a product clears the plans and inserts keep
-them.  Mutation is insert-only and bumps a version counter.  Nothing is
-locked or pinned: a query reads the live storage, so an insert made while
-a query runs can leave its answer inconsistent.
-execute runs a plan on the rows of collections and turns rows into
-identities only in the result.  Query results come back as ResultSet
-values held column-wise: the sorted member identities and one list per
-column, whatever the result's domain; rows are built as dicts only when
-read.  build_result picks one encoder per column from the schema, and
-the render_* functions map each column through it.
+them.  Mutation is insert-only.  Nothing is locked or pinned: a query
+reads the live storage, so an insert made while a query runs can leave
+its answer inconsistent.
+execute has algebra run a plan's records in order on the rows of
+collections, and turns rows into identities only in the result.  Query
+results come back as ResultSet values held column-wise: the sorted
+member identities and one list per column, whatever the result's domain;
+rows are built as dicts only when read.  build_result picks one encoder
+per column from the schema, and the render_* functions map each column
+through it.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ import datetime
 import gc
 import io
 import operator
-from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import partial
-from itertools import chain, compress, repeat
+from itertools import repeat
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable
@@ -76,7 +76,6 @@ class Database:
         self.schema: model.Schema | None = None
         self.collections: dict[str, model.Collection] = {}
         self.products: dict[str, ProductCollection] = {}
-        self.version = 0
         self._plans: dict[str, QueryPlan] = {}  # by text, oldest first
         if schema is not None:
             self._attach(schema)
@@ -90,14 +89,15 @@ class Database:
     # --- mutation ---
 
     def insert(self, collection: str, identity, entity=None) -> model.Element:
-        el = model.insert_element(self, collection, identity, entity)
-        self.version += 1
-        return el
+        return model.insert_element(self, collection, identity, entity)
 
     def register_product(self, product: ProductCollection) -> None:
         """Name a product for queries; a later product of the same name replaces it."""
         if self.schema is not None and self.schema.has(product.name):
             raise ResolveError(f"'{product.name}' is already a collection")
+        for _, c in product.factors:
+            if c not in self.collections:
+                raise UnknownCollection(f"unknown collection '{c}'")
         self.products[product.name] = product
         self._plans.clear()
 
@@ -267,7 +267,6 @@ def _load(db: Database, files, strict: bool) -> list[IngestReport]:
     finally:
         if enabled:
             gc.enable()
-    db.version += sum(1 for r in reports if r.inserted)
     return reports
 
 
@@ -426,94 +425,13 @@ def load_data_dir(db: Database, directory, strict: bool = False):
 # --- execution --------------------------------------------------------------------
 
 
-# how a bound `identity op c` cuts rows sorted by identity: (a lower bound?, the cut)
-_CUTS = {operator.gt: (True, bisect_right), operator.ge: (True, bisect_left),
-         operator.lt: (False, bisect_left), operator.le: (False, bisect_right)}
-
-
-def _select(db, sel: CollectionAnchor, rows):
-    """The rows among rows, all of C's or those a step arrives with, that (C | p) keeps.
-
-    While C is ordered its rows are sorted by identity, so the bounds are
-    one interval of rows found by bisection and intersected with rows;
-    otherwise each row's identity is compared with each bound, after the
-    seeks.  The seeks run cheapest first: one scans its owner while the
-    rows left number at least its cost (_seek_cost), and otherwise its
-    check runs on each row left, so no column larger than the rows left is
-    scanned.  Each cut then reads its aggregate once for all the rows
-    left, and the residual runs on each row the cuts keep.
-    """
-    coll = db.collections[sel.collection]
-    ids = coll.ids
-    bounds = sel.bounds
-    if bounds and coll.ordered:
-        lo, hi = 0, len(ids)
-        for op, value in bounds:
-            lower, cut = _CUTS[op]
-            if lower:
-                lo = max(lo, cut(ids, (value,)))
-            else:
-                hi = min(hi, cut(ids, (value,)))
-        interval = range(lo, max(lo, hi))
-        rows, bounds = interval if len(rows) == len(ids) else [r for r in rows if r in interval], ()
-    checks = []
-    for cost, seek in sorted(((_seek_cost(db, s), s) for s in sel.seeks), key=_FIRST):
-        if len(rows) < cost:
-            checks.append(seek.check)
-            continue
-        got = algebra._owner_rows(db.collections[seek.owner], seek.field, seek.values)
-        if seek.route is not None:
-            got = algebra._run_route(db, got, seek.route)
-        rows = set(got) if len(rows) == len(ids) else set(got).intersection(rows)
-    for check in checks:
-        rows = [r for r in rows if check(db, r)]
-    for op, value in bounds:
-        rows = [r for r in rows if op(ids[r][0], value)]
-    for agg, op, value in sel.cuts:
-        rows = list(compress(rows, map(op, _aggregate(db, agg, rows), repeat(value))))
-    residual = sel.residual
-    if residual is not None:
-        rows = {r for r in rows if residual(db, r)}
-    return rows
-
-
-def _seek_cost(db, seek) -> int:
-    """The rows scanning a seek reads: a lookup per constant when its field
-    is its owner's whole identity, else its owner's column."""
-    owner = db.collections[seek.owner]
-    if [f.name for f in owner.concept.identity_fields] == [seek.field]:
-        return len(seek.values)
-    return len(owner)
-
-
-def _aggregate(db, agg, rows) -> list:
-    """The value of an aggregate (resolver.AggValue) at each of rows, in their order.
-
-    With no inner predicate, COUNT is the length of each row's reverse
-    list and SUM its folded total.  Otherwise the inner record runs once
-    on the union of the rows' reverse lists, and each row counts the
-    lessers it keeps, or sums them in reverse-list order as _sum_rows
-    adds, so each total is the one its reverse list alone would give.
-    """
-    reverse = db.collections[agg.dim.destination].reverse[agg.dim]
-    if agg.inner is None:
-        if agg.path is None:
-            return list(map(len, map(reverse.__getitem__, rows)))
-        return list(map(algebra._folded_sums(db, agg.key, agg.dim, agg.path).__getitem__, rows))
-    lessers = list(map(reverse.__getitem__, rows))
-    kept = set(_select(db, agg.inner, set(chain.from_iterable(lessers))))
-    if agg.path is None:
-        return [sum(map(kept.__contains__, own)) for own in lessers]
-    return [algebra._sum_rows(db, [r for r in own if r in kept], agg.path) for own in lessers]
-
-
 def execute(db, plan: QueryPlan) -> "ResultSet":
     """Run a resolved plan against a database: the set its anchor stands for,
     moved through its steps in order.
 
     Members are in algebra's runner form: rows, or tuples of factor rows.
-    _select narrows every (C | p), an anchor from all of C's rows and a
-    step's target from the rows the step arrives with.
+    algebra._select narrows every (C | p), an anchor from all of C's rows
+    and a step's target from the rows the step arrives with.
     """
     anchor = plan.anchor
     if isinstance(anchor, ProductCollection):
@@ -521,11 +439,11 @@ def execute(db, plan: QueryPlan) -> "ResultSet":
         members = set(algebra.iter_members(db, domain))
     else:
         domain = anchor.collection
-        members = _select(db, anchor, range(len(db.collections[domain])))
+        members = algebra._select(db, anchor, range(len(db.collections[domain])))
 
     for step in plan.steps:
         if isinstance(step, CollectionAnchor):
-            members = _select(db, step, members)
+            members = algebra._select(db, step, members)
         elif isinstance(step, model.FieldSpec):
             coll = db.collections[domain]
             members = algebra._field_values(coll, members, step)

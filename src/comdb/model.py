@@ -100,10 +100,6 @@ class Concept:
         object.__setattr__(self, "_by_name", {f.name: f for f in self.fields})
         object.__setattr__(self, "entity_names", tuple(f.name for f in self.entity_fields))
 
-    @property
-    def reference_fields(self) -> tuple[FieldSpec, ...]:
-        return tuple(f for f in self.entity_fields if not f.is_primitive)
-
     def field(self, name: str) -> FieldSpec | None:
         return self._by_name.get(name)
 
@@ -123,7 +119,7 @@ class Dimension:
 
 @dataclass(frozen=True)
 class DimensionPath:
-    """A composable sequence of dimensions; rank is the number of segments."""
+    """A composable sequence of dimensions, each starting where the one before ends."""
 
     segments: tuple[Dimension, ...]
 
@@ -134,10 +130,6 @@ class DimensionPath:
         for prev, nxt in zip(self.segments, self.segments[1:]):
             if nxt.source != prev.destination:
                 raise PathNotComposable(f"'{nxt}' does not start where '{prev}' ends")
-
-    @property
-    def rank(self) -> int:
-        return len(self.segments)
 
     @property
     def source(self) -> str:

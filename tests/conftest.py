@@ -5,9 +5,19 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from comdb import engine
+from comdb import algebra, engine
+from comdb.algebra import ElementSet
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def every(db, domain) -> ElementSet:
+    """Every member of a collection, or of a product (its predicate applied), as identities."""
+    if isinstance(domain, str):
+        return ElementSet(domain, frozenset(db.collections[domain].ids))
+    ids = [db.collections[c].ids for _, c in domain.factors]
+    return ElementSet(domain, frozenset(tuple(map(list.__getitem__, ids, m))
+                                        for m in algebra.iter_members(db, domain)))
 
 
 def load_fixture(name: str, strict: bool = True) -> engine.Database:

@@ -44,6 +44,11 @@ def views(db, collection: str) -> dict:
     return {ident: model.Element(coll, row) for ident, row in coll.elements.items()}
 
 
+def o_references(concept) -> list:
+    """A concept's entity fields that reference another concept."""
+    return [f for f in concept.entity_fields if not f.is_primitive]
+
+
 def reach_closure(db) -> dict:
     """For every element key, the set of strictly greater element keys."""
     memo: dict[Key, frozenset] = {}
@@ -56,7 +61,7 @@ def reach_closure(db) -> dict:
         cname, ident = key
         el = db.collections[cname].element(ident)
         acc: set = set()
-        for f in db.collections[cname].concept.reference_fields:
+        for f in o_references(db.collections[cname].concept):
             ref = el.entity[f.name]
             if ref is None:
                 continue
@@ -87,7 +92,7 @@ def o_closures(concepts) -> dict:
     names = [c.name for c in concepts]
     less = {a: set() for a in names}  # less[a] = concepts strictly greater than a
     for c in concepts:
-        for f in c.reference_fields:
+        for f in o_references(c):
             less[c.name].add(f.type)
     changed = True
     while changed:
@@ -510,7 +515,7 @@ def o_insert(db, collection: str, identity, entity_values) -> None:
     coll.elements[ident] = row
     for lessers in coll.reverse.values():
         lessers.append([])
-    for f in concept.reference_fields:
+    for f in o_references(concept):
         if cells[f.name] >= 0:
             dim = db.schema.dimension(concept.name, f.name)
             db.collections[f.type].reverse[dim][cells[f.name]].append(row)
@@ -586,8 +591,6 @@ def o_load_csv(db, collection: str, path, strict: bool = False) -> engine.Ingest
                 if strict:
                     raise FileError(f"{path}:{line}: {e}") from None
                 report.rejected.append((line, str(e)))
-    if report.inserted:
-        db.version += 1
     return report
 
 
@@ -621,7 +624,7 @@ def stored(db) -> dict:
         for k, f in enumerate(concept.identity_fields):
             assert coll.columns[f.name] == [ident[k] for ident in idents], (name, f.name)
         forward = {}
-        for f in concept.reference_fields:
+        for f in o_references(concept):
             dest = db.collections[f.type].ids
             forward[f.name] = {i: None if g < 0 else dest[g]
                                for i, g in zip(idents, coll.columns[f.name])}

@@ -93,7 +93,7 @@ def _random_up_names(rng, db, source, max_len=3):
     names = []
     cur = source
     for _ in range(rng.randint(1, max_len)):
-        refs = db.schema.concepts[cur].reference_fields
+        refs = oracle.o_references(db.schema.concepts[cur])
         if not refs:
             break
         f = rng.choice(refs)

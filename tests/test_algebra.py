@@ -6,6 +6,7 @@ import random
 import pytest
 
 import oracle
+from conftest import every
 from comdb import algebra, model
 from comdb.algebra import ElementSet, INDEPENDENT_WARNING
 from comdb.errors import DuplicateAlias, NoPath, PathNotComposable, ViaNotCommonLesser
@@ -34,7 +35,7 @@ def test_project_deduplicates(colors_db):
 
 def test_project_drops_null_hops(catalog_db):
     db = catalog_db
-    src = algebra.full_set(db, "Books")
+    src = every(db, "Books")
     up = algebra.project(db, src, db.schema.path("Books", "publisher"))
     # b4 has no publisher and contributes nothing
     assert members(up) == {("Springer",), ("Wiley",), ("Hanser",)}
@@ -57,7 +58,7 @@ def test_deproject_fans_out(colors_db):
 
 def test_deproject_never_matches_null(catalog_db):
     db = catalog_db
-    everyone = algebra.full_set(db, "Publishers")
+    everyone = every(db, "Publishers")
     down = algebra.deproject(db, everyone, db.schema.path("Books", "publisher"))
     assert ("b4",) not in members(down)
     assert members(down) == {("b1",), ("b2",), ("b3",), ("b5",)}
@@ -91,7 +92,7 @@ def test_project_rejects_a_set_of_primitive_values(catalog_db):
 
 def test_project_path_must_start_at_the_set(catalog_db):
     db = catalog_db
-    books = algebra.full_set(db, "Books")
+    books = every(db, "Books")
     with pytest.raises(PathNotComposable,
                        match="path 'Publishers.address' does not start at collection 'Books'"):
         algebra.project(db, books, db.schema.path("Publishers", "address"))
@@ -100,7 +101,7 @@ def test_project_path_must_start_at_the_set(catalog_db):
 def test_project_from_a_product_starts_at_a_factor_alias(market_db):
     db = market_db
     deals = algebra.make_product("Deals", [("wb", "WriterBooks"), ("s", "Sellers")])
-    everyone = algebra.product_members(db, deals)
+    everyone = every(db, deals)
     # a hop that starts at a collection, not at the product
     with pytest.raises(PathNotComposable,
                        match="'WriterBooks.book' does not start at product 'Deals'"):
@@ -114,7 +115,7 @@ def test_project_from_a_product_starts_at_a_factor_alias(market_db):
 
 def test_project_rejects_a_dimension_outside_the_schema(catalog_db):
     db = catalog_db
-    books = algebra.full_set(db, "Books")
+    books = every(db, "Books")
     bogus = model.Dimension("editor", "Books", "Publishers")
     with pytest.raises(PathNotComposable,
                        match="'Books.editor' does not start at collection 'Books'"):
@@ -128,14 +129,14 @@ def test_deproject_starts_from_a_collection(catalog_db, market_db):
     with pytest.raises(PathNotComposable, match="cannot de-project from 'Addresses.country'"):
         algebra.deproject(catalog_db, countries, catalog_db.schema.path("Publishers", "address"))
     deals = algebra.make_product("Deals", [("wb", "WriterBooks"), ("s", "Sellers")])
-    everyone = algebra.product_members(market_db, deals)
+    everyone = every(market_db, deals)
     with pytest.raises(PathNotComposable, match="cannot de-project from 'Deals'"):
         algebra.deproject(market_db, everyone, market_db.schema.path("WriterBooks", "book"))
 
 
 def test_deproject_path_must_arrive_at_the_set(catalog_db):
     db = catalog_db
-    books = algebra.full_set(db, "Books")
+    books = every(db, "Books")
     with pytest.raises(PathNotComposable,
                        match="path 'Books.publisher' does not arrive at collection 'Books'"):
         algebra.deproject(db, books, db.schema.path("Books", "publisher"))
@@ -143,7 +144,7 @@ def test_deproject_path_must_arrive_at_the_set(catalog_db):
 
 def test_deproject_rejects_a_dimension_outside_the_schema(catalog_db):
     db = catalog_db
-    publishers = algebra.full_set(db, "Publishers")
+    publishers = every(db, "Publishers")
     bogus = model.Dimension("editor", "Books", "Publishers")
     with pytest.raises(PathNotComposable,
                        match="'Books.editor' is not a dimension arriving at 'Publishers'"):
@@ -185,14 +186,14 @@ def test_intersect_deprojections(colors_db):
 def test_intersect_deprojections_needs_sets_over_one_domain(library_db):
     with pytest.raises(ValueError, match="^nothing to intersect$"):
         algebra.intersect_deprojections([])
-    books, writers = algebra.full_set(library_db, "Books"), algebra.full_set(library_db, "Writers")
+    books, writers = every(library_db, "Books"), every(library_db, "Writers")
     with pytest.raises(PathNotComposable, match="^cannot intersect sets over 'Books' and 'Writers'$"):
         algebra.intersect_deprojections([books, writers])
 
 
 def test_star_forms_and_inference_reject_a_set_of_primitive_values(catalog_db):
     db = catalog_db
-    titles = algebra.project_values(db, algebra.full_set(db, "Books"), (),
+    titles = algebra.project_values(db, every(db, "Books"), (),
                                     db.schema.concept("Books").field("title"))
     with pytest.raises(PathNotComposable, match="^cannot project a set of primitive values$"):
         algebra.star_project(db, titles, "Publishers")
@@ -314,7 +315,7 @@ def test_star_project_of_whole_collections_matches_the_oracle():
         reach = oracle.reach_closure(db)
         rel = oracle.concept_below(db)
         for src in db.schema.concepts:
-            everyone = algebra.full_set(db, src)
+            everyone = every(db, src)
             for target in sorted(rel["above"][src]):
                 got = algebra.star_project(db, everyone, target)
                 want = oracle.o_star_project(db, reach, src, everyone.members, target)
@@ -325,7 +326,7 @@ def test_star_project_of_whole_collections_matches_the_oracle():
 
 def test_star_project_requires_a_path(market_db):
     db = market_db
-    shops = algebra.full_set(db, "Shops")
+    shops = every(db, "Shops")
     with pytest.raises(NoPath) as exc:
         algebra.star_project(db, shops, "Writers")
     assert "<-*->" in str(exc.value)
@@ -352,7 +353,7 @@ def test_product_members_and_restrict(market_db):
     db = market_db
 
     deals = algebra.make_product("Deals", [("wb", "WriterBooks"), ("s", "Sellers")], same_book)
-    everyone = algebra.product_members(db, deals)
+    everyone = every(db, deals)
     assert members(everyone) == {((1,), (10,)), ((2,), (20,))}
 
     # the runner's form: restrict and members are in factor rows
@@ -365,7 +366,7 @@ def test_star_project_from_product(market_db):
     db = market_db
 
     deals = algebra.make_product("Deals", [("wb", "WriterBooks"), ("s", "Sellers")], same_book)
-    all_deals = algebra.product_members(db, deals)
+    all_deals = every(db, deals)
     shops = algebra.star_project(db, all_deals, "Shops")
     assert members(shops) == {("s1",), ("s2",)}
 
@@ -392,10 +393,10 @@ def test_star_deproject_into_product(market_db):
 def test_star_deproject_from_a_product_reaches_only_itself(market_db):
     db = market_db
     deals = algebra.make_product("Deals", [("wb", "WriterBooks"), ("s", "Sellers")], same_book)
-    every = algebra.product_members(db, deals)
-    assert algebra.star_deproject(db, every, deals) is every
+    all_deals = every(db, deals)
+    assert algebra.star_deproject(db, all_deals, deals) is all_deals
     with pytest.raises(NoPath, match="^cannot de-project from 'Deals'$"):
-        algebra.star_deproject(db, every, "Books")
+        algebra.star_deproject(db, all_deals, "Books")
 
 
 # --- common lesser collections and inference ---------------------------------

@@ -207,7 +207,7 @@ def test_dimension_path_composability():
     p = model.DimensionPath((d1, d2))
     assert p.source == "Bottom" and p.destination == "Top"
     assert p.dotted() == "l.up"
-    assert p.rank == 2
+    assert len(p.segments) == 2
     with pytest.raises(model.PathNotComposable):
         model.DimensionPath((d2, d1))
     with pytest.raises(model.PathNotComposable, match="^a dimension path needs at least one segment$"):
@@ -232,19 +232,18 @@ def test_insert_and_lookup():
     e = db.insert("A", 1, {"note": "hi"})
     assert e.identity == (1,)
     assert db.collections["A"].elements[(1,)] == e.row and db.collections["A"].element((1,)) == e
-    assert db.version == 1
+    assert db.collections["A"].ids == [(1,)]
     view = db.collections["A"].element((1,))
     assert e.concept is db.schema.concept("A") and (e == 1) is False and hash(e) == hash(view)
     assert repr(e) == "Element(collection='A', identity=(1,), values=('hi',), row=0)"
 
 
-def test_duplicate_identity_rejected_and_version_unchanged():
+def test_duplicate_identity_rejected_and_rows_unchanged():
     db = db_from("CONCEPT A IDENTITY id INT;")
     db.insert("A", 1)
-    v = db.version
     with pytest.raises(DuplicateIdentity):
         db.insert("A", 1)
-    assert db.version == v
+    assert db.collections["A"].ids == [(1,)]
 
 
 def test_identity_may_not_contain_null():
@@ -328,7 +327,7 @@ def test_insert_into_an_unknown_collection_rejected():
     with pytest.raises(UnknownCollection) as exc:
         db.insert("Nope", 1)
     assert str(exc.value) == "unknown collection 'Nope'"
-    assert db.version == 0
+    assert db.collections["A"].ids == []
 
 
 def test_unknown_entity_field_rejected():
