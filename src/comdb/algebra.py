@@ -22,8 +22,9 @@ collections when the source and target are incomparable.  Every motion is
 decided in one place, the router (route_path, route_star_project,
 route_star_deproject, route_infer), which keeps for each leg the sub-DAG of
 dimensions lying on some path between its ends, and for each way the
-hops the runner takes (_plan_way).  A route between two collections is
-made once per schema.  Projection and de-projection along one named path
+hops the runner takes (_plan_way).  A plan keeps the routes of its steps,
+and a database keeps a plan per query shape, so a route is made when a
+shape is planned.  Projection and de-projection along one named path
 are legs holding that one path.  The runner (_run_route, on rows;
 run_route converts around it) visits the sub-DAG of a way, its down leg
 and its up leg, in topological order,
@@ -47,7 +48,6 @@ changes.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -378,27 +378,6 @@ def route_path(schema: Schema, domain: Domain, path: DimensionPath, down: bool) 
     return Route(path.destination, ((None, None, leg),))
 
 
-def _kept(router):
-    """A router whose routes between two collections are made once per schema.
-
-    Such a route depends on the schema and the two names alone, and a Route
-    never changes, so every plan can share it, hop plans and all.  A route
-    with a product end, or through a given via, is made on every call.
-    """
-    @functools.wraps(router)
-    def routed(schema: Schema, source: Domain, target: Domain, *via) -> Route:
-        if any(via) or not (isinstance(source, str) and isinstance(target, str)):
-            return router(schema, source, target, *via)
-        key = (router.__name__, source, target)
-        route = schema.routes.get(key)
-        if route is None:
-            route = schema.routes[key] = router(schema, source, target)
-        return route
-
-    return routed
-
-
-@_kept
 def route_star_project(schema: Schema, source: Domain, target: str) -> Route:
     """The route of '*->': up from a collection or product to a greater collection."""
     if isinstance(source, PrimitiveDomain):
@@ -414,7 +393,6 @@ def route_star_project(schema: Schema, source: Domain, target: str) -> Route:
     return Route(target, ((None, None, leg),))
 
 
-@_kept
 def route_star_deproject(schema: Schema, source: Domain, target: Domain) -> Route:
     """The route of '<-*': down from a collection to a lesser collection or product."""
     if not isinstance(source, str):
@@ -432,7 +410,6 @@ def route_star_deproject(schema: Schema, source: Domain, target: Domain) -> Rout
     return Route(target, ((None, leg, None),))
 
 
-@_kept
 def route_infer(schema: Schema, source: Domain, target: Domain, via=None) -> Route:
     """The route of '<-*->' between any two domains.
 

@@ -15,7 +15,9 @@ no token: a quote that opens no closed string, or a character outside the
 language.  Either raises at once; resuming the scan past a bad quote would
 try every later quote as a string start, in quadratic time.  Each string
 alternative is the unrolled loop "quote, run of other characters, (doubled
-quote, run)*", which backtracks in linear time.
+quote, run)*", which backtracks in linear time.  _shape makes the same
+scan to key a database's kept plans: the token values, each literal's
+value blanked, and the literals beside them.
 """
 
 from __future__ import annotations
@@ -101,45 +103,103 @@ def tokenize(text: str) -> list[Token]:
         start = m.start()
         column = start - line_start + 1
         if kind == "word":
-            word = m.group()
-            # past ASCII, \w also admits digits and numerals that start no word
-            if word[0] > "\x7f" and not word[0].isalpha():
-                raise LexError(f"unexpected character {word[0]!r}", line, column)
-            upper = word.upper()
-            # only an ASCII word is a keyword: 'ſum'.upper() is 'SUM'
-            if upper in KEYWORDS and word.isascii():
-                append(_new(Token, (upper, upper, line, column)))
-            else:
-                append(_new(Token, ("IDENT", word, line, column)))
+            value = _word(m.group(), line, column)
+            append(_new(Token, (value if value in KEYWORDS else "IDENT", value, line, column)))
         elif kind == "op":
-            op_kind, canon = _OPS[m.group()]
-            append(_new(Token, (op_kind, canon, line, column)))
+            append(_new(Token, (*_OPS[m.group()], line, column)))
         elif kind == "number":
-            literal = m.group()
-            try:
-                if m.start("frac") < 0 and m.start("exp") < 0:
-                    append(_new(Token, ("INTEGER", int(literal), line, column)))
-                else:
-                    append(_new(Token, ("DECIMAL", Decimal(literal), line, column)))
-            except (ValueError, ArithmeticError):  # past int's digit limit or Decimal's exponent
-                raise LexError("number literal out of range", line, column) from None
+            append(_new(Token, (*_number(m, line, column), line, column)))
         elif kind == "other":
-            ch = m.group()
-            if ch in "'\"":
-                raise LexError("unterminated string", line, column)
-            raise LexError(f"unexpected character {ch!r}", line, column)
+            _other(m.group(), line, column)
         else:  # skipped text or a string, either of which may hold line breaks
             end = m.end()
             if kind == "string":
-                body = m.group()
-                value = body[1:-1].replace(body[0] * 2, body[0])
-                append(_new(Token, ("STRING", value, line, column)))
+                append(_new(Token, ("STRING", _string(m.group()), line, column)))
             breaks = text.count("\n", start, end)
             if breaks:
                 line += breaks
                 line_start = text.rindex("\n", start, end) + 1
     append(Token("EOF", None, line, len(text) - line_start + 1))
     return tokens
+
+
+# the mark a literal of each kind leaves in a shape: no other token's value looks like one
+_MARKS = {"INTEGER": "0", "DECIMAL": "0.0", "STRING": "''"}
+
+
+def _shape(text: str) -> tuple[tuple, list, list]:
+    """(shape, literals, positions): text's shape, and the value and (line,
+    column) of each of its literals in text order.
+
+    The shape is the tuple of text's token values with each INTEGER,
+    DECIMAL and STRING literal's value replaced by the mark of its kind
+    (_MARKS), so two texts share a shape exactly when their tokens differ
+    in literal values alone.  NULL is a keyword and stays.  One pass of
+    tokenize's scan, which raises the same LexError at the same position.
+    """
+    shape: list = []
+    literals: list = []
+    positions: list = []
+    append = shape.append
+    line = 1
+    line_start = 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "word":
+            append(_word(m.group(), line, m.start() - line_start + 1))
+        elif kind == "op":
+            append(_OPS[m.group()][1])
+        elif kind == "number":
+            column = m.start() - line_start + 1
+            kind, value = _number(m, line, column)
+            append(_MARKS[kind])
+            literals.append(value)
+            positions.append((line, column))
+        elif kind == "other":
+            _other(m.group(), line, m.start() - line_start + 1)
+        else:
+            start, end = m.span()
+            if kind == "string":
+                append(_MARKS["STRING"])
+                literals.append(_string(m.group()))
+                positions.append((line, start - line_start + 1))
+            breaks = text.count("\n", start, end)
+            if breaks:
+                line += breaks
+                line_start = text.rindex("\n", start, end) + 1
+    return tuple(shape), literals, positions
+
+
+def _word(word: str, line: int, column: int) -> str:
+    """A word's token value: a keyword's upper case, or the identifier itself."""
+    # past ASCII, \w also admits digits and numerals that start no word
+    if word[0] > "\x7f" and not word[0].isalpha():
+        raise LexError(f"unexpected character {word[0]!r}", line, column)
+    upper = word.upper()
+    # only an ASCII word is a keyword: 'ſum'.upper() is 'SUM'
+    return upper if upper in KEYWORDS and word.isascii() else word
+
+
+def _number(m: re.Match, line: int, column: int) -> tuple[str, object]:
+    """A number literal's kind and value."""
+    try:
+        if m.start("frac") < 0 and m.start("exp") < 0:
+            return "INTEGER", int(m.group())
+        return "DECIMAL", Decimal(m.group())
+    except (ValueError, ArithmeticError):  # past int's digit limit or Decimal's exponent
+        raise LexError("number literal out of range", line, column) from None
+
+
+def _string(body: str) -> str:
+    """A closed string literal's value: its quotes dropped and doubled quotes undone."""
+    return body[1:-1].replace(body[0] * 2, body[0])
+
+
+def _other(ch: str, line: int, column: int):
+    """Raise for a character that starts no token."""
+    if ch in "'\"":
+        raise LexError("unterminated string", line, column)
+    raise LexError(f"unexpected character {ch!r}", line, column)
 
 
 def split_statements(text: str) -> list[str]:

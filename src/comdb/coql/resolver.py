@@ -17,12 +17,23 @@ start a chain are one more seek on the record of the collection they
 reach (_constants_anchor).  resolve walks the steps in one loop: it
 rejects a step that cannot start from the chain's domain, lets the
 step's resolver append its motions, then appends the target's record.
+
+Each value a literal gives the plan takes a slot, numbered in the order
+resolution types the literals (_slot).  resolve makes the plan's
+template, with slot numbers in place of those values and a maker in
+place of each residual, and binds it to the values (_bound).  A later
+text of the same shape, the same tokens but for literal values, binds
+its own literals to that template without being parsed or resolved
+(_bind).  A literal inside a product's predicate takes no slot: the
+product's closures hold its value, so a shape holding one cannot bind.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import partial
 from typing import Callable, Mapping
 
 from ..algebra import (
@@ -101,9 +112,11 @@ class AggValue:
 
 @dataclass(frozen=True)
 class _Ctx:
-    """What predicate paths may start from: one concept or product factors."""
+    """What predicate paths may start from: one concept or product factors;
+    and the slots the predicate's literals take (_slot)."""
 
     schema: Schema
+    slots: list
     concept: str | None = None           # element subject
     alias: str | None = None             # its optional alias
     aliases: Mapping[str, str] | None = None  # product subject: alias -> concept
@@ -171,7 +184,7 @@ def _compile_path(ctx: _Ctx, node: ast.PathTerm) -> PathValue:
     return PathValue(read, None, f.type, text)
 
 
-def _coerce_literal(value, value_type: str, pos) -> object:
+def _coerce_literal(value_type: str, value, pos) -> object:
     """Fit a literal to the primitive type it is compared with."""
     if value is None:
         return None
@@ -191,28 +204,43 @@ def _coerce_literal(value, value_type: str, pos) -> object:
     return value
 
 
-def _type_literal_against(term, lit: ast.Literal, schema: Schema):
-    """The value a literal compared with term stands for (term None: another literal)."""
-    value = lit.value
+def _type_literal_against(term, value, pos, schema: Schema):
+    """The value a literal at pos compared with term stands for (term None: another literal)."""
     if isinstance(term, AggValue):
         if value is not None and not isinstance(value, (int, Decimal)):
-            _raise(ResolveError, f"{term.func} compares against numbers, found {value!r}", lit.pos)
+            _raise(ResolveError, f"{term.func} compares against numbers, found {value!r}", pos)
     elif isinstance(term, PathValue):
         if term.value_type is not None:
-            return _coerce_literal(value, term.value_type, lit.pos)
+            return _coerce_literal(term.value_type, value, pos)
         if value is not None:
             # literal against a reference endpoint: wrap into an identity
             # tuple when the destination identity has a single field
             concept = schema.concept(term.ref_to)
             if len(concept.identity_fields) == 1:
-                return (_coerce_literal(value, concept.identity_fields[0].type, lit.pos),)
+                return (_coerce_literal(concept.identity_fields[0].type, value, pos),)
             _raise(
                 ResolveError,
                 f"cannot compare '{term.text}' with a constant: "
                 f"'{term.ref_to}' has a composite identity",
-                lit.pos,
+                pos,
             )
     return value
+
+
+def _seek_value(term: PathValue, value, pos, schema: Schema):
+    """As _type_literal_against, but a single-field identity reads as its one field."""
+    typed = _type_literal_against(term, value, pos, schema)
+    return typed if term.value_type is not None else typed[0]
+
+
+def _slot(slots: list, lit: ast.Literal, typer: Callable) -> int:
+    """The number of a new slot holding lit's value, typed by typer(value, pos).
+
+    The slot keeps lit's position and typer, and the value typer gives
+    now, so literals are typed in the order resolution meets them.
+    """
+    slots.append((lit.pos, typer, typer(lit.value, lit.pos)))
+    return len(slots) - 1
 
 
 def _compile_term(ctx: _Ctx, node):
@@ -238,7 +266,7 @@ def _compile_agg(ctx: _Ctx, node: ast.AggTerm) -> AggValue:
         )
     inner = None
     if node.predicate is not None:
-        inner = _access_paths(ctx.schema, ast.Factor(node.collection), node.predicate)
+        inner = _access_paths(ctx.schema, ctx.slots, ast.Factor(node.collection), node.predicate)
     sum_path = None
     if node.func == "SUM":
         if node.path is None:
@@ -260,70 +288,140 @@ def _compile_agg(ctx: _Ctx, node: ast.AggTerm) -> AggValue:
     return AggValue(node.func, dim, inner, sum_path, key)
 
 
-def _reader(term, other, node, schema: Schema) -> Callable:
-    """A compiled term's reader (db, subject) -> value; an aggregate's runs
-    algebra._aggregate on one row, a literal's is its value typed against other."""
+def _reader(term) -> Callable:
+    """A compiled term's reader maker: values -> reader (db, subject) -> value.
+
+    A path reads its own way; an aggregate, its inner record bound to
+    values, runs algebra._aggregate on one row.
+    """
     if isinstance(term, AggValue):
-        return lambda db, row: _aggregate(db, term, (row,))[0]
-    if term is not None:
-        return term.read
-    value = _type_literal_against(other, node, schema)
-    return lambda db, subject: value
+        def aggregate(values):
+            agg = _bound_agg(term, values)
+            return lambda db, row: _aggregate(db, agg, (row,))[0]
+
+        return aggregate
+    read = term.read
+    return lambda values: read
+
+
+def _literal(ctx: _Ctx, other, lit: ast.Literal) -> int | None:
+    """The slot of a literal compared with other, typed against it; None
+    for NULL, a keyword of the shape, which takes no slot."""
+    if lit.value is None:
+        return None
+    return _slot(ctx.slots, lit, partial(_type_literal_against, other, schema=ctx.schema))
+
+
+def _constant(slot: int | None) -> Callable:
+    """The reader maker of the value in slot (None: NULL)."""
+    return lambda values: lambda db, subject, value=None if slot is None else values[slot]: value
 
 
 def compile_predicate(ctx: _Ctx, node) -> Callable:
-    """Compile a predicate into one closure (db, subject) -> bool.
+    """Compile a predicate into a maker: make(values) is the closure
+    (db, subject) -> bool that reads each literal's value from values,
+    by the number of its slot in ctx.slots.
 
     The subject is a row of the collection, or {alias: row} for a product
     member.
     A comparison touching NULL is false, and so is one that raises
-    TypeError; NOT applies after that.
+    TypeError; NOT applies after that.  A literal compared with a term
+    is read when the closure is made, never per subject: `c < p` is read
+    as `p > c`.
     """
     if isinstance(node, ast.Comparison):
-        op = _OPS[node.op]
-        # compile paths first so literals can be typed against them
-        cl = None if isinstance(node.left, ast.Literal) else _compile_term(ctx, node.left)
-        cr = None if isinstance(node.right, ast.Literal) else _compile_term(ctx, node.right)
-        left = _reader(cl, cr, node.left, ctx.schema)
-        right = _reader(cr, cl, node.right, ctx.schema)
-
-        def holds(db, subject):
-            a = left(db, subject)
-            if a is None:
-                return False
-            b = right(db, subject)
-            if b is None:
-                return False
-            try:
-                return bool(op(a, b))
-            except TypeError:
-                return False
-
-        return holds
+        op, left, right = node.op, node.left, node.right
+        if isinstance(left, ast.Literal) and not isinstance(right, ast.Literal):
+            op, left, right = _FLIPPED[op], right, left
+        op = _OPS[op]
+        if isinstance(left, ast.Literal):
+            return partial(_against_term, op, _constant(_literal(ctx, None, left)),
+                           _constant(_literal(ctx, None, right)))
+        # compile terms first so literals can be typed against them
+        term = _compile_term(ctx, left)
+        if isinstance(right, ast.Literal):
+            return partial(_against_value, op, _reader(term), _literal(ctx, term, right))
+        return partial(_against_term, op, _reader(term), _reader(_compile_term(ctx, right)))
     if isinstance(node, ast.Not):
-        item = compile_predicate(ctx, node.item)
-        return lambda db, subject: not item(db, subject)
+        make_item = compile_predicate(ctx, node.item)
+
+        def make(values):
+            item = make_item(values)
+            return lambda db, subject: not item(db, subject)
+
+        return make
     if isinstance(node, (ast.And, ast.Or)):
         return _decided([compile_predicate(ctx, i) for i in node.items], isinstance(node, ast.Or))
     raise TypeError(f"not a predicate: {node!r}")
 
 
-def _decided(items: list, stop: bool) -> Callable:
-    """The AND (stop False) or OR (stop True) of compiled predicates.
+def _against_term(op, make_left, make_right, values) -> Callable:
+    """`left op right` over two reader makers, bound to values."""
+    left, right = make_left(values), make_right(values)
+
+    def holds(db, subject):
+        a = left(db, subject)
+        if a is None:
+            return False
+        b = right(db, subject)
+        if b is None:
+            return False
+        try:
+            return bool(op(a, b))
+        except TypeError:
+            return False
+
+    return holds
+
+
+def _against_value(op, make_left, slot: int | None, values) -> Callable:
+    """`left op c` for a term's reader maker and the value in slot, bound to values."""
+    left = make_left(values)
+    b = None if slot is None else values[slot]
+    if b is None:
+        return lambda db, subject: False
+
+    def holds(db, subject):
+        a = left(db, subject)
+        if a is None:
+            return False
+        try:
+            return bool(op(a, b))
+        except TypeError:
+            return False
+
+    return holds
+
+
+def _decided(makers: list, stop: bool) -> Callable:
+    """The maker of the AND (stop False) or OR (stop True) of compiled predicates.
 
     The first item giving stop decides.
     """
-    items = tuple(items)
-    if len(items) == 1:
-        return items[0]
+    makers = tuple(makers)
+    if len(makers) == 1:
+        return makers[0]
 
-    def decided(db, subject):
-        for p in items:
-            if p(db, subject) is stop:
-                return stop
-        return not stop
+    def make(values):
+        items = tuple(m(values) for m in makers)
 
-    return decided
+        def decided(db, subject):
+            for p in items:
+                if p(db, subject) is stop:
+                    return stop
+            return not stop
+
+        return decided
+
+    return make
+
+
+def _closed(schema: Schema, aliases: Mapping[str, str], node) -> Callable:
+    """A product predicate's closure, holding its literals' values: they take
+    no slot of the query's, since the product is made afresh for each text."""
+    slots: list = []
+    make = compile_predicate(_Ctx(schema, slots, aliases=aliases), node)
+    return make([value for _, _, value in slots])
 
 
 # --- plans ---------------------------------------------------------------------
@@ -391,12 +489,38 @@ class PlanRoute:
 @dataclass(frozen=True)
 class QueryPlan:
     """The plan of query: a CollectionAnchor or ProductCollection anchor, then
-    steps, each a CollectionAnchor, a PlanRoute or, last, a FieldSpec to read."""
+    steps, each a CollectionAnchor, a PlanRoute or, last, a FieldSpec to read.
+
+    shape is what the plan was bound from (_Shape).  literals are, in text
+    order, the literals of the text a plan was bound for, when that is not
+    query's own text; explain prints them in place of query's.
+    """
 
     query: ast.Query
     anchor: object
     steps: tuple
     warnings: tuple[str, ...]
+    shape: object = dataclasses.field(default=None, compare=False, repr=False)
+    literals: tuple | None = dataclasses.field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class _Shape:
+    """What resolving one text leaves for binding every text of its shape.
+
+    template is the text's plan with each value a literal gives replaced
+    by the number of its slot: in Seek.values, bounds and cuts, however
+    deep inside an aggregate's inner record.  Its residuals are the makers
+    compile_predicate returns.  slots holds, per slot, in the order
+    resolution typed them, the index of its literal in text order and its
+    typer; positions are the slots' positions in the template's text, in
+    text order.  A slot's index is good only when every literal has a
+    slot, as it has unless a product's predicate holds one.
+    """
+
+    template: QueryPlan
+    slots: tuple
+    positions: tuple
 
 
 # --- resolution -----------------------------------------------------------------
@@ -410,8 +534,7 @@ def _product_from_set_expr(se: ast.SetExpr, schema: Schema, name=None) -> Produc
         factors.append((f.alias or f.collection, f.collection))
     predicate = None
     if se.predicate is not None:
-        aliases = {a: c for a, c in factors}
-        predicate = compile_predicate(_Ctx(schema, aliases=aliases), se.predicate)
+        predicate = _closed(schema, dict(factors), se.predicate)
     text = print_set_expr(se)
     for k, (f, (alias, _)) in enumerate(zip(se.factors, factors)):
         if alias in dict(factors[:k]):
@@ -452,13 +575,13 @@ def _seek(schema: Schema, owner: str, field_name: str, values: tuple, dims: tupl
     return Seek(owner, field_name, values, dims, route)
 
 
-def _equal_seek(schema: Schema, collection: str, path: ast.PathTerm, parts, value) -> Seek:
-    """The access path equal to `path == value`, value typed against path.
+def _equal_seek(schema: Schema, collection: str, path: ast.PathTerm, parts, slot: int) -> Seek:
+    """The access path equal to `path == value`, value in slot.
 
     (C | p.f == v) holds the elements of v <- f <- p... <- (C).  A path
     ending at a reference, or the bare alias, compares a single-field
-    identity, whose value is typed as a one-field identity tuple, so its
-    constant de-projects through that identity field.
+    identity, so its constant, that identity's one field (_seek_value),
+    de-projects through that identity field.
     """
     dims, owner, f = _field_path(schema, collection, parts, path.pos)
     if f is None or not f.is_primitive:
@@ -466,12 +589,12 @@ def _equal_seek(schema: Schema, collection: str, path: ast.PathTerm, parts, valu
             dims += (schema.dimension(owner, f.name),)
             owner = f.type
         f = schema.concept(owner).identity_fields[0]
-        (value,) = value
-    return _seek(schema, owner, f.name, (value,), dims)
+    return _seek(schema, owner, f.name, (slot,), dims)
 
 
-def _access_paths(schema: Schema, one: ast.Factor, predicate) -> CollectionAnchor:
-    """The record of (C | p): p's conjuncts split by access path.
+def _access_paths(schema: Schema, slots: list, one: ast.Factor, predicate) -> CollectionAnchor:
+    """The record of (C | p): p's conjuncts split by access path, each value
+    a literal gives held as its slot's number.
 
     Every conjunct is compiled once, in order, so each raises what
     compiling the whole predicate would.
@@ -479,19 +602,20 @@ def _access_paths(schema: Schema, one: ast.Factor, predicate) -> CollectionAncho
     identity = schema.concepts[one.collection].identity_fields
     # the parts of a path to the identity, when it has a single field
     key = (identity[0].name,) if len(identity) == 1 else None
-    ctx = _Ctx(schema, concept=one.collection, alias=one.alias)
+    ctx = _Ctx(schema, slots, concept=one.collection, alias=one.alias)
     seeks, bounds, cuts, residual = [], [], [], []
     for c in _conjuncts(predicate):
         op, term, lit, parts = _against_constant(c, one.alias) or (None,) * 4
         if isinstance(term, ast.AggTerm):
             agg = _compile_agg(ctx, term)
-            cuts.append((agg, op, _type_literal_against(agg, lit, schema)))
-        elif op == "==" or (op in ("<", "<=", ">", ">=") and parts == key):
-            value = _type_literal_against(_compile_path(ctx, term), lit, schema)
-            if op == "==":
-                seeks.append(_equal_seek(schema, one.collection, term, parts, value))
-            else:
-                bounds.append((op, value))
+            cuts.append((agg, op, _slot(slots, lit, partial(_type_literal_against, agg,
+                                                             schema=schema))))
+        elif op == "==":
+            typer = partial(_seek_value, _compile_path(ctx, term), schema=schema)
+            seeks.append(_equal_seek(schema, one.collection, term, parts, _slot(slots, lit, typer)))
+        elif op in ("<", "<=", ">", ">=") and parts == key:
+            typer = partial(_type_literal_against, _compile_path(ctx, term), schema=schema)
+            bounds.append((op, _slot(slots, lit, typer)))
         else:
             residual.append(compile_predicate(ctx, c))
     return CollectionAnchor(one.collection, predicate,
@@ -499,7 +623,7 @@ def _access_paths(schema: Schema, one: ast.Factor, predicate) -> CollectionAncho
                             tuple(seeks), tuple(bounds), tuple(cuts))
 
 
-def _resolve_set(se: ast.SetExpr, schema: Schema, products: Mapping):
+def _resolve_set(se: ast.SetExpr, schema: Schema, products: Mapping, slots: list):
     """Bind a set expression: (its domain, the CollectionAnchor narrowing it, or None).
 
     A collection's predicate gives its record (_access_paths); a product,
@@ -512,7 +636,7 @@ def _resolve_set(se: ast.SetExpr, schema: Schema, products: Mapping):
     if one.collection in schema.concepts:
         if se.predicate is None:
             return one.collection, None
-        return one.collection, _access_paths(schema, one, se.predicate)
+        return one.collection, _access_paths(schema, slots, one, se.predicate)
     if one.collection not in products:
         _raise(UnknownCollection, f"unknown collection '{one.collection}'", one.pos)
     if one.alias is not None:
@@ -520,7 +644,7 @@ def _resolve_set(se: ast.SetExpr, schema: Schema, products: Mapping):
     product = products[one.collection]
     if se.predicate is None:
         return product, None
-    extra = compile_predicate(_Ctx(schema, aliases=dict(product.factors)), se.predicate)
+    extra = _closed(schema, dict(product.factors), se.predicate)
     inner = product.predicate
 
     def both(db, subject):
@@ -529,9 +653,9 @@ def _resolve_set(se: ast.SetExpr, schema: Schema, products: Mapping):
     return ProductCollection(product.name, product.factors, both), None
 
 
-def _collection_target(se: ast.SetExpr, schema: Schema, products: Mapping, pos):
+def _collection_target(se: ast.SetExpr, schema: Schema, products: Mapping, slots: list, pos):
     """The target of '->' or '<-', which must be a collection, and its record."""
-    target, post = _resolve_set(se, schema, products)
+    target, post = _resolve_set(se, schema, products, slots)
     if isinstance(target, ProductCollection):
         _raise(ResolveError, "use '<-*' to reach a product collection", pos)
     return target, post
@@ -584,7 +708,8 @@ def _path_route(schema: Schema, domain, segs, down: bool) -> PlanRoute:
                      "<-" if down else "->")
 
 
-def _resolve_project(step: ast.ProjectStep, domain, schema: Schema, products: Mapping, out: list):
+def _resolve_project(step: ast.ProjectStep, domain, schema: Schema, products: Mapping,
+                     slots: list, out: list):
     # explicit dimensions, possibly starting with a product factor alias
     segs: list[Dimension] = []
     cur = domain
@@ -603,7 +728,7 @@ def _resolve_project(step: ast.ProjectStep, domain, schema: Schema, products: Ma
             return cur, None
 
     if not dims and step.target is not None and not segs:
-        target, post = _collection_target(step.target, schema, products, step.pos)
+        target, post = _collection_target(step.target, schema, products, slots, step.pos)
         path = _unique_up_path(schema, cur, target, step.pos)
         out.append(_path_route(schema, cur, path.segments, False))
         return target, post
@@ -635,7 +760,7 @@ def _resolve_project(step: ast.ProjectStep, domain, schema: Schema, products: Ma
 
     post = None
     if step.target is not None:
-        target, post = _collection_target(step.target, schema, products, step.pos)
+        target, post = _collection_target(step.target, schema, products, slots, step.pos)
         if target != cur:
             dotted = ".".join(step.dims)
             _raise(ResolveError, f"'{dotted}' arrives at '{cur}', not '{target}'", step.pos)
@@ -660,9 +785,9 @@ def _down_path(schema: Schema, target: str, names, pos) -> tuple[list[Dimension]
 
 
 def _resolve_deproject(step: ast.DeprojectStep, domain, schema: Schema,
-                       products: Mapping, out: list):
+                       products: Mapping, slots: list, out: list):
     if step.target is not None:
-        target, post = _collection_target(step.target, schema, products, step.pos)
+        target, post = _collection_target(step.target, schema, products, slots, step.pos)
         if not step.dims:
             path = _unique_up_path(schema, target, domain, step.pos)
             out.append(_path_route(schema, domain, path.segments, True))
@@ -696,7 +821,8 @@ def _resolve_deproject(step: ast.DeprojectStep, domain, schema: Schema,
     return walk, None
 
 
-def _constants_anchor(lits, first: ast.DeprojectStep, schema: Schema, products: Mapping):
+def _constants_anchor(lits, first: ast.DeprojectStep, schema: Schema, products: Mapping,
+                      slots: list):
     """`v1, v2 <- f <- p... <- (C | q)`: the record of (C | q) with one more seek.
 
     Without a collection in parentheses, f names the one collection that
@@ -709,7 +835,7 @@ def _constants_anchor(lits, first: ast.DeprojectStep, schema: Schema, products: 
 
     sel = None
     if first.target is not None:
-        target, sel = _collection_target(first.target, schema, products, first.pos)
+        target, sel = _collection_target(first.target, schema, products, slots, first.pos)
         segs, owner = _down_path(schema, target, rest, first.pos)
     else:
         if rest:
@@ -736,7 +862,7 @@ def _constants_anchor(lits, first: ast.DeprojectStep, schema: Schema, products: 
     if fld is None or not fld.is_primitive:
         _raise(ResolveError, f"'{owner}.{field_name}' is not a primitive field", first.pos)
     # de-projection never matches NULL
-    values = tuple(_coerce_literal(lit.value, fld.type, lit.pos) for lit in lits
+    values = tuple(_slot(slots, lit, partial(_coerce_literal, fld.type)) for lit in lits
                    if lit.value is not None)
     sel = sel or CollectionAnchor(target)
     return CollectionAnchor(target, sel.predicate, sel.residual,
@@ -751,9 +877,9 @@ _ROUTERS = {"*->": route_star_project, "<-*": route_star_deproject, "<-*->": rou
 
 
 def _resolve_star(step, arrow: str, domain, schema: Schema, products: Mapping,
-                  out: list, warnings: list):
+                  slots: list, out: list, warnings: list):
     """'*->', '<-*' or '<-*->': the route its router chose to the target."""
-    target, post = _resolve_set(step.target, schema, products)
+    target, post = _resolve_set(step.target, schema, products, slots)
     if arrow == "*->" and isinstance(target, ProductCollection):
         _raise(ResolveError, "'*->' cannot arrive at a product; use '<-*'", step.pos)
     try:
@@ -770,21 +896,23 @@ def resolve(query: ast.Query, schema: Schema, products: Mapping | None = None) -
     """Bind a parsed query against a schema; returns the executable plan.
 
     Each step appends the motions it makes and returns the domain it
-    arrives at and its target's record, which narrows after them.
+    arrives at and its target's record, which narrows after them.  The
+    plan is its shape's template bound to the values its literals took.
     """
     products = products or {}
+    slots: list = []
     warnings: list[str] = []
     out: list = []
 
     steps = query.steps
     if isinstance(query.anchor, ast.SetExpr):
-        domain, anchor = _resolve_set(query.anchor, schema, products)
+        domain, anchor = _resolve_set(query.anchor, schema, products, slots)
         if anchor is None:
             anchor = domain if isinstance(domain, ProductCollection) else CollectionAnchor(domain)
     elif not steps or not isinstance(steps[0], ast.DeprojectStep):
         _raise(ResolveError, "constants must be followed by a de-projection ('<-')", query.pos)
     else:  # the first step de-projects the constants
-        anchor, domain = _constants_anchor(query.anchor, steps[0], schema, products)
+        anchor, domain = _constants_anchor(query.anchor, steps[0], schema, products, slots)
         steps = steps[1:]
 
     for st in steps:
@@ -794,15 +922,58 @@ def resolve(query: ast.Query, schema: Schema, products: Mapping | None = None) -
         elif isinstance(domain, ProductCollection) and arrow in ("<-", "<-*"):
             _raise(ResolveError, f"'{arrow}' cannot start from product '{domain.name}'", st.pos)
         elif arrow == "->":
-            domain, post = _resolve_project(st, domain, schema, products, out)
+            domain, post = _resolve_project(st, domain, schema, products, slots, out)
         elif arrow == "<-":
-            domain, post = _resolve_deproject(st, domain, schema, products, out)
+            domain, post = _resolve_deproject(st, domain, schema, products, slots, out)
         else:
-            domain, post = _resolve_star(st, arrow, domain, schema, products, out, warnings)
+            domain, post = _resolve_star(st, arrow, domain, schema, products, slots, out, warnings)
         if post is not None:
             out.append(post)
 
-    return QueryPlan(query, anchor, tuple(out), tuple(warnings))
+    positions = sorted(pos for pos, _, _ in slots)
+    index = {pos: i for i, pos in enumerate(positions)}
+    shape = _Shape(QueryPlan(query, anchor, tuple(out), tuple(warnings)),
+                   tuple((index[pos], typer) for pos, typer, _ in slots), tuple(positions))
+    return _bound(shape, [value for _, _, value in slots])
+
+
+def _bind(shape: _Shape, literals: list, positions: list) -> QueryPlan:
+    """The plan of a text of shape, given its literals and their positions in text order.
+
+    The values are typed slot by slot, in the order resolution typed
+    them, so a literal that does not type raises what resolving the text
+    would, at its own position.
+    """
+    values = [typer(literals[i], positions[i]) for i, typer in shape.slots]
+    return _bound(shape, values, tuple(literals))
+
+
+def _bound(shape: _Shape, values: list, literals: tuple | None = None) -> QueryPlan:
+    """shape's template with each slot's number replaced by its value in values."""
+    template = shape.template
+    return QueryPlan(template.query, _bound_record(template.anchor, values),
+                     tuple([_bound_record(step, values) for step in template.steps]),
+                     template.warnings, shape, literals)
+
+
+def _bound_record(record, values: list):
+    """A template's record with its slots' values, and its residual made from them."""
+    if not isinstance(record, CollectionAnchor):
+        return record
+    return CollectionAnchor(
+        record.collection, record.predicate,
+        None if record.residual is None else record.residual(values),
+        tuple([Seek(s.owner, s.field, tuple(map(values.__getitem__, s.values)), s.dims, s.route)
+               for s in record.seeks]),
+        tuple([(op, values[k]) for op, k in record.bounds]),
+        tuple([(_bound_agg(agg, values), op, values[k]) for agg, op, k in record.cuts]))
+
+
+def _bound_agg(agg: AggValue, values: list) -> AggValue:
+    """A template's aggregate with its inner record bound to values."""
+    if agg.inner is None:
+        return agg
+    return AggValue(agg.func, agg.dim, _bound_record(agg.inner, values), agg.path, agg.key)
 
 
 def resolve_product(pd: ast.ProductDef, schema: Schema) -> ProductCollection:
@@ -854,13 +1025,34 @@ def _explain_route(step: PlanRoute) -> list[str]:
     return lines
 
 
+def _with_literals(node, at: dict):
+    """node with each literal at a position that at maps holding the value it maps to."""
+    if not at:
+        return node
+    if isinstance(node, ast.Literal):
+        return ast.Literal(at.get(node.pos, node.value), pos=node.pos)
+    if isinstance(node, tuple):
+        return tuple(_with_literals(item, at) for item in node)
+    if isinstance(node, ast.Node):
+        return dataclasses.replace(node, **{f.name: _with_literals(getattr(node, f.name), at)
+                                            for f in dataclasses.fields(node)})
+    return node
+
+
 def explain(plan: QueryPlan) -> str:
     """Human-readable listing of the motions a plan will make, one hop per line.
 
     The anchor as the query writes it, or constants with the hops of their
     seek; each step's record; a registered product target's folded `| p`.
+    A plan bound for a text other than its query's prints that text's
+    literals.
     """
-    query = plan.query
+    at = {} if plan.literals is None else dict(zip(plan.shape.positions, plan.literals))
+    query = _with_literals(plan.query, at)
+
+    def narrowed(predicate) -> str:
+        return f"| {print_predicate(_with_literals(predicate, at))}"
+
     if isinstance(query.anchor, ast.SetExpr):
         lines = [print_set_expr(query.anchor)]
     else:
@@ -869,11 +1061,11 @@ def explain(plan: QueryPlan) -> str:
         if seek.route is not None:
             lines += [hop for _, hop in _hops(seek.route.ways[0][1])]
         if plan.anchor.predicate is not None:
-            lines.append(f"| {print_predicate(plan.anchor.predicate)}")
+            lines.append(narrowed(plan.anchor.predicate))
     targets = (st.target for st in query.steps if _ARROWS[type(st)] in _ROUTERS)
     for step in plan.steps:
         if isinstance(step, CollectionAnchor):
-            lines.append(f"| {print_predicate(step.predicate)}")
+            lines.append(narrowed(step.predicate))
         elif isinstance(step, FieldSpec):
             lines.append(f"-> {step.name}")
         else:

@@ -1,12 +1,16 @@
 """Database instances: schema loading, CSV ingest, execution and rendering.
 
 A Database owns one schema, one collection per concept, a registry of
-named product collections, and the plans of the last PLANS query texts it
-planned.  A plan depends on the schema and the products only, never on
-stored rows, so registering a product clears the plans and inserts keep
-them.  Mutation is insert-only.  Nothing is locked or pinned: a query
-reads the live storage, so an insert made while a query runs can leave
-its answer inconsistent.
+named product collections, and up to PLANS plans, kept by query text and
+by shape.  A shape is a text's tokens with each literal's value blanked
+(coql.lexer._shape); a later text of a kept shape binds its literals into
+that shape's plan instead of being parsed and resolved, unless a
+product's predicate holds one of them.  The least recently used plan
+makes room for a new one.  A plan depends on the schema and the products
+only, never on stored rows, so registering a product clears the plans
+and inserts keep them.  Mutation is insert-only.  Nothing is locked or
+pinned: a query reads the live storage, so an insert made while a query
+runs can leave its answer inconsistent.
 execute has algebra run a plan's records in order on the rows of
 collections, and turns rows into identities only in the result.  Query
 results come back as ResultSet values held column-wise: the sorted
@@ -35,10 +39,12 @@ from typing import Callable
 from . import algebra, model
 from .algebra import ElementSet, PrimitiveDomain, ProductCollection
 from .coql import ast as coql_ast
+from .coql import lexer as coql_lexer
 from .coql import parser as coql_parser
 from .coql.resolver import (
     CollectionAnchor,
     QueryPlan,
+    _bind,
     explain,
     resolve,
     resolve_product,
@@ -68,7 +74,7 @@ class IngestReport:
     rejected: list = field(default_factory=list)  # (line number, message) pairs
 
 
-PLANS = 256  # query texts whose plans a Database keeps
+PLANS = 256  # plans and shapes a Database keeps
 
 
 class Database:
@@ -76,7 +82,8 @@ class Database:
         self.schema: model.Schema | None = None
         self.collections: dict[str, model.Collection] = {}
         self.products: dict[str, ProductCollection] = {}
-        self._plans: dict[str, QueryPlan] = {}  # by text, oldest first
+        # plans by text and shapes by their key (coql.lexer._shape), least recently used first
+        self._plans: dict = {}
         if schema is not None:
             self._attach(schema)
 
@@ -112,20 +119,41 @@ class Database:
         return self._plan(text, coql_parser.parse_query)
 
     def _plan(self, text: str, parse):
-        """text's kept plan, or parse(text) planned and kept; a ProductDef
-        that parse returns comes back as it is, unplanned."""
+        """text's kept plan; else its shape's kept template bound to text's
+        literals, or parse(text) resolved; kept under text either way.  A
+        ProductDef that parse returns comes back as it is, unplanned.
+
+        A text resolved afresh leaves its shape for the texts after it,
+        unless a product's predicate holds one of its literals, which then
+        take no slot.  Each entry looked up is kept as the newest, so a
+        stream of one-off texts does not drop the shapes and texts in use.
+        """
         plan = self._plans.get(text)
         if plan is None:
             if self.schema is None:
                 raise SchemaError("no schema loaded")
-            stmt = parse(text)
-            if isinstance(stmt, coql_ast.ProductDef):
-                return stmt
-            plan = resolve(stmt, self.schema, self.products)
-            if len(self._plans) >= PLANS:
-                del self._plans[next(iter(self._plans))]
-            self._plans[text] = plan
+            key, literals, positions = coql_lexer._shape(text)
+            shape = self._plans.get(key)
+            if shape is not None:
+                self._keep(key, shape)
+                plan = _bind(shape, literals, positions)
+            else:
+                stmt = parse(text)
+                if isinstance(stmt, coql_ast.ProductDef):
+                    return stmt
+                plan = resolve(stmt, self.schema, self.products)
+                if literals and len(plan.shape.slots) == len(literals):
+                    self._keep(key, plan.shape)
+        self._keep(text, plan)
         return plan
+
+    def _keep(self, key, entry) -> None:
+        """Keep entry under key as the newest entry; past PLANS, the least
+        recently used one is dropped."""
+        plans = self._plans
+        if plans.pop(key, None) is None and len(plans) >= PLANS:
+            del plans[next(iter(plans))]
+        plans[key] = entry
 
     def explain(self, text: str) -> str:
         return explain(self.plan(text))

@@ -157,14 +157,11 @@ class Schema:
     than it, taking the first by name of those that could go next: a load
     stores collections in this order, so references point at stored data.
     fields maps (concept, field name) to the field and, for a reference, its
-    dimension, so a field path resolves with one lookup per part.  routes
-    keeps the routes the algebra's router made between collections, which
-    depend on the schema alone.
+    dimension, so a field path resolves with one lookup per part.
     """
 
     concepts: dict[str, Concept]
     dimensions: tuple[Dimension, ...]
-    routes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     fields: dict[tuple[str, str], tuple[FieldSpec, Dimension | None]] = field(
         init=False, repr=False)
     order: tuple[str, ...] = field(init=False, repr=False)

@@ -1,5 +1,6 @@
 """Lexing, parsing, printing, and name resolution for the query language."""
 
+import collections
 import random
 import time
 from decimal import Decimal
@@ -8,7 +9,7 @@ import pytest
 
 import oracle
 from comdb import engine
-from comdb.coql import ast
+from comdb.coql import ast, lexer
 from comdb.coql.lexer import LexError, split_statements, tokenize
 from comdb.coql.parser import parse_query, parse_schema, parse_statement
 from comdb.coql.printer import print_predicate, print_query, print_statement
@@ -187,6 +188,45 @@ def test_tokenizer_matches_the_character_at_a_time_oracle():
 def test_tokenizer_edge_cases(text, expected):
     assert lexed(tokenize, text) == expected
     assert lexed(oracle.o_tokenize, text) == expected
+
+
+# pieces of statements, several spellings of one token, and literals of a few values
+SHAPE_ALPHABET = (
+    "(", ")", "|", "Facts", "id", "x1", "and", "AND", "=", "==", "<", "<-", "<-*-*>", "<-*->",
+    "'a'", "'b'", "'it''s'", '"a"', "''", "1", "22", "-3", "007", "1.5", "2e3", "1.50", "NULL",
+    "null", " ", "  ", "\n", "// c\n",
+)
+
+
+@pytest.mark.parametrize("alphabet", [LEX_ALPHABET, SHAPE_ALPHABET], ids=["lex", "shape"])
+def test_a_shape_blanks_literal_values_alone(alphabet):
+    """Two texts share a shape exactly when the oracle's tokens of both match
+    but for the values of literals of one kind; the literals' values and
+    positions are the tokens'; and a text that does not lex raises what
+    tokenize raises."""
+    rng = random.Random(27)
+    shapes: dict = collections.defaultdict(set)  # blanked token sequence -> shapes
+    blanks: dict = collections.defaultdict(set)  # shape -> blanked token sequences
+    texts: dict = collections.defaultdict(set)   # shape -> texts
+    for _ in range(30_000):
+        text = "".join(rng.choices(alphabet, k=rng.randint(0, 8)))
+        got = lexed(lambda t: [lexer._shape(t)], text)
+        want = lexed(oracle.o_tokenize, text)
+        if not isinstance(want, list):
+            assert got == want == lexed(tokenize, text), text
+            continue
+        (shape, values, positions), = got
+        literals = [t for t in want if t[0] in ("INTEGER", "DECIMAL", "STRING")]
+        assert [(type(v), v) for v in values] == [(type(t[1]), t[1]) for t in literals], text
+        assert positions == [t[2:] for t in literals], text
+        blank = tuple((t[0], None if t in literals else t[1]) for t in want)
+        shapes[blank].add(shape)
+        blanks[shape].add(blank)
+        texts[shape].add(text)
+    assert all(len(s) == 1 for s in shapes.values())
+    assert all(len(b) == 1 for b in blanks.values())
+    if alphabet is SHAPE_ALPHABET:  # many shapes are shared by several texts
+        assert sum(len(t) > 1 for t in texts.values()) > 1000
 
 
 @pytest.mark.parametrize("text", [

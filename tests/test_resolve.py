@@ -5,11 +5,13 @@ and its full text with line and column, including which error wins when a
 query has several faults; the plans pin what explain lists, such as where
 a target's filter lands.  The seeded sweep builds statements from each
 fixture's own names and checks that every one either plans or raises a
-ComdbError.
+ComdbError, and that a plan bound to a kept shape explains, answers and
+raises as one resolved afresh.
 """
 
 import collections
 import dataclasses
+import datetime
 import random
 
 import pytest
@@ -17,7 +19,7 @@ import pytest
 from conftest import load_fixture
 from comdb import engine
 from comdb.algebra import ProductCollection
-from comdb.coql import ast, resolver
+from comdb.coql import ast, lexer, resolver
 from comdb.coql.resolver import resolve
 from comdb.coql.parser import parse_query
 from comdb.errors import ComdbError, ResolveError, SchemaError, UnknownCollection
@@ -26,9 +28,17 @@ from comdb.model import FieldSpec
 PRODUCTS = {
     "catalog": "D = (Books b, Addresses a)",
     "colors": "D = (X x, Y y)",
+    "dated": "D = (Days d, Rooms r)",
     "library": "D = (Writers w, Publishers p)",
     "market": "D = (Writers w, Shops s)",
 }
+
+# DATE fields, as an identity, an entity field and through a reference
+_DATED = """
+    CONCEPT Days IDENTITY day DATE ENTITY note CHAR(8);
+    CONCEPT Rooms IDENTITY name CHAR(8) ENTITY opened DATE;
+    CONCEPT Slots IDENTITY id INT ENTITY day Days, room Rooms, ends DATE;
+"""
 
 
 def _db(name: str) -> engine.Database:
@@ -39,7 +49,15 @@ def _db(name: str) -> engine.Database:
             CONCEPT Reviews IDENTITY id INT ENTITY first Grades, second Grades;
         """)
         return db
-    db = load_fixture(name)
+    if name == "dated":
+        db = engine.Database()
+        engine.load_schema(db, _DATED)
+        for k, day in enumerate(("2001-01-01", "2001-01-02", "2024-02-29")):
+            db.insert("Days", day, {"note": "x"})
+            db.insert("Rooms", f"r{k}", {"opened": day})
+            db.insert("Slots", k, {"day": day, "room": f"r{k}", "ends": day})
+    else:
+        db = load_fixture(name)
     engine.execute_statement(db, PRODUCTS[name])
     return db
 
@@ -323,8 +341,10 @@ _OPS = ("==", "!=", "<", ">=")
 _ODD = 0.04  # the share of slots that draw a name, alias or constant that may not fit
 
 
-def statements(db, rng: random.Random, n: int) -> list[str]:
-    """n query texts over db's own collection, dimension, field and product names.
+def statements(db, rng: random.Random, n: int) -> list[tuple[str, list]]:
+    """n query texts over db's own collection, dimension, field and product
+    names, each with the types of the fields its literals are compared
+    with, in text order.
 
     Each slot mostly draws what fits where the chain stands: a field of the
     collection it has reached, a dimension into that collection, a
@@ -332,7 +352,8 @@ def statements(db, rng: random.Random, n: int) -> list[str]:
     then (_ODD) a slot draws any name of the database, the unknown name
     'Nope' or 'nope', a repeated alias or an untyped constant instead.  The
     texts mix registered and inline products, aliases, predicates,
-    aggregates and constants.
+    aggregates and constants.  A reference field's type is the type of its
+    destination's identity, when that is one field.
     """
     schema = db.schema
     concepts = sorted(schema.concepts)
@@ -341,6 +362,13 @@ def statements(db, rng: random.Random, n: int) -> list[str]:
     specs = [f for c in concepts for f in schema.concept(c).fields] + [FieldSpec("nope", "string")]
     aliases = ["a", "b"] + sorted({a for p in db.products.values() for a, _ in p.factors})
     pick = rng.choice
+    types: list = []  # the current text's, one per literal
+
+    def literal(value: str, ftype: str) -> str:
+        if value != "NULL":  # a keyword, not a literal
+            identity = schema.concept(ftype).identity_fields if ftype in schema.concepts else ()
+            types.append(identity[0].type if len(identity) == 1 else ftype)
+        return value
 
     def odd() -> bool:
         return rng.random() < _ODD
@@ -355,7 +383,7 @@ def statements(db, rng: random.Random, n: int) -> list[str]:
         return pick(fit) if fit and not odd() else pick(specs)
 
     def const(f: FieldSpec) -> str:
-        return pick(_TYPED[f.type] if f.type in _TYPED and not odd() else _CONSTANTS)
+        return literal(pick(_TYPED[f.type] if f.type in _TYPED and not odd() else _CONSTANTS), f.type)
 
     def into(concept):
         return schema.dimensions_into(concept) if concept in schema.concepts else ()
@@ -381,11 +409,11 @@ def statements(db, rng: random.Random, n: int) -> list[str]:
             d = pick(dims) if dims and not odd() else None
             dim, lesser = (d.name, d.source) if d else (pick(fields), name(concepts))
             if k < 0.7:
-                return f"COUNT({dim} <- ({lesser})) > 0"
+                return f"COUNT({dim} <- ({lesser})) > {literal('0', 'integer')}"
             sums = [f.name for f in schema.concept(lesser).fields
                     if f.type in ("integer", "decimal")] if lesser in schema.concepts else []
             total = pick(sums) if sums and not odd() else pick(fields)
-            return f"SUM({dim} <- ({lesser}).{total}) > 1"
+            return f"SUM({dim} <- ({lesser}).{total}) > {literal('1', 'integer')}"
         if k < 0.9:
             return f"{path(scope)[0]} == {path(scope)[0]}"
         (p1, f1), (p2, f2) = path(scope), path(scope)
@@ -481,7 +509,8 @@ def statements(db, rng: random.Random, n: int) -> list[str]:
                 break
             text, at = step(at)
             chain.append(text)
-        out.append(" ".join(chain))
+        out.append((" ".join(chain), types))
+        types = []
     return out
 
 
@@ -490,8 +519,10 @@ def _answered(rs) -> tuple:
     return rs.kind, rs.tag, rs.columns, rs.identities, rs.values, rs.warnings
 
 
-# the only callables a plan may hold: (C | p)'s residual and a product's predicate
-_CALLABLE_FIELDS = {(resolver.CollectionAnchor, "residual"), (ProductCollection, "predicate")}
+# the only callables a plan may hold: (C | p)'s residual, a product's predicate,
+# and its shape's typers, which type the literals of the next text bound to it
+_CALLABLE_FIELDS = {(resolver.CollectionAnchor, "residual"), (ProductCollection, "predicate"),
+                    (resolver._Shape, "slots")}
 
 
 def _callables(obj, where: str):
@@ -507,6 +538,65 @@ def _callables(obj, where: str):
             yield from _callables(item, f"{where}[{k}]")
 
 
+# each literal kind by the mark it leaves in a shape
+_KINDS = {mark: kind for kind, mark in lexer._MARKS.items()}
+
+
+def _relit(text: str, draw) -> str:
+    """text with each literal replaced by draw(k, its kind), where that is not None.
+
+    k counts literals in text order; a text the generator makes is one line.
+    """
+    key, _, positions = lexer._shape(text)
+    kinds = [_KINDS[mark] for mark in key if mark in _KINDS]
+    out, end = [], 0
+    for k, (kind, (_, column)) in enumerate(zip(kinds, positions)):
+        new = draw(k, kind)
+        if new is not None:
+            m = lexer._TOKEN.match(text, column - 1)
+            out += [text[end:m.start()], new]
+            end = m.end()
+    return "".join(out) + text[end:]
+
+
+def _redrawn(rng: random.Random, kind: str, ftype: str) -> str:
+    """A literal of kind whose value fits a field of type ftype, where a literal of kind can."""
+    if kind == "INTEGER":
+        return str(rng.randint(-3, 40))
+    if kind == "DECIMAL":
+        return rng.choice(("0.5", "2.50", "-1.25", "1E+1", "9.75"))
+    if ftype == "date":
+        return f"'{datetime.date(2001, 1, 1) + datetime.timedelta(rng.randrange(-3, 40))}'"
+    return rng.choice(("'DE'", "'b1'", "'x'", "''", "'it''s'", "'r1'", "'Springer'"))
+
+
+def _mistyped(rng: random.Random, kind: str, ftype: str) -> str:
+    """A literal that does not fit a field of type ftype: an invalid date, or one of another kind."""
+    if ftype == "date" and kind == "STRING":
+        return rng.choice(("'2001-02-30'", "'2001-1-1'", "'01/02/2001'", "1"))
+    return "1" if kind == "STRING" else "'x'"
+
+
+def _as_fresh(db, text: str) -> tuple[bool, str]:
+    """Plan text in db and check that its plan explains and answers, or its
+    error reads (class, message, position), as a fresh resolve's.
+
+    Returns whether db bound the text to a kept shape, and "plan" or "raise".
+    """
+    bound = text not in db._plans and lexer._shape(text)[0] in db._plans
+    try:
+        fresh = resolve(parse_query(text), db.schema, db.products)
+    except ComdbError as e:
+        with pytest.raises(ComdbError) as got:
+            db.plan(text)
+        assert (type(got.value), str(got.value)) == (type(e), str(e)), text
+        return bound, "raise"
+    plan = db.plan(text)
+    assert resolver.explain(plan) == db.explain(text) == resolver.explain(fresh), text
+    assert _answered(engine.execute(db, plan)) == _answered(engine.execute(db, fresh)), text
+    return bound, "plan"
+
+
 @pytest.mark.parametrize("fixture", sorted(PRODUCTS))
 def test_resolution_raises_only_comdb_errors(fixture):
     """Every statement plans or raises a ComdbError, and at least a third
@@ -514,12 +604,21 @@ def test_resolution_raises_only_comdb_errors(fixture):
     text's next plan is the same object; a text that raised raises the same
     error again and is not kept.  A plan is data but for residuals and
     product predicates: no seek, bound, cut or aggregate, however deep
-    inside an aggregate's inner record, holds a callable."""
+    inside an aggregate's inner record, holds a callable.
+
+    Each text that plans is planned twice more: with its literals redrawn
+    from their fields' types, and with one literal of the wrong type.  Most
+    of these bind to the shape the text left, and each explains, answers
+    and raises as a fresh resolve; on DATE fields some raise while binding.
+    """
     db = _db(fixture)
-    texts = statements(db, random.Random(fixture), 3000)
+    rng = random.Random(fixture)
+    drawn = statements(db, rng, 3000)
     planned = 0
     records = collections.Counter()
-    for text in texts:
+    replanned = collections.Counter()
+    for text, types in drawn:
+        assert len(types) == len(lexer._shape(text)[1]), text
         try:
             plan = db.plan(text)
         except ComdbError as e:
@@ -537,8 +636,41 @@ def test_resolution_raises_only_comdb_errors(fixture):
         assert db.plan(text) is plan, text
         assert resolver.explain(plan) == resolver.explain(fresh), text
         assert _answered(engine.execute(db, plan)) == _answered(engine.execute(db, fresh)), text
-    assert planned >= len(texts) / 3, planned
+        if types:
+            wrong = rng.randrange(len(types))
+            replanned[_as_fresh(db, _relit(text, lambda k, kind: _redrawn(rng, kind, types[k])))] += 1
+            replanned[_as_fresh(db, _relit(text, lambda k, kind: _mistyped(rng, kind, types[k])
+                                           if k == wrong else None))] += 1
+    assert planned >= len(drawn) / 3, planned
     assert min(records[g] for g in ("seeks", "bounds", "cuts")) > 0, records
+    assert replanned[True, "plan"] >= planned / 8, replanned
+    assert fixture != "dated" or replanned[True, "raise"] > 0, replanned
+
+
+@pytest.mark.parametrize("fixture, first, text, message", [
+    # the target's predicate is typed before the constants de-projected into it
+    ("library", "'x', 'y' <- name <- (Writers | age < 1)", "'x', 5 <- name <- (Writers | age < 'y')",
+     "line 1, column 36: expected a number, found 'y'"),
+    ("dated", "'2001-01-01' <- ends <- (Slots | day == '2001-01-02')",
+     "'2001-13-01' <- ends <- (Slots | day == '2001-02-30')",
+     "line 1, column 41: '2001-02-30' is not an ISO date"),
+    # conjuncts are typed in order
+    ("library", "(Writers | name == 'a' AND age == 1)", "(Writers | name == 5 AND age == 'x')",
+     "line 1, column 20: expected a string, found 5"),
+    ("dated", "(Rooms | opened == '2001-01-01' AND name == 'r1')",
+     "(Rooms | opened == '2001-1-1' AND name == 'r1')", "line 1, column 20: '2001-1-1' is not an ISO date"),
+])
+def test_a_literal_that_does_not_type_raises_where_a_fresh_resolve_does(fixture, first, text, message):
+    """A text's literals are typed in the order resolution types them, so the
+    first one it meets that does not fit raises, at its own position, whether
+    the text binds to the shape another text left or is resolved afresh."""
+    db = _db(fixture)
+    db.plan(first)
+    assert (lexer._shape(text)[0] in db._plans) == (fixture == "dated")
+    for plan in (db.plan, lambda t: resolve(parse_query(t), db.schema, db.products)):
+        with pytest.raises(ResolveError) as exc:
+            plan(text)
+        assert type(exc.value) is ResolveError and str(exc.value) == message
 
 
 # --- kept plans -----------------------------------------------------------------
@@ -563,16 +695,55 @@ def test_a_query_before_the_schema_plans_after_it():
 
 
 def test_the_oldest_plan_makes_room_for_a_new_one():
-    """A database keeps PLANS plans; the next text drops the first one planned,
-    however recently that was looked up."""
+    """A database keeps PLANS entries: plans by text and shapes by key.  A
+    text resolved afresh keeps its plan and its shape, each entry looked up
+    becomes the newest, and each entry past PLANS drops the least recently
+    used one."""
     db = load_fixture("catalog")
-    texts = [f"(Books | price < {i})" for i in range(engine.PLANS + 1)]
-    plans = [db.plan(t) for t in texts[:-1]]
-    assert all(db.plan(t) is p for t, p in zip(texts, plans))
-    newest = db.plan(texts[-1])
-    assert db.plan(texts[1]) is plans[1] and db.plan(texts[-1]) is newest
-    assert db.plan(texts[0]) is not plans[0]
+    # 257 shapes, told apart by the operators of their nine conjuncts
+    texts = ["(Books | " + " AND ".join("price >= 0" if i >> b & 1 else "price > 0" for b in range(9))
+             + ")" for i in range(engine.PLANS + 1)]
+    keys = [lexer._shape(t)[0] for t in texts]
+    half = engine.PLANS // 2
+    plans = [db.plan(t) for t in texts[:half]]
     assert len(db._plans) == engine.PLANS
+    assert db.plan(texts[0]) is plans[0]
+    newest = db.plan(texts[half])  # drops the shapes of the first two texts
+    assert len(db._plans) == engine.PLANS
+    assert [k in db._plans for k in keys[:3]] == [False, False, True]
+    assert db.plan(texts[0]) is plans[0] and db.plan(texts[1]) is plans[1]
+    assert db.plan(texts[half]) is newest
+    for t in texts:
+        db.plan(t)
+    assert len(db._plans) == engine.PLANS
+    assert [t for t in texts if t in db._plans] == texts[-half:]
+
+
+def test_texts_of_a_few_shapes_resolve_once_per_shape(monkeypatch):
+    """2,000 texts of three shapes, drawn with fresh literals, resolve three
+    times in all, although one-off texts in between make more than PLANS
+    entries: a shape a text binds to becomes the newest entry.  A literal in
+    a product's predicate takes no slot, so each such text resolves."""
+    db = load_fixture("catalog")
+    resolved = []
+    monkeypatch.setattr(engine, "resolve", lambda *args: resolved.append(args) or resolve(*args))
+    shapes = ("(Books | price < {d} AND isbn != '{s}') -> publisher",
+              "(Publishers | COUNT(publisher <- (Books | price > {d})) > {i})",
+              "{i}, {i} <- id <- (Addresses) <-* (Books | title == '{s}')")
+    rng = random.Random(2000)
+    one_offs = 0
+    for n in range(2000):
+        if n % 3 == 2:
+            text = f"(Books b, Publishers p | b.price < {n})"
+            one_offs += 1
+        else:
+            text = rng.choice(shapes).format(i=rng.randint(-9, 99), d=rng.randint(0, 999) / 100,
+                                             s=rng.choice("ab") * rng.randint(0, 2))
+        plan = db.plan(text)
+    assert len(resolved) == len(shapes) + one_offs
+    fresh = resolve(parse_query(text), db.schema, db.products)
+    assert resolver.explain(plan) == resolver.explain(fresh)
+    assert _answered(engine.execute(db, plan)) == _answered(engine.execute(db, fresh))
 
 
 def test_a_kept_plan_reads_rows_stored_after_it(tmp_path):
